@@ -15,8 +15,9 @@ bounded by what pruning retains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
+
+from .channel import PU_ALONE, SU_CLEAN
 
 __all__ = [
     "PacketLabel",
@@ -56,13 +57,6 @@ class ClosureResult(NamedTuple):
     decoded_su: frozenset
     decoded_pu: frozenset
     su_count: int
-
-
-# Decodability of the slot's own transmissions by outcome region.
-_SU_DIRECT_CLEAN = frozenset({1, 2, 5, 7})   # SU decodable with no PU interference
-_SU_DIRECT_UNDER_PU = frozenset({1, 2})      # SU decodable under unknown PU interference
-_PU_DIRECT_ALONE = frozenset({1, 3, 6, 7})   # PU decodable with no SU transmission
-_PU_DIRECT_UNDER_SU = frozenset({1, 3})      # PU decodable under SU interference
 
 
 class CdGraph:
@@ -259,13 +253,13 @@ def record_slot(
     if l_p is not None and pu_known:
         # Interference from the known PU packet is cancelled up front, so the
         # slot behaves as if the PU were idle.
-        if l_s is not None and y in _SU_DIRECT_CLEAN:
+        if l_s is not None and y in SU_CLEAN:
             r_s = _commit_decodes(g, closure(g, [l_s]))
     elif l_p is None:
-        if l_s is not None and y in _SU_DIRECT_CLEAN:
+        if l_s is not None and y in SU_CLEAN:
             r_s = _commit_decodes(g, closure(g, [l_s]))
     elif l_s is None:
-        if y in _PU_DIRECT_ALONE:
+        if y in PU_ALONE:
             r_s = _commit_decodes(g, closure(g, [l_p]))
     else:
         if y == 1:

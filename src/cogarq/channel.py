@@ -1,12 +1,13 @@
 """Block-fading channel layer.
 
 Both links fade independently slot by slot (Rayleigh amplitudes, so the
-instantaneous SNRs are exponential).  Given the four SNRs of a slot and the
-fixed transmission rates, this module decides the decoding outcome at each
-receiver: a boolean success for the primary receiver, and one of seven
-outcome regions for the secondary receiver, which jointly decodes or buffers
-the two superposed packets.  It also estimates the region probabilities and
-tunes a single-user rate to its throughput-optimal value.
+instantaneous SNRs are exponential).  Given the SNRs of each slot and the
+fixed transmission rates, this module classifies the decoding outcome at the
+secondary receiver, which jointly decodes or buffers the two superposed
+packets, into one of seven regions, and states once which packets each
+region makes decodable.  It also gives the exact PU decoding probability,
+estimates the region probabilities, and tunes a single-user rate to its
+throughput-optimal value.
 """
 
 from __future__ import annotations
@@ -17,43 +18,26 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "LinkGains",
     "RatePair",
     "AvgSnrConfig",
     "RegionProbabilities",
-    "capacity",
-    "classify_su_outcome",
+    "SU_CLEAN",
+    "SU_UNDER_PU",
+    "PU_ALONE",
+    "PU_UNDER_SU",
+    "SU_NEEDS_PU",
     "classify_su_outcomes",
-    "pu_success",
     "pu_success_probability",
-    "draw_gains",
     "draw_gain_arrays",
     "region_probabilities",
     "optimize_rate",
 ]
-
-DEFAULT_REGION_SAMPLES = 1_000_000
-
 
 def _check_nonneg(name: str, value: float) -> float:
     v = float(value)
     if not math.isfinite(v) or v < 0.0:
         raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
     return v
-
-
-@dataclass(frozen=True)
-class LinkGains:
-    """Instantaneous linear-scale SNRs of the four links in one slot."""
-
-    gamma_s: float
-    gamma_ps: float
-    gamma_p: float
-    gamma_sp: float
-
-    def __post_init__(self):
-        for name in ("gamma_s", "gamma_ps", "gamma_p", "gamma_sp"):
-            _check_nonneg(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -113,23 +97,19 @@ class RegionProbabilities:
              self.ups_s, self.ups_p, self.ups_sp]
         )
 
-    def prob(self, region: int) -> float:
-        return float(self.as_array()[region - 1])
 
-    def total(self) -> float:
-        return float(self.as_array().sum())
-
-
-def capacity(snr: float) -> float:
-    """Normalized Gaussian-channel capacity log2(1 + snr)."""
-    s = float(snr)
-    if not math.isfinite(s) or s < 0.0:
-        raise ValueError(f"snr must be finite and >= 0, got {snr!r}")
-    return math.log2(1.0 + s)
+# Which of the slot's own packets each outcome region lets the SU receiver
+# decode.  Every scheme's receiver, compact model and invariant check reads
+# these four sets.
+SU_CLEAN = frozenset({1, 2, 5, 7})   # SU packet, no PU interference (PU idle or known)
+SU_UNDER_PU = frozenset({1, 2})      # SU packet, under an unknown PU packet
+PU_ALONE = frozenset({1, 3, 6, 7})   # PU packet, no SU transmission
+PU_UNDER_SU = frozenset({1, 3})      # PU packet, under an SU packet
+SU_NEEDS_PU = SU_CLEAN - SU_UNDER_PU  # SU packet, only once the PU packet is cancelled
 
 
-def classify_su_outcome(g: LinkGains, r: RatePair) -> int:
-    """Outcome region index in 1..7 for the SU receiver in one slot.
+def classify_su_outcomes(gamma_s: np.ndarray, gamma_ps: np.ndarray, r: RatePair) -> np.ndarray:
+    """Outcome region index in 1..7 at the SU receiver, one uint8 per slot.
 
     The seven regions partition the (gamma_s, gamma_ps) plane for fixed
     rates.  1: both packets jointly decodable.  2: SU packet decodable
@@ -139,19 +119,6 @@ def classify_su_outcome(g: LinkGains, r: RatePair) -> int:
     6: mirror case.  7: each decodable once the other is cancelled.
     Boundary ties follow the stated inequality strictness.
     """
-    c_s = capacity(g.gamma_s)
-    c_ps = capacity(g.gamma_ps)
-    if r.r_s < c_s:
-        if r.r_p < c_ps:
-            return 1 if r.r_s + r.r_p < capacity(g.gamma_s + g.gamma_ps) else 7
-        return 2 if r.r_s < capacity(g.gamma_s / (1.0 + g.gamma_ps)) else 5
-    if r.r_p < c_ps:
-        return 3 if r.r_p < capacity(g.gamma_ps / (1.0 + g.gamma_s)) else 6
-    return 4
-
-
-def classify_su_outcomes(gamma_s: np.ndarray, gamma_ps: np.ndarray, r: RatePair) -> np.ndarray:
-    """Vectorized region classification, returns a uint8 array of 1..7."""
     gs = np.asarray(gamma_s, dtype=float)
     gps = np.asarray(gamma_ps, dtype=float)
     c_s = np.log2(1.0 + gs)
@@ -174,13 +141,6 @@ def classify_su_outcomes(gamma_s: np.ndarray, gamma_ps: np.ndarray, r: RatePair)
     return out
 
 
-def pu_success(g: LinkGains, r: RatePair, a_s: int) -> bool:
-    """Whether the PU receiver decodes, with the SU interfering iff a_s=1."""
-    if a_s not in (0, 1):
-        raise ValueError(f"a_s must be 0 or 1, got {a_s!r}")
-    return r.r_p < capacity(g.gamma_p / (1.0 + a_s * g.gamma_sp))
-
-
 def pu_success_probability(cfg: AvgSnrConfig, r: RatePair, a_s: int) -> float:
     """Exact PU decoding probability under Rayleigh fading.
 
@@ -200,22 +160,12 @@ def pu_success_probability(cfg: AvgSnrConfig, r: RatePair, a_s: int) -> float:
     return base / (1.0 + theta * cfg.mean_gamma_sp / mp)
 
 
-def draw_gains(rng: np.random.Generator, cfg: AvgSnrConfig) -> LinkGains:
-    """One slot of independent exponential gains (Rayleigh power fading)."""
-    return LinkGains(
-        gamma_s=rng.exponential(cfg.mean_gamma_s),
-        gamma_ps=rng.exponential(cfg.mean_gamma_ps),
-        gamma_p=rng.exponential(cfg.mean_gamma_p),
-        gamma_sp=rng.exponential(cfg.mean_gamma_sp),
-    )
-
-
 def draw_gain_arrays(rng: np.random.Generator, cfg: AvgSnrConfig, n: int):
-    """n slots of gains as four arrays (gamma_s, gamma_ps, gamma_p, gamma_sp).
+    """n slots of independent exponential gains (Rayleigh power fading), as
+    four arrays (gamma_s, gamma_ps, gamma_p, gamma_sp).
 
-    Draw order matches repeated `draw_gains` calls field by field per slot,
-    but arrays are generated per link for speed; only the per-link streams
-    are reproducible, which is all the simulator relies on.
+    Each link is drawn as one array in turn; a zero-mean link is
+    identically zero and draws nothing.
     """
     gs = rng.exponential(cfg.mean_gamma_s, n) if cfg.mean_gamma_s > 0 else np.zeros(n)
     gps = rng.exponential(cfg.mean_gamma_ps, n) if cfg.mean_gamma_ps > 0 else np.zeros(n)
@@ -225,10 +175,7 @@ def draw_gain_arrays(rng: np.random.Generator, cfg: AvgSnrConfig, n: int):
 
 
 def region_probabilities(
-    cfg: AvgSnrConfig,
-    r: RatePair,
-    n_samples: int = DEFAULT_REGION_SAMPLES,
-    rng: np.random.Generator | None = None,
+    cfg: AvgSnrConfig, r: RatePair, n_samples: int, rng: np.random.Generator
 ) -> RegionProbabilities:
     """Monte Carlo estimate of the seven region probabilities.
 
@@ -237,8 +184,6 @@ def region_probabilities(
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng(0)
     gs = rng.exponential(cfg.mean_gamma_s, n_samples) if cfg.mean_gamma_s > 0 else np.zeros(n_samples)
     gps = rng.exponential(cfg.mean_gamma_ps, n_samples) if cfg.mean_gamma_ps > 0 else np.zeros(n_samples)
     regions = classify_su_outcomes(gs, gps, r)

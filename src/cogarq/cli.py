@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -49,7 +50,11 @@ _SCHEMES = {s.value: s for s in SchemeKind}
 
 
 class ConfigError(ValueError):
-    """Invalid configuration, carrying the offending line number."""
+    """Invalid configuration; `key` names the offending key, or is None."""
+
+    def __init__(self, message: str, key: str | None):
+        super().__init__(message)
+        self.key = key
 
 
 @dataclass
@@ -76,21 +81,37 @@ class ExperimentConfig:
     workers: int = 1
 
     def validate(self):
-        if self.sweep not in SWEEP_PARAMS:
-            raise ConfigError(f"sweep must be one of {SWEEP_PARAMS}")
-        if not self.sweep_values:
-            raise ConfigError("sweep_values must be nonempty")
-        if not (0.0 <= self.constraint_fraction <= 1.0):
-            raise ConfigError("constraint_fraction must lie in [0, 1]")
-        for s in self.schemes:
-            if s not in _SCHEMES:
-                raise ConfigError(f"unknown scheme {s!r}")
-        if self.arrivals != "saturate":
-            raise ConfigError("only the saturating arrival model is configurable here")
-        if self.pu_policy != "always":
-            raise ConfigError("only the backlogged always-transmit PU is configurable here")
-        if self.constraint_component != "throughput":
-            raise ConfigError("only the throughput component may carry the constraint")
+        """Check every key against its range in config-schema.txt."""
+
+        def require(ok, key: str, rule: str):
+            if not ok:
+                raise ConfigError(f"{key} must be {rule}, got {getattr(self, key)!r}", key)
+
+        for key in ("mean_gamma_s", "mean_gamma_p", "mean_gamma_ps", "mean_gamma_sp"):
+            value = getattr(self, key)
+            require(math.isfinite(value) and value >= 0.0, key, "finite and >= 0")
+        require(self.sweep in SWEEP_PARAMS, "sweep", f"one of {SWEEP_PARAMS}")
+        require(self.sweep_values and all(math.isfinite(v) and v >= 0.0 for v in self.sweep_values),
+                "sweep_values", "a nonempty list of finite ratios >= 0")
+        for key, mean in (("rate_s", "mean_gamma_s"), ("rate_p", "mean_gamma_p")):
+            rate = getattr(self, key)
+            if rate == "optimize":
+                require(getattr(self, mean) > 0.0, key, f"a fixed rate when {mean} = 0")
+            else:
+                require(math.isfinite(rate) and rate > 0.0, key, "finite and > 0, or optimize")
+        require(self.r_max >= 1, "r_max", ">= 1")
+        require(self.d_max >= max(2, self.r_max), "d_max", ">= max(2, r_max)")
+        require(self.q_max >= 1, "q_max", ">= 1")
+        # the MDP path supports only a backlogged PU and a throughput floor
+        require(self.arrivals == "saturate", "arrivals", "saturate")
+        require(self.pu_policy == "always", "pu_policy", "always")
+        require(self.constraint_component == "throughput", "constraint_component", "throughput")
+        require(0.0 <= self.constraint_fraction <= 1.0, "constraint_fraction", "in [0, 1]")
+        require(all(s in _SCHEMES for s in self.schemes), "schemes", f"among {tuple(_SCHEMES)}")
+        require(self.seed >= 0, "seed", ">= 0")
+        require(self.n_slots >= 1, "n_slots", ">= 1")
+        require(self.region_samples >= 1, "region_samples", ">= 1")
+        require(self.workers >= 1, "workers", ">= 1")
         return self
 
 
@@ -105,13 +126,15 @@ _STR_KEYS = {"sweep", "arrivals", "pu_policy", "constraint_component"}
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse the flat key=value file; errors carry the line number."""
     values: dict = {}
+    lines: dict = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw!r}")
+            raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw!r}", None)
         key, _, val = (x.strip() for x in line.partition("="))
+        lines[key] = lineno
         try:
             if key in _INT_KEYS:
                 values[key] = int(val)
@@ -126,18 +149,19 @@ def load_config(path: str | Path) -> ExperimentConfig:
             elif key == "schemes":
                 values[key] = tuple(x.strip() for x in val.split(",") if x.strip())
             else:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}", key)
         except ConfigError:
             raise
         except ValueError as e:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {e}") from None
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {e}", key) from None
     for req in ("mean_gamma_s", "mean_gamma_p"):
         if req not in values:
-            raise ConfigError(f"{path}: missing required key {req!r}")
+            raise ConfigError(f"{path}: missing required key {req!r}", req)
     try:
         cfg = ExperimentConfig(**values).validate()
     except ConfigError as e:
-        raise ConfigError(f"{path}: {e}") from None
+        where = f"{path}:{lines[e.key]}" if e.key in lines else str(path)
+        raise ConfigError(f"{where}: {e}", e.key) from None
     return cfg
 
 
@@ -160,8 +184,13 @@ def _run_seed(master: int, sweep_index: int) -> int:
     return int(np.random.SeedSequence([master, sweep_index]).generate_state(1)[0])
 
 
-def _sweep_point(cfg: ExperimentConfig, rates: RatePair, index: int, check_invariants: bool):
+def _sweep_point(cfg: ExperimentConfig, rates: RatePair, index: int, check_invariants: bool,
+                 estimates: dict):
     """Solve and simulate every scheme at one sweep point.
+
+    The region probabilities depend only on (mean_gamma_s, mean_gamma_ps)
+    and the rates, and every estimate starts from the same sub-seed, so
+    `estimates` keeps them by that pair for the points that share it.
 
     Returns (index, rows, policy_records, violations).  Baseline policies
     are re-optimized on their own compact models under the same PU floor,
@@ -174,8 +203,11 @@ def _sweep_point(cfg: ExperimentConfig, rates: RatePair, index: int, check_invar
         arrival_pmf=saturating_arrivals(cfg.q_max),
     )
     system = SystemConfig(snr=snr, rates=rates, pu=pu_cfg)
-    region_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _REGION_SEED_TAG]))
-    probs = region_probabilities(snr, rates, cfg.region_samples, region_rng)
+    key = (snr.mean_gamma_s, snr.mean_gamma_ps)
+    if key not in estimates:
+        region_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _REGION_SEED_TAG]))
+        estimates[key] = region_probabilities(snr, rates, cfg.region_samples, region_rng)
+    probs = estimates[key]
     success = system.success_probs()
     seed = _run_seed(cfg.seed, index)
 
@@ -227,6 +259,7 @@ def _sweep_point(cfg: ExperimentConfig, rates: RatePair, index: int, check_invar
             "constraint_min": report.constraint_min,
             "constraint_value": report.constraint_value,
             "mix_weight": report.mix_weight,
+            "multichain_warning": report.multichain_warning,
             "states": [
                 {"cd": list(s.cd), "t": s.t, "d": s.d,
                  "belief": list(s.belief), "mu": report.policy.probs[s]}
@@ -249,10 +282,14 @@ def run_experiment(
         cfg.seed = seed_override
     if slots_override is not None:
         cfg.n_slots = slots_override
+    cfg.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rates = _resolve_rates(cfg)
 
+    # Worker processes each get their own copy of `estimates`, so only a
+    # serial sweep shares region estimates between points.
+    estimates: dict = {}
     indices = range(len(cfg.sweep_values))
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
@@ -262,9 +299,10 @@ def run_experiment(
                 [rates] * len(cfg.sweep_values),
                 indices,
                 [check_invariants] * len(cfg.sweep_values),
+                [estimates] * len(cfg.sweep_values),
             ))
     else:
-        results = [_sweep_point(cfg, rates, i, check_invariants) for i in indices]
+        results = [_sweep_point(cfg, rates, i, check_invariants, estimates) for i in indices]
     results.sort(key=lambda r: r[0])
 
     results_path = out / "results.csv"

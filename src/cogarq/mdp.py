@@ -19,11 +19,10 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components
 
 from .channel import RegionProbabilities
-from .pu_system import PuConfig, PuFeedback, completion_indicator
+from .pu_system import PuConfig
+from .pu_tracker import PuFeedback, update
 from .virtual_state import (
     REWARD_COMPONENTS,
-    CdPhase,
-    CompactState,
     RewardVector,
     expected_pu_reward,
     next_belief,
@@ -74,9 +73,6 @@ class AccessPolicy:
         for s, p in self.probs.items():
             if not (0.0 <= p <= 1.0):
                 raise ValueError(f"transmit probability {p!r} for {s} outside [0,1]")
-
-    def prob(self, state: MdpState) -> float:
-        return self.probs[state]
 
 
 @dataclass
@@ -148,12 +144,9 @@ def _feedback_branches(t, d, belief, a_s, space):
     ):
         if p <= 0.0:
             continue
-        a_p = 1 if y_p != PuFeedback.IDLE else 0
-        o = completion_indicator(t, d, y_p, cfg)
-        t_n = (1 - o) * (t + a_p)
-        d_n = (1 - o) * (d + (1 if t > 0 else a_p))
+        o, t_n, d_n = update(t, d, y_p, cfg)
         bel_n = next_belief(t, d, belief, o, rho, cfg)
-        branches.append((y_p, a_p, o, p, t_n, d_n, bel_n))
+        branches.append((y_p, int(y_p != PuFeedback.IDLE), o, p, t_n, d_n, bel_n))
     return branches
 
 
@@ -258,9 +251,8 @@ def build_kernel(space: StateSpace) -> Kernel:
             key = (s.t, s.d, s.belief, a_s)
             if key not in branch_cache:
                 branch_cache[key] = _feedback_branches(s.t, s.d, s.belief, a_s, space)
-            shadow = CompactState(CdPhase.U, 0, s.t, s.d, s.belief)
             r_pu[i, a_s] = expected_pu_reward(
-                shadow, a_s, space.pu_cfg, space.success_probs, space.pu_power
+                s.t, s.d, s.belief, a_s, space.pu_cfg, space.success_probs, space.pu_power
             ).as_array()
             for _, a_p, o, p_b, t_n, d_n, bel_n in branch_cache[key]:
                 for y in range(1, 8):
@@ -345,7 +337,7 @@ def evaluate_policy(space: StateSpace, kernel: Kernel, policy) -> EvalResult:
 
 def _policy_vector(space: StateSpace, policy) -> np.ndarray:
     if isinstance(policy, AccessPolicy):
-        return np.array([policy.prob(s) for s in space.states])
+        return np.array([policy.probs[s] for s in space.states])
     mu = np.asarray(policy, dtype=float)
     if mu.shape != (space.n,):
         raise ValueError(f"policy vector must have shape ({space.n},)")

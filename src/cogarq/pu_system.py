@@ -1,41 +1,31 @@
-"""Ground-truth primary-user transmitter and receiver.
+"""Static description of the primary-user pair.
 
 The PU runs Type-I HARQ: the head-of-queue packet is resent unchanged until
 it is acknowledged, the retransmission deadline is hit, or the delay
 deadline expires, at which point the packet leaves the queue.  The
 transmitter follows a randomized access policy over its internal state
 (retransmission count t, delay d, queue length q) and the receiver feeds
-back ACK/NACK, or nothing on idle slots.
+back ACK/NACK, or nothing on idle slots.  This module holds the deadlines,
+queue, arrival and access settings, and the completion probability the
+optimizer averages over; the (t, d) step itself is `pu_tracker.update`,
+which both the simulated PU and the SU-side tracker follow.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .channel import LinkGains, RatePair, pu_success
+from .pu_tracker import PuFeedback, update
 
 __all__ = [
-    "PuFeedback",
     "PuConfig",
-    "PuState",
-    "StepResult",
     "always_transmit",
-    "completion_indicator",
     "completion_probability",
-    "advance",
-    "step",
     "saturating_arrivals",
 ]
-
-
-class PuFeedback(enum.IntEnum):
-    IDLE = 0
-    ACK = 1
-    NACK = 2
 
 
 def always_transmit(t: int, d: int, q: int) -> float:
@@ -82,10 +72,6 @@ class PuConfig:
             raise ValueError("arrival_pmf must be a probability vector")
         object.__setattr__(self, "arrival_pmf", pmf)
 
-    @property
-    def b_max(self) -> int:
-        return int(self.arrival_pmf.size - 1)
-
     def transmit_prob(self, t: int, d: int, q: int) -> float:
         if q == 0:
             return 0.0
@@ -95,109 +81,18 @@ class PuConfig:
         return p
 
 
-@dataclass(frozen=True)
-class PuState:
-    """Internal PU triple: retransmission count, delay, queue length."""
-
-    t: int = 0
-    d: int = 0
-    q: int = 0
-
-    def validate(self, cfg: PuConfig) -> "PuState":
-        if not (0 <= self.t < cfg.r_max):
-            raise ValueError(f"t out of range: {self.t}")
-        if not (0 <= self.d < cfg.d_max):
-            raise ValueError(f"d out of range: {self.d}")
-        if not (0 <= self.q <= cfg.q_max):
-            raise ValueError(f"q out of range: {self.q}")
-        if self.d < self.t:
-            raise ValueError(f"delay {self.d} below retransmission count {self.t}")
-        if self.q == 0 and (self.t or self.d):
-            raise ValueError("empty queue with an active retransmission session")
-        return self
-
-
-def completion_indicator(t: int, d: int, y: PuFeedback, cfg: PuConfig) -> int:
-    """Whether the head packet leaves the queue at the end of the slot.
-
-    ACK always completes.  NACK completes when either deadline is hit.  An
-    idle slot completes only when the delay deadline expires, which can
-    only happen with an active session (so a nonempty queue).
-    """
-    if y == PuFeedback.ACK:
-        return 1
-    if y == PuFeedback.NACK:
-        return 1 if (t == cfg.r_max - 1 or d == cfg.d_max - 1) else 0
-    return 1 if d == cfg.d_max - 1 else 0
-
-
 def completion_probability(
     t: int, d: int, q: int, a_p: int, success_prob: float, cfg: PuConfig
 ) -> float:
     """P(head packet completes | state, PU access decision, SU interference).
 
-    `success_prob` is P(PU decoding succeeds) for the current SU action.
+    `success_prob` is P(PU decoding succeeds) for the current SU action,
+    which decides between the ACK and NACK branches of the ARQ step.
     """
     if q == 0:
         return 0.0
     if a_p == 0:
-        return 1.0 if d == cfg.d_max - 1 else 0.0
-    if t == cfg.r_max - 1 or d == cfg.d_max - 1:
-        return 1.0
-    return success_prob
-
-
-def advance(state: PuState, b_p: int, a_p: int, success: bool, cfg: PuConfig):
-    """Apply one slot of PU dynamics given the realized access and outcome.
-
-    Returns (y, o, next_state).  `success` is only consulted when a_p=1.
-    """
-    t, d, q = state.t, state.d, state.q
-    if a_p:
-        if q == 0:
-            raise ValueError("PU cannot transmit from an empty queue")
-        y = PuFeedback.ACK if success else PuFeedback.NACK
-    else:
-        y = PuFeedback.IDLE
-    o = completion_indicator(t, d, y, cfg) if q > 0 else 0
-    q_next = min(q - o + b_p, cfg.q_max)
-    t_next = (1 - o) * (t + a_p)
-    d_next = (1 - o) * (d + (1 if t > 0 else a_p))
-    return y, o, PuState(t_next, d_next, q_next)
-
-
-@dataclass(frozen=True)
-class StepResult:
-    a_p: int
-    y: PuFeedback
-    o: int
-    next_state: PuState
-    label_event: str | None  # 'new', 'retx', or None when idle
-
-
-def step(
-    state: PuState,
-    b_p: int,
-    a_s: int,
-    g: LinkGains,
-    rates: RatePair,
-    rng: np.random.Generator,
-    cfg: PuConfig,
-) -> StepResult:
-    """One slot of the PU system with a randomized access decision.
-
-    One uniform draw is consumed per slot even for degenerate policies, so
-    trajectories stay aligned across runs that only differ in the policy.
-    """
-    state.validate(cfg)
-    if not (0 <= b_p <= cfg.b_max):
-        raise ValueError(f"arrival count {b_p} outside pmf support")
-    u = rng.random()
-    a_p = 1 if u < cfg.transmit_prob(state.t, state.d, state.q) else 0
-    success = pu_success(g, rates, a_s) if a_p else False
-    y, o, nxt = advance(state, b_p, a_p, success, cfg)
-    if a_p:
-        label_event = "new" if state.t == 0 else "retx"
-    else:
-        label_event = None
-    return StepResult(a_p, y, o, nxt, label_event)
+        return float(update(t, d, PuFeedback.IDLE, cfg)[0])
+    o_ack = update(t, d, PuFeedback.ACK, cfg)[0]
+    o_nack = update(t, d, PuFeedback.NACK, cfg)[0]
+    return success_prob * o_ack + (1.0 - success_prob) * o_nack

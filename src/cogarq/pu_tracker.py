@@ -1,60 +1,45 @@
-"""SU-side tracking of the primary ARQ process.
+"""The primary ARQ step, as the SU pair reconstructs it from the feedback.
 
 The SU pair overhears the PU feedback and nothing else, yet can reconstruct
 the PU access decision, retransmission count, delay, and packet label of
 every slot exactly: feedback presence reveals the access decision, the
 completion rule is a function of (t, d, feedback), and labels are the slot
 index of the packet's first transmission, which is the current slot minus
-the tracked delay.
+the tracked delay.  Because the true PU state follows the same feedback,
+`update` is the only statement of the Type-I HARQ step: the simulator steps
+both the ground truth and the SU-side tracker with it, and the MDP steps its
+feedback branches with it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import enum
+from typing import TYPE_CHECKING
 
-from .pu_system import PuConfig, PuFeedback, completion_indicator
+if TYPE_CHECKING:
+    from .pu_system import PuConfig
 
-__all__ = ["TrackerState", "initial_state", "prospective_label", "update"]
-
-
-@dataclass(frozen=True)
-class TrackerState:
-    """Inferred (t, d) plus the label bookkeeping of the open cycle."""
-
-    t: int = 0
-    d: int = 0
-    current_label: int | None = None  # label of the open packet, None if no session
-    cycle_start: int | None = None    # slot of that packet's first transmission
+__all__ = ["PuFeedback", "update"]
 
 
-def initial_state() -> TrackerState:
-    return TrackerState()
+class PuFeedback(enum.IntEnum):
+    IDLE = 0
+    ACK = 1
+    NACK = 2
 
 
-def prospective_label(st: TrackerState, n: int) -> int:
-    """Label the PU would use in slot n if it transmits.
+def update(t: int, d: int, y: PuFeedback, cfg: PuConfig) -> tuple[int, int, int]:
+    """One slot of the PU's Type-I HARQ process, given its feedback y.
 
-    During an open session this is the slot of the first transmission,
-    otherwise the fresh label n.  Both cases reduce to n - d.
+    Returns (o, t', d'): whether the head packet leaves the queue at the end
+    of the slot, and the next retransmission count and delay.  ACK always
+    completes.  NACK completes when either deadline is hit.  An idle slot
+    completes only when the delay deadline expires, which needs an open
+    session, so with d_max >= 2 it never pops an empty queue.  Completion
+    resets (t, d); otherwise a transmission counts one more try, and the
+    delay grows on every slot of an open session and on the slot opening one.
     """
-    return n - st.d
-
-
-def update(st: TrackerState, y: PuFeedback, n: int, cfg: PuConfig):
-    """Fold one overheard feedback into the tracker.
-
-    Returns (a_p_hat, label, next_state), where `label` is the inferred
-    label of the slot-n PU transmission, or None if the PU stayed idle.
-    The tracker trusts the feedback; it has no way to detect corruption.
-    """
-    a_p = 1 if y != PuFeedback.IDLE else 0
-    label = prospective_label(st, n) if a_p else None
-    o = completion_indicator(st.t, st.d, y, cfg)
-    t_next = (1 - o) * (st.t + a_p)
-    d_next = (1 - o) * (st.d + (1 if st.t > 0 else a_p))
-    if t_next == 0:
-        nxt = TrackerState(0, 0, None, None)
-    else:
-        start = n - st.d if st.t == 0 else st.cycle_start
-        nxt = TrackerState(t_next, d_next, start, start)
-    return a_p, label, nxt
+    a_p = 0 if y == PuFeedback.IDLE else 1
+    if y == PuFeedback.ACK or d == cfg.d_max - 1 or (a_p and t == cfg.r_max - 1):
+        return 1, 0, 0
+    return 0, t + a_p, d + (1 if t > 0 else a_p)

@@ -16,13 +16,18 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .cd_graph import CdGraph, prune_unreachable, pu, record_slot, root, su
 from .cd_protocol import on_new_cycle, select_label
 from .channel import (
+    PU_ALONE,
+    PU_UNDER_SU,
+    SU_CLEAN,
+    SU_NEEDS_PU,
+    SU_UNDER_PU,
     AvgSnrConfig,
     RatePair,
     classify_su_outcomes,
@@ -30,7 +35,8 @@ from .channel import (
     pu_success_probability,
 )
 from .mdp import AccessPolicy
-from .pu_system import PuConfig, PuFeedback
+from .pu_system import PuConfig
+from .pu_tracker import PuFeedback, update
 from .virtual_state import (
     CdPhase,
     ChainDecodingModel,
@@ -53,7 +59,6 @@ __all__ = [
     "GenieModel",
     "scheme_model",
     "run",
-    "check_trace_invariants",
 ]
 
 
@@ -82,24 +87,19 @@ class SystemConfig:
 
 # -- compact models of the baseline schemes ---------------------------------------
 
-_CLEAN = frozenset({1, 2, 5, 7})
-_UNDER_PU = frozenset({1, 2})
-_PU_ALONE = frozenset({1, 3, 6, 7})
-_PU_UNDER_SU = frozenset({1, 3})
-
 
 def _pu_decoded_event(a_s: int, a_p: int, y: int) -> int:
     """Physical decode of the current PU packet at the SU receiver."""
     if not a_p:
         return 0
-    return int(y in (_PU_UNDER_SU if a_s else _PU_ALONE))
+    return int(y in (PU_UNDER_SU if a_s else PU_ALONE))
 
 
 def _direct_su_decode(a_s: int, a_p: int, y: int) -> int:
     """Fresh SU packet decoded while the PU packet is unknown."""
     if not a_s:
         return 0
-    return int(y in (_UNDER_PU if a_p else _CLEAN))
+    return int(y in (SU_UNDER_PU if a_p else SU_CLEAN))
 
 
 class FicBicModel:
@@ -125,7 +125,7 @@ class FicBicModel:
 
     def reward(self, cd, a_s, a_p, y):
         if cd[0] == "K":
-            return a_s * (y in _CLEAN)
+            return a_s * (y in SU_CLEAN)
         return _direct_su_decode(a_s, a_p, y) + _pu_decoded_event(a_s, a_p, y) * cd[1]
 
     def next_cd(self, cd, a_s, a_p, y, o):
@@ -135,7 +135,7 @@ class FicBicModel:
             return cd
         if _pu_decoded_event(a_s, a_p, y):
             return ("K", 0)
-        return ("U", min(cd[1] + a_s * a_p * (y in (5, 7)), self.b_cap))
+        return ("U", min(cd[1] + a_s * a_p * (y in SU_NEEDS_PU), self.b_cap))
 
 
 class FicOnlyModel:
@@ -155,7 +155,7 @@ class FicOnlyModel:
 
     def reward(self, cd, a_s, a_p, y):
         if cd[0] == "K":
-            return a_s * (y in _CLEAN)
+            return a_s * (y in SU_CLEAN)
         return _direct_su_decode(a_s, a_p, y)
 
     def next_cd(self, cd, a_s, a_p, y, o):
@@ -206,7 +206,7 @@ class GenieModel:
         return ("G", 0)
 
     def reward(self, cd, a_s, a_p, y):
-        return a_s * (y in _CLEAN)
+        return a_s * (y in SU_CLEAN)
 
     def next_cd(self, cd, a_s, a_p, y, o):
         return cd
@@ -230,6 +230,17 @@ def _transition_table(model, cfg: PuConfig):
                     for o in (0, 1):
                         tbl[(cd, a_s, a_p, y, o)] = model.next_cd(cd, a_s, a_p, y, o)
     return tbl
+
+
+def _arq_table(cfg: PuConfig):
+    """`pu_tracker.update` over every (t, d, feedback), keyed by plain ints,
+    which hash faster than `PuFeedback` members in the per-slot loop."""
+    return {
+        (t, d, int(y)): update(t, d, y, cfg)
+        for t in range(cfg.r_max)
+        for d in range(cfg.d_max)
+        for y in PuFeedback
+    }
 
 
 # -- receivers ---------------------------------------------------------------------
@@ -275,9 +286,6 @@ class _WindowReceiver:
         self.graph = CdGraph()
         self.bic = bic
         self.decoded = 0
-
-    def begin_slot(self, t_hat: int):
-        pass
 
     def record(self, a_s: int, a_p: int, pu_slot: int, y: int, o: int) -> int:
         g = self.graph
@@ -373,8 +381,7 @@ def run(
     pu_cfg = cfg.pu
     model = scheme_model(scheme, pu_cfg)
     table = _transition_table(model, pu_cfg)
-    r_max_m1 = pu_cfg.r_max - 1
-    d_max_m1 = pu_cfg.d_max - 1
+    arq = _arq_table(pu_cfg)
     q_max = pu_cfg.q_max
     rho = cfg.success_probs()
 
@@ -401,6 +408,7 @@ def run(
 
     t = d = q = 0
     tr_t = tr_d = 0
+    idle, ack, nack = int(PuFeedback.IDLE), int(PuFeedback.ACK), int(PuFeedback.NACK)
     cd_state = model.initial_cd()
     belief = point_belief(0, q_max)
     belief_cache: dict = {}
@@ -439,22 +447,13 @@ def run(
 
         a_p = 1 if (q > 0 and pu_u[n] < mu_p(t, d, q)) else 0
         success = (succ1[n] if a_s else succ0[n]) if a_p else False
-        if a_p:
-            y_p = PuFeedback.ACK if success else PuFeedback.NACK
-            o = 1 if (success or t == r_max_m1 or d == d_max_m1) else 0
-        else:
-            y_p = PuFeedback.IDLE
-            o = 1 if (d == d_max_m1 and q > 0) else 0
+        y_p = (ack if success else nack) if a_p else idle
         y = y_all[n]
 
-        # SU-side inference from the overheard feedback alone
-        a_p_hat = 1 if y_p != PuFeedback.IDLE else 0
-        if y_p == PuFeedback.ACK:
-            o_hat = 1
-        elif y_p == PuFeedback.NACK:
-            o_hat = 1 if (tr_t == r_max_m1 or tr_d == d_max_m1) else 0
-        else:
-            o_hat = 1 if tr_d == d_max_m1 else 0
+        # The ground truth and the SU-side tracker both step on the
+        # overheard feedback, whose presence is the access decision.
+        o, t_next, d_next = arq[t, d, y_p]
+        o_hat, tr_t_next, tr_d_next = arq[tr_t, tr_d, y_p]
 
         if trace_hook is not None:
             m_before = receiver.decoded if receiver is not None else decoded
@@ -481,7 +480,7 @@ def run(
             g = receiver.graph if receiver is not None else None
             trace_hook(
                 TraceRecord(
-                    n=n, a_s=a_s, a_p=a_p, y_p=int(y_p), y=y, o=o, t=t, d=d, q=q,
+                    n=n, a_s=a_s, a_p=a_p, y_p=y_p, y=y, o=o, t=t, d=d, q=q,
                     tr_t=tr_t, tr_d=tr_d,
                     tr_label=(prospective if a_p else None),
                     true_label=((n - d) if a_p else None),
@@ -502,14 +501,9 @@ def run(
             belief_cache[bkey] = nxt
         belief = nxt
 
-        # ground truth, tracker, and compact state
         q = min(q - o + arrivals[n], q_max)
-        t_next = 0 if o else t + a_p
-        d_next = 0 if o else d + (1 if t > 0 else a_p)
         t, d = t_next, d_next
-        cd_state = table[(cd_state, a_s, a_p_hat, y, o_hat)]
-        tr_t_next = 0 if o_hat else tr_t + a_p_hat
-        tr_d_next = 0 if o_hat else tr_d + (1 if tr_t > 0 else a_p_hat)
+        cd_state = table[(cd_state, a_s, a_p, y, o_hat)]
         tr_t, tr_d = tr_t_next, tr_d_next
 
     su_mean, su_se = _batch_stats(su_batch, counts)
@@ -661,31 +655,19 @@ class TraceInvariantChecker:
 
         # recursion right-hand side for this slot, then roll the accumulators
         if self.is_cd:
-            rhs = int(yt in (1, 2, 5, 7))
+            rhs = int(yt in SU_CLEAN)
             rhs -= self._p245 * (yt in (1, 3, 5, 6, 7))
-            rhs += self._p245 * (yt in (1, 3, 6, 7)) * self._s5
+            rhs += self._p245 * (yt in PU_ALONE) * self._s5
             rhs += self._p2457 * (yt in (1, 3, 6))
             self._pending_rhs = rhs
             self._prev_sum = rec.m_before + rec.v_before
 
-        if self._had13 and yt in (1, 2, 5, 7):
+        if self._had13 and yt in SU_CLEAN:
             self._q_flag = True
-        self._had13 = self._had13 or yt in (1, 3)
+        self._had13 = self._had13 or yt in PU_UNDER_SU
         self._p245 &= yt in (2, 4, 5)
         self._p2457 &= yt in (2, 4, 5, 7)
         self._s5 += yt == 5
         self._seen7 = self._seen7 or yt == 7
-        self._cnt12 += yt in (1, 2)
-        self._cnt57 += yt in (5, 7)
-
-
-def check_trace_invariants(
-    trace: Iterable[TraceRecord],
-    cfg: SystemConfig,
-    scheme: SchemeKind = SchemeKind.CHAIN_DECODING,
-) -> InvariantReport:
-    """Run the full invariant suite over a recorded or streamed trace."""
-    checker = TraceInvariantChecker(cfg, scheme)
-    for rec in trace:
-        checker.feed(rec)
-    return checker.report
+        self._cnt12 += yt in SU_UNDER_PU
+        self._cnt57 += yt in SU_NEEDS_PU

@@ -6,8 +6,9 @@ retransmitted until it eventually succeeds.  The resulting state is just a
 phase describing the virtual knowledge of the current PU packet, a counter
 of SU packets pinned behind it, the tracked (t, d) of the primary ARQ
 process, and a belief over the hidden PU queue.  This module provides the
-per-slot virtual throughput, its expectation, the expected PU reward, and
-the one-slot state transition, all of which the policy optimizer consumes.
+per-slot virtual throughput, the expected PU reward, the belief filter, and
+the phase update, all of which the policy optimizer consumes; the (t, d)
+step is `pu_tracker.update`.
 """
 
 from __future__ import annotations
@@ -17,22 +18,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import RegionProbabilities
-from .pu_system import PuConfig, PuFeedback, completion_indicator, completion_probability
+from .channel import PU_ALONE, PU_UNDER_SU, SU_CLEAN, SU_NEEDS_PU
+from .pu_system import PuConfig, completion_probability
 
 __all__ = [
     "CdPhase",
-    "CompactState",
     "RewardVector",
     "REWARD_COMPONENTS",
     "ChainDecodingModel",
     "phase_from_flags",
     "phase_flags",
     "virtual_reward",
-    "expected_virtual_reward",
     "expected_pu_reward",
     "next_belief",
-    "transition",
     "translate_outcome",
     "point_belief",
 ]
@@ -75,26 +73,6 @@ def point_belief(q: int, q_max: int) -> tuple[float, ...]:
     return tuple(b)
 
 
-@dataclass(frozen=True)
-class CompactState:
-    """Information state (phase, b_s, t, d, belief) of the virtual system."""
-
-    phase: CdPhase
-    b_s: int
-    t: int
-    d: int
-    belief: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.b_s < 0:
-            raise ValueError("b_s must be >= 0")
-        if self.phase is not CdPhase.U and self.b_s != 0:
-            raise ValueError(f"b_s must be 0 in phase {self.phase}")
-        total = sum(self.belief)
-        if abs(total - 1.0) > 1e-6 or any(p < -1e-12 for p in self.belief):
-            raise ValueError("belief must be a probability vector")
-
-
 REWARD_COMPONENTS = ("throughput", "power", "drops", "queue_delay")
 
 
@@ -130,49 +108,27 @@ def virtual_reward(a_s: int, a_p: int, y: int, phase: CdPhase, b_s: int) -> int:
     if phase is not CdPhase.U and b_s != 0:
         raise ValueError(f"b_s={b_s} inconsistent with phase {phase}")
     kappa, iota = phase_flags(phase)
-    g = a_s * (y in (1, 2, 5, 7))
-    g -= (1 - kappa) * a_s * a_p * (y in (5, 7))
-    g += a_p * (y in (1, 3, 6, 7)) * b_s
-    g += iota * kappa * a_p * ((1 - a_s) * (y in (1, 3, 6, 7)) + a_s * (y in (1, 3)))
+    g = a_s * (y in SU_CLEAN)
+    g -= (1 - kappa) * a_s * a_p * (y in SU_NEEDS_PU)
+    g += a_p * (y in PU_ALONE) * b_s
+    g += iota * kappa * a_p * ((1 - a_s) * (y in PU_ALONE) + a_s * (y in PU_UNDER_SU))
     g += iota * kappa * a_p * a_s * (y == 6)
     return int(g)
-
-
-def _pu_transmit_prob(s: CompactState, cfg: PuConfig) -> float:
-    return sum(
-        w * cfg.transmit_prob(s.t, s.d, q) for q, w in enumerate(s.belief) if w > 0.0
-    )
-
-
-def expected_virtual_reward(
-    s: CompactState, a_s: int, probs: RegionProbabilities, cfg: PuConfig
-) -> float:
-    """Expectation of `virtual_reward` over the outcome region and PU access."""
-    p_tx = _pu_transmit_prob(s, cfg)
-    pr = probs.as_array()
-    total = 0.0
-    for y in range(1, 8):
-        p_y = pr[y - 1]
-        if p_y == 0.0:
-            continue
-        total += p_y * (
-            p_tx * virtual_reward(a_s, 1, y, s.phase, s.b_s)
-            + (1.0 - p_tx) * virtual_reward(a_s, 0, y, s.phase, s.b_s)
-        )
-    return total
 
 
 # -- expected PU reward ---------------------------------------------------------
 
 
 def expected_pu_reward(
-    s: CompactState,
+    t: int,
+    d: int,
+    belief: tuple[float, ...],
     a_s: int,
     cfg: PuConfig,
     success_probs: tuple[float, float],
     pu_power: float = 1.0,
 ) -> RewardVector:
-    """Belief- and policy-averaged one-slot PU reward.
+    """Belief- and policy-averaged one-slot PU reward in ARQ state (t, d).
 
     `success_probs` is (P(PU decodes | SU idle), P(PU decodes | SU active)).
     Throughput counts successful PU slots, power charges each transmission,
@@ -184,10 +140,10 @@ def expected_pu_reward(
     pow_ = 0.0
     drops = 0.0
     delay = 0.0
-    for q, w in enumerate(s.belief):
+    for q, w in enumerate(belief):
         if w == 0.0:
             continue
-        mu = cfg.transmit_prob(s.t, s.d, q)
+        mu = cfg.transmit_prob(t, d, q)
         thr += w * mu * rho
         pow_ += w * mu
         delay += w * q
@@ -195,7 +151,7 @@ def expected_pu_reward(
             if p_a == 0.0:
                 continue
             for o in (0, 1):
-                p_o = completion_probability(s.t, s.d, q, a_p, rho, cfg)
+                p_o = completion_probability(t, d, q, a_p, rho, cfg)
                 p_o = p_o if o == 1 else 1.0 - p_o
                 if p_o == 0.0:
                     continue
@@ -206,7 +162,7 @@ def expected_pu_reward(
     )
 
 
-# -- state transition -----------------------------------------------------------
+# -- belief filter ----------------------------------------------------------------
 
 
 def next_belief(
@@ -247,31 +203,6 @@ def next_belief(
     return tuple(out.tolist())
 
 
-def transition(
-    s: CompactState,
-    a_s: int,
-    y_p: PuFeedback,
-    y_s: int,
-    cfg: PuConfig,
-    success_probs: tuple[float, float],
-) -> CompactState:
-    """One-slot update of the compact state from the two observed feedbacks."""
-    a_p = 1 if y_p != PuFeedback.IDLE else 0
-    o = completion_indicator(s.t, s.d, y_p, cfg)
-    kappa, iota = phase_flags(s.phase)
-    if o:
-        kappa_n, iota_n, b_n = 0, 1, 0
-    else:
-        hit = a_p * (y_s in (1, 3, 6, 7))
-        kappa_n = 1 - (1 - kappa) * (1 - hit)
-        iota_n = iota * (1 - hit + a_p * a_s * (y_s == 7))
-        b_n = (1 - hit) * (s.b_s + (1 - kappa) * a_p * a_s * (y_s == 5))
-    t_n = (1 - o) * (s.t + a_p)
-    d_n = (1 - o) * (s.d + (1 if s.t > 0 else a_p))
-    belief_n = next_belief(s.t, s.d, s.belief, o, success_probs[a_s], cfg)
-    return CompactState(phase_from_flags(kappa_n, iota_n), b_n, t_n, d_n, belief_n)
-
-
 # -- scheme model for the policy optimizer ---------------------------------------
 
 
@@ -308,7 +239,7 @@ class ChainDecodingModel:
         if o:
             return (CdPhase.U.value, 0)
         kappa, iota = phase_flags(CdPhase(cd[0]))
-        hit = a_p * (y in (1, 3, 6, 7))
+        hit = a_p * (y in PU_ALONE)
         kappa_n = 1 - (1 - kappa) * (1 - hit)
         iota_n = iota * (1 - hit + a_p * a_s * (y == 7))
         b_n = (1 - hit) * (cd[1] + (1 - kappa) * a_p * a_s * (y == 5))
@@ -316,9 +247,6 @@ class ChainDecodingModel:
 
 
 # -- always-transmit outcome translation ----------------------------------------
-
-_TRANS_PU_ONLY_DECODE = frozenset({1, 3, 6, 7})
-_TRANS_SU_ONLY_DECODE = frozenset({1, 2, 5, 7})
 
 
 def translate_outcome(a_p: int, a_s: int, y: int) -> int:
@@ -335,7 +263,7 @@ def translate_outcome(a_p: int, a_s: int, y: int) -> int:
     if a_p and a_s:
         return y
     if a_p and not a_s:
-        return 3 if y in _TRANS_PU_ONLY_DECODE else 4
+        return 3 if y in PU_ALONE else 4
     if a_s and not a_p:
-        return 2 if y in _TRANS_SU_ONLY_DECODE else 4
+        return 2 if y in SU_CLEAN else 4
     return 4

@@ -1,19 +1,171 @@
-"""Independent oracles used only by the tests.
+"""Independent oracles and scalar references used only by the tests.
 
 These deliberately avoid the package's own code paths: region probabilities
 come from exact piecewise-exponential integration (with a Gauss-Laguerre
 quadrature as a coarse cross-check), chain closure from boolean adjacency
 matrix powers, and the constrained solve from an occupation-measure LP.
+
+The package runs only vectorized and table-driven per-slot code, so the
+scalar references live here: the one-slot channel classifier and PU decoding
+test, and a ground-truth PU pair.  The PU pair states its own ARQ rule, apart
+from `cogarq.pu_tracker.update`, so checking the tracker against it compares
+two independent statements of the rule.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 from scipy.optimize import linprog
 
-from cogarq.channel import RatePair
+from cogarq.channel import RatePair, classify_su_outcomes
+from cogarq.pu_system import PuConfig
+from cogarq.pu_tracker import PuFeedback
+from cogarq.simulator import InvariantReport, SchemeKind, SystemConfig, TraceInvariantChecker
+
+
+@dataclass(frozen=True)
+class LinkGains:
+    """Instantaneous linear-scale SNRs of the four links in one slot."""
+
+    gamma_s: float
+    gamma_ps: float
+    gamma_p: float
+    gamma_sp: float
+
+
+def capacity(snr: float) -> float:
+    """Normalized Gaussian-channel capacity log2(1 + snr)."""
+    s = float(snr)
+    if not math.isfinite(s) or s < 0.0:
+        raise ValueError(f"snr must be finite and >= 0, got {snr!r}")
+    return math.log2(1.0 + s)
+
+
+def classify_su_outcome(g: LinkGains, r: RatePair) -> int:
+    """Outcome region index in 1..7 for the SU receiver in one slot.
+
+    Scalar form of `cogarq.channel.classify_su_outcomes`, which documents
+    the regions.
+    """
+    c_s = capacity(g.gamma_s)
+    c_ps = capacity(g.gamma_ps)
+    if r.r_s < c_s:
+        if r.r_p < c_ps:
+            return 1 if r.r_s + r.r_p < capacity(g.gamma_s + g.gamma_ps) else 7
+        return 2 if r.r_s < capacity(g.gamma_s / (1.0 + g.gamma_ps)) else 5
+    if r.r_p < c_ps:
+        return 3 if r.r_p < capacity(g.gamma_ps / (1.0 + g.gamma_s)) else 6
+    return 4
+
+
+def pu_success(g: LinkGains, r: RatePair, a_s: int) -> bool:
+    """Whether the PU receiver decodes, with the SU interfering iff a_s=1."""
+    if a_s not in (0, 1):
+        raise ValueError(f"a_s must be 0 or 1, got {a_s!r}")
+    return r.r_p < capacity(g.gamma_p / (1.0 + a_s * g.gamma_sp))
+
+
+@dataclass(frozen=True)
+class PuState:
+    """Internal PU triple: retransmission count, delay, queue length."""
+
+    t: int = 0
+    d: int = 0
+    q: int = 0
+
+    def validate(self, cfg: PuConfig) -> "PuState":
+        if not (0 <= self.t < cfg.r_max):
+            raise ValueError(f"t out of range: {self.t}")
+        if not (0 <= self.d < cfg.d_max):
+            raise ValueError(f"d out of range: {self.d}")
+        if not (0 <= self.q <= cfg.q_max):
+            raise ValueError(f"q out of range: {self.q}")
+        if self.d < self.t:
+            raise ValueError(f"delay {self.d} below retransmission count {self.t}")
+        if self.q == 0 and (self.t or self.d):
+            raise ValueError("empty queue with an active retransmission session")
+        return self
+
+
+def advance(state: PuState, b_p: int, a_p: int, success: bool, cfg: PuConfig):
+    """Apply one slot of PU dynamics given the realized access and outcome.
+
+    Returns (y, o, next_state).  `success` is only consulted when a_p=1.
+    ACK always completes, NACK completes at either deadline, and an idle
+    slot completes only at the delay deadline of a nonempty queue.
+    """
+    t, d, q = state.t, state.d, state.q
+    if a_p:
+        if q == 0:
+            raise ValueError("PU cannot transmit from an empty queue")
+        y = PuFeedback.ACK if success else PuFeedback.NACK
+    else:
+        y = PuFeedback.IDLE
+    if q == 0:
+        o = 0
+    elif y == PuFeedback.ACK:
+        o = 1
+    elif y == PuFeedback.NACK:
+        o = 1 if (t == cfg.r_max - 1 or d == cfg.d_max - 1) else 0
+    else:
+        o = 1 if d == cfg.d_max - 1 else 0
+    q_next = min(q - o + b_p, cfg.q_max)
+    t_next = (1 - o) * (t + a_p)
+    d_next = (1 - o) * (d + (1 if t > 0 else a_p))
+    return y, o, PuState(t_next, d_next, q_next)
+
+
+@dataclass(frozen=True)
+class StepResult:
+    a_p: int
+    y: PuFeedback
+    o: int
+    next_state: PuState
+    label_event: str | None  # 'new', 'retx', or None when idle
+
+
+def step(
+    state: PuState,
+    b_p: int,
+    a_s: int,
+    g: LinkGains,
+    rates: RatePair,
+    rng: np.random.Generator,
+    cfg: PuConfig,
+) -> StepResult:
+    """One slot of the PU system with a randomized access decision.
+
+    One uniform draw is consumed per slot even for degenerate policies, so
+    trajectories stay aligned across runs that only differ in the policy.
+    """
+    state.validate(cfg)
+    if not (0 <= b_p < cfg.arrival_pmf.size):
+        raise ValueError(f"arrival count {b_p} outside pmf support")
+    u = rng.random()
+    a_p = 1 if u < cfg.transmit_prob(state.t, state.d, state.q) else 0
+    success = pu_success(g, rates, a_s) if a_p else False
+    y, o, nxt = advance(state, b_p, a_p, success, cfg)
+    if a_p:
+        label_event = "new" if state.t == 0 else "retx"
+    else:
+        label_event = None
+    return StepResult(a_p, y, o, nxt, label_event)
+
+
+def check_trace_invariants(
+    trace: Iterable,
+    cfg: SystemConfig,
+    scheme: SchemeKind = SchemeKind.CHAIN_DECODING,
+) -> InvariantReport:
+    """Feed a recorded trace to the simulator's streaming invariant checker."""
+    checker = TraceInvariantChecker(cfg, scheme)
+    for rec in trace:
+        checker.feed(rec)
+    return checker.report
 
 
 def exact_region_probabilities(mean_s: float, mean_ps: float, r: RatePair) -> np.ndarray:
@@ -79,8 +231,6 @@ def gauss_laguerre_region_probabilities(
     Indicator discontinuities cap its accuracy around 1e-2 at 64 nodes; it
     serves as a coarse independent cross-check, not a tight oracle.
     """
-    from cogarq.channel import classify_su_outcomes
-
     x, w = np.polynomial.laguerre.laggauss(nodes)
     gs, gps = np.meshgrid(mean_s * x, mean_ps * x, indexing="ij")
     weight = np.outer(w, w)

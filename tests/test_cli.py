@@ -1,8 +1,11 @@
 import csv
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from cogarq import cli
 from cogarq.cli import ConfigError, load_config, main, run_experiment
 
 GOOD = """
@@ -121,3 +124,53 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main([str(bad), "-o", str(tmp_path / "cli2")]) == 2
     err = capsys.readouterr().err
     assert "bad.cfg" in err
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("n_slots", "0"),
+        ("n_slots", "-5"),
+        ("r_max", "0"),
+        ("d_max", "1"),
+        ("region_samples", "0"),
+        ("mean_gamma_ps", "nan"),
+        ("rate_s", "-1"),
+        ("workers", "0"),
+    ],
+)
+def test_main_rejects_out_of_range_values(tmp_path, capsys, key, value):
+    text = GOOD.replace("sweep_values = 0.2, 1", "sweep_values = 1") + f"{key} = {value}\n"
+    cfg = write(tmp_path, text)
+    assert main([str(cfg), "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert key in err
+    assert f"exp.cfg:{len(text.splitlines())}:" in err
+
+
+def test_region_estimate_shared_along_cross_link_sweep(tmp_path, monkeypatch):
+    text = (GOOD.replace("sweep = gamma_ps_over_gamma_s", "sweep = gamma_sp_over_gamma_p")
+            .replace("sweep_values = 0.2, 1", "sweep_values = 0.05, 0.2, 1")
+            .replace("schemes = chain_decoding, no_fic_bic", "schemes = no_fic_bic"))
+    path = write(tmp_path, text)
+    estimate = cli.region_probabilities
+    calls = []
+    monkeypatch.setattr(cli, "region_probabilities", lambda *a: calls.append(a) or estimate(*a))
+    paths = run_experiment(path, tmp_path / "out")
+    assert len(calls) == 1
+    # every point holds the rows it gets from an estimate of its own
+    cfg = load_config(path)
+    rates = cli._resolve_rates(cfg)
+    want = [{k: str(v) for k, v in row.items()}
+            for i in range(3) for row in cli._sweep_point(cfg, rates, i, False, {})[1]]
+    assert len(calls) == 4
+    assert list(csv.DictReader(paths["results"].open())) == want
+
+
+def test_policies_report_the_multichain_flag(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = re.search(r"```\n(mean_gamma_s = .*?)```", readme, re.S).group(1)
+    paths = run_experiment(write(tmp_path, text), tmp_path / "out", slots_override=2000)
+    pols = [json.loads(line) for line in paths["policies"].open()]
+    assert len(pols) == 24
+    assert all(p["multichain_warning"] is False for p in pols)

@@ -1,18 +1,16 @@
 import numpy as np
 import pytest
 
-from cogarq.channel import LinkGains, RatePair
+from cogarq.channel import RatePair
 from cogarq.pu_system import (
     PuConfig,
-    PuFeedback,
-    PuState,
-    advance,
     always_transmit,
-    completion_indicator,
     completion_probability,
     saturating_arrivals,
-    step,
 )
+from cogarq.pu_tracker import PuFeedback, update
+
+from _oracles import LinkGains, PuState, advance, step
 
 R11 = RatePair(1.0, 1.0)
 
@@ -23,16 +21,18 @@ def cfg_for(r_max=5, d_max=5, q_max=3, pmf=None, policy=always_transmit):
 
 def test_completion_examples():
     cfg = cfg_for(r_max=5, d_max=5)
-    assert completion_indicator(0, 0, PuFeedback.IDLE, cfg) == 0
-    assert completion_indicator(2, 2, PuFeedback.ACK, cfg) == 1
-    assert completion_indicator(4, 4, PuFeedback.NACK, cfg) == 1  # ARQ deadline
-    assert completion_indicator(1, 1, PuFeedback.NACK, cfg) == 0
+    assert update(0, 0, PuFeedback.IDLE, cfg) == (0, 0, 0)
+    assert update(2, 2, PuFeedback.ACK, cfg) == (1, 0, 0)
+    assert update(4, 4, PuFeedback.NACK, cfg) == (1, 0, 0)  # ARQ deadline
+    assert update(1, 1, PuFeedback.NACK, cfg) == (0, 2, 2)
 
 
 def test_completion_delay_deadline_without_transmission():
     cfg = cfg_for(r_max=3, d_max=6)
-    assert completion_indicator(2, 5, PuFeedback.IDLE, cfg) == 1
-    assert completion_indicator(2, 5, PuFeedback.NACK, cfg) == 1
+    assert update(2, 5, PuFeedback.IDLE, cfg) == (1, 0, 0)
+    assert update(2, 5, PuFeedback.NACK, cfg) == (1, 0, 0)
+    # below the deadline an idle slot keeps the session open and ages it
+    assert update(2, 4, PuFeedback.IDLE, cfg) == (0, 2, 5)
 
 
 def test_config_validation():
@@ -160,3 +160,13 @@ def test_completion_probability_matches_indicator_cases():
     assert completion_probability(1, 3, 2, 0, 0.5, cfg) == 1.0
     assert completion_probability(2, 2, 1, 1, 0.5, cfg) == 1.0  # ARQ deadline
     assert completion_probability(1, 1, 1, 1, 0.37, cfg) == 0.37
+    # every state, against the oracle's own completion rule
+    for t in range(3):
+        for d in range(t, 4):
+            o_ack, o_nack, o_idle = (
+                advance(PuState(t, d, 1), 0, a_p, ok, cfg)[1]
+                for a_p, ok in ((1, True), (1, False), (0, False))
+            )
+            assert completion_probability(t, d, 1, 1, 0.37, cfg) == pytest.approx(
+                0.37 * o_ack + 0.63 * o_nack)
+            assert completion_probability(t, d, 1, 0, 0.37, cfg) == o_idle

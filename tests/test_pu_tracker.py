@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from cogarq.channel import LinkGains, RatePair
-from cogarq.pu_system import PuConfig, PuFeedback, PuState, step
-from cogarq.pu_tracker import initial_state, prospective_label, update
+from cogarq.channel import RatePair
+from cogarq.pu_system import PuConfig
+from cogarq.pu_tracker import PuFeedback, update
+
+from _oracles import LinkGains, PuState, step
 
 R11 = RatePair(1.0, 1.0)
 
@@ -18,23 +20,22 @@ R11 = RatePair(1.0, 1.0)
 )
 def test_first_slot_inference(y, a_exp, t1, d1):
     cfg = PuConfig(4, 5, 2)
-    a_p, label, nxt = update(initial_state(), y, 0, cfg)
-    assert a_p == a_exp
-    assert (nxt.t, nxt.d) == (t1, d1)
-    if a_exp:
-        assert label == 0
-    else:
-        assert label is None
+    o, t, d = update(0, 0, y, cfg)
+    assert int(y != PuFeedback.IDLE) == a_exp
+    assert (t, d) == (t1, d1)
+    assert o == int(y == PuFeedback.ACK)
 
 
 def test_prospective_label_is_slot_minus_delay():
-    st = initial_state()
-    assert prospective_label(st, 7) == 7
+    # a NACK in slot 3 opens a session; while it stays open the delay grows
+    # with the slot index, so the label n - d stays at the first slot 3
     cfg = PuConfig(4, 5, 2)
-    _, _, st = update(st, PuFeedback.NACK, 3, cfg)
-    assert (st.t, st.d) == (1, 1)
-    assert prospective_label(st, 4) == 3
-    assert st.current_label == 3 and st.cycle_start == 3
+    _, t, d = update(0, 0, PuFeedback.NACK, cfg)
+    assert (t, d) == (1, 1)
+    assert 4 - d == 3
+    _, t, d = update(t, d, PuFeedback.IDLE, cfg)
+    assert (t, d) == (1, 2)
+    assert 5 - d == 3
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -47,19 +48,17 @@ def test_tracker_matches_ground_truth(seed):
     cfg = PuConfig(r_max, d_max, q_max, pmf, lambda t, d, q: 0.6)
 
     state = PuState()
-    tracker = initial_state()
+    t_hat = d_hat = 0
     for n in range(400):
         b_p = int(rng.choice(q_max + 1, p=pmf))
         g = LinkGains(0, 0, float(rng.exponential(2.0)), 0.0)
         res = step(state, b_p, 0, g, R11, rng, cfg)
-        a_hat, label, tracker_next = update(tracker, res.y, n, cfg)
         # inference is exact in every slot
-        assert a_hat == res.a_p
-        assert (tracker.t, tracker.d) == (state.t, state.d)
+        assert (t_hat, d_hat) == (state.t, state.d)
+        assert int(res.y != PuFeedback.IDLE) == res.a_p
         if res.a_p:
-            assert label == n - state.d
-        else:
-            assert label is None
+            assert (n - d_hat == n) == (res.label_event == "new")
+        o_hat, t_hat, d_hat = update(t_hat, d_hat, res.y, cfg)
+        assert o_hat == res.o
         state = res.next_state
-        tracker = tracker_next
-    assert (tracker.t, tracker.d) == (state.t, state.d)
+    assert (t_hat, d_hat) == (state.t, state.d)

@@ -15,10 +15,11 @@ from cogarq.simulator import (
     TraceInvariantChecker,
     TraceRecord,
     _WindowReceiver,
-    check_trace_invariants,
     run,
     scheme_model,
 )
+
+from _oracles import check_trace_invariants
 
 RATES = RatePair(1.9140575925881422, 2.5182556953531106)
 
