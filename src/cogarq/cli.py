@@ -50,11 +50,15 @@ _SCHEMES = {s.value: s for s in SchemeKind}
 
 
 class ConfigError(ValueError):
-    """Invalid configuration; `key` names the offending key, or is None."""
+    """Invalid configuration; `key` names the offending key, or is None.
 
-    def __init__(self, message: str, key: str | None):
+    A rule across keys also names the other keys it reads in `partners`.
+    """
+
+    def __init__(self, message: str, key: str | None, partners: tuple = ()):
         super().__init__(message)
         self.key = key
+        self.partners = partners
 
 
 @dataclass
@@ -83,9 +87,10 @@ class ExperimentConfig:
     def validate(self):
         """Check every key against its range in config-schema.txt."""
 
-        def require(ok, key: str, rule: str):
+        def require(ok, key: str, rule: str, partners: tuple = ()):
             if not ok:
-                raise ConfigError(f"{key} must be {rule}, got {getattr(self, key)!r}", key)
+                raise ConfigError(
+                    f"{key} must be {rule}, got {getattr(self, key)!r}", key, partners)
 
         for key in ("mean_gamma_s", "mean_gamma_p", "mean_gamma_ps", "mean_gamma_sp"):
             value = getattr(self, key)
@@ -96,11 +101,11 @@ class ExperimentConfig:
         for key, mean in (("rate_s", "mean_gamma_s"), ("rate_p", "mean_gamma_p")):
             rate = getattr(self, key)
             if rate == "optimize":
-                require(getattr(self, mean) > 0.0, key, f"a fixed rate when {mean} = 0")
+                require(getattr(self, mean) > 0.0, key, f"a fixed rate when {mean} = 0", (mean,))
             else:
                 require(math.isfinite(rate) and rate > 0.0, key, "finite and > 0, or optimize")
         require(self.r_max >= 1, "r_max", ">= 1")
-        require(self.d_max >= max(2, self.r_max), "d_max", ">= max(2, r_max)")
+        require(self.d_max >= max(2, self.r_max), "d_max", ">= max(2, r_max)", ("r_max",))
         require(self.q_max >= 1, "q_max", ">= 1")
         # the MDP path supports only a backlogged PU and a throughput floor
         require(self.arrivals == "saturate", "arrivals", "saturate")
@@ -160,8 +165,14 @@ def load_config(path: str | Path) -> ExperimentConfig:
     try:
         cfg = ExperimentConfig(**values).validate()
     except ConfigError as e:
-        where = f"{path}:{lines[e.key]}" if e.key in lines else str(path)
-        raise ConfigError(f"{where}: {e}", e.key) from None
+        # A rule across keys that fails on a defaulted key points at the
+        # key the file does set.
+        key = next((k for k in (e.key, *e.partners) if k in lines), e.key)
+        where = f"{path}:{lines[key]}" if key in lines else str(path)
+        msg = str(e)
+        if key != e.key:
+            msg += f" ({e.key} is not set, so {key} = {values[key]!r} breaks the rule)"
+        raise ConfigError(f"{where}: {msg}", key) from None
     return cfg
 
 
@@ -192,9 +203,11 @@ def _sweep_point(cfg: ExperimentConfig, rates: RatePair, index: int, check_invar
     and the rates, and every estimate starts from the same sub-seed, so
     `estimates` keeps them by that pair for the points that share it.
 
-    Returns (index, rows, policy_records, violations).  Baseline policies
-    are re-optimized on their own compact models under the same PU floor,
-    so the comparison is between optimized schemes, not one policy reused.
+    Returns (index, rows, policy_records, violations, run_records); a run
+    record holds what results.csv leaves out of one simulator run: its PU
+    metrics and the counts of its compact-state walk.  Baseline policies are
+    re-optimized on their own compact models under the same PU floor, so
+    the comparison is between optimized schemes, not one policy reused.
     """
     value = cfg.sweep_values[index]
     snr = _point_snr(cfg, value)
@@ -214,6 +227,7 @@ def _sweep_point(cfg: ExperimentConfig, rates: RatePair, index: int, check_invar
     rows = []
     policies = []
     violations: list[str] = []
+    runs = []
 
     def add_row(scheme, metric, val, stderr=""):
         rows.append({
@@ -252,6 +266,15 @@ def _sweep_point(cfg: ExperimentConfig, rates: RatePair, index: int, check_invar
         add_row(name, "mc_su_throughput", metrics.su_throughput, repr(metrics.su_se))
         add_row(name, "mc_pu_throughput", metrics.pu_throughput, repr(metrics.pu_se))
         add_row(name, "drop_rate", metrics.drop_rate)
+        runs.append({
+            "sweep_value": value,
+            "scheme": name,
+            "pu_power": metrics.pu_power,
+            "pu_drops": metrics.pu_drops,
+            "pu_queue_delay": metrics.pu_queue_delay,
+            "states_visited": metrics.states_visited,
+            "steps_filled": metrics.steps_filled,
+        })
         policies.append({
             "sweep_value": value,
             "scheme": name,
@@ -266,7 +289,7 @@ def _sweep_point(cfg: ExperimentConfig, rates: RatePair, index: int, check_invar
                 for s in sorted(report.policy.probs, key=lambda s: (s.t, s.d, s.cd))
             ],
         })
-    return index, rows, policies, violations
+    return index, rows, policies, violations, runs
 
 
 def run_experiment(
@@ -312,16 +335,16 @@ def run_experiment(
             "stderr", "seed", "n_slots",
         ])
         writer.writeheader()
-        for _, rows, _, _ in results:
+        for _, rows, _, _, _ in results:
             writer.writerows(rows)
 
     policies_path = out / "policies.jsonl"
     with policies_path.open("w") as fh:
-        for _, _, pols, _ in results:
+        for _, _, pols, _, _ in results:
             for rec in pols:
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
-    violations = [v for _, _, _, vs in results for v in vs]
+    violations = [v for _, _, _, vs, _ in results for v in vs]
     meta = {
         "version": __version__,
         "config": {k: (list(v) if isinstance(v, tuple) else v)
@@ -334,6 +357,7 @@ def run_experiment(
         ],
         "invariants_checked": check_invariants,
         "invariant_violations": violations,
+        "simulator_runs": [run for _, _, _, _, runs in results for run in runs],
     }
     meta_path = out / "run-metadata.json"
     meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")

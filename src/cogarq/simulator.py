@@ -6,10 +6,11 @@ policy.  Channel gains, PU access draws, arrivals, and SU access draws come
 from four independent seed-derived streams, so two runs with the same seed
 but different policies see the same environment.
 
-The baseline schemes reuse the decoding graph with capability masks rather
-than separate receivers: FIC/BIC keeps the graph only within the current
-primary ARQ window, FIC-only additionally refuses to buffer dependency
-edges, and no-FIC/BIC decodes slot by slot with no memory at all.
+Every scheme walks its compact state through integer ids and a step table
+filled on first use.  The baselines are credited by their compact models:
+FIC/BIC decodes within the current primary ARQ window in both directions,
+FIC-only only forward, and no-FIC/BIC slot by slot with no memory at all.
+Chain decoding also runs the full decoding graph, which credits its packets.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .cd_graph import CdGraph, prune_unreachable, pu, record_slot, root, su
+from .cd_graph import CdGraph, pu, record_slot, root
 from .cd_protocol import on_new_cycle, select_label
 from .channel import (
     PU_ALONE,
@@ -221,17 +222,6 @@ def scheme_model(scheme: SchemeKind, cfg: PuConfig):
     }[scheme](cfg)
 
 
-def _transition_table(model, cfg: PuConfig):
-    tbl = {}
-    for cd in model.cd_states(cfg):
-        for a_s in (0, 1):
-            for a_p in (0, 1):
-                for y in range(1, 8):
-                    for o in (0, 1):
-                        tbl[(cd, a_s, a_p, y, o)] = model.next_cd(cd, a_s, a_p, y, o)
-    return tbl
-
-
 def _arq_table(cfg: PuConfig):
     """`pu_tracker.update` over every (t, d, feedback), keyed by plain ints,
     which hash faster than `PuFeedback` members in the per-slot loop."""
@@ -243,7 +233,106 @@ def _arq_table(cfg: PuConfig):
     }
 
 
-# -- receivers ---------------------------------------------------------------------
+# -- drop accounting ----------------------------------------------------------------
+#
+# Each rule maps one slot, from phase `cd` with `held` packets already lost
+# in the open ARQ window, to (SU packets counted as dropped now, packets held
+# until the window closes).  `o` is the window's completion indicator.
+
+
+def _fic_bic_losses(cd, held, a_s, a_p, y, o):
+    """FIC/BIC counts its losses when the window closes and the receiver
+    forgets it: the region-6 packets sent under the unknown PU packet, whose
+    decoding never releases them, and the buffered region-5/7 packets that
+    no PU decode released.  Region-3/4 losses are never buffered, so they
+    are not counted."""
+    unknown = cd[0] == "U"
+    held += unknown and a_s and a_p and y == 6
+    if not o:
+        return 0, held
+    buffered = 0
+    if unknown and not _pu_decoded_event(a_s, a_p, y):
+        # At most r_max - 1 earlier transmissions, so cd[1] was never capped.
+        buffered = cd[1] + a_s * a_p * (y in SU_NEEDS_PU)
+    return held + buffered, 0
+
+
+def _no_fic_bic_losses(cd, held, a_s, a_p, y, o):
+    """Every SU transmission that does not decode at once is lost."""
+    return int(a_s and not _direct_su_decode(a_s, a_p, y)), 0
+
+
+def _no_losses(cd, held, a_s, a_p, y, o):
+    """FIC-only never buffers a signal, and the chain-decoding graph counts
+    its own trimmed packets."""
+    return 0, 0
+
+
+_LOSSES = {
+    SchemeKind.CHAIN_DECODING: _no_losses,
+    SchemeKind.FIC_BIC: _fic_bic_losses,
+    SchemeKind.FIC_ONLY: _no_losses,
+    SchemeKind.NO_FIC_BIC: _no_fic_bic_losses,
+}
+
+
+# -- the compact-state walk ---------------------------------------------------------
+
+
+class _CompactWalk:
+    """Integer ids for the compact states a run visits, and their steps.
+
+    A state is (cd, tracked t, tracked d, belief, held): the policy's state
+    plus the packets the open window has lost so far, which only FIC/BIC
+    sets.  Each state gets an id on first visit, with its transmit
+    probability in `mus`.  `steps` maps (id, a_s, a_p, y, y_p) to (next id,
+    model reward, SU packets dropped) and is filled on first use from the
+    ARQ table (the tracker's step and its completion o_hat), the model's
+    `next_cd` and `reward`, the scheme's drop rule and `next_belief`.
+    """
+
+    def __init__(self, model, losses, probs: dict, arq: dict, rho, pu_cfg: PuConfig):
+        self.model = model
+        self.losses = losses
+        self.probs = probs
+        self.arq = arq
+        self.rho = rho
+        self.pu_cfg = pu_cfg
+        self.states: list = []
+        self.mus: list = []
+        self.ids: dict = {}
+        self.steps: dict = {}
+        self._beliefs: dict = {}  # (t, d, belief, o_hat, a_s) -> next belief
+
+    def visit(self, state) -> int:
+        sid = self.ids.get(state)
+        if sid is None:
+            try:
+                mu = self.probs[state[:4]]
+            except KeyError:
+                raise KeyError(f"policy has no entry for state {state[:4]}") from None
+            sid = self.ids[state] = len(self.states)
+            self.states.append(state)
+            self.mus.append(mu)
+        return sid
+
+    def fill(self, key):
+        sid, a_s, a_p, y, y_p = key
+        cd, t, d, belief, held = self.states[sid]
+        o_hat, t_n, d_n = self.arq[t, d, y_p]
+        bkey = (t, d, belief, o_hat, a_s)
+        belief_n = self._beliefs.get(bkey)
+        if belief_n is None:
+            belief_n = next_belief(t, d, belief, o_hat, self.rho[a_s], self.pu_cfg)
+            self._beliefs[bkey] = belief_n
+        dropped, held_n = self.losses(cd, held, a_s, a_p, y, o_hat)
+        nxt = (self.model.next_cd(cd, a_s, a_p, y, o_hat), t_n, d_n, belief_n, held_n)
+        entry = (self.visit(nxt), self.model.reward(cd, a_s, a_p, y), dropped)
+        self.steps[key] = entry
+        return entry
+
+
+# -- the chain-decoding receiver ----------------------------------------------------
 
 
 class _CdReceiver:
@@ -274,36 +363,6 @@ class _CdReceiver:
         return root(self.graph)[1]
 
 
-class _WindowReceiver:
-    """Graph-backed receiver masked down to one ARQ window.
-
-    Labels are always fresh.  With `bic` unset, dependency edges are never
-    buffered, so a late PU decode cleans only future slots.  The window
-    reset prunes against the fresh label, which drops every stored node.
-    """
-
-    def __init__(self, bic: bool):
-        self.graph = CdGraph()
-        self.bic = bic
-        self.decoded = 0
-
-    def record(self, a_s: int, a_p: int, pu_slot: int, y: int, o: int) -> int:
-        g = self.graph
-        n = g.slot
-        known = 1 if (a_p and pu_slot in g.decoded_pu) else 0
-        y_eff = y
-        if not self.bic and a_s and a_p and not known and y in (5, 6, 7):
-            y_eff = 4
-        l_s = su(n) if a_s else None
-        l_p = pu(pu_slot) if a_p else None
-        outcome = None if (l_s is None and l_p is None) else y_eff
-        r = record_slot(g, l_s, l_p, known, outcome)
-        self.decoded += r
-        if o:
-            prune_unreachable(g, su(g.slot))
-        return r
-
-
 # -- run metrics and trace records --------------------------------------------------
 
 
@@ -321,6 +380,8 @@ class RunMetrics:
     pu_queue_delay: float
     drop_rate: float
     decoded_total: int
+    states_visited: int = 0  # distinct compact states the run reached
+    steps_filled: int = 0    # entries of its step table
 
     def __post_init__(self):
         if not (0.0 <= self.pu_throughput <= 1.0):
@@ -374,16 +435,21 @@ def run(
 
     Deterministic in (scheme, policy, cfg, seed).  Standard errors use
     batch means over `batches` contiguous blocks, which absorbs the burst
-    correlation that chain releases introduce.
+    correlation that chain releases introduce.  Raises `KeyError` when the
+    policy has no entry for a compact state the run reaches.
+
+    `drop_rate` counts, per slot, the SU packets the scheme's receiver gives
+    up on: for chain decoding, those trimmed from the graph at a cycle
+    start; for FIC/BIC, the region-6 and unreleased region-5/7 packets of
+    each closed ARQ window; for no-FIC/BIC, every transmission not decoded
+    at once; for FIC-only, none, as it never buffers.  The counts are not
+    comparable across schemes.
     """
     if n_slots < batches:
         batches = max(1, n_slots)
     pu_cfg = cfg.pu
-    model = scheme_model(scheme, pu_cfg)
-    table = _transition_table(model, pu_cfg)
     arq = _arq_table(pu_cfg)
     q_max = pu_cfg.q_max
-    rho = cfg.success_probs()
 
     ss = np.random.SeedSequence(seed)
     gain_rng, pu_rng, arr_rng, su_rng = (np.random.default_rng(s) for s in ss.spawn(4))
@@ -398,120 +464,90 @@ def run(
         pu_cfg.arrival_pmf.size, size=n_slots, p=pu_cfg.arrival_pmf
     ).tolist()
 
-    is_cd = scheme is SchemeKind.CHAIN_DECODING
-    if is_cd:
-        receiver = _CdReceiver()
-    elif scheme is SchemeKind.NO_FIC_BIC:
-        receiver = None
-    else:
-        receiver = _WindowReceiver(bic=scheme is SchemeKind.FIC_BIC)
+    model = scheme_model(scheme, pu_cfg)
+    walk = _CompactWalk(model, _LOSSES[scheme], policy.probs, arq, cfg.success_probs(), pu_cfg)
+    mus, steps, states = walk.mus, walk.steps, walk.states
+    sid = walk.visit((model.initial_cd(), 0, 0, point_belief(0, q_max), 0))
+    receiver = _CdReceiver() if scheme is SchemeKind.CHAIN_DECODING else None
 
     t = d = q = 0
-    tr_t = tr_d = 0
     idle, ack, nack = int(PuFeedback.IDLE), int(PuFeedback.ACK), int(PuFeedback.NACK)
-    cd_state = model.initial_cd()
-    belief = point_belief(0, q_max)
-    belief_cache: dict = {}
-    probs = policy.probs
     mu_p = pu_cfg.transmit_prob
 
-    su_batch = np.zeros(batches)
-    pu_batch = np.zeros(batches)
-    counts = np.zeros(batches)
+    # Slot n falls in batch (n * batches) // n_slots.
+    edges = [-(-b * n_slots // batches) for b in range(batches + 1)]
+    su_batch = []
+    pu_batch = []
     power_sum = 0.0
     drops_sum = 0.0
     delay_sum = 0.0
-    nofic_drops = 0
-    decoded = 0
+    dropped = 0
+    l_s = None
 
-    for n in range(n_slots):
-        bi = (n * batches) // n_slots
-        counts[bi] += 1
-        if is_cd:
-            receiver.begin_slot(tr_t)
+    for bi in range(batches):
+        su_sum = pu_sum = 0
+        for n in range(edges[bi], edges[bi + 1]):
+            a_s = 1 if su_u[n] < mus[sid] else 0
+            if receiver is not None:
+                _, tr_t, tr_d, _, _ = states[sid]
+                receiver.begin_slot(tr_t)
+                l_s = receiver.choose_label(n, n - tr_d).label if a_s else None
 
-        state = (cd_state, tr_t, tr_d, belief)
-        try:
-            mu = probs[state]
-        except KeyError:
-            raise KeyError(f"policy has no entry for state {state}") from None
-        a_s = 1 if su_u[n] < mu else 0
+            a_p = 1 if (q > 0 and pu_u[n] < mu_p(t, d, q)) else 0
+            success = (succ1[n] if a_s else succ0[n]) if a_p else False
+            y_p = (ack if success else nack) if a_p else idle
+            y = y_all[n]
 
-        l_s = None
-        l_s_slot = None
-        prospective = n - tr_d
-        if is_cd and a_s:
-            decision = receiver.choose_label(n, prospective)
-            l_s = decision.label
-            l_s_slot = l_s.slot
+            # The ground truth and the SU-side tracker both step on the
+            # overheard feedback, whose presence is the access decision; the
+            # tracker's step is part of the compact state's.
+            o, t_next, d_next = arq[t, d, y_p]
+            key = (sid, a_s, a_p, y, y_p)
+            nxt, r_s, lost = steps.get(key) or walk.fill(key)
 
-        a_p = 1 if (q > 0 and pu_u[n] < mu_p(t, d, q)) else 0
-        success = (succ1[n] if a_s else succ0[n]) if a_p else False
-        y_p = (ack if success else nack) if a_p else idle
-        y = y_all[n]
+            if trace_hook is not None:
+                m_before = receiver.decoded if receiver is not None else sum(su_batch) + su_sum
+                v_before = receiver.root_potential() if receiver is not None else 0
 
-        # The ground truth and the SU-side tracker both step on the
-        # overheard feedback, whose presence is the access decision.
-        o, t_next, d_next = arq[t, d, y_p]
-        o_hat, tr_t_next, tr_d_next = arq[tr_t, tr_d, y_p]
+            if receiver is not None:
+                r_s = receiver.record(l_s, a_p, n - tr_d, y)
+            su_sum += r_s
+            dropped += lost
+            pu_sum += success
+            power_sum += a_p
+            drops_sum += max(q - o + arrivals[n] - q_max, 0)
+            delay_sum += q
 
-        if trace_hook is not None:
-            m_before = receiver.decoded if receiver is not None else decoded
-            v_before = receiver.root_potential() if is_cd else 0
-
-        if is_cd:
-            r_s = receiver.record(l_s if a_s else None, a_p, prospective, y)
-        elif receiver is not None:
-            r_s = receiver.record(a_s, a_p, prospective, y, o)
-        else:
-            r_s = _direct_su_decode(a_s, a_p, y)
-            if a_s and not r_s:
-                nofic_drops += 1
-        decoded += r_s
-
-        su_batch[bi] += r_s
-        pu_batch[bi] += a_p * success
-        power_sum += a_p
-        drops_sum += max(q - o + arrivals[n] - q_max, 0)
-        delay_sum += q
-
-        if trace_hook is not None:
-            phase, b_s = (cd_state if is_cd else ("", 0))
-            g = receiver.graph if receiver is not None else None
-            trace_hook(
-                TraceRecord(
-                    n=n, a_s=a_s, a_p=a_p, y_p=y_p, y=y, o=o, t=t, d=d, q=q,
-                    tr_t=tr_t, tr_d=tr_d,
-                    tr_label=(prospective if a_p else None),
-                    true_label=((n - d) if a_p else None),
-                    l_s=l_s_slot if a_s else None,
-                    r_s=r_s, m_before=m_before, v_before=v_before,
-                    phase=phase, b_s=b_s,
-                    cycle_start=bool(a_p and t == 0),
-                    g_nodes=(len(g.su_nodes) + len(g.pu_nodes)) if g else 0,
-                    g_edges=g.edge_count() if g else 0,
+            if trace_hook is not None:
+                cd_state, tr_t, tr_d, _, _ = states[sid]
+                phase, b_s = cd_state if receiver is not None else ("", 0)
+                g = receiver.graph if receiver is not None else None
+                trace_hook(
+                    TraceRecord(
+                        n=n, a_s=a_s, a_p=a_p, y_p=y_p, y=y, o=o, t=t, d=d, q=q,
+                        tr_t=tr_t, tr_d=tr_d,
+                        tr_label=((n - tr_d) if a_p else None),
+                        true_label=((n - d) if a_p else None),
+                        l_s=l_s.slot if l_s is not None else None,
+                        r_s=r_s, m_before=m_before, v_before=v_before,
+                        phase=phase, b_s=b_s,
+                        cycle_start=bool(a_p and t == 0),
+                        g_nodes=(len(g.su_nodes) + len(g.pu_nodes)) if g else 0,
+                        g_edges=g.edge_count() if g else 0,
+                    )
                 )
-            )
 
-        # advance belief first (it conditions on this slot's tracked t, d)
-        bkey = (tr_t, tr_d, belief, o_hat, a_s)
-        nxt = belief_cache.get(bkey)
-        if nxt is None:
-            nxt = next_belief(tr_t, tr_d, belief, o_hat, rho[a_s], pu_cfg)
-            belief_cache[bkey] = nxt
-        belief = nxt
+            q = min(q - o + arrivals[n], q_max)
+            t, d = t_next, d_next
+            sid = nxt
+        su_batch.append(su_sum)
+        pu_batch.append(pu_sum)
 
-        q = min(q - o + arrivals[n], q_max)
-        t, d = t_next, d_next
-        cd_state = table[(cd_state, a_s, a_p, y, o_hat)]
-        tr_t, tr_d = tr_t_next, tr_d_next
-
-    su_mean, su_se = _batch_stats(su_batch, counts)
-    pu_mean, pu_se = _batch_stats(pu_batch, counts)
+    counts = np.diff(np.array(edges, dtype=float))
+    su_mean, su_se = _batch_stats(np.array(su_batch, dtype=float), counts)
+    pu_mean, pu_se = _batch_stats(np.array(pu_batch, dtype=float), counts)
     if receiver is not None:
-        drop_count = receiver.graph.discarded_su
-    else:
-        drop_count = nofic_drops
+        dropped = receiver.graph.discarded_su
     return RunMetrics(
         scheme=scheme.value,
         seed=seed,
@@ -523,8 +559,10 @@ def run(
         pu_power=-cfg.pu_power * power_sum / n_slots,
         pu_drops=-drops_sum / n_slots,
         pu_queue_delay=-delay_sum / n_slots,
-        drop_rate=drop_count / n_slots,
-        decoded_total=decoded,
+        drop_rate=dropped / n_slots,
+        decoded_total=sum(su_batch),
+        states_visited=len(states),
+        steps_filled=len(steps),
     )
 
 
@@ -562,6 +600,12 @@ class TraceInvariantChecker:
     compact-state invariants are checked pointwise.  Identity checks
     (recursion, release, compact state) only apply to chain-decoding
     traces; the bound and tracker checks apply to any scheme.
+
+    `run` steps the true PU and the tracker through the same ARQ table on
+    the same feedback, so the tracker check only catches a difference in
+    their start state.  That the ARQ rule itself is exact is checked by
+    `tests/test_pu_tracker.py::test_tracker_matches_ground_truth`, against
+    an independent statement of the PU.
     """
 
     def __init__(self, cfg: SystemConfig, scheme: SchemeKind = SchemeKind.CHAIN_DECODING):
@@ -604,9 +648,9 @@ class TraceInvariantChecker:
         # (iv) compact-state invariants
         if self.is_cd:
             rep.count("compact-state")
-            kappa, iota = _PHASE_FLAGS[rec.phase]
-            if (kappa, iota) not in ((0, 1), (1, 1), (1, 0)):
-                rep.fail("compact-state", rec.n, f"flags ({kappa}, {iota})")
+            flags = _PHASE_FLAGS.get(rec.phase)
+            if flags not in ((0, 1), (1, 1), (1, 0)):
+                rep.fail("compact-state", rec.n, f"phase {rec.phase!r} has flags {flags}")
             if rec.phase != CdPhase.U.value and rec.b_s != 0:
                 rep.fail("compact-state", rec.n, f"b={rec.b_s} in phase {rec.phase}")
             if not (0 <= rec.b_s <= r_max - 1):

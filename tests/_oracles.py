@@ -9,7 +9,9 @@ The package runs only vectorized and table-driven per-slot code, so the
 scalar references live here: the one-slot channel classifier and PU decoding
 test, and a ground-truth PU pair.  The PU pair states its own ARQ rule, apart
 from `cogarq.pu_tracker.update`, so checking the tracker against it compares
-two independent statements of the rule.
+two independent statements of the rule.  The baseline receivers are stated
+here on the decoding graph, where the simulator credits them from their
+compact models.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from typing import Iterable
 import numpy as np
 from scipy.optimize import linprog
 
+from cogarq.cd_graph import CdGraph, prune_unreachable, pu, record_slot, su
 from cogarq.channel import RatePair, classify_su_outcomes
 from cogarq.pu_system import PuConfig
 from cogarq.pu_tracker import PuFeedback
@@ -154,6 +157,45 @@ def step(
     else:
         label_event = None
     return StepResult(a_p, y, o, nxt, label_event)
+
+
+class WindowReceiver:
+    """Graph-backed baseline receiver masked down to one ARQ window.
+
+    Labels are always fresh.  With `bic` unset, dependency edges are never
+    buffered, so a late PU decode cleans only future slots.  The window
+    reset prunes against the fresh label, which drops every stored node and
+    counts its SU packets in `graph.discarded_su`.
+    """
+
+    def __init__(self, bic: bool):
+        self.graph = CdGraph()
+        self.bic = bic
+        self.decoded = 0
+
+    def record(self, a_s: int, a_p: int, pu_slot: int, y: int, o: int) -> int:
+        g = self.graph
+        n = g.slot
+        known = 1 if (a_p and pu_slot in g.decoded_pu) else 0
+        y_eff = y
+        if not self.bic and a_s and a_p and not known and y in (5, 6, 7):
+            y_eff = 4
+        l_s = su(n) if a_s else None
+        l_p = pu(pu_slot) if a_p else None
+        outcome = None if (l_s is None and l_p is None) else y_eff
+        r = record_slot(g, l_s, l_p, known, outcome)
+        self.decoded += r
+        if o:
+            prune_unreachable(g, su(g.slot))
+        return r
+
+
+def memoryless_decode(a_s: int, a_p: int, y: int) -> int:
+    """No-FIC/BIC credit: one slot on an empty graph, forgotten afterwards."""
+    l_s = su(0) if a_s else None
+    l_p = pu(0) if a_p else None
+    outcome = None if (l_s is None and l_p is None) else y
+    return record_slot(CdGraph(), l_s, l_p, 0, outcome)
 
 
 def check_trace_invariants(

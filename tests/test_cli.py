@@ -109,6 +109,23 @@ def test_run_experiment_check_invariants_flag(tmp_path):
     assert meta["invariant_violations"] == []
 
 
+def test_metadata_reports_pu_metrics_and_walk_counts(tmp_path):
+    cfg = write(tmp_path, GOOD)
+    out = tmp_path / "meta"
+    assert main([str(cfg), "-o", str(out)]) == 0
+    runs = json.loads((out / "run-metadata.json").read_text())["simulator_runs"]
+    assert [(r["sweep_value"], r["scheme"]) for r in runs] == [
+        (v, s) for v in (0.2, 1.0) for s in ("chain_decoding", "no_fic_bic")]
+    for r in runs:
+        # the backlogged PU sends and holds a packet in every slot but the first
+        assert r["pu_power"] == r["pu_queue_delay"] == -(3000 - 1) / 3000
+        assert -1.0 <= r["pu_drops"] <= 0.0
+        # every state but the initial one is first reached through a step
+        assert 1 <= r["states_visited"] <= r["steps_filled"] + 1
+    rows = list(csv.DictReader((out / "results.csv").open()))
+    assert {r["metric"] for r in rows}.isdisjoint({"pu_power", "pu_drops", "pu_queue_delay"})
+
+
 def test_worker_pool_matches_serial(tmp_path):
     serial = run_experiment(write(tmp_path, GOOD), tmp_path / "s")
     parallel = run_experiment(
@@ -137,10 +154,13 @@ def test_main_exit_codes(tmp_path, capsys):
         ("mean_gamma_ps", "nan"),
         ("rate_s", "-1"),
         ("workers", "0"),
+        # breaks d_max >= r_max against the default d_max = 5
+        ("r_max", "6"),
     ],
 )
 def test_main_rejects_out_of_range_values(tmp_path, capsys, key, value):
-    text = GOOD.replace("sweep_values = 0.2, 1", "sweep_values = 1") + f"{key} = {value}\n"
+    text = (GOOD.replace("sweep_values = 0.2, 1", "sweep_values = 1").replace("d_max = 3\n", "")
+            + f"{key} = {value}\n")
     cfg = write(tmp_path, text)
     assert main([str(cfg), "-o", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err

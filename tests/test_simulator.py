@@ -14,12 +14,11 @@ from cogarq.simulator import (
     SystemConfig,
     TraceInvariantChecker,
     TraceRecord,
-    _WindowReceiver,
     run,
     scheme_model,
 )
 
-from _oracles import check_trace_invariants
+from _oracles import WindowReceiver, check_trace_invariants, memoryless_decode
 
 RATES = RatePair(1.9140575925881422, 2.5182556953531106)
 
@@ -83,7 +82,7 @@ def test_mc_tracks_analytic_on_short_run():
 
 
 def test_window_receiver_backward_release():
-    rx = _WindowReceiver(bic=True)
+    rx = WindowReceiver(bic=True)
     # slot 0: buffered dependency (outcome 5), slot 1: direct PU decode
     assert rx.record(1, 1, 0, 5, 0) == 0
     assert rx.record(1, 1, 0, 3, 0) == 1  # buffered packet released
@@ -91,7 +90,7 @@ def test_window_receiver_backward_release():
 
 
 def test_window_receiver_forward_only_never_releases_backward():
-    rx = _WindowReceiver(bic=False)
+    rx = WindowReceiver(bic=False)
     assert rx.record(1, 1, 0, 5, 0) == 0
     assert rx.record(1, 1, 0, 3, 0) == 0  # no backward release
     # forward: the PU packet is now known, a clean-channel outcome decodes
@@ -100,7 +99,7 @@ def test_window_receiver_forward_only_never_releases_backward():
 
 
 def test_window_receiver_clears_at_completion():
-    rx = _WindowReceiver(bic=True)
+    rx = WindowReceiver(bic=True)
     rx.record(1, 1, 0, 5, 1)  # buffered, but the window closes immediately
     assert not rx.graph.su_nodes and not rx.graph.pu_nodes
     # next window: old buffer is gone, a PU decode releases nothing
@@ -209,3 +208,65 @@ def test_scheme_models_expose_consistent_tables():
                             assert nxt in states
                             r = model.reward(cd, a_s, a_p, y)
                             assert r >= 0
+
+
+def _pu_sometimes_idle(t, d, q):
+    return 0.7
+
+
+def _constant_policy(system, scheme, mu=0.6):
+    """Transmit with probability `mu` in every enumerated state, so both
+    actions occur from every state a run reaches."""
+    rng = np.random.default_rng(np.random.SeedSequence([1, 0x5EED]))
+    probs = region_probabilities(system.snr, system.rates, 20_000, rng)
+    space = enumerate_space(scheme_model(scheme, system.pu), system.pu, probs,
+                            system.success_probs())
+    return AccessPolicy({s: mu for s in space.states})
+
+
+@pytest.mark.parametrize("r_max", [2, 3, 5])
+@pytest.mark.parametrize("mean_ps", [0.5, 5.0, 25.0])  # cross-link ratios 0.1, 1 and 5
+def test_baselines_match_the_graph_receiver_oracle(mean_ps, r_max):
+    # A PU that idles at random and a delay deadline past the retransmission
+    # deadline give idle slots and windows that close on them.
+    pu_cfg = PuConfig(r_max, r_max + 1, 1, saturating_arrivals(1), _pu_sometimes_idle)
+    system = SystemConfig(AvgSnrConfig(5.0, mean_ps, 10.0, 2.0), RATES, pu_cfg)
+    n_slots = 6_000
+    for scheme in (SchemeKind.FIC_BIC, SchemeKind.FIC_ONLY, SchemeKind.NO_FIC_BIC):
+        trace = []
+        m = run(scheme, _constant_policy(system, scheme), system, 17, n_slots,
+                trace_hook=trace.append)
+        rx = WindowReceiver(bic=scheme is SchemeKind.FIC_BIC)
+        decoded = drops = 0
+        for rec in trace:
+            if scheme is SchemeKind.NO_FIC_BIC:
+                want = memoryless_decode(rec.a_s, rec.a_p, rec.y)
+                drops += rec.a_s and not want
+            else:
+                want = rx.record(rec.a_s, rec.a_p, rec.n - rec.tr_d, rec.y, rec.o)
+            assert rec.r_s == want, (scheme, rec)
+            decoded += want
+        if scheme is not SchemeKind.NO_FIC_BIC:
+            drops = rx.graph.discarded_su
+        assert m.decoded_total == decoded
+        assert m.drop_rate == drops / n_slots
+        assert {rec.a_p for rec in trace} == {0, 1}
+        if scheme is SchemeKind.FIC_BIC and mean_ps > 1.0:
+            assert drops > 0
+
+
+def test_policy_missing_a_reachable_state_raises():
+    system = small_system()
+    policy = _constant_policy(system, SchemeKind.FIC_BIC)
+    # after the first NACK the tracked retransmission count is 1
+    missing = AccessPolicy({s: p for s, p in policy.probs.items() if s.t != 1})
+    with pytest.raises(KeyError, match="policy has no entry for state"):
+        run(SchemeKind.FIC_BIC, missing, system, 3, 2_000)
+
+
+def test_unknown_phase_is_a_compact_state_violation():
+    system = small_system()
+    recs = _hand_trace()
+    bad = recs[1]._replace(phase="X")
+    report = check_trace_invariants(recs[:1] + [bad] + recs[2:], system)
+    assert any("compact-state" in v and "'X'" in v for v in report.violations), report.violations
