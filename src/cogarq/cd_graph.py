@@ -6,24 +6,31 @@ once u is known and its interference is cancelled.  Decoding any packet
 therefore releases everything forward-reachable from it, which is the chain
 this module computes.
 
+A packet is labelled by a plain int: `su(n) = 2n` and `pu(n) = 2n + 1` for
+the packets first sent in slot n, so the side is `label & 1` and the slot
+`label >> 1`.  Only this module and its helpers know that encoding.
+
 Packets that were never buffered next to an edge behave exactly like the
 fresh, never-transmitted labels of the current slot: isolated, potential
 one for an SU packet and zero for a PU packet.  Only edge-touched nodes are
 stored; everything else is represented implicitly, which keeps memory
-bounded by what pruning retains.
+bounded by what pruning retains.  Most slots see a graph with no edge at
+all, so the queries answer that case without a traversal: the closure of a
+seed set is the seeds and the root is the fresh packet.  Argument checks
+run either way.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .channel import PU_ALONE, SU_CLEAN
 
 __all__ = [
-    "PacketLabel",
     "su",
     "pu",
-    "ClosureResult",
+    "slot_of",
+    "is_pu",
     "CdGraph",
     "closure",
     "potential",
@@ -33,104 +40,117 @@ __all__ = [
     "prune_unreachable",
 ]
 
-SU_SIDE = "S"
-PU_SIDE = "P"
+
+def su(slot: int) -> int:
+    """Label of the SU packet first sent in `slot`."""
+    return 2 * slot
 
 
-class PacketLabel(NamedTuple):
-    slot: int
-    side: str
-
-    def __repr__(self):  # 3_S style, matching how packets are usually named
-        return f"{self.slot}_{self.side}"
+def pu(slot: int) -> int:
+    """Label of the PU packet first sent in `slot`."""
+    return 2 * slot + 1
 
 
-def su(slot: int) -> PacketLabel:
-    return PacketLabel(slot, SU_SIDE)
+def slot_of(label: int) -> int:
+    return label >> 1
 
 
-def pu(slot: int) -> PacketLabel:
-    return PacketLabel(slot, PU_SIDE)
+def is_pu(label: int) -> bool:
+    return bool(label & 1)
 
 
-class ClosureResult(NamedTuple):
-    decoded_su: frozenset
-    decoded_pu: frozenset
-    su_count: int
+def _name(label: int) -> str:
+    """3_S style, matching how packets are usually named."""
+    return f"{slot_of(label)}_{'P' if is_pu(label) else 'S'}"
 
 
 class CdGraph:
-    """Mutable graph state; one instance per simulated receiver."""
+    """Mutable graph state; one instance per simulated receiver.
+
+    `decoded_su` and `decoded_pu` hold the slots of decoded packets; the
+    node sets and the edge dicts hold labels.  Besides the structure it
+    keeps counters that change only when an edge is added, a node removed
+    or a cycle trim made (`cd_protocol.on_new_cycle`): the stored edge
+    count, the high-water marks of stored nodes and edges, and the number
+    of cycle trims and of those that found nothing stored.
+    """
 
     def __init__(self, slot: int = 0):
         self.slot = slot
-        self.su_nodes: set[PacketLabel] = set()
-        self.pu_nodes: set[PacketLabel] = set()
-        self.out_edges: dict[PacketLabel, set[PacketLabel]] = {}
-        self.in_edges: dict[PacketLabel, set[PacketLabel]] = {}
+        self.su_nodes: set[int] = set()
+        self.pu_nodes: set[int] = set()
+        self.out_edges: dict[int, set[int]] = {}
+        self.in_edges: dict[int, set[int]] = {}
         self.decoded_su: set[int] = set()
         self.decoded_pu: set[int] = set()
         self.discarded_su = 0
+        self.max_nodes = 0
+        self.max_edges = 0
+        self.cycle_trims = 0
+        self.empty_cycle_trims = 0
+        self._edges = 0
         self._version = 0  # bumped on structural change only; keys the root cache
-        self._best_cache: tuple[int, PacketLabel | None, int] | None = None
+        self._best_cache: tuple[int, int | None, int] | None = None
 
     # -- structural helpers -------------------------------------------------
 
-    def is_decoded(self, label: PacketLabel) -> bool:
-        flags = self.decoded_su if label.side == SU_SIDE else self.decoded_pu
-        return label.slot in flags
+    def is_decoded(self, label: int) -> bool:
+        return (label >> 1) in (self.decoded_pu if label & 1 else self.decoded_su)
 
-    def contains(self, label: PacketLabel) -> bool:
+    def contains(self, label: int) -> bool:
         """Node membership, counting implicit undecoded labels up to the slot."""
-        if label.side not in (SU_SIDE, PU_SIDE):
-            return False
-        return 0 <= label.slot <= self.slot and not self.is_decoded(label)
+        slot = label >> 1
+        return 0 <= slot <= self.slot and slot not in (
+            self.decoded_pu if label & 1 else self.decoded_su)
 
-    def stored(self, label: PacketLabel) -> bool:
-        return label in (self.su_nodes if label.side == SU_SIDE else self.pu_nodes)
-
-    def _touch(self, label: PacketLabel):
+    def _touch(self, label: int):
         if self.is_decoded(label):
-            raise ValueError(f"decoded packet {label} cannot re-enter the graph")
-        nodes = self.su_nodes if label.side == SU_SIDE else self.pu_nodes
-        nodes.add(label)
+            raise ValueError(f"decoded packet {_name(label)} cannot re-enter the graph")
+        (self.pu_nodes if label & 1 else self.su_nodes).add(label)
 
-    def add_edge(self, src: PacketLabel, dst: PacketLabel):
-        if src.side == dst.side:
-            raise ValueError(f"edge {src}->{dst} would break bipartiteness")
+    def add_edge(self, src: int, dst: int):
+        if src & 1 == dst & 1:
+            raise ValueError(f"edge {_name(src)}->{_name(dst)} would break bipartiteness")
         self._touch(src)
         self._touch(dst)
-        self.out_edges.setdefault(src, set()).add(dst)
-        self.in_edges.setdefault(dst, set()).add(src)
+        dsts = self.out_edges.setdefault(src, set())
+        if dst not in dsts:
+            dsts.add(dst)
+            self.in_edges.setdefault(dst, set()).add(src)
+            self._edges += 1
+            self.max_edges = max(self.max_edges, self._edges)
+        self.max_nodes = max(self.max_nodes, len(self.su_nodes) + len(self.pu_nodes))
         self._version += 1
 
-    def _remove_node(self, label: PacketLabel):
+    def _remove_node(self, label: int):
         for dst in self.out_edges.pop(label, ()):
+            self._edges -= 1
             peers = self.in_edges.get(dst)
             if peers:
                 peers.discard(label)
                 if not peers:
                     del self.in_edges[dst]
         for src in self.in_edges.pop(label, ()):
+            self._edges -= 1
             peers = self.out_edges.get(src)
             if peers:
                 peers.discard(label)
                 if not peers:
                     del self.out_edges[src]
-        (self.su_nodes if label.side == SU_SIDE else self.pu_nodes).discard(label)
+        (self.pu_nodes if label & 1 else self.su_nodes).discard(label)
         self._version += 1
 
     def edge_count(self) -> int:
-        return sum(len(v) for v in self.out_edges.values())
+        return self._edges
 
     def snapshot(self) -> dict:
         """Line-dump-friendly view of the stored graph, for debugging."""
         return {
             "slot": self.slot,
-            "su_nodes": sorted(n.slot for n in self.su_nodes),
-            "pu_nodes": sorted(n.slot for n in self.pu_nodes),
+            "su_nodes": sorted(slot_of(n) for n in self.su_nodes),
+            "pu_nodes": sorted(slot_of(n) for n in self.pu_nodes),
             "edges": sorted(
-                (str(src), str(dst))
+                (_name(src), _name(dst))
                 for src, dsts in self.out_edges.items()
                 for dst in dsts
             ),
@@ -140,44 +160,48 @@ class CdGraph:
 # -- queries -----------------------------------------------------------------
 
 
-def closure(g: CdGraph, seeds: Iterable[PacketLabel]) -> ClosureResult:
-    """Forward-reachable set from `seeds`, seeds included.
+def closure(g: CdGraph, seeds: Iterable[int]) -> set[int]:
+    """Labels forward-reachable from `seeds`, seeds included.
 
     Breadth-first traversal; equivalent to iterating the adjacency matrix to
-    its fixpoint, since reachability indicators only ever grow.
+    its fixpoint, since reachability indicators only ever grow.  With no
+    edge stored nothing lies beyond the seeds.
     """
-    seeds = list(seeds)
+    seen = set()
     for s in seeds:
         if not g.contains(s):
-            raise ValueError(f"seed {s} is not a node of the graph")
-    seen: set[PacketLabel] = set(seeds)
-    frontier = list(seeds)
-    while frontier:
-        nxt: list[PacketLabel] = []
-        for node in frontier:
-            for dst in g.out_edges.get(node, ()):
-                if dst not in seen:
-                    seen.add(dst)
-                    nxt.append(dst)
-        frontier = nxt
-    dec_su = frozenset(x for x in seen if x.side == SU_SIDE)
-    dec_pu = frozenset(x for x in seen if x.side == PU_SIDE)
-    return ClosureResult(dec_su, dec_pu, len(dec_su))
+            raise ValueError(f"seed {_name(s)} is not a node of the graph")
+        seen.add(s)
+    out = g.out_edges
+    if out:
+        frontier = list(seen)
+        while frontier:
+            nxt = []
+            for node in frontier:
+                for dst in out.get(node, ()):
+                    if dst not in seen:
+                        seen.add(dst)
+                        nxt.append(dst)
+            frontier = nxt
+    return seen
 
 
-def potential(g: CdGraph, label: PacketLabel) -> int:
+def potential(g: CdGraph, label: int) -> int:
     """Number of SU packets released by starting the chain at `label`."""
-    return closure(g, [label]).su_count
+    return sum(not x & 1 for x in closure(g, [label]))
 
 
-def reachable(g: CdGraph, frm: PacketLabel, to: PacketLabel) -> bool:
+def reachable(g: CdGraph, frm: int, to: int) -> bool:
     if not g.contains(to):
-        raise ValueError(f"{to} is not a node of the graph")
-    res = closure(g, [frm])
-    return to in res.decoded_su or to in res.decoded_pu
+        raise ValueError(f"{_name(to)} is not a node of the graph")
+    if not g.out_edges:
+        if not g.contains(frm):
+            raise ValueError(f"seed {_name(frm)} is not a node of the graph")
+        return frm == to
+    return to in closure(g, [frm])
 
 
-def root(g: CdGraph) -> tuple[PacketLabel, int]:
+def root(g: CdGraph) -> tuple[int, int]:
     """SU packet of maximum potential, ties broken toward the newest label.
 
     The fresh label of the current slot always has potential one and the
@@ -185,13 +209,15 @@ def root(g: CdGraph) -> tuple[PacketLabel, int]:
     stored node only wins with potential at least two.  The best stored
     node is cached until the graph structure changes.
     """
+    if not g.out_edges:
+        return su(g.slot), 1
     cached = g._best_cache
     if cached is None or cached[0] != g._version:
         best = None
         best_v = 0
         for node in g.su_nodes:
             v = potential(g, node)
-            if v > best_v or (v == best_v and best is not None and node.slot > best.slot):
+            if v > best_v or (v == best_v and best is not None and node > best):
                 best, best_v = node, v
         cached = (g._version, best, best_v)
         g._best_cache = cached
@@ -204,25 +230,26 @@ def root(g: CdGraph) -> tuple[PacketLabel, int]:
 # -- slot recording ------------------------------------------------------------
 
 
-def _commit_decodes(g: CdGraph, res: ClosureResult) -> int:
+def _commit_decodes(g: CdGraph, labels: set) -> int:
     newly_su = 0
-    for lab in res.decoded_su:
-        if lab.slot not in g.decoded_su:
-            g.decoded_su.add(lab.slot)
-            newly_su += 1
-        if g.stored(lab):
-            g._remove_node(lab)
-    for lab in res.decoded_pu:
-        g.decoded_pu.add(lab.slot)
-        if g.stored(lab):
-            g._remove_node(lab)
+    for lab in labels:
+        if lab & 1:
+            g.decoded_pu.add(lab >> 1)
+            if lab in g.pu_nodes:
+                g._remove_node(lab)
+        else:
+            if lab >> 1 not in g.decoded_su:
+                g.decoded_su.add(lab >> 1)
+                newly_su += 1
+            if lab in g.su_nodes:
+                g._remove_node(lab)
     return newly_su
 
 
 def record_slot(
     g: CdGraph,
-    l_s: PacketLabel | None,
-    l_p: PacketLabel | None,
+    l_s: int | None,
+    l_p: int | None,
     pu_known: int,
     y: int | None,
 ) -> int:
@@ -241,13 +268,14 @@ def record_slot(
     if y not in (1, 2, 3, 4, 5, 6, 7):
         raise ValueError(f"outcome region must be in 1..7, got {y!r}")
     if l_s is not None:
-        if l_s.side != SU_SIDE or not g.contains(l_s):
-            raise ValueError(f"invalid SU label {l_s}")
+        if l_s & 1 or not g.contains(l_s):
+            raise ValueError(f"invalid SU label {_name(l_s)}")
     if l_p is not None:
-        if l_p.side != PU_SIDE:
-            raise ValueError(f"invalid PU label {l_p}")
-        if bool(pu_known) != (l_p.slot in g.decoded_pu):
-            raise ValueError(f"pu_known={pu_known} inconsistent with graph state for {l_p}")
+        if not l_p & 1:
+            raise ValueError(f"invalid PU label {_name(l_p)}")
+        if bool(pu_known) != (l_p >> 1 in g.decoded_pu):
+            raise ValueError(
+                f"pu_known={pu_known} inconsistent with graph state for {_name(l_p)}")
 
     r_s = 0
     if l_p is not None and pu_known:
@@ -279,17 +307,16 @@ def record_slot(
     return r_s
 
 
-def prune_unreachable(g: CdGraph, keep_root: PacketLabel) -> int:
+def prune_unreachable(g: CdGraph, keep_root: int) -> int:
     """Drop every stored node outside the kept root's forward closure.
 
     Implicit fresh labels are untouched.  Returns the number of SU packets
     discarded, which feeds the drop-rate diagnostic; dropped packets were
     transmitted at least once and are now unrecoverable.
     """
-    if keep_root.side != SU_SIDE or not g.contains(keep_root):
-        raise ValueError(f"keep_root {keep_root} is not an SU node of the graph")
-    kept = closure(g, [keep_root])
-    keep = kept.decoded_su | kept.decoded_pu
+    if keep_root & 1 or not g.contains(keep_root):
+        raise ValueError(f"keep_root {_name(keep_root)} is not an SU node of the graph")
+    keep = closure(g, [keep_root])
     dropped_su = 0
     for node in list(g.su_nodes):
         if node not in keep:

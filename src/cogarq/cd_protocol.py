@@ -10,9 +10,7 @@ root can still release.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .cd_graph import CdGraph, PacketLabel, prune_unreachable, reachable, root, su
+from .cd_graph import CdGraph, prune_unreachable, reachable, root, su
 
 __all__ = ["FRESH", "ROOT_RETX", "LabelDecision", "select_label", "on_new_cycle"]
 
@@ -20,17 +18,19 @@ FRESH = "FRESH"
 ROOT_RETX = "ROOT_RETX"
 
 
-@dataclass(frozen=True)
 class LabelDecision:
-    label: PacketLabel
-    kind: str
+    """The SU label chosen for a slot (a `cd_graph` label) and its kind."""
 
-    def __post_init__(self):
-        if self.kind not in (FRESH, ROOT_RETX):
-            raise ValueError(f"unknown decision kind {self.kind!r}")
+    __slots__ = ("label", "kind")
+
+    def __init__(self, label: int, kind: str):
+        if kind not in (FRESH, ROOT_RETX):
+            raise ValueError(f"unknown decision kind {kind!r}")
+        self.label = label
+        self.kind = kind
 
 
-def select_label(g: CdGraph, l_p: PacketLabel, pu_known: int, n: int) -> LabelDecision:
+def select_label(g: CdGraph, l_p: int, pu_known: int, n: int) -> LabelDecision:
     """Choose the SU label for slot n given the prospective PU label.
 
     Known PU packet: retransmit the root, its interference will be
@@ -42,16 +42,23 @@ def select_label(g: CdGraph, l_p: PacketLabel, pu_known: int, n: int) -> LabelDe
     if n != g.slot:
         raise ValueError(f"graph is at slot {g.slot}, not {n}")
     rt, _ = root(g)
+    fresh = su(n)
     if pu_known:
         choice = rt
     else:
         linked = reachable(g, rt, l_p) or reachable(g, l_p, rt)
-        choice = su(n) if linked else rt
-    kind = FRESH if choice == su(n) else ROOT_RETX
-    return LabelDecision(choice, kind)
+        choice = fresh if linked else rt
+    return LabelDecision(choice, FRESH if choice == fresh else ROOT_RETX)
 
 
 def on_new_cycle(g: CdGraph) -> int:
-    """Trim the graph to the root's closure; returns SU packets discarded."""
+    """Trim the graph to the root's closure; returns SU packets discarded.
+
+    A graph that stores no node has nothing to trim.
+    """
+    g.cycle_trims += 1
+    if not (g.su_nodes or g.pu_nodes):
+        g.empty_cycle_trims += 1
+        return 0
     rt, _ = root(g)
     return prune_unreachable(g, rt)

@@ -205,9 +205,11 @@ def _sweep_point(cfg: ExperimentConfig, rates: RatePair, index: int, check_invar
 
     Returns (index, rows, policy_records, violations, run_records); a run
     record holds what results.csv leaves out of one simulator run: its PU
-    metrics and the counts of its compact-state walk.  Baseline policies are
-    re-optimized on their own compact models under the same PU floor, so
-    the comparison is between optimized schemes, not one policy reused.
+    metrics and the counts of its compact-state walk, plus, for chain
+    decoding, the high-water marks of its decoding graph and its cycle
+    trims.  Baseline policies are re-optimized on their own compact models
+    under the same PU floor, so the comparison is between optimized
+    schemes, not one policy reused.
     """
     value = cfg.sweep_values[index]
     snr = _point_snr(cfg, value)
@@ -266,7 +268,7 @@ def _sweep_point(cfg: ExperimentConfig, rates: RatePair, index: int, check_invar
         add_row(name, "mc_su_throughput", metrics.su_throughput, repr(metrics.su_se))
         add_row(name, "mc_pu_throughput", metrics.pu_throughput, repr(metrics.pu_se))
         add_row(name, "drop_rate", metrics.drop_rate)
-        runs.append({
+        run_record = {
             "sweep_value": value,
             "scheme": name,
             "pu_power": metrics.pu_power,
@@ -274,7 +276,15 @@ def _sweep_point(cfg: ExperimentConfig, rates: RatePair, index: int, check_invar
             "pu_queue_delay": metrics.pu_queue_delay,
             "states_visited": metrics.states_visited,
             "steps_filled": metrics.steps_filled,
-        })
+        }
+        if scheme is SchemeKind.CHAIN_DECODING:
+            run_record.update(
+                graph_max_nodes=metrics.graph_max_nodes,
+                graph_max_edges=metrics.graph_max_edges,
+                cycle_trims=metrics.cycle_trims,
+                cycle_trims_on_empty_graph=metrics.cycle_trims_on_empty_graph,
+            )
+        runs.append(run_record)
         policies.append({
             "sweep_value": value,
             "scheme": name,

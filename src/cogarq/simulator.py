@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .cd_graph import CdGraph, pu, record_slot, root
+from .cd_graph import CdGraph, pu, record_slot, root, slot_of
 from .cd_protocol import on_new_cycle, select_label
 from .channel import (
     PU_ALONE,
@@ -332,37 +332,6 @@ class _CompactWalk:
         return entry
 
 
-# -- the chain-decoding receiver ----------------------------------------------------
-
-
-class _CdReceiver:
-    """Full chain-decoding receiver: graph, protocol labeling, trimming."""
-
-    def __init__(self):
-        self.graph = CdGraph()
-        self.decoded = 0
-
-    def begin_slot(self, t_hat: int):
-        if t_hat == 0:
-            on_new_cycle(self.graph)
-
-    def choose_label(self, n: int, prospective_pu_slot: int):
-        known = 1 if prospective_pu_slot in self.graph.decoded_pu else 0
-        return select_label(self.graph, pu(prospective_pu_slot), known, n)
-
-    def record(self, l_s, a_p: int, pu_slot: int, y: int) -> int:
-        g = self.graph
-        l_p = pu(pu_slot) if a_p else None
-        known = 1 if (a_p and pu_slot in g.decoded_pu) else 0
-        outcome = None if (l_s is None and l_p is None) else y
-        r = record_slot(g, l_s, l_p, known, outcome)
-        self.decoded += r
-        return r
-
-    def root_potential(self) -> int:
-        return root(self.graph)[1]
-
-
 # -- run metrics and trace records --------------------------------------------------
 
 
@@ -382,6 +351,12 @@ class RunMetrics:
     decoded_total: int
     states_visited: int = 0  # distinct compact states the run reached
     steps_filled: int = 0    # entries of its step table
+    # Chain decoding only: the decoding graph's high-water marks of stored
+    # nodes and edges, its cycle trims and those that found nothing stored.
+    graph_max_nodes: int = 0
+    graph_max_edges: int = 0
+    cycle_trims: int = 0
+    cycle_trims_on_empty_graph: int = 0
 
     def __post_init__(self):
         if not (0.0 <= self.pu_throughput <= 1.0):
@@ -468,15 +443,22 @@ def run(
     walk = _CompactWalk(model, _LOSSES[scheme], policy.probs, arq, cfg.success_probs(), pu_cfg)
     mus, steps, states = walk.mus, walk.steps, walk.states
     sid = walk.visit((model.initial_cd(), 0, 0, point_belief(0, q_max), 0))
-    receiver = _CdReceiver() if scheme is SchemeKind.CHAIN_DECODING else None
+    # Chain decoding runs the decoding graph, which credits its packets.
+    g = CdGraph() if scheme is SchemeKind.CHAIN_DECODING else None
 
     t = d = q = 0
     idle, ack, nack = int(PuFeedback.IDLE), int(PuFeedback.ACK), int(PuFeedback.NACK)
-    mu_p = pu_cfg.transmit_prob
+    # The true PU's access probability by [t][d][q]; an empty queue gets 0.
+    mu_p = [
+        [[pu_cfg.transmit_prob(ti, di, qi) for qi in range(q_max + 1)]
+         for di in range(pu_cfg.d_max)]
+        for ti in range(pu_cfg.r_max)
+    ]
 
     # Slot n falls in batch (n * batches) // n_slots.
     edges = [-(-b * n_slots // batches) for b in range(batches + 1)]
     su_batch = []
+    decoded = 0  # SU packets credited in the batches before this one
     pu_batch = []
     power_sum = 0.0
     drops_sum = 0.0
@@ -488,12 +470,17 @@ def run(
         su_sum = pu_sum = 0
         for n in range(edges[bi], edges[bi + 1]):
             a_s = 1 if su_u[n] < mus[sid] else 0
-            if receiver is not None:
+            if g is not None:
+                # The tracked PU packet of this slot is the one first sent
+                # tr_d slots ago; tr_t = 0 starts a new primary ARQ cycle.
                 _, tr_t, tr_d, _, _ = states[sid]
-                receiver.begin_slot(tr_t)
-                l_s = receiver.choose_label(n, n - tr_d).label if a_s else None
+                if tr_t == 0:
+                    on_new_cycle(g)
+                pu_slot = n - tr_d
+                known = pu_slot in g.decoded_pu
+                l_s = select_label(g, pu(pu_slot), known, n).label if a_s else None
 
-            a_p = 1 if (q > 0 and pu_u[n] < mu_p(t, d, q)) else 0
+            a_p = 1 if pu_u[n] < mu_p[t][d][q] else 0
             success = (succ1[n] if a_s else succ0[n]) if a_p else False
             y_p = (ack if success else nack) if a_p else idle
             y = y_all[n]
@@ -506,11 +493,14 @@ def run(
             nxt, r_s, lost = steps.get(key) or walk.fill(key)
 
             if trace_hook is not None:
-                m_before = receiver.decoded if receiver is not None else sum(su_batch) + su_sum
-                v_before = receiver.root_potential() if receiver is not None else 0
+                m_before = decoded + su_sum
+                v_before = root(g)[1] if g is not None else 0
 
-            if receiver is not None:
-                r_s = receiver.record(l_s, a_p, n - tr_d, y)
+            if g is not None:
+                if a_p:
+                    r_s = record_slot(g, l_s, pu(pu_slot), known, y)
+                else:
+                    r_s = record_slot(g, l_s, None, 0, None if l_s is None else y)
             su_sum += r_s
             dropped += lost
             pu_sum += success
@@ -520,15 +510,14 @@ def run(
 
             if trace_hook is not None:
                 cd_state, tr_t, tr_d, _, _ = states[sid]
-                phase, b_s = cd_state if receiver is not None else ("", 0)
-                g = receiver.graph if receiver is not None else None
+                phase, b_s = cd_state if g is not None else ("", 0)
                 trace_hook(
                     TraceRecord(
                         n=n, a_s=a_s, a_p=a_p, y_p=y_p, y=y, o=o, t=t, d=d, q=q,
                         tr_t=tr_t, tr_d=tr_d,
                         tr_label=((n - tr_d) if a_p else None),
                         true_label=((n - d) if a_p else None),
-                        l_s=l_s.slot if l_s is not None else None,
+                        l_s=slot_of(l_s) if l_s is not None else None,
                         r_s=r_s, m_before=m_before, v_before=v_before,
                         phase=phase, b_s=b_s,
                         cycle_start=bool(a_p and t == 0),
@@ -541,13 +530,21 @@ def run(
             t, d = t_next, d_next
             sid = nxt
         su_batch.append(su_sum)
+        decoded += su_sum
         pu_batch.append(pu_sum)
 
     counts = np.diff(np.array(edges, dtype=float))
     su_mean, su_se = _batch_stats(np.array(su_batch, dtype=float), counts)
     pu_mean, pu_se = _batch_stats(np.array(pu_batch, dtype=float), counts)
-    if receiver is not None:
-        dropped = receiver.graph.discarded_su
+    graph_counts = {}
+    if g is not None:
+        dropped = g.discarded_su
+        graph_counts = dict(
+            graph_max_nodes=g.max_nodes,
+            graph_max_edges=g.max_edges,
+            cycle_trims=g.cycle_trims,
+            cycle_trims_on_empty_graph=g.empty_cycle_trims,
+        )
     return RunMetrics(
         scheme=scheme.value,
         seed=seed,
@@ -560,9 +557,10 @@ def run(
         pu_drops=-drops_sum / n_slots,
         pu_queue_delay=-delay_sum / n_slots,
         drop_rate=dropped / n_slots,
-        decoded_total=sum(su_batch),
+        decoded_total=decoded,
         states_visited=len(states),
         steps_filled=len(steps),
+        **graph_counts,
     )
 
 

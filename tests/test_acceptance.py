@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from cogarq.cd_graph import CdGraph, closure, pu, su
+from cogarq.cd_graph import CdGraph, closure, is_pu, pu, slot_of, su
 from cogarq.channel import AvgSnrConfig, RatePair, optimize_rate, region_probabilities
 from cogarq.mdp import (
     AccessPolicy,
@@ -243,9 +243,7 @@ def test_criterion_7a_closure_equals_matrix_oracle():
         g.slot = 14
         k = int(rng.integers(n_su + n_pu))
         seed = su(k) if k < n_su else pu(k - n_su)
-        res = closure(g, [seed])
-        got = ({x.slot for x in res.decoded_su}
-               | {n_su + x.slot for x in res.decoded_pu})
+        got = {n_su + slot_of(x) if is_pu(x) else slot_of(x) for x in closure(g, [seed])}
         if got != matrix_power_closure(n_su + n_pu, edges, [k]):
             mismatches += 1
     _report("7a closure vs matrix powers", mismatches == 0,

@@ -4,12 +4,14 @@ import pytest
 from cogarq.cd_graph import (
     CdGraph,
     closure,
+    is_pu,
     potential,
     prune_unreachable,
     pu,
     reachable,
     record_slot,
     root,
+    slot_of,
     su,
 )
 
@@ -32,17 +34,13 @@ def chain_example_graph():
 
 def test_closure_isolated_seed():
     g = CdGraph(slot=4)
-    res = closure(g, [su(2)])
-    assert res.decoded_su == {su(2)} and res.su_count == 1
-    res_p = closure(g, [pu(2)])
-    assert res_p.su_count == 0 and res_p.decoded_pu == {pu(2)}
+    assert closure(g, [su(2)]) == {su(2)}
+    assert closure(g, [pu(2)]) == {pu(2)}
 
 
 def test_closure_chain_example():
     g = chain_example_graph()
-    res = closure(g, [pu(2)])
-    assert res.decoded_su == {su(1), su(0)}
-    assert res.su_count == 2
+    assert closure(g, [pu(2)]) == {pu(2), su(1), pu(0), su(0)}
 
 
 def test_closure_union_of_seeds():
@@ -51,8 +49,7 @@ def test_closure_union_of_seeds():
     joint = closure(g, [pu(2), pu(1)])
     a = closure(g, [pu(2)])
     b = closure(g, [pu(1)])
-    assert joint.decoded_su == a.decoded_su | b.decoded_su
-    assert joint.decoded_pu == a.decoded_pu | b.decoded_pu
+    assert joint == a | b
 
 
 def test_closure_rejects_foreign_seed():
@@ -257,6 +254,13 @@ def test_decoded_packet_cannot_reenter():
         record_slot(g, su(0), None, 0, 2)
 
 
+def _recounted_edges(g):
+    """Stored edges counted from both adjacency dicts, which must agree."""
+    out = sum(len(v) for v in g.out_edges.values())
+    assert out == sum(len(v) for v in g.in_edges.values())
+    return out
+
+
 def _random_graph(rng, n_su, n_pu, p_edge):
     g = CdGraph()
     edges = []
@@ -280,10 +284,10 @@ def test_closure_matches_matrix_power_oracle(seed):
     stored = list(g.su_nodes) + list(g.pu_nodes)
     if not stored:
         return
+    assert g.edge_count() == _recounted_edges(g) == len(edges)
     seed_node = stored[int(rng.integers(len(stored)))]
-    seed_idx = seed_node.slot if seed_node.side == "S" else n_su + seed_node.slot
-    res = closure(g, [seed_node])
-    got = {x.slot for x in res.decoded_su} | {n_su + x.slot for x in res.decoded_pu}
+    seed_idx = n_su + slot_of(seed_node) if is_pu(seed_node) else slot_of(seed_node)
+    got = {n_su + slot_of(x) if is_pu(x) else slot_of(x) for x in closure(g, [seed_node])}
     want = matrix_power_closure(n_su + n_pu, edges, [seed_idx])
     assert got == want
 
@@ -302,6 +306,9 @@ def test_adding_edges_never_decreases_potential(seed):
     if not dsts:
         return
     g.add_edge(srcs[0], dsts[-1])
+    assert g.edge_count() == _recounted_edges(g)
+    g.add_edge(srcs[0], dsts[-1])  # a repeated edge is stored once
+    assert g.edge_count() == _recounted_edges(g)
     for n, v in before.items():
         assert potential(g, n) >= v
 
@@ -322,9 +329,10 @@ def test_prune_leaves_only_root_reachable_nodes(seed):
     if keep not in g.su_nodes:  # fresh root wipes everything, covered elsewhere
         return
     prune_unreachable(g, keep)
+    assert g.edge_count() == _recounted_edges(g)
     kept = closure(g, [keep])
     for node in list(g.su_nodes) + list(g.pu_nodes):
-        assert node in kept.decoded_su or node in kept.decoded_pu
+        assert node in kept
 
 
 def test_record_slot_count_equals_decoded_flag_increase():
@@ -336,9 +344,11 @@ def test_record_slot_count_equals_decoded_flag_increase():
         a_p = int(rng.random() < 0.7)
         l_s = su(n) if a_s else None
         l_p = pu(n - int(rng.integers(0, 3))) if a_p else None
-        if l_p is not None and (l_p.slot < 0 or l_p.slot in g.decoded_pu):
+        if l_p is not None and (slot_of(l_p) < 0 or slot_of(l_p) in g.decoded_pu):
             l_p = pu(n)
         known = 0
         before = len(g.decoded_su)
-        r = record_slot(g, l_s, l_p, known, y if (l_s or l_p) else None)
+        outcome = None if (l_s is None and l_p is None) else y
+        r = record_slot(g, l_s, l_p, known, outcome)
         assert r == len(g.decoded_su) - before
+        assert g.edge_count() == _recounted_edges(g)

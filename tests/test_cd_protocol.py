@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from cogarq.cd_graph import CdGraph, potential, pu, root, su
+from cogarq.cd_graph import CdGraph, is_pu, potential, pu, record_slot, root, slot_of, su
 from cogarq.cd_protocol import FRESH, ROOT_RETX, LabelDecision, on_new_cycle, select_label
+
+from _oracles import matrix_power_closure
 
 
 def test_decision_kind_validation():
@@ -94,6 +96,25 @@ def test_new_cycle_on_fresh_graph_is_noop():
     assert not g.su_nodes and not g.pu_nodes
 
 
+def _check_root_against_oracle(g) -> set:
+    """`root` and `potential` of every stored SU node and of the fresh
+    packet, against boolean matrix powers over the stored edges.  Returns
+    the labels the root releases."""
+    nodes = sorted(g.su_nodes | g.pu_nodes | {su(g.slot)})
+    index = {lab: i for i, lab in enumerate(nodes)}
+    edges = [(index[a], index[b]) for a, dsts in g.out_edges.items() for b in dsts]
+    release = {}
+    for lab in nodes:
+        if not is_pu(lab):
+            reach = matrix_power_closure(len(nodes), edges, [index[lab]])
+            release[lab] = {nodes[i] for i in reach}
+            assert potential(g, lab) == sum(not is_pu(x) for x in release[lab])
+    want = {lab: sum(not is_pu(x) for x in rel) for lab, rel in release.items()}
+    best = max(want, key=lambda lab: (want[lab], slot_of(lab)))
+    assert root(g) == (best, want[best])
+    return release[best]
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_protocol_only_emits_root_or_fresh(seed):
     rng = np.random.default_rng(seed)
@@ -105,7 +126,40 @@ def test_protocol_only_emits_root_or_fresh(seed):
             g.add_edge(pu(int(rng.integers(0, 8))), su(int(rng.integers(0, 8))))
     g.slot = 9
     l_p = pu(int(rng.integers(0, 10)))
-    known = 1 if l_p.slot in g.decoded_pu else 0
+    known = 1 if slot_of(l_p) in g.decoded_pu else 0
     d = select_label(g, l_p, known, 9)
     assert d.label in (root(g)[0], su(9))
     assert (d.kind == FRESH) == (d.label == su(9))
+
+    # Then drive the graph slot by slot as the receiver does: a trim when a
+    # PU cycle starts, a label choice when the SU sends, and the slot's
+    # outcome.  Most slots find an empty graph, which the graph answers
+    # without a traversal; the oracle checks both kinds of slot, and that a
+    # trim keeps exactly the stored nodes the root releases.
+    empty = stored = 0
+    for n in range(9, 209):
+        if rng.random() < 0.3:
+            before = g.su_nodes | g.pu_nodes
+            released = _check_root_against_oracle(g)
+            on_new_cycle(g)
+            assert g.su_nodes | g.pu_nodes == before & released
+        _check_root_against_oracle(g)
+        if g.su_nodes or g.pu_nodes:
+            stored += 1
+        else:
+            empty += 1
+        pu_slot = n - int(rng.integers(0, 3))
+        known = pu_slot in g.decoded_pu
+        l_s = None
+        if rng.random() < 0.7:
+            d = select_label(g, pu(pu_slot), known, n)
+            assert d.label in (root(g)[0], su(n))
+            assert (d.kind == FRESH) == (d.label == su(n))
+            l_s = d.label
+        l_p = pu(pu_slot) if rng.random() < 0.8 else None
+        y = int(rng.integers(1, 8))
+        if l_s is None and l_p is None:
+            record_slot(g, None, None, 0, None)
+        else:
+            record_slot(g, l_s, l_p, known if l_p is not None else 0, y)
+    assert empty > 0 and stored > 0

@@ -122,6 +122,16 @@ def test_metadata_reports_pu_metrics_and_walk_counts(tmp_path):
         assert -1.0 <= r["pu_drops"] <= 0.0
         # every state but the initial one is first reached through a step
         assert 1 <= r["states_visited"] <= r["steps_filled"] + 1
+        graph_keys = {"graph_max_nodes", "graph_max_edges", "cycle_trims",
+                      "cycle_trims_on_empty_graph"}
+        if r["scheme"] == "chain_decoding":
+            # an edge joins two stored nodes, and a cycle starts at least
+            # every r_max = 3 slots
+            assert r["graph_max_nodes"] >= 2 and r["graph_max_edges"] >= 1
+            assert 0 < r["cycle_trims_on_empty_graph"] < r["cycle_trims"]
+            assert 3000 / 3 <= r["cycle_trims"] <= 3000
+        else:
+            assert graph_keys.isdisjoint(r)
     rows = list(csv.DictReader((out / "results.csv").open()))
     assert {r["metric"] for r in rows}.isdisjoint({"pu_power", "pu_drops", "pu_queue_delay"})
 

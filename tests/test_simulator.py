@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,11 @@ from cogarq.simulator import (
 from _oracles import WindowReceiver, check_trace_invariants, memoryless_decode
 
 RATES = RatePair(1.9140575925881422, 2.5182556953531106)
+
+# SHA-256 of the 5,000-slot chain-decoding trace below (seed 7), one
+# `repr(tuple(record))` per line.  It locks every field of every slot, so
+# the receiver's label choices, credits and graph sizes, bit for bit.
+CD_TRACE_SHA256 = "c05d913b9872024bdcd76c58b1acb4096f33d9b4829784a707c94b916db4110a"
 
 
 def small_system(mean_ps=5.0, mean_sp=2.0, r_max=5, d_max=5):
@@ -48,6 +55,19 @@ def test_same_seed_reproduces_everything():
     m2 = run(SchemeKind.CHAIN_DECODING, rep.policy, system, 7, 5_000, trace_hook=t2.append)
     assert m1 == m2
     assert t1 == t2
+    digest = hashlib.sha256("\n".join(repr(tuple(r)) for r in t1).encode()).hexdigest()
+    assert digest == CD_TRACE_SHA256
+    # The graph's counters, kept only at edge additions and trims, agree
+    # with the sizes the trace reads after every slot and with its cycle
+    # starts (tracked t = 0); a trim finds an empty graph when the slot
+    # before it ended with no node stored.
+    assert m1.graph_max_nodes == max(r.g_nodes for r in t1) > 0
+    assert m1.graph_max_edges == max(r.g_edges for r in t1) > 0
+    assert m1.cycle_trims == sum(r.tr_t == 0 for r in t1)
+    empty_before = [True] + [r.g_nodes == 0 for r in t1[:-1]]
+    assert m1.cycle_trims_on_empty_graph == sum(
+        r.tr_t == 0 and e for r, e in zip(t1, empty_before))
+    assert 0 < m1.cycle_trims_on_empty_graph < m1.cycle_trims
     m3 = run(SchemeKind.CHAIN_DECODING, rep.policy, system, 8, 5_000)
     assert m3 != m1
 
