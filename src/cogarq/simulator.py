@@ -388,6 +388,9 @@ class TraceRecord(NamedTuple):
     g_edges: int
 
 
+_CLASSIFY_SLICE = 1 << 16
+
+
 def _batch_stats(per_batch: np.ndarray, counts: np.ndarray):
     means = per_batch / counts
     if means.size < 2:
@@ -430,14 +433,19 @@ def run(
     gain_rng, pu_rng, arr_rng, su_rng = (np.random.default_rng(s) for s in ss.spawn(4))
     gs, gps, gp, gsp = draw_gain_arrays(gain_rng, cfg.snr, n_slots)
     theta_p = 2.0 ** cfg.rates.r_p - 1.0
-    y_all = classify_su_outcomes(gs, gps, cfg.rates).tolist()
-    succ0 = (gp > theta_p).tolist()
-    succ1 = (gp > theta_p * (1.0 + gsp)).tolist()
-    pu_u = pu_rng.random(n_slots).tolist()
-    su_u = su_rng.random(n_slots).tolist()
-    arrivals = arr_rng.choice(
-        pu_cfg.arrival_pmf.size, size=n_slots, p=pu_cfg.arrival_pmf
-    ).tolist()
+    # The gains are reduced to one byte per slot and link outcome, and the
+    # classifier's float temporaries to one slice at a time; the per-slot
+    # Python lists are made one batch at a time in the loop below.
+    y_all = np.empty(n_slots, dtype=np.int8)
+    for lo in range(0, n_slots, _CLASSIFY_SLICE):
+        hi = lo + _CLASSIFY_SLICE
+        y_all[lo:hi] = classify_su_outcomes(gs[lo:hi], gps[lo:hi], cfg.rates)
+    succ0 = gp > theta_p
+    succ1 = gp > theta_p * (1.0 + gsp)
+    del gs, gps, gp, gsp
+    pu_u = pu_rng.random(n_slots)
+    su_u = su_rng.random(n_slots)
+    arrivals = arr_rng.choice(pu_cfg.arrival_pmf.size, size=n_slots, p=pu_cfg.arrival_pmf)
 
     model = scheme_model(scheme, pu_cfg)
     walk = _CompactWalk(model, _LOSSES[scheme], policy.probs, arq, cfg.success_probs(), pu_cfg)
@@ -468,8 +476,11 @@ def run(
 
     for bi in range(batches):
         su_sum = pu_sum = 0
-        for n in range(edges[bi], edges[bi + 1]):
-            a_s = 1 if su_u[n] < mus[sid] else 0
+        lo, hi = edges[bi], edges[bi + 1]
+        for n, su_un, pu_un, y, s0, s1, arrival in zip(
+            range(lo, hi), *(x[lo:hi].tolist() for x in (su_u, pu_u, y_all, succ0, succ1, arrivals))
+        ):
+            a_s = 1 if su_un < mus[sid] else 0
             if g is not None:
                 # The tracked PU packet of this slot is the one first sent
                 # tr_d slots ago; tr_t = 0 starts a new primary ARQ cycle.
@@ -480,10 +491,9 @@ def run(
                 known = pu_slot in g.decoded_pu
                 l_s = select_label(g, pu(pu_slot), known, n).label if a_s else None
 
-            a_p = 1 if pu_u[n] < mu_p[t][d][q] else 0
-            success = (succ1[n] if a_s else succ0[n]) if a_p else False
+            a_p = 1 if pu_un < mu_p[t][d][q] else 0
+            success = (s1 if a_s else s0) if a_p else False
             y_p = (ack if success else nack) if a_p else idle
-            y = y_all[n]
 
             # The ground truth and the SU-side tracker both step on the
             # overheard feedback, whose presence is the access decision; the
@@ -505,7 +515,7 @@ def run(
             dropped += lost
             pu_sum += success
             power_sum += a_p
-            drops_sum += max(q - o + arrivals[n] - q_max, 0)
+            drops_sum += max(q - o + arrival - q_max, 0)
             delay_sum += q
 
             if trace_hook is not None:
@@ -526,7 +536,7 @@ def run(
                     )
                 )
 
-            q = min(q - o + arrivals[n], q_max)
+            q = min(q - o + arrival, q_max)
             t, d = t_next, d_next
             sid = nxt
         su_batch.append(su_sum)
