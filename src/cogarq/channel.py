@@ -5,8 +5,8 @@ instantaneous SNRs are exponential).  Given the SNRs of each slot and the
 fixed transmission rates, this module classifies the decoding outcome at the
 secondary receiver, which jointly decodes or buffers the two superposed
 packets, into one of seven regions, and states once which packets each
-region makes decodable.  It also gives the exact PU decoding probability,
-estimates the region probabilities, and tunes a single-user rate to its
+region makes decodable.  It also gives the exact PU decoding probability
+and the exact region probabilities, and tunes a single-user rate to its
 throughput-optimal value.
 """
 
@@ -29,7 +29,7 @@ __all__ = [
     "classify_su_outcomes",
     "pu_success_probability",
     "draw_gain_arrays",
-    "region_probabilities",
+    "exact_region_probabilities",
     "optimize_rate",
 ]
 
@@ -174,22 +174,50 @@ def draw_gain_arrays(rng: np.random.Generator, cfg: AvgSnrConfig, n: int):
     return gs, gps, gp, gsp
 
 
-def region_probabilities(
-    cfg: AvgSnrConfig, r: RatePair, n_samples: int, rng: np.random.Generator
-) -> RegionProbabilities:
-    """Monte Carlo estimate of the seven region probabilities.
+def _phi(z: float) -> float:
+    """(1 - exp(-z)) / z for z >= 0, with its limit 1 at z = 0."""
+    return 1.0 if z == 0.0 else -math.expm1(-z) / z
 
-    Each sample of (gamma_s, gamma_ps) lands in exactly one region, so the
-    seven estimates sum to one exactly.
+
+def exact_region_probabilities(mean_s: float, mean_ps: float, r: RatePair) -> RegionProbabilities:
+    """Closed-form region probabilities under independent exponential gains.
+
+    With a = 2^r_s - 1 and b = 2^r_p - 1, every region boundary is a
+    straight line in the (gamma_s, gamma_ps) plane: gamma_s = a, gamma_ps =
+    b, gamma_s = a (1 + gamma_ps), gamma_ps = b (1 + gamma_s) and gamma_s +
+    gamma_ps = a + b + ab.  Regions 2, 3, 4 and 1 are one-dimensional
+    exponential integrals, and 5, 6 and 7 their complements within the
+    quadrants gamma_s > a or gamma_ps > b.  Exponents are combined before
+    they are taken and small differences go through `expm1`, so every mean
+    ratio gives finite values in [0, 1]; a zero mean takes its limit.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    gs = rng.exponential(cfg.mean_gamma_s, n_samples) if cfg.mean_gamma_s > 0 else np.zeros(n_samples)
-    gps = rng.exponential(cfg.mean_gamma_ps, n_samples) if cfg.mean_gamma_ps > 0 else np.zeros(n_samples)
-    regions = classify_su_outcomes(gs, gps, r)
-    counts = np.bincount(regions, minlength=8)[1:8]
-    probs = counts / float(n_samples)
-    return RegionProbabilities(*probs.tolist())
+    a = 2.0 ** r.r_s - 1.0
+    b = 2.0 ** r.r_p - 1.0
+    ab = a * b
+    if mean_ps == 0.0:
+        # gamma_ps identically zero: only regions 2 and 4 have mass
+        d_s = math.exp(-a / mean_s) if mean_s > 0.0 else 0.0
+        return RegionProbabilities(0.0, d_s, 0.0, 1.0 - d_s, 0.0, 0.0, 0.0)
+    if mean_s == 0.0:
+        d_p = math.exp(-b / mean_ps)
+        return RegionProbabilities(0.0, 0.0, d_p, 1.0 - d_p, 0.0, 0.0, 0.0)
+    u, v = 1.0 / mean_s, 1.0 / mean_ps
+    e_a, e_b = math.exp(-a * u), math.exp(-b * v)  # P(gamma_s > a), P(gamma_ps > b)
+    # region 2: gamma_ps <= b, gamma_s > a (1 + gamma_ps); region 3 mirrors it
+    d_s = e_a * -math.expm1(-b * (v + a * u)) / (1.0 + a * mean_ps * u)
+    d_p = e_b * -math.expm1(-a * (u + b * v)) / (1.0 + b * mean_s * v)
+    # region 1: a < gamma_s <= a + ab with gamma_ps > a + b + ab - gamma_s,
+    # plus gamma_s > a + ab with gamma_ps > b; the first part is
+    # u (exp(-ab v) - exp(-ab u)) / (u - v), written so that no exponent is
+    # positive and equal means (phi(0) = 1) need no branch
+    d_sp = e_a * e_b * (ab * u * math.exp(-ab * min(u, v)) * _phi(ab * abs(u - v))
+                        + math.exp(-ab * u))
+    u_0 = math.expm1(-a * u) * math.expm1(-b * v)
+    # the complements; rounding may leave them a few ulps below zero
+    u_s = max(-e_a * math.expm1(-b * v) - d_s, 0.0)
+    u_p = max(-e_b * math.expm1(-a * u) - d_p, 0.0)
+    u_sp = max(e_a * e_b - d_sp, 0.0)
+    return RegionProbabilities(d_sp, d_s, d_p, u_0, u_s, u_p, u_sp)
 
 
 def _rate_objective(rate: float, mean_snr: float) -> float:

@@ -1,7 +1,7 @@
 """Experiment orchestration and command-line entry point.
 
 Reads a flat key=value configuration, sweeps one SNR ratio, and for every
-sweep point and scheme: estimates the outcome-region probabilities, solves
+sweep point and scheme: computes the outcome-region probabilities, solves
 the constrained access policy on that scheme's compact model, evaluates it
 analytically, and runs the Monte Carlo simulator.  Results land in a tidy
 CSV plus a JSON-lines dump of the solved policies and a metadata file
@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel import AvgSnrConfig, RatePair, optimize_rate, region_probabilities
+from .channel import AvgSnrConfig, RatePair, exact_region_probabilities, optimize_rate
 from .mdp import (
     InfeasibleConstraintError,
     SolveReport,
@@ -44,7 +44,6 @@ from .simulator import (
 
 __all__ = ["ExperimentConfig", "ConfigError", "load_config", "run_experiment", "main"]
 
-_REGION_SEED_TAG = 0x5EED
 SWEEP_PARAMS = ("gamma_ps_over_gamma_s", "gamma_sp_over_gamma_p", "none")
 _SCHEMES = {s.value: s for s in SchemeKind}
 
@@ -195,21 +194,17 @@ def _run_seed(master: int, sweep_index: int) -> int:
     return int(np.random.SeedSequence([master, sweep_index]).generate_state(1)[0])
 
 
-def _sweep_point(cfg: ExperimentConfig, rates: RatePair, index: int, check_invariants: bool,
-                 estimates: dict):
+def _sweep_point(cfg: ExperimentConfig, rates: RatePair, index: int, check_invariants: bool):
     """Solve and simulate every scheme at one sweep point.
 
-    The region probabilities depend only on (mean_gamma_s, mean_gamma_ps)
-    and the rates, and every estimate starts from the same sub-seed, so
-    `estimates` keeps them by that pair for the points that share it.
-
-    Returns (index, rows, policy_records, violations, run_records); a run
-    record holds what results.csv leaves out of one simulator run: its PU
-    metrics and the counts of its compact-state walk, plus, for chain
-    decoding, the high-water marks of its decoding graph and its cycle
-    trims.  Baseline policies are re-optimized on their own compact models
-    under the same PU floor, so the comparison is between optimized
-    schemes, not one policy reused.
+    Returns (index, rows, policy_records, violations, run_records,
+    solve_records); a run record holds what results.csv leaves out of one
+    simulator run: its PU metrics and the counts of its compact-state walk,
+    plus, for chain decoding, the high-water marks of its decoding graph
+    and its cycle trims.  A solve record holds the LP diagnostics of one
+    constrained solve, the genie's included.  Baseline policies are
+    re-optimized on their own compact models under the same PU floor, so
+    the comparison is between optimized schemes, not one policy reused.
     """
     value = cfg.sweep_values[index]
     snr = _point_snr(cfg, value)
@@ -218,11 +213,7 @@ def _sweep_point(cfg: ExperimentConfig, rates: RatePair, index: int, check_invar
         arrival_pmf=saturating_arrivals(cfg.q_max),
     )
     system = SystemConfig(snr=snr, rates=rates, pu=pu_cfg)
-    key = (snr.mean_gamma_s, snr.mean_gamma_ps)
-    if key not in estimates:
-        region_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _REGION_SEED_TAG]))
-        estimates[key] = region_probabilities(snr, rates, cfg.region_samples, region_rng)
-    probs = estimates[key]
+    probs = exact_region_probabilities(snr.mean_gamma_s, snr.mean_gamma_ps, rates)
     success = system.success_probs()
     seed = _run_seed(cfg.seed, index)
 
@@ -230,6 +221,7 @@ def _sweep_point(cfg: ExperimentConfig, rates: RatePair, index: int, check_invar
     policies = []
     violations: list[str] = []
     runs = []
+    solves = []
 
     def add_row(scheme, metric, val, stderr=""):
         rows.append({
@@ -238,21 +230,31 @@ def _sweep_point(cfg: ExperimentConfig, rates: RatePair, index: int, check_invar
             "seed": seed, "n_slots": cfg.n_slots,
         })
 
-    def solve_for(model) -> SolveReport:
+    def solve_for(name, model) -> SolveReport:
         space = enumerate_space(model, pu_cfg, probs, success)
         kernel = build_kernel(space)
         idle = evaluate_policy(space, kernel, np.zeros(space.n))
         floor = cfg.constraint_fraction * idle.pu_reward.throughput
         report = solve_constrained(space, kernel, floor, cfg.constraint_component)
+        mixed = report.randomized_state
+        solves.append({
+            "sweep_value": value,
+            "scheme": name,
+            "status": report.lp_status,
+            "nit": report.lp_iterations,
+            "reachable_states": report.reachable_states,
+            "randomized_state": None if mixed is None else _state_record(mixed),
+            "floor_slack": report.floor_slack,
+        })
         return report
 
-    genie = solve_for(GenieModel(pu_cfg))
+    genie = solve_for("genie", GenieModel(pu_cfg))
     add_row("genie", "analytic_su_throughput", genie.su_throughput)
     add_row("genie", "constraint_min", genie.constraint_min)
 
     for name in cfg.schemes:
         scheme = _SCHEMES[name]
-        report = solve_for(scheme_model(scheme, pu_cfg))
+        report = solve_for(name, scheme_model(scheme, pu_cfg))
         checker = TraceInvariantChecker(system, scheme) if check_invariants else None
         metrics = run(
             scheme, report.policy, system, seed, cfg.n_slots,
@@ -294,12 +296,15 @@ def _sweep_point(cfg: ExperimentConfig, rates: RatePair, index: int, check_invar
             "mix_weight": report.mix_weight,
             "multichain_warning": report.multichain_warning,
             "states": [
-                {"cd": list(s.cd), "t": s.t, "d": s.d,
-                 "belief": list(s.belief), "mu": report.policy.probs[s]}
+                {**_state_record(s), "mu": report.policy.probs[s]}
                 for s in sorted(report.policy.probs, key=lambda s: (s.t, s.d, s.cd))
             ],
         })
-    return index, rows, policies, violations, runs
+    return index, rows, policies, violations, runs, solves
+
+
+def _state_record(s) -> dict:
+    return {"cd": list(s.cd), "t": s.t, "d": s.d, "belief": list(s.belief)}
 
 
 def run_experiment(
@@ -320,9 +325,6 @@ def run_experiment(
     out.mkdir(parents=True, exist_ok=True)
     rates = _resolve_rates(cfg)
 
-    # Worker processes each get their own copy of `estimates`, so only a
-    # serial sweep shares region estimates between points.
-    estimates: dict = {}
     indices = range(len(cfg.sweep_values))
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
@@ -332,10 +334,9 @@ def run_experiment(
                 [rates] * len(cfg.sweep_values),
                 indices,
                 [check_invariants] * len(cfg.sweep_values),
-                [estimates] * len(cfg.sweep_values),
             ))
     else:
-        results = [_sweep_point(cfg, rates, i, check_invariants, estimates) for i in indices]
+        results = [_sweep_point(cfg, rates, i, check_invariants) for i in indices]
     results.sort(key=lambda r: r[0])
 
     results_path = out / "results.csv"
@@ -345,16 +346,16 @@ def run_experiment(
             "stderr", "seed", "n_slots",
         ])
         writer.writeheader()
-        for _, rows, _, _, _ in results:
+        for _, rows, *_ in results:
             writer.writerows(rows)
 
     policies_path = out / "policies.jsonl"
     with policies_path.open("w") as fh:
-        for _, _, pols, _, _ in results:
+        for _, _, pols, *_ in results:
             for rec in pols:
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
-    violations = [v for _, _, _, vs, _ in results for v in vs]
+    violations = [v for _, _, _, vs, *_ in results for v in vs]
     meta = {
         "version": __version__,
         "config": {k: (list(v) if isinstance(v, tuple) else v)
@@ -363,11 +364,13 @@ def run_experiment(
         "assumptions": [
             "baseline access policies re-optimized per scheme on scheme-specific "
             "compact models under the shared PU floor",
-            "region probabilities estimated by Monte Carlo with a fixed sub-seed",
+            "region probabilities in closed form from the exponential gain laws; "
+            "region_samples does not affect the output",
         ],
         "invariants_checked": check_invariants,
         "invariant_violations": violations,
-        "simulator_runs": [run for _, _, _, _, runs in results for run in runs],
+        "simulator_runs": [run for _, _, _, _, runs, _ in results for run in runs],
+        "solves": [solve for *_, solves in results for solve in solves],
     }
     meta_path = out / "run-metadata.json"
     meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")

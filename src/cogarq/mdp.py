@@ -5,9 +5,13 @@ ARQ pair (t, d) and the queue belief.  A scheme model supplies its phase
 set, per-outcome reward, and phase update; everything else (feedback
 distribution, ARQ dynamics, belief filtering) is shared.  The constrained
 problem, maximize SU throughput subject to a floor on a PU reward
-component, is solved by policy iteration inside a Lagrange-multiplier
-bisection, with a final randomization between the two policies bracketing
-the constraint.
+component, is solved exactly by one linear program over state-action
+occupation measures (Altman, Constrained Markov Decision Processes, 1999,
+ch. 4), whose optimum randomizes in at most one state.
+
+`scipy.optimize` is imported inside `solve_constrained`, not here: it
+costs about 0.2 s and 15 MB, which a run that stops at config validation
+should not pay.  A full run still pays it, once, at its first solve.
 """
 
 from __future__ import annotations
@@ -128,7 +132,15 @@ class SolveReport:
     constraint_value: float
     feasible: bool
     multichain_warning: bool = False
-    mix_weight: float | None = None
+    mix_weight: float | None = None  # transmit probability of the randomized state
+    # LP diagnostics: HiGHS status and iteration count, the reachable states
+    # it ran over, the one state it randomizes (or None) and the slack of
+    # the floor row.
+    lp_status: int = 0
+    lp_iterations: int = 0
+    reachable_states: int = 0
+    randomized_state: MdpState | None = None
+    floor_slack: float = 0.0
 
 
 def _feedback_branches(t, d, belief, a_s, space):
@@ -348,44 +360,12 @@ def _policy_from_vector(space: StateSpace, mu: np.ndarray) -> AccessPolicy:
     return AccessPolicy({s: float(mu[i]) for i, s in enumerate(space.states)})
 
 
-# -- policy iteration and the constrained solve -----------------------------------
+# -- the constrained solve ----------------------------------------------------------
 
-
-def _policy_iteration(p: np.ndarray, reward: np.ndarray, ref: int, init=None, max_iter=200):
-    """Unconstrained average-reward policy iteration over deterministic policies.
-
-    `p` has shape (n, 2, n) and `reward` (n, 2).  Returns the optimal
-    action vector.  The improvement step keeps the incumbent action on
-    ties, which guarantees termination on unichain models.  A singular
-    evaluation (parallel recurrent classes under a degenerate policy) is
-    retried with a vanishing uniform mixture, which restores a single
-    chain whenever the uniform policy has one.
-    """
-    n = reward.shape[0]
-    pol = np.zeros(n, dtype=int) if init is None else init.copy()
-    rows = np.arange(n)
-    for _ in range(max_iter):
-        p_pol = p[rows, pol, :]
-        r_pol = reward[rows, pol]
-        a = np.zeros((n + 1, n + 1))
-        a[:n, :n] = np.eye(n) - p_pol
-        a[:n, n] = 1.0
-        a[n, ref] = 1.0
-        b = np.concatenate([r_pol, [0.0]])
-        try:
-            sol = np.linalg.solve(a, b)
-        except np.linalg.LinAlgError:
-            eps = 1e-9
-            blend = (1.0 - eps) * p_pol + eps * 0.5 * (p[:, 0, :] + p[:, 1, :])
-            a[:n, :n] = np.eye(n) - blend
-            sol = np.linalg.solve(a, b)
-        h = sol[:n]
-        q = reward + p @ h  # (n, 2)
-        better = q[rows, 1 - pol] > q[rows, pol] + 1e-10
-        if not better.any():
-            return pol
-        pol = np.where(better, 1 - pol, pol)
-    raise RuntimeError("policy iteration failed to converge")
+# An occupation of at most this much marks an action or a state as unused.
+_UNUSED = 1e-12
+# A floor row with more slack than this is not binding: its multiplier is 0.
+_SLACK_TOL = 1e-9
 
 
 def solve_constrained(
@@ -393,17 +373,21 @@ def solve_constrained(
     kernel: Kernel,
     constraint_min: float,
     component: str = "throughput",
-    lambda_tol: float = 1e-6,
     constraint_tol: float = 1e-4,
 ) -> SolveReport:
     """Maximize SU throughput subject to a floor on one PU reward component.
 
-    The Lagrangian reward r_su + lambda * r_pu is maximized by policy
-    iteration; lambda is bisected to the smallest multiplier whose optimal
-    policy meets the floor, and the two bracketing deterministic policies
-    are then mixed per state to land on the constraint.  An unattainable
-    floor raises InfeasibleConstraintError.
+    One linear program over the state-action occupation measure x of the
+    jointly-reachable states: maximize sum x r_su subject to the balance
+    equations, sum x = 1 and sum x r_pu >= floor.  With one constraint the
+    optimum randomizes in at most one state.  A state the optimum occupies
+    takes the action frequencies x[s, 1] / occ[s]; a state it leaves empty
+    takes the action greedy for the Lagrangian reward r_su + lambda r_pu
+    against the bias h, both read from the duals.  An unattainable floor
+    raises InfeasibleConstraintError.
     """
+    from scipy.optimize import linprog  # see the module docstring
+
     if component not in REWARD_COMPONENTS:
         raise ValueError(f"unknown constraint component {component!r}")
     comp = REWARD_COMPONENTS.index(component)
@@ -411,95 +395,58 @@ def solve_constrained(
     # the solver works on the jointly-reachable subset; product states that
     # no trajectory can visit keep the idle action and zero mass
     ridx = np.nonzero(space.reachable)[0]
+    m = ridx.size
     p_sub = kernel.p[np.ix_(ridx, np.arange(2), ridx)]
-    r_su_sub = kernel.r_su[ridx]
-    r_c_sub = kernel.r_pu[ridx, :, comp]
-    ref = int(np.nonzero(ridx == space.index[space.initial])[0][0])
-
-    def expand(pol_sub) -> np.ndarray:
-        mu = np.zeros(space.n)
-        mu[ridx] = pol_sub
-        return mu
-
-    idle = evaluate_policy(space, kernel, np.zeros(space.n))
-    if idle.pu_reward.component(component) < constraint_min - 1e-12:
+    r_su = kernel.r_su[ridx]
+    r_c = kernel.r_pu[ridx, :, comp]
+    # column 2 s + a holds x[s, a]; rows: inflow balance per state, then sum x = 1
+    a_eq = np.vstack([np.repeat(np.eye(m), 2, axis=1) - p_sub.reshape(2 * m, m).T,
+                      np.ones((1, 2 * m))])
+    b_eq = np.zeros(m + 1)
+    b_eq[m] = 1.0
+    res = linprog(-r_su.ravel(), A_ub=-r_c.reshape(1, -1), b_ub=[-constraint_min],
+                  A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    if res.status == 2:
+        idle = evaluate_policy(space, kernel, np.zeros(space.n)).pu_reward.component(component)
         raise InfeasibleConstraintError(
-            f"PU {component} floor {constraint_min} exceeds the idle-SU value "
-            f"{idle.pu_reward.component(component)}"
+            f"PU {component} floor {constraint_min} exceeds the idle-SU value {idle}"
         )
+    if res.status != 0:
+        raise RuntimeError(f"constrained LP failed: {res.message}")
 
-    def solve_at(lam, init=None):
-        pol = _policy_iteration(p_sub, r_su_sub + lam * r_c_sub, ref, init=init)
-        res = evaluate_policy(space, kernel, expand(pol.astype(float)))
-        return pol, res
+    x = np.where(res.x > _UNUSED, res.x, 0.0).reshape(m, 2)
+    occ = x.sum(axis=1)
+    slack = float(res.ineqlin.residual[0])
+    multiplier = 0.0 if slack > _SLACK_TOL else max(-float(res.ineqlin.marginals[0]), 0.0)
+    h = -res.eqlin.marginals[:m]
+    q = r_su + multiplier * r_c + p_sub @ h
+    greedy = (q[:, 1] > q[:, 0]).astype(float)
+    mu_sub = np.divide(x[:, 1], occ, out=greedy, where=occ > 0.0)
+    mixed = np.nonzero((mu_sub > 0.0) & (mu_sub < 1.0))[0]
 
-    pol0, res0 = solve_at(0.0)
-    if res0.pu_reward.component(component) >= constraint_min - 1e-12:
-        policy = _policy_from_vector(space, expand(pol0.astype(float)))
-        return SolveReport(
-            policy=policy,
-            su_throughput=res0.su_throughput,
-            pu_reward=res0.pu_reward,
-            multiplier=0.0,
-            stationary=res0.stationary,
-            constraint_component=component,
-            constraint_min=constraint_min,
-            constraint_value=res0.pu_reward.component(component),
-            feasible=True,
-            multichain_warning=res0.multichain_warning,
-        )
-
-    lam_lo, pol_lo = 0.0, pol0
-    lam_hi = 1.0
-    pol_hi, res_hi = solve_at(lam_hi, init=pol_lo)
-    while res_hi.pu_reward.component(component) < constraint_min - 1e-12:
-        lam_lo, pol_lo = lam_hi, pol_hi
-        lam_hi *= 4.0
-        if lam_hi > 1e9:
-            raise RuntimeError("no multiplier reaches the constraint floor")
-        pol_hi, res_hi = solve_at(lam_hi, init=pol_hi)
-    while lam_hi - lam_lo > lambda_tol:
-        mid = 0.5 * (lam_lo + lam_hi)
-        pol_mid, res_mid = solve_at(mid, init=pol_hi)
-        if res_mid.pu_reward.component(component) >= constraint_min - 1e-12:
-            lam_hi, pol_hi, res_hi = mid, pol_mid, res_mid
-        else:
-            lam_lo, pol_lo = mid, pol_mid
-
-    # Randomized mixing between the bracketing deterministic policies.
-    lo_val = evaluate_policy(space, kernel, expand(pol_lo.astype(float))).pu_reward.component(component)
-    if np.array_equal(pol_lo, pol_hi) or lo_val >= constraint_min - 1e-12:
-        mu = (pol_hi if lo_val < constraint_min - 1e-12 else pol_lo).astype(float)
-        mix = None
-    else:
-        a_lo, a_hi = 0.0, 1.0
-        for _ in range(64):
-            alpha = 0.5 * (a_lo + a_hi)
-            mu_try = (1.0 - alpha) * pol_lo + alpha * pol_hi
-            val = evaluate_policy(space, kernel, expand(mu_try)).pu_reward.component(component)
-            if val >= constraint_min:
-                a_hi = alpha
-            else:
-                a_lo = alpha
-        mix = a_hi
-        mu = (1.0 - a_hi) * pol_lo + a_hi * pol_hi
-    mu = expand(mu)
-    res = evaluate_policy(space, kernel, mu)
-    value = res.pu_reward.component(component)
+    mu = np.zeros(space.n)
+    mu[ridx] = mu_sub
+    res_eval = evaluate_policy(space, kernel, mu)
+    value = res_eval.pu_reward.component(component)
     if value < constraint_min - constraint_tol:
         raise RuntimeError(
             f"constrained solve missed the floor: {value} < {constraint_min}"
         )
     return SolveReport(
         policy=_policy_from_vector(space, mu),
-        su_throughput=res.su_throughput,
-        pu_reward=res.pu_reward,
-        multiplier=lam_hi,
-        stationary=res.stationary,
+        su_throughput=res_eval.su_throughput,
+        pu_reward=res_eval.pu_reward,
+        multiplier=multiplier,
+        stationary=res_eval.stationary,
         constraint_component=component,
         constraint_min=constraint_min,
         constraint_value=value,
         feasible=True,
-        multichain_warning=res.multichain_warning,
-        mix_weight=mix,
+        multichain_warning=res_eval.multichain_warning,
+        mix_weight=float(mu_sub[mixed[0]]) if mixed.size else None,
+        lp_status=int(res.status),
+        lp_iterations=int(res.nit),
+        reachable_states=int(m),
+        randomized_state=space.states[ridx[mixed[0]]] if mixed.size else None,
+        floor_slack=slack,
     )

@@ -1,9 +1,12 @@
 """Independent oracles and scalar references used only by the tests.
 
 These deliberately avoid the package's own code paths: region probabilities
-come from exact piecewise-exponential integration (with a Gauss-Laguerre
+come from Monte Carlo sampling of the gains (with a Gauss-Laguerre
 quadrature as a coarse cross-check), chain closure from boolean adjacency
-matrix powers, and the constrained solve from an occupation-measure LP.
+matrix powers, and the constrained solve from policy iteration inside a
+multiplier bisection, evaluated by powers of the lazy chain.  The package
+computes the first and last exactly: closed-form region integrals and an
+occupation-measure LP.
 
 The package runs only vectorized and table-driven per-slot code, so the
 scalar references live here: the one-slot channel classifier and PU decoding
@@ -21,10 +24,9 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy.optimize import linprog
 
 from cogarq.cd_graph import CdGraph, prune_unreachable, pu, record_slot, su
-from cogarq.channel import RatePair, classify_su_outcomes
+from cogarq.channel import AvgSnrConfig, RatePair, RegionProbabilities, classify_su_outcomes
 from cogarq.pu_system import PuConfig
 from cogarq.pu_tracker import PuFeedback
 from cogarq.simulator import InvariantReport, SchemeKind, SystemConfig, TraceInvariantChecker
@@ -210,59 +212,23 @@ def check_trace_invariants(
     return checker.report
 
 
-def exact_region_probabilities(mean_s: float, mean_ps: float, r: RatePair) -> np.ndarray:
-    """Closed-form region probabilities under independent exponential gains.
+def region_probabilities(
+    cfg: AvgSnrConfig, r: RatePair, n_samples: int, rng: np.random.Generator
+) -> RegionProbabilities:
+    """Monte Carlo estimate of the seven region probabilities.
 
-    All seven region boundaries are straight lines in the gain plane, so
-    each probability reduces to one-dimensional exponential integrals.
-    Degenerate means (zero) are handled by the appropriate limits.
+    Each sample of (gamma_s, gamma_ps) lands in exactly one region, so the
+    seven estimates sum to one exactly.  The reference for
+    `cogarq.channel.exact_region_probabilities`.
     """
-    a = 2.0 ** r.r_s - 1.0
-    b = 2.0 ** r.r_p - 1.0
-    c = 2.0 ** (r.r_s + r.r_p) - 1.0  # equals a + b + a*b
-
-    def es(x):  # P(gamma_s > x)
-        if mean_s == 0.0:
-            return 1.0 if x < 0 else 0.0
-        return math.exp(-x / mean_s)
-
-    def eps(y):
-        if mean_ps == 0.0:
-            return 1.0 if y < 0 else 0.0
-        return math.exp(-y / mean_ps)
-
-    if mean_ps == 0.0:
-        # gamma_ps identically zero: only regions 2 and 4 have mass
-        d_s = es(a)
-        return np.array([0.0, d_s, 0.0, 1.0 - d_s, 0.0, 0.0, 0.0])
-    if mean_s == 0.0:
-        d_p = eps(b)
-        return np.array([0.0, 0.0, d_p, 1.0 - d_p, 0.0, 0.0, 0.0])
-
-    # region 2: gamma_ps <= b, gamma_s > a (1 + gamma_ps)
-    k = 1.0 / mean_ps + a / mean_s
-    d_s = math.exp(-a / mean_s) * (1.0 - math.exp(-b * k)) / (mean_ps * k)
-    # region 3: gamma_s <= a, gamma_ps > b (1 + gamma_s)
-    k2 = 1.0 / mean_s + b / mean_ps
-    d_p = math.exp(-b / mean_ps) * (1.0 - math.exp(-a * k2)) / (mean_s * k2)
-    u_0 = (1.0 - es(a)) * (1.0 - eps(b))
-    u_s = es(a) * (1.0 - eps(b)) - d_s
-    u_p = eps(b) * (1.0 - es(a)) - d_p
-    # region 1: gamma_s > a, gamma_ps > b, gamma_s + gamma_ps > c
-    lam = 1.0 / mean_s - 1.0 / mean_ps
-    lo, hi = a, c - b
-    if abs(lam) < 1e-13:
-        integral = math.exp(-c / mean_ps) * (hi - lo) / mean_s
-    else:
-        integral = (
-            math.exp(-c / mean_ps)
-            / mean_s
-            * (math.exp(-lam * lo) - math.exp(-lam * hi))
-            / lam
-        )
-    d_sp = integral + es(c - b) * eps(b)
-    u_sp = es(a) * eps(b) - d_sp
-    return np.array([d_sp, d_s, d_p, u_0, u_s, u_p, u_sp])
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    gs = rng.exponential(cfg.mean_gamma_s, n_samples) if cfg.mean_gamma_s > 0 else np.zeros(n_samples)
+    gps = rng.exponential(cfg.mean_gamma_ps, n_samples) if cfg.mean_gamma_ps > 0 else np.zeros(n_samples)
+    regions = classify_su_outcomes(gs, gps, r)
+    counts = np.bincount(regions, minlength=8)[1:8]
+    probs = counts / float(n_samples)
+    return RegionProbabilities(*probs.tolist())
 
 
 def gauss_laguerre_region_probabilities(
@@ -304,33 +270,139 @@ def matrix_power_closure(n_nodes: int, edges, seeds) -> set:
     return {i for i in range(n_nodes) if reach[i]}
 
 
-def lp_constrained_solve(kernel, floor: float | None, component: int = 0):
-    """Occupation-measure LP for the average-reward problem.
+def limit_distribution(p: np.ndarray, start: int) -> np.ndarray:
+    """Long-run state distribution of the chain `p` started in `start`.
 
-    Maximizes the SU reward over stationary state-action frequencies,
-    optionally subject to a floor on one PU reward component.  Returns
-    (optimal value, access fraction).
+    Squares the lazy chain (I + P) / 2, which has the same stationary laws
+    and no periodicity, 64 times, renormalizing the rows each time, and
+    reads the row of `start`.  This is the oracle's own evaluation, apart
+    from the package's recurrent-class solve; on a chain with one recurrent
+    class reachable from `start` the two agree.
     """
-    n = kernel.p.shape[0]
-    c = np.array([-kernel.r_su[s, a] for s in range(n) for a in (0, 1)])
-    a_eq = np.zeros((n + 1, 2 * n))
-    for s in range(n):
-        for a in (0, 1):
-            col = 2 * s + a
-            a_eq[s, col] += 1.0
-            a_eq[:n, col] -= kernel.p[s, a, :]
-            a_eq[n, col] = 1.0
-    b_eq = np.zeros(n + 1)
-    b_eq[n] = 1.0
-    a_ub = b_ub = None
-    if floor is not None:
-        a_ub = np.array(
-            [[-kernel.r_pu[s, a, component] for s in range(n) for a in (0, 1)]]
-        )
-        b_ub = np.array([-floor])
-    res = linprog(c, A_eq=a_eq, b_eq=b_eq, A_ub=a_ub, b_ub=b_ub,
-                  bounds=(0, None), method="highs")
-    if not res.success:
-        raise RuntimeError(f"LP failed: {res.message}")
-    x = res.x.reshape(n, 2)
-    return -res.fun, float(x[:, 1].sum())
+    m = 0.5 * (np.eye(p.shape[0]) + p)
+    for _ in range(64):
+        m = m @ m
+        m /= m.sum(axis=1, keepdims=True)
+    return m[start]
+
+
+def _oracle_evaluate(kernel, mu: np.ndarray, start: int, comp: int):
+    """(SU reward, PU component) long-run averages of the policy `mu`."""
+    p = (1.0 - mu)[:, None] * kernel.p[:, 0, :] + mu[:, None] * kernel.p[:, 1, :]
+    pi = limit_distribution(p, start)
+    r_su = (1.0 - mu) * kernel.r_su[:, 0] + mu * kernel.r_su[:, 1]
+    r_c = (1.0 - mu) * kernel.r_pu[:, 0, comp] + mu * kernel.r_pu[:, 1, comp]
+    return float(pi @ r_su), float(pi @ r_c)
+
+
+def _policy_iteration(p: np.ndarray, reward: np.ndarray, ref: int, init=None, max_iter=200):
+    """Unconstrained average-reward policy iteration over deterministic policies.
+
+    `p` has shape (n, 2, n) and `reward` (n, 2).  Returns the optimal
+    action vector.  The improvement step keeps the incumbent action on
+    ties, which guarantees termination on unichain models.  A singular
+    evaluation (parallel recurrent classes under a degenerate policy) is
+    retried with a vanishing uniform mixture, which restores a single
+    chain whenever the uniform policy has one.
+    """
+    n = reward.shape[0]
+    pol = np.zeros(n, dtype=int) if init is None else init.copy()
+    rows = np.arange(n)
+    for _ in range(max_iter):
+        p_pol = p[rows, pol, :]
+        r_pol = reward[rows, pol]
+        a = np.zeros((n + 1, n + 1))
+        a[:n, :n] = np.eye(n) - p_pol
+        a[:n, n] = 1.0
+        a[n, ref] = 1.0
+        b = np.concatenate([r_pol, [0.0]])
+        try:
+            sol = np.linalg.solve(a, b)
+        except np.linalg.LinAlgError:
+            eps = 1e-9
+            blend = (1.0 - eps) * p_pol + eps * 0.5 * (p[:, 0, :] + p[:, 1, :])
+            a[:n, :n] = np.eye(n) - blend
+            sol = np.linalg.solve(a, b)
+        h = sol[:n]
+        q = reward + p @ h  # (n, 2)
+        better = q[rows, 1 - pol] > q[rows, pol] + 1e-10
+        if not better.any():
+            return pol
+        pol = np.where(better, 1 - pol, pol)
+    raise RuntimeError("policy iteration failed to converge")
+
+
+@dataclass
+class PiSolution:
+    su: float           # long-run SU reward
+    constraint: float   # long-run value of the constrained PU component
+    multiplier: float   # 0 when the floor is slack, else the bisected lambda
+    mu: np.ndarray      # transmit probability per state of the kernel
+
+
+def pi_constrained_solve(kernel, reachable: np.ndarray, start: int, floor: float,
+                         component: int = 0, lambda_tol: float = 1e-6) -> PiSolution:
+    """Constrained solve by policy iteration inside a multiplier bisection.
+
+    The Lagrangian reward r_su + lambda r_pu is maximized by policy
+    iteration on the reachable states; lambda is bisected to the smallest
+    multiplier whose optimal policy meets the floor, and the two bracketing
+    deterministic policies are mixed state by state, with the weight
+    bisected to land on the floor.  This was the package's solver before
+    the occupation-measure LP replaced it; it shares no code with the LP or
+    with `cogarq.mdp`'s evaluation.  The floor must be feasible.
+    """
+    ridx = np.nonzero(reachable)[0]
+    p_sub = kernel.p[np.ix_(ridx, np.arange(2), ridx)]
+    r_su_sub = kernel.r_su[ridx]
+    r_c_sub = kernel.r_pu[ridx, :, component]
+    ref = int(np.nonzero(ridx == start)[0][0])
+
+    def expand(pol_sub) -> np.ndarray:
+        mu = np.zeros(kernel.p.shape[0])
+        mu[ridx] = pol_sub
+        return mu
+
+    def value(pol_sub):
+        return _oracle_evaluate(kernel, expand(pol_sub), start, component)
+
+    def solve_at(lam, init=None):
+        pol = _policy_iteration(p_sub, r_su_sub + lam * r_c_sub, ref, init=init)
+        return pol, value(pol.astype(float))[1]
+
+    pol0, c0 = solve_at(0.0)
+    if c0 >= floor - 1e-12:
+        su, c = value(pol0.astype(float))
+        return PiSolution(su, c, 0.0, expand(pol0.astype(float)))
+
+    lam_lo, pol_lo = 0.0, pol0
+    lam_hi = 1.0
+    pol_hi, c_hi = solve_at(lam_hi, init=pol_lo)
+    while c_hi < floor - 1e-12:
+        lam_lo, pol_lo = lam_hi, pol_hi
+        lam_hi *= 4.0
+        if lam_hi > 1e9:
+            raise RuntimeError("no multiplier reaches the constraint floor")
+        pol_hi, c_hi = solve_at(lam_hi, init=pol_hi)
+    while lam_hi - lam_lo > lambda_tol:
+        mid = 0.5 * (lam_lo + lam_hi)
+        pol_mid, c_mid = solve_at(mid, init=pol_hi)
+        if c_mid >= floor - 1e-12:
+            lam_hi, pol_hi = mid, pol_mid
+        else:
+            lam_lo, pol_lo = mid, pol_mid
+
+    lo_val = value(pol_lo.astype(float))[1]
+    if np.array_equal(pol_lo, pol_hi) or lo_val >= floor - 1e-12:
+        mu = (pol_hi if lo_val < floor - 1e-12 else pol_lo).astype(float)
+    else:
+        a_lo, a_hi = 0.0, 1.0
+        for _ in range(64):
+            alpha = 0.5 * (a_lo + a_hi)
+            if value((1.0 - alpha) * pol_lo + alpha * pol_hi)[1] >= floor:
+                a_hi = alpha
+            else:
+                a_lo = alpha
+        mu = (1.0 - a_hi) * pol_lo + a_hi * pol_hi
+    su, c = value(mu)
+    return PiSolution(su, c, lam_hi, expand(mu))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from cogarq.cd_graph import CdGraph, closure, is_pu, pu, slot_of, su
-from cogarq.channel import AvgSnrConfig, RatePair, optimize_rate, region_probabilities
+from cogarq.channel import AvgSnrConfig, RatePair, optimize_rate
 from cogarq.mdp import (
     AccessPolicy,
     MdpState,
@@ -33,7 +33,7 @@ from cogarq.simulator import (
 )
 from cogarq.virtual_state import point_belief
 
-from _oracles import lp_constrained_solve, matrix_power_closure
+from _oracles import matrix_power_closure, pi_constrained_solve, region_probabilities
 
 MC_SLOTS = 100_000
 # PU throughput floor, as a fraction of its value with the SU idle
@@ -69,11 +69,11 @@ def _solve_with_kernel(system, probs, scheme_or_model):
     idle = evaluate_policy(space, kernel, np.zeros(space.n))
     floor = FLOOR_FRACTION * idle.pu_reward.throughput
     rep = solve_constrained(space, kernel, floor)
-    return rep, floor, kernel
+    return rep, floor, space, kernel
 
 
 def _solve(system, probs, scheme_or_model):
-    rep, floor, _ = _solve_with_kernel(system, probs, scheme_or_model)
+    rep, floor, _, _ = _solve_with_kernel(system, probs, scheme_or_model)
     return rep, floor
 
 
@@ -337,18 +337,18 @@ def test_criterion_8_fig6_shape():
     theta_p = 2.0 ** rates.r_p - 1.0
     r_star = (1.0 / FLOOR_FRACTION - 1.0) / theta_p
     values, fails = [], []
-    lp_gap = 0.0
+    pi_gap = 0.0
     for ratio in ratios:
         snr = AvgSnrConfig(5.0, 5.0, 10.0, ratio * 10.0)
         system = SystemConfig(snr, rates, pu_cfg)
         probs = region_probabilities(
             snr, rates, 1_000_000,
             np.random.default_rng(np.random.SeedSequence([1, 0x5EED])))
-        rep, floor, kernel = _solve_with_kernel(
+        rep, floor, space, kernel = _solve_with_kernel(
             system, probs, SchemeKind.CHAIN_DECODING)
         values.append(rep.su_throughput)
-        lp_val, _ = lp_constrained_solve(kernel, floor)
-        lp_gap = max(lp_gap, abs(rep.su_throughput - lp_val))
+        oracle = pi_constrained_solve(kernel, space.reachable, space.index[space.initial], floor)
+        pi_gap = max(pi_gap, abs(rep.su_throughput - oracle.su))
         if ratio < r_star and rep.multiplier != 0.0:
             fails.append(f"floor binds below r* at {ratio}")
         if ratio > r_star and abs(rep.constraint_value - floor) > 1e-4:
@@ -364,12 +364,12 @@ def test_criterion_8_fig6_shape():
         fails.append("peak at an end of the grid")
     if peak not in (below, above):
         fails.append(f"peak outside the bracket [{below}, {above}] of r*")
-    if lp_gap > 1e-6:
-        fails.append(f"solver-LP gap {lp_gap:.1e}")
+    if pi_gap > 1e-6:
+        fails.append(f"solver-PI gap {pi_gap:.1e}")
     ok = unimodal and not fails
     detail = (f"curve {[round(v, 4) for v in values]} over ratios {ratios}; "
               f"unimodal={unimodal}, peak at {peak}, r*={r_star:.4f} "
-              f"bracketed by [{below}, {above}], max |solver-LP|={lp_gap:.1e}"
+              f"bracketed by [{below}, {above}], max |solver-PI|={pi_gap:.1e}"
               + ("; " + "; ".join(fails) if fails else ""))
     _report("8 fig6 shape", ok, detail)
 

@@ -11,18 +11,18 @@ from cogarq.channel import (
     RatePair,
     classify_su_outcomes,
     draw_gain_arrays,
+    exact_region_probabilities,
     optimize_rate,
     pu_success_probability,
-    region_probabilities,
 )
 
 from _oracles import (
     LinkGains,
     capacity,
     classify_su_outcome,
-    exact_region_probabilities,
     gauss_laguerre_region_probabilities,
     pu_success,
+    region_probabilities,
 )
 
 R11 = RatePair(1.0, 1.0)
@@ -186,17 +186,43 @@ def test_region_probabilities_match_exact_integrals(means, rates):
     cfg = AvgSnrConfig(means[0], means[1], 1.0, 1.0)
     n = 1_000_000
     mc = region_probabilities(cfg, r, n, np.random.default_rng(5)).as_array()
-    exact = exact_region_probabilities(means[0], means[1], r)
+    exact = exact_region_probabilities(means[0], means[1], r).as_array()
     assert exact.sum() == pytest.approx(1.0, abs=1e-12)
     se = np.sqrt(np.maximum(exact * (1 - exact), 1e-12) / n)
     assert (np.abs(mc - exact) <= 3 * se + 1e-9).all()
+
+
+@pytest.mark.parametrize("ratio", [1e-9, 1e-6, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1e9])
+def test_exact_regions_at_extreme_mean_ratios(ratio):
+    # gamma_ps / gamma_s = 2e-7 is a valid sweep value; the closed form
+    # must stay finite there and agree with sampling at both extremes and
+    # next to equal means
+    r = RatePair(optimize_rate(5.0), optimize_rate(10.0))
+    exact = exact_region_probabilities(5.0, 5.0 * ratio, r).as_array()
+    assert np.isfinite(exact).all()
+    assert exact.sum() == pytest.approx(1.0, abs=1e-12)
+    n = 1_000_000
+    cfg = AvgSnrConfig(5.0, 5.0 * ratio, 1.0, 1.0)
+    mc = region_probabilities(cfg, r, n, np.random.default_rng(5)).as_array()
+    se = np.sqrt(np.maximum(exact * (1 - exact), 1e-12) / n)
+    assert (np.abs(mc - exact) <= 3 * se + 1e-9).all()
+
+
+def test_exact_regions_continuous_across_equal_means():
+    # the region-1 integral has a removable singularity at equal means
+    r = RatePair(1.0, 1.0)
+    at = exact_region_probabilities(5.0, 5.0, r).as_array()
+    for eps in (1e-15, 1e-12, 1e-10, 1e-8):
+        for sign in (-1.0, 1.0):
+            near = exact_region_probabilities(5.0, 5.0 * (1.0 + sign * eps), r).as_array()
+            assert np.abs(near - at).max() <= 10.0 * eps + 1e-15
 
 
 def test_gauss_laguerre_cross_check():
     # coarse agreement only: the indicator discontinuities cap the
     # quadrature's accuracy far above the Monte Carlo standard error
     r = RatePair(1.0, 1.0)
-    exact = exact_region_probabilities(5.0, 5.0, r)
+    exact = exact_region_probabilities(5.0, 5.0, r).as_array()
     gl = gauss_laguerre_region_probabilities(5.0, 5.0, r, nodes=64)
     assert np.abs(gl - exact).max() < 0.06
 

@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -153,6 +156,19 @@ def test_main_exit_codes(tmp_path, capsys):
     assert "bad.cfg" in err
 
 
+def test_config_error_loads_no_lp_solver(tmp_path):
+    # scipy.optimize is imported at the first solve, so a run that stops at
+    # validation never pays for it
+    bad = write(tmp_path, "mean_gamma_s = 5\nmean_gamma_p = 10\nn_slots = 0\n")
+    code = ("import sys; from cogarq.cli import main; "
+            f"code = main([{str(bad)!r}, '-o', {str(tmp_path / 'out')!r}]); "
+            "print(code, 'scipy.optimize' in sys.modules)")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert done.stdout.split() == ["2", "False"], done.stderr
+
+
 @pytest.mark.parametrize(
     "key,value",
     [
@@ -178,23 +194,58 @@ def test_main_rejects_out_of_range_values(tmp_path, capsys, key, value):
     assert f"exp.cfg:{len(text.splitlines())}:" in err
 
 
-def test_region_estimate_shared_along_cross_link_sweep(tmp_path, monkeypatch):
+def test_each_sweep_point_computes_its_own_regions(tmp_path, monkeypatch):
     text = (GOOD.replace("sweep = gamma_ps_over_gamma_s", "sweep = gamma_sp_over_gamma_p")
             .replace("sweep_values = 0.2, 1", "sweep_values = 0.05, 0.2, 1")
             .replace("schemes = chain_decoding, no_fic_bic", "schemes = no_fic_bic"))
     path = write(tmp_path, text)
-    estimate = cli.region_probabilities
+    regions = cli.exact_region_probabilities
     calls = []
-    monkeypatch.setattr(cli, "region_probabilities", lambda *a: calls.append(a) or estimate(*a))
+    monkeypatch.setattr(cli, "exact_region_probabilities",
+                        lambda *a: calls.append(a) or regions(*a))
     paths = run_experiment(path, tmp_path / "out")
-    assert len(calls) == 1
-    # every point holds the rows it gets from an estimate of its own
+    # one closed-form evaluation per point, at the same means along a
+    # cross-link sweep
+    assert len(calls) == 3 and len(set(calls)) == 1
+    # every point holds the rows it gets when solved alone
     cfg = load_config(path)
     rates = cli._resolve_rates(cfg)
     want = [{k: str(v) for k, v in row.items()}
-            for i in range(3) for row in cli._sweep_point(cfg, rates, i, False, {})[1]]
-    assert len(calls) == 4
+            for i in range(3) for row in cli._sweep_point(cfg, rates, i, False)[1]]
     assert list(csv.DictReader(paths["results"].open())) == want
+
+
+def test_metadata_reports_solver_diagnostics(tmp_path):
+    paths = run_experiment(write(tmp_path, GOOD), tmp_path / "out")
+    meta = json.loads(paths["metadata"].read_text())
+    solves = meta["solves"]
+    assert [(r["sweep_value"], r["scheme"]) for r in solves] == [
+        (v, s) for v in (0.2, 1.0) for s in ("genie", "chain_decoding", "no_fic_bic")]
+    pols = {(p["sweep_value"], p["scheme"]): p for p in map(json.loads, paths["policies"].open())}
+    for r in solves:
+        assert r["status"] == 0
+        assert isinstance(r["nit"], int) and r["nit"] >= 0
+        assert r["floor_slack"] >= -1e-9
+        pol = pols.get((r["sweep_value"], r["scheme"]))
+        if pol is None:  # the genie has no policy record
+            continue
+        assert 1 <= r["reachable_states"] <= len(pol["states"])
+        if r["floor_slack"] > 1e-9:
+            assert pol["multiplier"] == 0.0
+        mixed = [st for st in pol["states"] if 0.0 < st["mu"] < 1.0]
+        assert len(mixed) <= 1
+        if r["randomized_state"] is None:
+            assert not mixed and pol["mix_weight"] is None
+        else:
+            assert {k: mixed[0][k] for k in ("cd", "t", "d", "belief")} == r["randomized_state"]
+            assert pol["mix_weight"] == mixed[0]["mu"]
+    # the floor binds at the larger cross link, so some solve randomizes
+    assert any(r["randomized_state"] for r in solves)
+    assert any("closed form" in a for a in meta["assumptions"])
+    rows = list(csv.DictReader(paths["results"].open()))
+    assert {r["metric"] for r in rows} == {
+        "analytic_su_throughput", "analytic_pu_throughput", "constraint_min",
+        "mc_su_throughput", "mc_pu_throughput", "drop_rate"}
 
 
 def test_policies_report_the_multichain_flag(tmp_path):

@@ -2,8 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cogarq.channel import AvgSnrConfig, RatePair, RegionProbabilities, region_probabilities
+from cogarq.channel import AvgSnrConfig, RatePair, RegionProbabilities
 from cogarq.mdp import (
     AccessPolicy,
     BeliefEscapeError,
@@ -19,7 +21,7 @@ from cogarq.mdp import (
 from cogarq.pu_system import PuConfig, saturating_arrivals
 from cogarq.virtual_state import ChainDecodingModel, point_belief
 
-from _oracles import lp_constrained_solve
+from _oracles import pi_constrained_solve, region_probabilities
 
 PROBS = RegionProbabilities(0.06, 0.15, 0.07, 0.26, 0.20, 0.10, 0.16)
 RHO = (0.62, 0.32)
@@ -92,12 +94,16 @@ def test_access_policy_validation():
         AccessPolicy({s: 1.5})
 
 
+def _pi_oracle(space, kernel, floor):
+    return pi_constrained_solve(kernel, space.reachable, space.index[space.initial], floor,
+                                lambda_tol=1e-10)
+
+
 def test_vacuous_constraint_returns_unconstrained_optimum():
     space, kernel = make_space()
     rep = solve_constrained(space, kernel, 0.0)
     assert rep.multiplier == 0.0
-    lp_val, _ = lp_constrained_solve(kernel, None)
-    assert rep.su_throughput == pytest.approx(lp_val, abs=1e-9)
+    assert rep.su_throughput == pytest.approx(_pi_oracle(space, kernel, 0.0).su, abs=1e-9)
 
 
 def test_silent_pu_transmit_everywhere():
@@ -116,7 +122,7 @@ def test_silent_pu_transmit_everywhere():
         assert rep.policy.probs[space.states[i]] == 1.0
 
 
-def test_constrained_solve_matches_lp_oracle():
+def test_constrained_solve_matches_pi_oracle():
     snr = AvgSnrConfig(5.0, 5.0, 10.0, 2.0)
     rates = RatePair(1.9140575925881422, 2.5182556953531106)
     probs = region_probabilities(snr, rates, 200_000, np.random.default_rng(0))
@@ -125,8 +131,9 @@ def test_constrained_solve_matches_lp_oracle():
     idle = evaluate_policy(space, kernel, np.zeros(space.n))
     floor = 0.8 * idle.pu_reward.throughput
     rep = solve_constrained(space, kernel, floor)
-    lp_val, _ = lp_constrained_solve(kernel, floor)
-    assert rep.su_throughput == pytest.approx(lp_val, abs=1e-6)
+    oracle = _pi_oracle(space, kernel, floor)
+    assert rep.su_throughput == pytest.approx(oracle.su, abs=1e-9)
+    assert rep.multiplier == pytest.approx(oracle.multiplier, abs=1e-8)
     assert rep.constraint_value >= floor - 1e-9
 
 
@@ -202,3 +209,85 @@ def test_kernel_matches_empirical_frequencies_small():
             assert abs(phat - p) <= 5 * se + 1e-9
             checked += 1
     assert checked > 100
+
+
+@pytest.mark.parametrize("frac", [0.8, 0.95])
+@pytest.mark.parametrize("r_max", [3, 5])
+def test_unused_states_take_the_lagrangian_greedy_action(monkeypatch, frac, r_max):
+    # The LP leaves some reachable states unoccupied; they take the action
+    # maximizing r_su + lambda r_pu + P h, with the bias h read from the
+    # balance rows' duals.  Where the LP itself uses a single action and
+    # the rule prefers one strictly, the rule must pick the LP's action,
+    # which fixes the sign of h; where the LP is silent, the report must
+    # follow the rule.  Ties (many at a binding floor) allow either action.
+    import scipy.optimize
+
+    results = []
+    linprog = scipy.optimize.linprog
+    monkeypatch.setattr(scipy.optimize, "linprog",
+                        lambda *a, **k: results.append(linprog(*a, **k)) or results[-1])
+    space, kernel = make_space(r_max=r_max, d_max=r_max)
+    cap = evaluate_policy(space, kernel, np.zeros(space.n)).pu_reward.throughput
+    rep = solve_constrained(space, kernel, frac * cap)
+    (res,) = results
+    ridx = np.nonzero(space.reachable)[0]
+    m = ridx.size
+    x = res.x.reshape(m, 2)
+    p_sub = kernel.p[np.ix_(ridx, [0, 1], ridx)]
+    q = (kernel.r_su[ridx] + rep.multiplier * kernel.r_pu[ridx, :, 0]
+         + p_sub @ -res.eqlin.marginals[:m])
+    gain = q[:, 1] - q[:, 0]
+    strict = np.abs(gain) > 1e-9
+    occupied = x.sum(axis=1) > 1e-12
+    single = occupied & ((x[:, 0] <= 1e-12) | (x[:, 1] <= 1e-12)) & strict
+    assert single.sum() >= 2
+    assert np.array_equal(gain[single] > 0.0, x[single, 1] > 1e-12)
+    silent = ~occupied & strict
+    assert silent.sum() >= 1
+    mu = np.array([rep.policy.probs[space.states[i]] for i in ridx])
+    assert np.array_equal(mu[silent], (gain[silent] > 0.0).astype(float))
+
+
+_region_vectors = st.lists(st.floats(1e-3, 1.0), min_size=7, max_size=7).map(
+    lambda w: RegionProbabilities(*(np.array(w) / sum(w)).tolist()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    probs=_region_vectors,
+    r_max=st.integers(1, 5),
+    extra_d=st.integers(0, 2),
+    rho0=st.floats(0.05, 0.95),
+    rho_ratio=st.floats(0.0, 1.0),
+    frac=st.floats(0.0, 0.99),
+    scheme=st.sampled_from(["chain_decoding", "fic_bic", "fic_only", "no_fic_bic", "genie"]),
+)
+def test_solver_properties_and_pi_oracle(probs, r_max, extra_d, rho0, rho_ratio, frac, scheme):
+    from cogarq.simulator import GenieModel, SchemeKind, scheme_model
+
+    cfg = PuConfig(r_max, max(2, r_max) + extra_d, 1, saturating_arrivals(1))
+    model = GenieModel(cfg) if scheme == "genie" else scheme_model(SchemeKind(scheme), cfg)
+    space = enumerate_space(model, cfg, probs, (rho0, rho0 * rho_ratio))
+    kernel = build_kernel(space)
+    floor = frac * evaluate_policy(space, kernel, np.zeros(space.n)).pu_reward.throughput
+    rep = solve_constrained(space, kernel, floor)
+    mu = np.array(list(rep.policy.probs.values()))
+    assert ((mu >= 0.0) & (mu <= 1.0)).all()
+    assert rep.constraint_value >= floor - 1e-9
+    assert ((mu > 0.0) & (mu < 1.0)).sum() <= 1
+    assert (rep.mix_weight is None) == (rep.randomized_state is None)
+    oracle = _pi_oracle(space, kernel, floor)
+    assert rep.su_throughput == pytest.approx(oracle.su, abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8).flatmap(
+    lambda n: st.lists(st.floats(0.01, 1.0), min_size=n * n, max_size=n * n)))
+def test_stationary_distribution_sums_to_one(weights):
+    n = int(round(len(weights) ** 0.5))
+    p = np.array(weights).reshape(n, n)
+    p /= p.sum(axis=1, keepdims=True)
+    pi = stationary_distribution(p)
+    assert pi.sum() == pytest.approx(1.0, abs=1e-12)
+    assert (pi >= 0.0).all()
+    assert np.allclose(pi @ p, pi, atol=1e-12)

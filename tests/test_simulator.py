@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from cogarq.channel import AvgSnrConfig, RatePair, region_probabilities
+from cogarq.channel import AvgSnrConfig, RatePair
 from cogarq.mdp import AccessPolicy, build_kernel, enumerate_space, evaluate_policy, solve_constrained
 from cogarq.pu_system import PuConfig, saturating_arrivals
 from cogarq.simulator import (
@@ -20,7 +20,7 @@ from cogarq.simulator import (
     scheme_model,
 )
 
-from _oracles import WindowReceiver, check_trace_invariants, memoryless_decode
+from _oracles import WindowReceiver, check_trace_invariants, memoryless_decode, region_probabilities
 
 RATES = RatePair(1.9140575925881422, 2.5182556953531106)
 
