@@ -11,6 +11,11 @@ filled on first use.  The baselines are credited by their compact models:
 FIC/BIC decodes within the current primary ARQ window in both directions,
 FIC-only only forward, and no-FIC/BIC slot by slot with no memory at all.
 Chain decoding also runs the full decoding graph, which credits its packets.
+
+With a trace hook, `run` hands over each batch of slots as one `TraceChunk`
+of int columns, and `TraceInvariantChecker.feed` checks the per-trace
+identities on those columns with numpy, so checking costs little more than
+recording.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ __all__ = [
     "SchemeKind",
     "SystemConfig",
     "RunMetrics",
-    "TraceRecord",
+    "TraceChunk",
     "InvariantReport",
     "TraceInvariantChecker",
     "FicBicModel",
@@ -363,32 +368,47 @@ class RunMetrics:
             raise ValueError("PU throughput must lie in [0, 1] per slot")
 
 
-class TraceRecord(NamedTuple):
-    n: int
-    a_s: int
-    a_p: int
-    y_p: int  # PuFeedback value
-    y: int
-    o: int
-    t: int
-    d: int
-    q: int
-    tr_t: int
-    tr_d: int
-    tr_label: int | None
-    true_label: int | None
-    l_s: int | None
-    r_s: int
-    m_before: int
-    v_before: int
-    phase: str
-    b_s: int
-    cycle_start: bool
-    g_nodes: int
-    g_edges: int
+class TraceChunk(NamedTuple):
+    """One batch of a run's slots as int columns, handed to `trace_hook`.
+
+    Entry i of every column is slot `first + i`.  `states` is the run's own
+    list of compact states by id, (cd, tracked t, tracked d, belief, held);
+    it grows as the run visits new states.  `decoded` counts the SU packets
+    credited before slot `first`.  Per slot the columns hold the outcome
+    region `y`, the compact-state id, the true PU's `t`, `d` and `q`, both
+    access decisions, the overheard feedback `y_p` and the window's
+    completion `o`, the slot of the SU packet sent (`l_s`, -1 if none), the
+    SU packets credited `r_s`, and the decoding graph's root potential `v`
+    before the slot and its node and edge counts after it.  The baselines
+    run no graph: their `l_s` is -1 and `v`, `g_nodes` and `g_edges` are 0.
+    """
+
+    first: int
+    decoded: int
+    states: list
+    y: np.ndarray
+    sid: np.ndarray
+    t: np.ndarray
+    d: np.ndarray
+    q: np.ndarray
+    a_s: np.ndarray
+    a_p: np.ndarray
+    y_p: np.ndarray
+    o: np.ndarray
+    l_s: np.ndarray
+    r_s: np.ndarray
+    v: np.ndarray
+    g_nodes: np.ndarray
+    g_edges: np.ndarray
+
+
+# Columns `run` records per slot: the fields of `TraceChunk` from `sid` on.
+_TRACE_WIDTH = len(TraceChunk._fields) - TraceChunk._fields.index("sid")
 
 
 _CLASSIFY_SLICE = 1 << 16
+# The slot loop reads its pre-drawn streams as Python lists this many slots at a time.
+_LOOP_SLICE = 1 << 10
 
 
 def _batch_stats(per_batch: np.ndarray, counts: np.ndarray):
@@ -406,7 +426,7 @@ def run(
     cfg: SystemConfig,
     seed: int,
     n_slots: int,
-    trace_hook: Callable[[TraceRecord], None] | None = None,
+    trace_hook: Callable[[TraceChunk], None] | None = None,
     batches: int = 100,
 ) -> RunMetrics:
     """Simulate `n_slots` slots of the given scheme under a fixed policy.
@@ -414,7 +434,9 @@ def run(
     Deterministic in (scheme, policy, cfg, seed).  Standard errors use
     batch means over `batches` contiguous blocks, which absorbs the burst
     correlation that chain releases introduce.  Raises `KeyError` when the
-    policy has no entry for a compact state the run reaches.
+    policy has no entry for a compact state the run reaches.  A
+    `trace_hook` is called once per batch, at its end, with the batch's
+    `TraceChunk`.
 
     `drop_rate` counts, per slot, the SU packets the scheme's receiver gives
     up on: for chain decoding, those trimmed from the graph at a cycle
@@ -435,7 +457,7 @@ def run(
     theta_p = 2.0 ** cfg.rates.r_p - 1.0
     # The gains are reduced to one byte per slot and link outcome, and the
     # classifier's float temporaries to one slice at a time; the per-slot
-    # Python lists are made one batch at a time in the loop below.
+    # Python lists are made one slice at a time in the loop below.
     y_all = np.empty(n_slots, dtype=np.int8)
     for lo in range(0, n_slots, _CLASSIFY_SLICE):
         hi = lo + _CLASSIFY_SLICE
@@ -445,7 +467,10 @@ def run(
     del gs, gps, gp, gsp
     pu_u = pu_rng.random(n_slots)
     su_u = su_rng.random(n_slots)
-    arrivals = arr_rng.choice(pu_cfg.arrival_pmf.size, size=n_slots, p=pu_cfg.arrival_pmf)
+    # Arrival counts take the narrowest int type that holds them.
+    n_arrivals = pu_cfg.arrival_pmf.size
+    arrivals = arr_rng.choice(n_arrivals, size=n_slots, p=pu_cfg.arrival_pmf).astype(
+        np.min_scalar_type(n_arrivals - 1))
 
     model = scheme_model(scheme, pu_cfg)
     walk = _CompactWalk(model, _LOSSES[scheme], policy.probs, arq, cfg.success_probs(), pu_cfg)
@@ -473,72 +498,76 @@ def run(
     delay_sum = 0.0
     dropped = 0
     l_s = None
+    # The trace's rows of _TRACE_WIDTH ints, one per slot, are gathered in
+    # `rows` one slice of slots at a time and copied into the batch's block,
+    # int32 unless a slot index needs more.  Peak RSS is reached late in a
+    # long run, and a whole batch of rows in a list and in int64 raised it.
+    rows: list[int] = []
+    extend = rows.extend if trace_hook is not None else None
+    trace_dtype = np.int32 if n_slots < 2**31 else np.int64
 
     for bi in range(batches):
         su_sum = pu_sum = 0
         lo, hi = edges[bi], edges[bi + 1]
-        for n, su_un, pu_un, y, s0, s1, arrival in zip(
-            range(lo, hi), *(x[lo:hi].tolist() for x in (su_u, pu_u, y_all, succ0, succ1, arrivals))
-        ):
-            a_s = 1 if su_un < mus[sid] else 0
-            if g is not None:
-                # The tracked PU packet of this slot is the one first sent
-                # tr_d slots ago; tr_t = 0 starts a new primary ARQ cycle.
-                _, tr_t, tr_d, _, _ = states[sid]
-                if tr_t == 0:
-                    on_new_cycle(g)
-                pu_slot = n - tr_d
-                known = pu_slot in g.decoded_pu
-                l_s = select_label(g, pu(pu_slot), known, n).label if a_s else None
+        if extend is not None:
+            block = np.empty((hi - lo, _TRACE_WIDTH), dtype=trace_dtype)
+        for start in range(lo, hi, _LOOP_SLICE):
+            stop = min(start + _LOOP_SLICE, hi)
+            for n, su_un, pu_un, y, s0, s1, arrival in zip(range(start, stop), *(
+                    x[start:stop].tolist() for x in (su_u, pu_u, y_all, succ0, succ1, arrivals))):
+                a_s = 1 if su_un < mus[sid] else 0
+                if g is not None:
+                    # The tracked PU packet of this slot is the one first sent
+                    # tr_d slots ago; tr_t = 0 starts a new primary ARQ cycle.
+                    _, tr_t, tr_d, _, _ = states[sid]
+                    if tr_t == 0:
+                        on_new_cycle(g)
+                    pu_slot = n - tr_d
+                    known = pu_slot in g.decoded_pu
+                    l_s = select_label(g, pu(pu_slot), known, n).label if a_s else None
 
-            a_p = 1 if pu_un < mu_p[t][d][q] else 0
-            success = (s1 if a_s else s0) if a_p else False
-            y_p = (ack if success else nack) if a_p else idle
+                a_p = 1 if pu_un < mu_p[t][d][q] else 0
+                success = (s1 if a_s else s0) if a_p else False
+                y_p = (ack if success else nack) if a_p else idle
 
-            # The ground truth and the SU-side tracker both step on the
-            # overheard feedback, whose presence is the access decision; the
-            # tracker's step is part of the compact state's.
-            o, t_next, d_next = arq[t, d, y_p]
-            key = (sid, a_s, a_p, y, y_p)
-            nxt, r_s, lost = steps.get(key) or walk.fill(key)
+                # The ground truth and the SU-side tracker both step on the
+                # overheard feedback, whose presence is the access decision; the
+                # tracker's step is part of the compact state's.
+                o, t_next, d_next = arq[t, d, y_p]
+                key = (sid, a_s, a_p, y, y_p)
+                nxt, r_s, lost = steps.get(key) or walk.fill(key)
 
-            if trace_hook is not None:
-                m_before = decoded + su_sum
-                v_before = root(g)[1] if g is not None else 0
+                if extend is not None:
+                    v_before = root(g)[1] if g is not None else 0
 
-            if g is not None:
-                if a_p:
-                    r_s = record_slot(g, l_s, pu(pu_slot), known, y)
-                else:
-                    r_s = record_slot(g, l_s, None, 0, None if l_s is None else y)
-            su_sum += r_s
-            dropped += lost
-            pu_sum += success
-            power_sum += a_p
-            drops_sum += max(q - o + arrival - q_max, 0)
-            delay_sum += q
+                if g is not None:
+                    if a_p:
+                        r_s = record_slot(g, l_s, pu(pu_slot), known, y)
+                    else:
+                        r_s = record_slot(g, l_s, None, 0, None if l_s is None else y)
+                su_sum += r_s
+                dropped += lost
+                pu_sum += success
+                power_sum += a_p
+                drops_sum += max(q - o + arrival - q_max, 0)
+                delay_sum += q
 
-            if trace_hook is not None:
-                cd_state, tr_t, tr_d, _, _ = states[sid]
-                phase, b_s = cd_state if g is not None else ("", 0)
-                trace_hook(
-                    TraceRecord(
-                        n=n, a_s=a_s, a_p=a_p, y_p=y_p, y=y, o=o, t=t, d=d, q=q,
-                        tr_t=tr_t, tr_d=tr_d,
-                        tr_label=((n - tr_d) if a_p else None),
-                        true_label=((n - d) if a_p else None),
-                        l_s=slot_of(l_s) if l_s is not None else None,
-                        r_s=r_s, m_before=m_before, v_before=v_before,
-                        phase=phase, b_s=b_s,
-                        cycle_start=bool(a_p and t == 0),
-                        g_nodes=(len(g.su_nodes) + len(g.pu_nodes)) if g else 0,
-                        g_edges=g.edge_count() if g else 0,
-                    )
-                )
+                if extend is not None:
+                    if g is None:
+                        extend((sid, t, d, q, a_s, a_p, y_p, o, -1, r_s, 0, 0, 0))
+                    else:
+                        extend((sid, t, d, q, a_s, a_p, y_p, o,
+                                -1 if l_s is None else slot_of(l_s), r_s, v_before,
+                                len(g.su_nodes) + len(g.pu_nodes), g.edge_count()))
 
-            q = min(q - o + arrival, q_max)
-            t, d = t_next, d_next
-            sid = nxt
+                q = min(q - o + arrival, q_max)
+                t, d = t_next, d_next
+                sid = nxt
+            if extend is not None:
+                block[start - lo:stop - lo] = np.reshape(rows, (-1, _TRACE_WIDTH))
+                rows.clear()
+        if extend is not None:
+            trace_hook(TraceChunk(lo, decoded, states, y_all[lo:hi], *block.T))
         su_batch.append(su_sum)
         decoded += su_sum
         pu_batch.append(pu_sum)
@@ -588,18 +617,61 @@ class InvariantReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def count(self, name: str):
-        self.checks[name] = self.checks.get(name, 0) + 1
+    def count(self, name: str, n: int = 1):
+        if n:
+            self.checks[name] = self.checks.get(name, 0) + n
 
     def fail(self, name: str, slot: int, detail: str):
         self.violations.append(f"slot {slot}: {name}: {detail}")
 
 
 _PHASE_FLAGS = {p.value: phase_flags(p) for p in CdPhase}
+# The always-transmit outcome by [a_p, a_s, y]; y = 0 stands for an outcome
+# outside 1..7, which is reported and then counted as one that decodes nothing.
+_TRANSLATED = np.array([
+    [[4] + [translate_outcome(a_p, a_s, y) for y in range(1, 8)] for a_s in (0, 1)]
+    for a_p in (0, 1)
+])
+
+
+def _among(regions) -> np.ndarray:
+    """Membership table over outcomes 0..7, indexed by a translated outcome."""
+    return np.array([y in regions for y in range(8)])
+
+
+_CLEAN, _PU_ALONE = _among(SU_CLEAN), _among(PU_ALONE)
+_LOSES_ROOT, _RELEASES_PINNED = _among({1, 3, 5, 6, 7}), _among({1, 3, 6})
+# The per-cycle tallies, one row each: outcomes outside {2, 4, 5} and
+# outside {2, 4, 5, 7}, region 5, region 7, PU packets decoded under an SU
+# packet, and the SU_UNDER_PU and SU_NEEDS_PU outcomes the bound counts.
+_NOT245, _NOT2457, _N5, _N7, _N13, _N12, _N57 = range(7)
+_TALLIES = np.array([~_among({2, 4, 5}), ~_among({2, 4, 5, 7}), _among({5}), _among({7}),
+                     _among(PU_UNDER_SU), _among(SU_UNDER_PU), _among(SU_NEEDS_PU)],
+                    dtype=np.int64)
+# Check names in the order the checks run on one slot, which orders its violations.
+_CHECKS = ("tracker", "outcome-range", "compact-state", "recursion", "bound", "full-release")
+
+
+def _in_cycle(x: np.ndarray, starts: np.ndarray, seg: np.ndarray, carry: np.ndarray):
+    """Per-cycle prefix sums of the tally rows `x`, one column per slot.
+
+    `starts` holds the chunk's cycle starts after a leading 0, `seg` each
+    slot's index into it, and `carry` the tallies of the cycle still open
+    when the chunk began.  Returns the tallies of each slot's cycle before
+    that slot, the totals of the cycles that close inside the chunk, and
+    the totals of the cycle left open at its end.
+    """
+    excl = np.zeros((x.shape[0], x.shape[1] + 1), dtype=np.int64)
+    np.cumsum(x, axis=1, out=excl[:, 1:])
+    base = excl[:, starts]
+    base[:, 0] -= carry
+    before = excl[:, :-1] - base[:, seg]
+    closed = excl[:, starts[1:]] - base[:, :-1]
+    return before, closed, excl[:, -1] - base[:, -1]
 
 
 class TraceInvariantChecker:
-    """Streaming verifier of the per-trace identities and bounds.
+    """Verifier of the per-trace identities and bounds, one chunk at a time.
 
     Every slot is first translated onto the always-transmit system; the
     cumulative-credit recursion is checked slot by slot, the throughput
@@ -608,6 +680,13 @@ class TraceInvariantChecker:
     compact-state invariants are checked pointwise.  Identity checks
     (recursion, release, compact state) only apply to chain-decoding
     traces; the bound and tracker checks apply to any scheme.
+
+    A chunk is checked column-wise: per-cycle accumulators are prefix sums
+    that restart at each cycle start, and the cycle still open at the end of
+    a chunk, the running bound and the last slot's recursion terms carry
+    over to the next.  Counts and violations are those of a slot-by-slot
+    check (`tests/_oracles.py::check_trace_invariants`), with each slot's
+    violations in the order of `_CHECKS`.
 
     `run` steps the true PU and the tracker through the same ARQ table on
     the same feedback, so the tracker check only catches a difference in
@@ -620,106 +699,111 @@ class TraceInvariantChecker:
         self.cfg = cfg
         self.is_cd = scheme is SchemeKind.CHAIN_DECODING
         self.report = InvariantReport()
-        self._prev_sum: int | None = None
-        self._pending_rhs: int | None = None
-        # per-cycle accumulators over the translated outcomes
-        self._p245 = 1
-        self._p2457 = 1
-        self._s5 = 0
-        self._seen7 = False
-        self._had13 = False
-        self._q_flag = False
-        self._cnt12 = 0
-        self._cnt57 = 0
-        # totals over completed cycles
-        self._bound_total = 0
+        self._last: tuple[int, int] | None = None  # (M + v, recursion rhs) of the last slot
+        # the open cycle's tallies, then its clean SU outcomes that follow a
+        # PU decode under an SU packet (a cycle with one qualifies)
+        self._open = np.zeros(len(_TALLIES) + 1, dtype=np.int64)
+        self._bound_total = 0  # the bound summed over the closed cycles
         self._started = False
 
-    def feed(self, rec: TraceRecord):
+    def feed(self, chunk: TraceChunk):
         rep = self.report
-        rep.slots += 1
-        r_max = self.cfg.pu.r_max
+        n_rows = len(chunk.sid)
+        if not n_rows:
+            return
+        first = chunk.first
+        sid, t, d, a_s, a_p, v = chunk.sid, chunk.t, chunk.d, chunk.a_s, chunk.a_p, chunk.v
+        y = np.asarray(chunk.y, dtype=np.int64)
+        m = chunk.decoded + np.cumsum(chunk.r_s) - chunk.r_s  # credited before each slot
+        faults = []  # (row, check index, detail)
+        rep.slots += n_rows
 
         # (iii) tracker exactness
-        rep.count("tracker")
-        if (rec.tr_t, rec.tr_d) != (rec.t, rec.d) or rec.tr_label != rec.true_label:
-            rep.fail(
-                "tracker", rec.n,
-                f"inferred (t={rec.tr_t}, d={rec.tr_d}, l={rec.tr_label}) vs "
-                f"true (t={rec.t}, d={rec.d}, l={rec.true_label})",
-            )
+        rep.count("tracker", n_rows)
+        tracked = np.array([s[1:3] for s in chunk.states], dtype=np.int64).reshape(-1, 2)[sid]
+        for i in np.flatnonzero((tracked[:, 0] != t) | (tracked[:, 1] != d)).tolist():
+            n, tr_d = first + i, int(tracked[i, 1])
+            faults.append((i, 0, f"inferred (t={tracked[i, 0]}, d={tr_d}, "
+                              f"l={n - tr_d if a_p[i] else None}) vs true (t={t[i]}, d={d[i]}, "
+                              f"l={n - d[i] if a_p[i] else None})"))
 
         # (v) outcome sanity
-        if rec.y not in (1, 2, 3, 4, 5, 6, 7):
-            rep.fail("outcome-range", rec.n, f"y={rec.y}")
+        in_range = (y >= 1) & (y <= 7)
+        faults.extend((i, 1, f"y={y[i]}") for i in np.flatnonzero(~in_range).tolist())
+        yt = _TRANSLATED[a_p, a_s, np.where(in_range, y, 0)]
 
-        # (iv) compact-state invariants
+        # (iv) compact-state invariants, once per state the chunk visits
         if self.is_cd:
-            rep.count("compact-state")
-            flags = _PHASE_FLAGS.get(rec.phase)
-            if flags not in ((0, 1), (1, 1), (1, 0)):
-                rep.fail("compact-state", rec.n, f"phase {rec.phase!r} has flags {flags}")
-            if rec.phase != CdPhase.U.value and rec.b_s != 0:
-                rep.fail("compact-state", rec.n, f"b={rec.b_s} in phase {rec.phase}")
-            if not (0 <= rec.b_s <= r_max - 1):
-                rep.fail("compact-state", rec.n, f"b={rec.b_s} outside 0..{r_max - 1}")
+            rep.count("compact-state", n_rows)
+            for s in np.unique(sid).tolist():
+                details = self._state_faults(chunk.states[s][0])
+                if details:
+                    faults.extend((i, 2, x) for i in np.flatnonzero(sid == s).tolist()
+                                  for x in details)
 
-        # (i) recursion residual from the previous slot
-        if self.is_cd and self._pending_rhs is not None:
-            rep.count("recursion")
-            got = rec.m_before + rec.v_before
-            want = self._prev_sum + self._pending_rhs
-            if got != want:
-                rep.fail("recursion", rec.n, f"M+v={got}, recursion gives {want}")
+        # per-cycle tallies; a cycle starts where the PU sends a new packet
+        opens = (a_p != 0) & (t == 0)
+        if first == 0:
+            opens[0] = True
+        cut = np.flatnonzero(opens)
+        starts = np.concatenate(([0], cut))
+        seg = np.cumsum(opens)
+        tally = _TALLIES[:, yt]
+        before, closed, open_ = _in_cycle(tally, starts, seg, self._open[:-1])
+        qual = (_CLEAN[yt] & (before[_N13] > 0)).astype(np.int64)[None]
+        _, closed_q, open_q = _in_cycle(qual, starts, seg, self._open[-1:])
 
-        # cycle boundary: close out the finished cycle
-        if rec.cycle_start or rec.n == 0:
-            if self._started:
-                rep.cycles += 1
-                kappa_ga = 0 if (self._p245 == 1) else 1
-                self._bound_total += self._cnt12 + kappa_ga * self._cnt57
-                if self._seen7 and self._p2457 == 1:
-                    self._bound_total -= 1
-                rep.count("bound")
-                if rec.m_before > self._bound_total:
-                    rep.fail(
-                        "bound", rec.n,
-                        f"decoded {rec.m_before} exceeds bound {self._bound_total}",
-                    )
-                if self.is_cd and self._q_flag:
-                    rep.count("full-release")
-                    if rec.v_before != 1:
-                        rep.fail(
-                            "full-release", rec.n,
-                            f"root potential {rec.v_before} at a qualifying cycle end",
-                        )
-            self._p245 = 1
-            self._p2457 = 1
-            self._s5 = 0
-            self._seen7 = False
-            self._had13 = False
-            self._q_flag = False
-            self._cnt12 = 0
-            self._cnt57 = 0
+        # (i) recursion: M + v moves by the previous slot's right-hand side
+        if self.is_cd:
+            p245 = before[_NOT245] == 0
+            rhs = (_CLEAN[yt].astype(np.int64) - (p245 & _LOSES_ROOT[yt])
+                   + (p245 & _PU_ALONE[yt]) * before[_N5]
+                   + ((before[_NOT2457] == 0) & _RELEASES_PINNED[yt]))
+            total = m + v
+            want = np.empty_like(total)
+            want[1:] = total[:-1] + rhs[:-1]
+            lo = 1 if self._last is None else 0  # the trace's first slot has no predecessor
+            if self._last is not None:
+                want[0] = sum(self._last)
+            rep.count("recursion", n_rows - lo)
+            faults.extend((i, 3, f"M+v={total[i]}, recursion gives {want[i]}")
+                          for i in (np.flatnonzero(total[lo:] != want[lo:]) + lo).tolist())
+            self._last = (int(total[-1]), int(rhs[-1]))
+
+        # cycle boundaries: close out each finished cycle
+        if len(cut):
+            kept = slice(0 if self._started else 1, None)
+            at, closed, closed_q = cut[kept], closed[:, kept], closed_q[0, kept]
+            bound = self._bound_total + np.cumsum(
+                closed[_N12] + (closed[_NOT245] > 0) * closed[_N57]
+                - ((closed[_N7] > 0) & (closed[_NOT2457] == 0)))
+            rep.cycles += len(at)
+            rep.count("bound", len(at))
+            faults.extend((i, 4, f"decoded {m[i]} exceeds bound {b}")
+                          for i, b in zip(at.tolist(), bound.tolist()) if m[i] > b)
+            if self.is_cd:
+                release = at[closed_q > 0]
+                rep.count("full-release", len(release))
+                faults.extend((i, 5, f"root potential {v[i]} at a qualifying cycle end")
+                              for i in release.tolist() if v[i] != 1)
+            if len(at):
+                self._bound_total = int(bound[-1])
             self._started = True
+        self._open[:-1], self._open[-1] = open_, open_q[0]
 
-        yt = translate_outcome(rec.a_p, rec.a_s, rec.y)
+        faults.sort(key=lambda f: f[:2])
+        for i, check, detail in faults:
+            rep.fail(_CHECKS[check], first + i, detail)
 
-        # recursion right-hand side for this slot, then roll the accumulators
-        if self.is_cd:
-            rhs = int(yt in SU_CLEAN)
-            rhs -= self._p245 * (yt in (1, 3, 5, 6, 7))
-            rhs += self._p245 * (yt in PU_ALONE) * self._s5
-            rhs += self._p2457 * (yt in (1, 3, 6))
-            self._pending_rhs = rhs
-            self._prev_sum = rec.m_before + rec.v_before
-
-        if self._had13 and yt in SU_CLEAN:
-            self._q_flag = True
-        self._had13 = self._had13 or yt in PU_UNDER_SU
-        self._p245 &= yt in (2, 4, 5)
-        self._p2457 &= yt in (2, 4, 5, 7)
-        self._s5 += yt == 5
-        self._seen7 = self._seen7 or yt == 7
-        self._cnt12 += yt in SU_UNDER_PU
-        self._cnt57 += yt in SU_NEEDS_PU
+    def _state_faults(self, cd) -> list[str]:
+        phase, b_s = cd
+        r_max = self.cfg.pu.r_max
+        details = []
+        flags = _PHASE_FLAGS.get(phase)
+        if flags not in ((0, 1), (1, 1), (1, 0)):
+            details.append(f"phase {phase!r} has flags {flags}")
+        if phase != CdPhase.U.value and b_s != 0:
+            details.append(f"b={b_s} in phase {phase}")
+        if not (0 <= b_s <= r_max - 1):
+            details.append(f"b={b_s} outside 0..{r_max - 1}")
+        return details

@@ -14,22 +14,34 @@ test, and a ground-truth PU pair.  The PU pair states its own ARQ rule, apart
 from `cogarq.pu_tracker.update`, so checking the tracker against it compares
 two independent statements of the rule.  The baseline receivers are stated
 here on the decoding graph, where the simulator credits them from their
-compact models.
+compact models.  The trace invariants are checked here one record at a
+time, where the package checks them on a chunk's columns; `records` and
+`chunk_of` convert between the two forms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from cogarq.cd_graph import CdGraph, prune_unreachable, pu, record_slot, su
-from cogarq.channel import AvgSnrConfig, RatePair, RegionProbabilities, classify_su_outcomes
+from cogarq.channel import (
+    PU_ALONE,
+    PU_UNDER_SU,
+    SU_CLEAN,
+    SU_NEEDS_PU,
+    SU_UNDER_PU,
+    AvgSnrConfig,
+    RatePair,
+    RegionProbabilities,
+    classify_su_outcomes,
+)
 from cogarq.pu_system import PuConfig
 from cogarq.pu_tracker import PuFeedback
-from cogarq.simulator import InvariantReport, SchemeKind, SystemConfig, TraceInvariantChecker
+from cogarq.simulator import InvariantReport, SchemeKind, SystemConfig, TraceChunk
 
 
 @dataclass(frozen=True)
@@ -200,16 +212,219 @@ def memoryless_decode(a_s: int, a_p: int, y: int) -> int:
     return record_slot(CdGraph(), l_s, l_p, 0, outcome)
 
 
+class TraceRecord(NamedTuple):
+    """One slot of a simulator trace, every field spelled out."""
+
+    n: int
+    a_s: int
+    a_p: int
+    y_p: int  # PuFeedback value
+    y: int
+    o: int
+    t: int
+    d: int
+    q: int
+    tr_t: int
+    tr_d: int
+    tr_label: int | None
+    true_label: int | None
+    l_s: int | None
+    r_s: int
+    m_before: int
+    v_before: int
+    phase: str
+    b_s: int
+    cycle_start: bool
+    g_nodes: int
+    g_edges: int
+
+
+_COLUMNS = TraceChunk._fields[TraceChunk._fields.index("y"):]
+
+
+def records(chunk: TraceChunk) -> list[TraceRecord]:
+    """The per-slot records of a trace chunk.
+
+    Besides the chunk's columns a record holds what they determine: the
+    slot, the tracked pair and the compact phase and counter of the slot's
+    state, the PU packet's label as tracked and as true, the SU packets
+    credited before the slot, and whether it starts a PU cycle.
+    """
+    out = []
+    m_before = chunk.decoded
+    columns = zip(*(getattr(chunk, c).tolist() for c in _COLUMNS))
+    for n, (y, sid, t, d, q, a_s, a_p, y_p, o, l_s, r_s, v, nodes, edges) in enumerate(
+            columns, start=chunk.first):
+        (phase, b_s), tr_t, tr_d = chunk.states[sid][:3]
+        out.append(TraceRecord(
+            n=n, a_s=a_s, a_p=a_p, y_p=y_p, y=y, o=o, t=t, d=d, q=q, tr_t=tr_t, tr_d=tr_d,
+            tr_label=n - tr_d if a_p else None, true_label=n - d if a_p else None,
+            l_s=None if l_s < 0 else l_s, r_s=r_s, m_before=m_before, v_before=v,
+            phase=phase, b_s=b_s, cycle_start=bool(a_p and t == 0),
+            g_nodes=nodes, g_edges=edges))
+        m_before += r_s
+    return out
+
+
+def chunk_of(trace: Iterable[TraceRecord]) -> TraceChunk:
+    """The one chunk whose `records` are `trace`; `ValueError` if there is none.
+
+    Each distinct (phase, b, tracked t, tracked d) becomes a state.
+    """
+    trace = list(trace)
+    ids: dict = {}
+    sid = [ids.setdefault(((r.phase, r.b_s), r.tr_t, r.tr_d, None, 0), len(ids)) for r in trace]
+    derived = {"sid": sid, "v": [r.v_before for r in trace],
+               "l_s": [-1 if r.l_s is None else r.l_s for r in trace]}
+    chunk = TraceChunk(trace[0].n, trace[0].m_before, list(ids), **{
+        c: np.array(derived[c] if c in derived else [getattr(r, c) for r in trace],
+                    dtype=np.int64)
+        for c in _COLUMNS})
+    if records(chunk) != trace:
+        raise ValueError("the trace holds a value its columns do not determine")
+    return chunk
+
+
+def split(chunk: TraceChunk, size: int) -> list[TraceChunk]:
+    """The chunk cut into consecutive chunks of `size` slots."""
+    return [
+        TraceChunk(chunk.first + lo, chunk.decoded + int(chunk.r_s[:lo].sum()), chunk.states,
+                   **{c: getattr(chunk, c)[lo:lo + size] for c in _COLUMNS})
+        for lo in range(0, len(chunk.sid), size)
+    ]
+
+
+def state_actions(chunk: TraceChunk) -> list[tuple]:
+    """(phase, b, tracked t, tracked d, a_s) of every slot of a chunk."""
+    states = chunk.states
+    return [(*states[s][0], *states[s][1:3], a)
+            for s, a in zip(chunk.sid.tolist(), chunk.a_s.tolist())]
+
+
+# Flag pairs (virtual knowledge, openness) of the chain-decoding phases.
+_PHASE_FLAGS = {"U": (0, 1), "K_BIDIR": (1, 1), "K_FWD": (1, 0)}
+
+
+def _always_transmit(a_p: int, a_s: int, y: int) -> int:
+    """The outcome of the always-transmit slot equivalent to (a_p, a_s, y):
+    an idle side becomes a transmission that decodes nothing extra."""
+    if a_p and a_s:
+        return y
+    if a_p:
+        return 3 if y in PU_ALONE else 4
+    if a_s:
+        return 2 if y in SU_CLEAN else 4
+    return 4
+
+
 def check_trace_invariants(
-    trace: Iterable,
+    trace: Iterable[TraceRecord],
     cfg: SystemConfig,
     scheme: SchemeKind = SchemeKind.CHAIN_DECODING,
 ) -> InvariantReport:
-    """Feed a recorded trace to the simulator's streaming invariant checker."""
-    checker = TraceInvariantChecker(cfg, scheme)
+    """Slot-by-slot reference for `cogarq.simulator.TraceInvariantChecker`.
+
+    Checks the same identities and bounds one record at a time, with
+    running per-cycle accumulators, and reports them in the same form.  An
+    outcome outside 1..7 is reported and then counted as one that decodes
+    nothing.
+    """
+    is_cd = scheme is SchemeKind.CHAIN_DECODING
+    r_max = cfg.pu.r_max
+    slots = cycles = 0
+    checks: dict = {}
+    violations: list = []
+
+    def count(name):
+        checks[name] = checks.get(name, 0) + 1
+
+    def fail(name, slot, detail):
+        violations.append(f"slot {slot}: {name}: {detail}")
+
+    prev_sum = pending_rhs = None
+    p245 = p2457 = 1
+    s5 = 0
+    seen7 = had13 = q_flag = False
+    cnt12 = cnt57 = 0
+    bound_total = 0
+    started = False
     for rec in trace:
-        checker.feed(rec)
-    return checker.report
+        slots += 1
+
+        # (iii) tracker exactness
+        count("tracker")
+        if (rec.tr_t, rec.tr_d) != (rec.t, rec.d) or rec.tr_label != rec.true_label:
+            fail("tracker", rec.n,
+                 f"inferred (t={rec.tr_t}, d={rec.tr_d}, l={rec.tr_label}) vs "
+                 f"true (t={rec.t}, d={rec.d}, l={rec.true_label})")
+
+        # (v) outcome sanity
+        in_range = rec.y in (1, 2, 3, 4, 5, 6, 7)
+        if not in_range:
+            fail("outcome-range", rec.n, f"y={rec.y}")
+
+        # (iv) compact-state invariants
+        if is_cd:
+            count("compact-state")
+            flags = _PHASE_FLAGS.get(rec.phase)
+            if flags not in ((0, 1), (1, 1), (1, 0)):
+                fail("compact-state", rec.n, f"phase {rec.phase!r} has flags {flags}")
+            if rec.phase != "U" and rec.b_s != 0:
+                fail("compact-state", rec.n, f"b={rec.b_s} in phase {rec.phase}")
+            if not (0 <= rec.b_s <= r_max - 1):
+                fail("compact-state", rec.n, f"b={rec.b_s} outside 0..{r_max - 1}")
+
+        # (i) recursion residual from the previous slot
+        if is_cd and pending_rhs is not None:
+            count("recursion")
+            got = rec.m_before + rec.v_before
+            want = prev_sum + pending_rhs
+            if got != want:
+                fail("recursion", rec.n, f"M+v={got}, recursion gives {want}")
+
+        # cycle boundary: close out the finished cycle
+        if rec.cycle_start or rec.n == 0:
+            if started:
+                cycles += 1
+                kappa_ga = 0 if p245 == 1 else 1
+                bound_total += cnt12 + kappa_ga * cnt57
+                if seen7 and p2457 == 1:
+                    bound_total -= 1
+                count("bound")
+                if rec.m_before > bound_total:
+                    fail("bound", rec.n, f"decoded {rec.m_before} exceeds bound {bound_total}")
+                if is_cd and q_flag:
+                    count("full-release")
+                    if rec.v_before != 1:
+                        fail("full-release", rec.n,
+                             f"root potential {rec.v_before} at a qualifying cycle end")
+            p245 = p2457 = 1
+            s5 = 0
+            seen7 = had13 = q_flag = False
+            cnt12 = cnt57 = 0
+            started = True
+
+        yt = _always_transmit(rec.a_p, rec.a_s, rec.y) if in_range else 4
+
+        # recursion right-hand side for this slot, then roll the accumulators
+        if is_cd:
+            rhs = int(yt in SU_CLEAN)
+            rhs -= p245 * (yt in (1, 3, 5, 6, 7))
+            rhs += p245 * (yt in PU_ALONE) * s5
+            rhs += p2457 * (yt in (1, 3, 6))
+            pending_rhs = rhs
+            prev_sum = rec.m_before + rec.v_before
+
+        if had13 and yt in SU_CLEAN:
+            q_flag = True
+        had13 = had13 or yt in PU_UNDER_SU
+        p245 &= yt in (2, 4, 5)
+        p2457 &= yt in (2, 4, 5, 7)
+        s5 += yt == 5
+        seen7 = seen7 or yt == 7
+        cnt12 += yt in SU_UNDER_PU
+        cnt57 += yt in SU_NEEDS_PU
+    return InvariantReport(slots, cycles, checks, violations)
 
 
 def region_probabilities(

@@ -33,7 +33,12 @@ from cogarq.simulator import (
 )
 from cogarq.virtual_state import point_belief
 
-from _oracles import matrix_power_closure, pi_constrained_solve, region_probabilities
+from _oracles import (
+    matrix_power_closure,
+    pi_constrained_solve,
+    region_probabilities,
+    state_actions,
+)
 
 MC_SLOTS = 100_000
 # PU throughput floor, as a fraction of its value with the SU idle
@@ -266,7 +271,7 @@ def kernel_empirics():
     policy = AccessPolicy({s: 0.5 for s in space.states})
     recs = []
     run(SchemeKind.CHAIN_DECODING, policy, system, 99, 1_000_000,
-        trace_hook=lambda r: recs.append((r.phase, r.b_s, r.tr_t, r.tr_d, r.a_s)))
+        trace_hook=lambda c: recs.extend(state_actions(c)))
     return space, kernel, policy, recs
 
 

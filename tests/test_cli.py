@@ -182,6 +182,10 @@ def test_config_error_loads_no_lp_solver(tmp_path):
         ("workers", "0"),
         # breaks d_max >= r_max against the default d_max = 5
         ("r_max", "6"),
+        # past the rate search's range, with rate_s = optimize
+        ("mean_gamma_s", "1e200"),
+        # the swept mean gamma_ps = 1e308 * mean_gamma_s overflows
+        ("sweep_values", "1e308"),
     ],
 )
 def test_main_rejects_out_of_range_values(tmp_path, capsys, key, value):
@@ -192,6 +196,14 @@ def test_main_rejects_out_of_range_values(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert key in err
     assert f"exp.cfg:{len(text.splitlines())}:" in err
+
+
+def test_overflowing_swept_mean_names_the_sweep_values_line(tmp_path, capsys):
+    text = ("mean_gamma_s = 1e300\nmean_gamma_p = 10\nrate_s = 2\n"
+            "sweep = gamma_ps_over_gamma_s\nsweep_values = 1e10\n")
+    assert main([str(write(tmp_path, text)), "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "exp.cfg:5: sweep_values must be finite when multiplied by mean_gamma_s" in err
 
 
 def test_each_sweep_point_computes_its_own_regions(tmp_path, monkeypatch):

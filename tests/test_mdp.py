@@ -21,7 +21,7 @@ from cogarq.mdp import (
 from cogarq.pu_system import PuConfig, saturating_arrivals
 from cogarq.virtual_state import ChainDecodingModel, point_belief
 
-from _oracles import pi_constrained_solve, region_probabilities
+from _oracles import pi_constrained_solve, region_probabilities, state_actions
 
 PROBS = RegionProbabilities(0.06, 0.15, 0.07, 0.26, 0.20, 0.10, 0.16)
 RHO = (0.62, 0.32)
@@ -185,7 +185,7 @@ def test_kernel_matches_empirical_frequencies_small():
     recs = []
     run(
         SchemeKind.CHAIN_DECODING, policy, system, seed=5, n_slots=200_000,
-        trace_hook=lambda r: recs.append((r.phase, r.b_s, r.tr_t, r.tr_d, r.a_s)),
+        trace_hook=lambda c: recs.extend(state_actions(c)),
     )
     bel0, bel1 = point_belief(0, 1), point_belief(1, 1)
     counts = defaultdict(lambda: defaultdict(int))

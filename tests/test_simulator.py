@@ -15,17 +15,25 @@ from cogarq.simulator import (
     SchemeKind,
     SystemConfig,
     TraceInvariantChecker,
-    TraceRecord,
     run,
     scheme_model,
 )
 
-from _oracles import WindowReceiver, check_trace_invariants, memoryless_decode, region_probabilities
+from _oracles import (
+    TraceRecord,
+    WindowReceiver,
+    check_trace_invariants,
+    chunk_of,
+    memoryless_decode,
+    records,
+    region_probabilities,
+    split,
+)
 
 RATES = RatePair(1.9140575925881422, 2.5182556953531106)
 
 # SHA-256 of the 5,000-slot chain-decoding trace below (seed 7), one
-# `repr(tuple(record))` per line.  It locks every field of every slot, so
+# `repr(tuple(record))` per line of its `records`.  It locks every field of every slot, so
 # the receiver's label choices, credits and graph sizes, bit for bit.
 CD_TRACE_SHA256 = "c05d913b9872024bdcd76c58b1acb4096f33d9b4829784a707c94b916db4110a"
 
@@ -50,11 +58,14 @@ def solved_policy(system, scheme, fraction=0.8, samples=300_000):
 def test_same_seed_reproduces_everything():
     system = small_system()
     rep = solved_policy(system, SchemeKind.CHAIN_DECODING)
-    t1, t2 = [], []
-    m1 = run(SchemeKind.CHAIN_DECODING, rep.policy, system, 7, 5_000, trace_hook=t1.append)
-    m2 = run(SchemeKind.CHAIN_DECODING, rep.policy, system, 7, 5_000, trace_hook=t2.append)
+    c1, c2 = [], []
+    m1 = run(SchemeKind.CHAIN_DECODING, rep.policy, system, 7, 5_000, trace_hook=c1.append)
+    m2 = run(SchemeKind.CHAIN_DECODING, rep.policy, system, 7, 5_000, trace_hook=c2.append)
     assert m1 == m2
-    assert t1 == t2
+    t1 = [r for c in c1 for r in records(c)]
+    assert [r for c in c2 for r in records(c)] == t1
+    # one chunk per batch, each credited with the batches before it
+    assert len(c1) == 100 and all(c.decoded == r.m_before for c, r in zip(c1, t1[::50]))
     digest = hashlib.sha256("\n".join(repr(tuple(r)) for r in t1).encode()).hexdigest()
     assert digest == CD_TRACE_SHA256
     # The graph's counters, kept only at edge additions and trims, agree
@@ -175,9 +186,18 @@ def _hand_trace():
     return recs
 
 
+def _reports(trace, system, scheme=SchemeKind.CHAIN_DECODING):
+    """The package checker's report on a recorded trace, after checking that
+    the slot-by-slot reference gives the same one."""
+    checker = TraceInvariantChecker(system, scheme)
+    checker.feed(chunk_of(trace))
+    assert checker.report == check_trace_invariants(trace, system, scheme)
+    return checker.report
+
+
 def test_hand_built_trace_satisfies_recursion_and_bound():
     system = small_system()
-    report = check_trace_invariants(_hand_trace(), system)
+    report = _reports(_hand_trace(), system)
     assert report.ok, report.violations
     assert report.checks["recursion"] == 4
     assert report.checks["bound"] == 2
@@ -187,8 +207,9 @@ def test_hand_built_trace_satisfies_recursion_and_bound():
 def test_hand_built_trace_detects_corruption():
     system = small_system()
     recs = _hand_trace()
-    bad = recs[4]._replace(m_before=3)  # claim one extra decode
-    report = check_trace_invariants(recs[:4] + [bad], system)
+    # claim one extra decode in slot 3
+    bad = [recs[3]._replace(r_s=3), recs[4]._replace(m_before=3)]
+    report = _reports(recs[:3] + bad, system)
     assert not report.ok
     assert any("bound" in v or "recursion" in v for v in report.violations)
 
@@ -197,7 +218,7 @@ def test_tracker_mismatch_detected():
     system = small_system()
     recs = _hand_trace()
     bad = recs[2]._replace(tr_t=1)
-    report = check_trace_invariants(recs[:2] + [bad] + recs[3:], system)
+    report = _reports(recs[:2] + [bad] + recs[3:], system)
     assert any("tracker" in v for v in report.violations)
 
 
@@ -253,9 +274,10 @@ def test_baselines_match_the_graph_receiver_oracle(mean_ps, r_max):
     system = SystemConfig(AvgSnrConfig(5.0, mean_ps, 10.0, 2.0), RATES, pu_cfg)
     n_slots = 6_000
     for scheme in (SchemeKind.FIC_BIC, SchemeKind.FIC_ONLY, SchemeKind.NO_FIC_BIC):
-        trace = []
+        chunks = []
         m = run(scheme, _constant_policy(system, scheme), system, 17, n_slots,
-                trace_hook=trace.append)
+                trace_hook=chunks.append)
+        trace = [rec for c in chunks for rec in records(c)]
         rx = WindowReceiver(bic=scheme is SchemeKind.FIC_BIC)
         decoded = drops = 0
         for rec in trace:
@@ -288,5 +310,88 @@ def test_unknown_phase_is_a_compact_state_violation():
     system = small_system()
     recs = _hand_trace()
     bad = recs[1]._replace(phase="X")
-    report = check_trace_invariants(recs[:1] + [bad] + recs[2:], system)
+    report = _reports(recs[:1] + [bad] + recs[2:], system)
     assert any("compact-state" in v and "'X'" in v for v in report.violations), report.violations
+
+
+@pytest.fixture(scope="module")
+def traces():
+    """Per scheme, one 3,000-slot run's trace as a single chunk, and the
+    run's own 100 batch chunks."""
+    system = small_system()
+    out = {}
+    for scheme in (SchemeKind.CHAIN_DECODING, SchemeKind.FIC_BIC):
+        rep = solved_policy(system, scheme)
+        whole, batches = [], []
+        run(scheme, rep.policy, system, 11, 3_000, trace_hook=whole.append, batches=1)
+        run(scheme, rep.policy, system, 11, 3_000, trace_hook=batches.append)
+        out[scheme] = whole[0], batches
+    return system, out
+
+
+def _mutant(chunk, kind, rng):
+    """The chunk with one kind of fault planted at seeded slots."""
+    cols = {c: getattr(chunk, c).copy() for c in ("y", "d", "v")}
+    pick = lambda mask: rng.choice(np.flatnonzero(mask), size=3, replace=False)
+    cycle_starts = (chunk.a_p == 1) & (chunk.t == 0)
+    if kind == "tracker":
+        cols["d"][pick(chunk.a_p == 1)] += 1
+    elif kind == "outcome-range":
+        cols["y"][pick(np.ones(len(chunk.y), bool))] = [0, 8, -3]
+    elif kind == "compact-state":
+        states = list(chunk.states)
+        for s, cd in zip(np.unique(chunk.sid[pick(np.ones(len(chunk.y), bool))])[:2],
+                         (("X", 0), ("K_FWD", 1))):
+            states[s] = (cd, *states[s][1:])
+        return chunk._replace(states=states)
+    elif kind == "recursion":
+        cols["v"][pick(~cycle_starts)] += 1
+    elif kind == "bound":
+        return chunk._replace(decoded=chunk.decoded + 2)
+    elif kind == "full-release":
+        cols["v"][cycle_starts] = 2
+    return chunk._replace(**cols)
+
+
+MUTANTS = ("tracker", "outcome-range", "compact-state", "recursion", "bound", "full-release")
+
+
+@pytest.mark.parametrize("kind", MUTANTS)
+def test_checker_matches_the_slot_by_slot_reference_on_mutants(traces, kind):
+    system, by_scheme = traces
+    whole, _ = by_scheme[SchemeKind.CHAIN_DECODING]
+    bad = _mutant(whole, kind, np.random.default_rng(MUTANTS.index(kind)))
+    checker = TraceInvariantChecker(system)
+    checker.feed(bad)
+    assert checker.report == check_trace_invariants(records(bad), system)
+    assert any(f": {kind}: " in v for v in checker.report.violations), checker.report.violations
+
+
+@pytest.mark.parametrize("scheme", [SchemeKind.CHAIN_DECODING, SchemeKind.FIC_BIC])
+@pytest.mark.parametrize("kind", [None, "tracker", "recursion", "full-release"])
+def test_checker_report_does_not_depend_on_chunk_size(traces, scheme, kind):
+    system, by_scheme = traces
+    whole, batches = by_scheme[scheme]
+    if kind is not None:
+        whole = _mutant(whole, kind, np.random.default_rng(5))
+        batches = split(whole, len(batches[0].sid))
+    reports = []
+    for chunks in ([whole], batches, split(whole, 7), split(whole, 1)):
+        checker = TraceInvariantChecker(system, scheme)
+        for chunk in chunks:
+            checker.feed(chunk)
+        reports.append(checker.report)
+    assert reports[0] == reports[1] == reports[2] == reports[3]
+    assert reports[0] == check_trace_invariants(records(whole), system, scheme)
+    assert reports[0].slots == 3_000 and reports[0].cycles > 0
+    cd_only = kind in ("recursion", "full-release")  # identities of chain decoding alone
+    assert reports[0].ok == (kind is None or (cd_only and scheme is not SchemeKind.CHAIN_DECODING))
+
+
+def test_records_round_trip_through_a_chunk(traces):
+    whole, batches = traces[1][SchemeKind.CHAIN_DECODING]
+    recs = records(whole)
+    assert [r for c in batches for r in records(c)] == recs
+    assert records(chunk_of(recs)) == recs
+    with pytest.raises(ValueError, match="do not determine"):
+        chunk_of(recs[:3] + [recs[3]._replace(m_before=recs[3].m_before + 1)] + recs[4:])
