@@ -52,6 +52,8 @@ _SWEPT_MEAN = {"gamma_ps_over_gamma_s": "mean_gamma_s", "gamma_sp_over_gamma_p":
 # its 2.0 ** r overflows from r = 1024, which it reaches for mean SNRs above
 # about 1.9e154.
 _MAX_OPTIMIZED_MEAN = 1e150
+# (2^rate_s - 1)(2^rate_p - 1) < 2^(rate_s + rate_p), which is finite below 2^1024.
+_MAX_RATE_SUM = 1023
 _SCHEMES = {s.value: s for s in SchemeKind}
 
 
@@ -116,6 +118,18 @@ class ExperimentConfig:
                         f"<= {_MAX_OPTIMIZED_MEAN:g} when {key} = optimize", (key,))
             else:
                 require(math.isfinite(rate) and rate > 0.0, key, "finite and > 0, or optimize")
+        fixed = [k for k in ("rate_s", "rate_p") if getattr(self, k) != "optimize"]
+        if fixed:
+            # Only a fixed rate can bring the sum to the limit, since optimized
+            # rates stay below 500 for means up to _MAX_OPTIMIZED_MEAN.
+            pair = _resolve_rates(self)
+            rates = {"rate_s": pair.r_s, "rate_p": pair.r_p}
+            key = max(fixed, key=rates.get)
+            other = "rate_p" if key == "rate_s" else "rate_s"
+            require(rates[key] + rates[other] < _MAX_RATE_SUM, key,
+                    f"below {_MAX_RATE_SUM} - {other} = {_MAX_RATE_SUM - rates[other]!r} "
+                    f"({other} = {rates[other]!r}), so that the region probabilities' "
+                    "(2^rate_s - 1)(2^rate_p - 1) stays finite", (other,))
         require(self.r_max >= 1, "r_max", ">= 1")
         require(self.d_max >= max(2, self.r_max), "d_max", ">= max(2, r_max)", ("r_max",))
         require(self.q_max >= 1, "q_max", ">= 1")
@@ -184,6 +198,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         msg = str(e)
         if key != e.key:
             msg += f" ({e.key} is not set, so {key} = {values[key]!r} breaks the rule)"
+        msg += "".join(f" ({k} is set on line {lines[k]})"
+                       for k in e.partners if k in lines and k != key)
         raise ConfigError(f"{where}: {msg}", key) from None
     return cfg
 

@@ -366,6 +366,8 @@ def _policy_from_vector(space: StateSpace, mu: np.ndarray) -> AccessPolicy:
 _UNUSED = 1e-12
 # A floor row with more slack than this is not binding: its multiplier is 0.
 _SLACK_TOL = 1e-9
+# HiGHS's default primal feasibility tolerance and the smallest it accepts.
+_PRIMAL_TOL, _PRIMAL_TOL_MIN = 1e-7, 1e-10
 
 
 def solve_constrained(
@@ -404,8 +406,13 @@ def solve_constrained(
                       np.ones((1, 2 * m))])
     b_eq = np.zeros(m + 1)
     b_eq[m] = 1.0
+    # HiGHS's primal feasibility tolerance is absolute, 1e-7 by default, so
+    # a floor below it would count as met by a policy with no PU throughput.
+    # The tolerance is held to a thousandth of the floor, within HiGHS's range.
+    tol = min(_PRIMAL_TOL, max(_PRIMAL_TOL_MIN, 1e-3 * constraint_min))
     res = linprog(-r_su.ravel(), A_ub=-r_c.reshape(1, -1), b_ub=[-constraint_min],
-                  A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+                  A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
+                  options={"primal_feasibility_tolerance": tol})
     if res.status == 2:
         idle = evaluate_policy(space, kernel, np.zeros(space.n)).pu_reward.component(component)
         raise InfeasibleConstraintError(

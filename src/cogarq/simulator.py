@@ -6,11 +6,20 @@ policy.  Channel gains, PU access draws, arrivals, and SU access draws come
 from four independent seed-derived streams, so two runs with the same seed
 but different policies see the same environment.
 
-Every scheme walks its compact state through integer ids and a step table
-filled on first use.  The baselines are credited by their compact models:
-FIC/BIC decodes within the current primary ARQ window in both directions,
-FIC-only only forward, and no-FIC/BIC slot by slot with no memory at all.
-Chain decoding also runs the full decoding graph, which credits its packets.
+A run first packs each slot's random inputs into one small int code with
+numpy: the outcome region, the PU's decode with and without SU
+interference, the ranks of the two access draws among the distinct access
+probabilities, and the arrivals.  The slot loop then walks integer entry
+ids only.  A walk state is a compact-state id plus the true PU's (t, d, q),
+and each (walk state, code) pair gets one entry on first use, holding the
+slot's step: the compact walk's step table gives the tracker's step, the
+model's phase update and reward and the drop rule, and the true PU steps
+through the ARQ table on its own.  Every batch sum and trace column is a
+numpy gather over the entry ids.  The baselines are credited by their
+compact models: FIC/BIC decodes within the current primary ARQ window in
+both directions, FIC-only only forward, and no-FIC/BIC slot by slot with no
+memory at all.  Chain decoding also runs the full decoding graph over each
+walked batch, which credits its packets.
 
 With a trace hook, `run` hands over each batch of slots as one `TraceChunk`
 of int columns, and `TraceInvariantChecker.feed` checks the per-trace
@@ -21,6 +30,8 @@ recording.
 from __future__ import annotations
 
 import enum
+import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -337,6 +348,143 @@ class _CompactWalk:
         return entry
 
 
+# -- the slot walk on input codes ---------------------------------------------------
+
+
+def _thresholds(probs) -> list:
+    """The distinct access probabilities strictly between 0 and 1, sorted."""
+    return sorted({p for p in probs if 0.0 < p < 1.0})
+
+
+def _below(mu: float, rank: int, thresholds: list) -> int:
+    """Whether a uniform draw u in [0, 1) with this rank has u < mu.
+
+    A draw's rank is the number of thresholds at or below it.  For mu among
+    the thresholds, u < mu exactly when the rank is at most the number of
+    thresholds below mu.  u < 0 never holds, and u < 1 always does, which
+    the same comparison gives.
+    """
+    return int(mu > 0.0 and rank <= bisect_left(thresholds, mu))
+
+
+# The fields of an entry, one slot's step, as the rows of `_SlotWalk.table()`.
+# The first eight are the `TraceChunk` columns of the same names; `success`
+# is the PU's decode, `r_s` the model reward, `lost` the SU packets the
+# scheme's drop rule counts and `drop` the PU's queue overflow.
+_ENTRY = ("sid", "t", "d", "q", "a_s", "a_p", "y_p", "o", "success", "r_s", "lost", "drop")
+_SID, _T, _D, _Q, _A_S, _A_P, _Y_P, _O, _SUCCESS, _R_S, _LOST, _DROP = range(len(_ENTRY))
+# Slots per slice of the input encoding, and at most per group of batches
+# that `run` walks and gathers at once, unless one batch is longer.
+_SLICE = 1 << 16
+_GROUP = 1 << 10
+
+
+class _SlotWalk:
+    """Entry ids for the (walk state, input code) pairs a run meets.
+
+    A slot's random inputs are one int code, in mixed radix over `radix`,
+    most significant first: the outcome region y - 1, the PU's decode
+    without and with SU interference, the rank of the SU access draw among
+    the policy's thresholds, that of the PU access draw among the PU's, and
+    the arrival count.  A threshold is a distinct access probability
+    strictly between 0 and 1 (`_below`).
+
+    A walk state is a compact-state id of `walk` plus the true PU's (t, d,
+    q).  `rows[w]` holds walk state w's entry for each input code, -1 until
+    filled, and ends with w itself.  An entry is one slot's step:
+    `next_row[e]` is the row of the walk state it leads to, and `entries[e]`
+    the slot's fields in the order of `_ENTRY`.
+    """
+
+    def __init__(self, walk: _CompactWalk):
+        cfg = walk.pu_cfg
+        self.walk = walk
+        # the true PU's access probability by (t, d, q)
+        self.pu_mu = {(t, d, q): cfg.transmit_prob(t, d, q) for t in range(cfg.r_max)
+                      for d in range(cfg.d_max) for q in range(cfg.q_max + 1)}
+        self.thr_s = _thresholds(walk.probs.values())
+        self.thr_p = _thresholds(self.pu_mu.values())
+        self.radix = (7, 2, 2, len(self.thr_s) + 1, len(self.thr_p) + 1, cfg.arrival_pmf.size)
+        self.parts = list(itertools.product(*map(range, self.radix)))  # by code
+        self.n_codes = len(self.parts)
+        self.ids: dict = {}
+        self.states: list = []
+        self.rows: list = []
+        self.next_row: list = []
+        self.entries: list = []
+        self._table = np.empty((len(_ENTRY), 0), dtype=np.int32)
+
+    def encode(self, cfg: SystemConfig, seed: int, n_slots: int):
+        """Each slot's outcome region (int8) and input code.
+
+        Channel gains, PU access draws, arrivals and SU access draws come
+        from four spawned children of the seed's `SeedSequence`.  The gains
+        are drawn for the whole run, one link at a time, and reduced to one
+        byte per slot each for the region and the partial code; the other
+        streams are drawn one slice of slots at a time, as one whole-run
+        draw would give them, so no other whole-run float array exists.
+        """
+        ss = np.random.SeedSequence(seed)
+        gain_rng, pu_rng, arr_rng, su_rng = (np.random.default_rng(s) for s in ss.spawn(4))
+        gs, gps, gp, gsp = draw_gain_arrays(gain_rng, cfg.snr, n_slots)
+        theta_p = 2.0 ** cfg.rates.r_p - 1.0
+        y = np.empty(n_slots, dtype=np.int8)
+        codes = np.empty(n_slots, dtype=np.min_scalar_type(self.n_codes - 1))
+        slices = [slice(lo, lo + _SLICE) for lo in range(0, n_slots, _SLICE)]
+        for sl in slices:
+            y[sl] = classify_su_outcomes(gs[sl], gps[sl], cfg.rates)
+            codes[sl] = (((y[sl] - 1) * 2 + (gp[sl] > theta_p)) * 2
+                         + (gp[sl] > theta_p * (1.0 + gsp[sl])))
+        del gs, gps, gp, gsp
+        _, _, _, n_s, n_p, n_arr = self.radix
+        thr_s, thr_p = np.array(self.thr_s), np.array(self.thr_p)
+        for sl in slices:
+            m = codes[sl].size
+            c = codes[sl].astype(np.int64) * n_s + np.searchsorted(
+                thr_s, su_rng.random(m), side="right")
+            c = c * n_p + np.searchsorted(thr_p, pu_rng.random(m), side="right")
+            codes[sl] = c * n_arr + arr_rng.choice(n_arr, size=m, p=cfg.pu.arrival_pmf)
+        return y, codes
+
+    def table(self) -> np.ndarray:
+        """The entries as int32 rows, one per field of `_ENTRY`."""
+        if self._table.shape[1] < len(self.entries):
+            self._table = np.array(self.entries, dtype=np.int32).T.copy()
+        return self._table
+
+    def row(self, state) -> list:
+        w = self.ids.get(state)
+        if w is None:
+            w = self.ids[state] = len(self.states)
+            self.states.append(state)
+            self.rows.append([-1] * self.n_codes + [w])
+        return self.rows[w]
+
+    def fill(self, row: list, code: int) -> int:
+        """The entry of `row`'s walk state for `code`, made and stored."""
+        walk, cfg = self.walk, self.walk.pu_cfg
+        sid, t, d, q = self.states[row[-1]]
+        y, s0, s1, rank_s, rank_p, arrival = self.parts[code]
+        y += 1
+        a_s = _below(walk.mus[sid], rank_s, self.thr_s)
+        a_p = _below(self.pu_mu[t, d, q], rank_p, self.thr_p)
+        success = (s1 if a_s else s0) if a_p else 0
+        y_p = int((PuFeedback.ACK if success else PuFeedback.NACK) if a_p else PuFeedback.IDLE)
+        # The true PU and the SU-side tracker both step on the overheard
+        # feedback, whose presence is the access decision; the tracker's
+        # step is part of the compact state's.
+        o, t_n, d_n = walk.arq[t, d, y_p]
+        key = (sid, a_s, a_p, y, y_p)
+        nxt, r_s, lost = walk.steps.get(key) or walk.fill(key)
+        q_n = q - o + arrival
+        e = len(self.entries)
+        self.entries.append((sid, t, d, q, a_s, a_p, y_p, o, success, r_s, lost,
+                             max(q_n - cfg.q_max, 0)))
+        self.next_row.append(self.row((nxt, t_n, d_n, min(q_n, cfg.q_max))))
+        row[code] = e
+        return e
+
+
 # -- run metrics and trace records --------------------------------------------------
 
 
@@ -402,15 +550,6 @@ class TraceChunk(NamedTuple):
     g_edges: np.ndarray
 
 
-# Columns `run` records per slot: the fields of `TraceChunk` from `sid` on.
-_TRACE_WIDTH = len(TraceChunk._fields) - TraceChunk._fields.index("sid")
-
-
-_CLASSIFY_SLICE = 1 << 16
-# The slot loop reads its pre-drawn streams as Python lists this many slots at a time.
-_LOOP_SLICE = 1 << 10
-
-
 def _batch_stats(per_batch: np.ndarray, counts: np.ndarray):
     means = per_batch / counts
     if means.size < 2:
@@ -418,6 +557,50 @@ def _batch_stats(per_batch: np.ndarray, counts: np.ndarray):
     return float((per_batch.sum() / counts.sum())), float(
         means.std(ddof=1) / np.sqrt(means.size)
     )
+
+
+def _groups(edges: list) -> list:
+    """The batch edges cut into groups of consecutive batches, each spanning
+    at most `_GROUP` slots unless it is one longer batch."""
+    groups = [[edges[0]]]
+    for e in edges[1:]:
+        if len(groups[-1]) > 1 and e - groups[-1][0] > _GROUP:
+            groups.append([groups[-1][-1]])
+        groups[-1].append(e)
+    return groups
+
+
+def _graph_pass(g: CdGraph, first: int, states: list, cols: np.ndarray, y: np.ndarray,
+                tracing: bool):
+    """Chain decoding's graph over walked slots from slot `first` on.
+
+    Reads each slot's compact state, for the tracked PU packet and the
+    cycle starts, and both access decisions from the slots' entry columns
+    `cols`.  Returns the SU packets the graph credits per slot and, when
+    `tracing`, the rows (l_s, v, g_nodes, g_edges) of `TraceChunk`.
+    """
+    tracked = [s[1:3] for s in states]
+    credits, rows = [], []
+    for n, sid, a_s, a_p, y_n in zip(range(first, first + len(y)), cols[_SID].tolist(),
+                                     cols[_A_S].tolist(), cols[_A_P].tolist(), y.tolist()):
+        # The tracked PU packet of this slot is the one first sent tr_d slots
+        # ago; tr_t = 0 starts a new primary ARQ cycle.
+        tr_t, tr_d = tracked[sid]
+        if tr_t == 0:
+            on_new_cycle(g)
+        pu_slot = n - tr_d
+        known = pu_slot in g.decoded_pu
+        l_s = select_label(g, pu(pu_slot), known, n).label if a_s else None
+        if tracing:
+            v_before = root(g)[1]
+        if a_p:
+            credits.append(record_slot(g, l_s, pu(pu_slot), known, y_n))
+        else:
+            credits.append(record_slot(g, l_s, None, 0, None if l_s is None else y_n))
+        if tracing:
+            rows.append((-1 if l_s is None else slot_of(l_s), v_before,
+                         len(g.su_nodes) + len(g.pu_nodes), g.edge_count()))
+    return credits, rows
 
 
 def run(
@@ -431,12 +614,22 @@ def run(
 ) -> RunMetrics:
     """Simulate `n_slots` slots of the given scheme under a fixed policy.
 
-    Deterministic in (scheme, policy, cfg, seed).  Standard errors use
-    batch means over `batches` contiguous blocks, which absorbs the burst
-    correlation that chain releases introduce.  Raises `KeyError` when the
-    policy has no entry for a compact state the run reaches.  A
-    `trace_hook` is called once per batch, at its end, with the batch's
-    `TraceChunk`.
+    Deterministic in (scheme, policy, cfg, seed).  The slots' random inputs
+    are packed into int codes first (`_SlotWalk.encode`); the slot loop
+    then only looks up, per slot, the entry of its walk state and code,
+    filled on first use, and moves to the entry's next walk state.  The
+    loop walks a group of consecutive batches (`_groups`) at a time, and
+    every trace column is a numpy gather over the group's entry ids, every
+    batch sum a `reduceat` of one; chain decoding also runs its decoding
+    graph over each walked group.
+
+    Standard errors use batch means over `batches` contiguous blocks, which
+    absorbs the burst correlation that chain releases introduce.  The SU's
+    access thresholds are the distinct values of `policy.probs`.  Raises
+    `KeyError`, naming the slot, when the policy has no entry for a compact
+    state the run reaches.  A `trace_hook` is called once per batch, in
+    order, with the batch's `TraceChunk`, after the batch's group is
+    walked.
 
     `drop_rate` counts, per slot, the SU packets the scheme's receiver gives
     up on: for chain decoding, those trimmed from the graph at a cycle
@@ -445,136 +638,70 @@ def run(
     at once; for FIC-only, none, as it never buffers.  The counts are not
     comparable across schemes.
     """
-    if n_slots < batches:
-        batches = max(1, n_slots)
+    if n_slots < 1:
+        raise ValueError(f"n_slots must be >= 1, got {n_slots}")
+    batches = min(batches, n_slots)
     pu_cfg = cfg.pu
-    arq = _arq_table(pu_cfg)
-    q_max = pu_cfg.q_max
-
-    ss = np.random.SeedSequence(seed)
-    gain_rng, pu_rng, arr_rng, su_rng = (np.random.default_rng(s) for s in ss.spawn(4))
-    gs, gps, gp, gsp = draw_gain_arrays(gain_rng, cfg.snr, n_slots)
-    theta_p = 2.0 ** cfg.rates.r_p - 1.0
-    # The gains are reduced to one byte per slot and link outcome, and the
-    # classifier's float temporaries to one slice at a time; the per-slot
-    # Python lists are made one slice at a time in the loop below.
-    y_all = np.empty(n_slots, dtype=np.int8)
-    for lo in range(0, n_slots, _CLASSIFY_SLICE):
-        hi = lo + _CLASSIFY_SLICE
-        y_all[lo:hi] = classify_su_outcomes(gs[lo:hi], gps[lo:hi], cfg.rates)
-    succ0 = gp > theta_p
-    succ1 = gp > theta_p * (1.0 + gsp)
-    del gs, gps, gp, gsp
-    pu_u = pu_rng.random(n_slots)
-    su_u = su_rng.random(n_slots)
-    # Arrival counts take the narrowest int type that holds them.
-    n_arrivals = pu_cfg.arrival_pmf.size
-    arrivals = arr_rng.choice(n_arrivals, size=n_slots, p=pu_cfg.arrival_pmf).astype(
-        np.min_scalar_type(n_arrivals - 1))
-
     model = scheme_model(scheme, pu_cfg)
-    walk = _CompactWalk(model, _LOSSES[scheme], policy.probs, arq, cfg.success_probs(), pu_cfg)
-    mus, steps, states = walk.mus, walk.steps, walk.states
-    sid = walk.visit((model.initial_cd(), 0, 0, point_belief(0, q_max), 0))
+    walk = _CompactWalk(model, _LOSSES[scheme], policy.probs, _arq_table(pu_cfg),
+                        cfg.success_probs(), pu_cfg)
+    slots = _SlotWalk(walk)
+    y_all, codes = slots.encode(cfg, seed, n_slots)
+    start = walk.visit((model.initial_cd(), 0, 0, point_belief(0, pu_cfg.q_max), 0))
+    row = slots.row((start, 0, 0, 0))
     # Chain decoding runs the decoding graph, which credits its packets.
     g = CdGraph() if scheme is SchemeKind.CHAIN_DECODING else None
 
-    t = d = q = 0
-    idle, ack, nack = int(PuFeedback.IDLE), int(PuFeedback.ACK), int(PuFeedback.NACK)
-    # The true PU's access probability by [t][d][q]; an empty queue gets 0.
-    mu_p = [
-        [[pu_cfg.transmit_prob(ti, di, qi) for qi in range(q_max + 1)]
-         for di in range(pu_cfg.d_max)]
-        for ti in range(pu_cfg.r_max)
-    ]
-
     # Slot n falls in batch (n * batches) // n_slots.
     edges = [-(-b * n_slots // batches) for b in range(batches + 1)]
-    su_batch = []
+    su_batch, pu_batch = [], []
+    totals = np.zeros(len(_ENTRY), dtype=np.int64)
     decoded = 0  # SU packets credited in the batches before this one
-    pu_batch = []
-    power_sum = 0.0
-    drops_sum = 0.0
-    delay_sum = 0.0
-    dropped = 0
-    l_s = None
-    # The trace's rows of _TRACE_WIDTH ints, one per slot, are gathered in
-    # `rows` one slice of slots at a time and copied into the batch's block,
-    # int32 unless a slot index needs more.  Peak RSS is reached late in a
-    # long run, and a whole batch of rows in a list and in int64 raised it.
-    rows: list[int] = []
-    extend = rows.extend if trace_hook is not None else None
-    trace_dtype = np.int32 if n_slots < 2**31 else np.int64
-
-    for bi in range(batches):
-        su_sum = pu_sum = 0
-        lo, hi = edges[bi], edges[bi + 1]
-        if extend is not None:
-            block = np.empty((hi - lo, _TRACE_WIDTH), dtype=trace_dtype)
-        for start in range(lo, hi, _LOOP_SLICE):
-            stop = min(start + _LOOP_SLICE, hi)
-            for n, su_un, pu_un, y, s0, s1, arrival in zip(range(start, stop), *(
-                    x[start:stop].tolist() for x in (su_u, pu_u, y_all, succ0, succ1, arrivals))):
-                a_s = 1 if su_un < mus[sid] else 0
-                if g is not None:
-                    # The tracked PU packet of this slot is the one first sent
-                    # tr_d slots ago; tr_t = 0 starts a new primary ARQ cycle.
-                    _, tr_t, tr_d, _, _ = states[sid]
-                    if tr_t == 0:
-                        on_new_cycle(g)
-                    pu_slot = n - tr_d
-                    known = pu_slot in g.decoded_pu
-                    l_s = select_label(g, pu(pu_slot), known, n).label if a_s else None
-
-                a_p = 1 if pu_un < mu_p[t][d][q] else 0
-                success = (s1 if a_s else s0) if a_p else False
-                y_p = (ack if success else nack) if a_p else idle
-
-                # The ground truth and the SU-side tracker both step on the
-                # overheard feedback, whose presence is the access decision; the
-                # tracker's step is part of the compact state's.
-                o, t_next, d_next = arq[t, d, y_p]
-                key = (sid, a_s, a_p, y, y_p)
-                nxt, r_s, lost = steps.get(key) or walk.fill(key)
-
-                if extend is not None:
-                    v_before = root(g)[1] if g is not None else 0
-
-                if g is not None:
-                    if a_p:
-                        r_s = record_slot(g, l_s, pu(pu_slot), known, y)
-                    else:
-                        r_s = record_slot(g, l_s, None, 0, None if l_s is None else y)
-                su_sum += r_s
-                dropped += lost
-                pu_sum += success
-                power_sum += a_p
-                drops_sum += max(q - o + arrival - q_max, 0)
-                delay_sum += q
-
-                if extend is not None:
-                    if g is None:
-                        extend((sid, t, d, q, a_s, a_p, y_p, o, -1, r_s, 0, 0, 0))
-                    else:
-                        extend((sid, t, d, q, a_s, a_p, y_p, o,
-                                -1 if l_s is None else slot_of(l_s), r_s, v_before,
-                                len(g.su_nodes) + len(g.pu_nodes), g.edge_count()))
-
-                q = min(q - o + arrival, q_max)
-                t, d = t_next, d_next
-                sid = nxt
-            if extend is not None:
-                block[start - lo:stop - lo] = np.reshape(rows, (-1, _TRACE_WIDTH))
-                rows.clear()
-        if extend is not None:
-            trace_hook(TraceChunk(lo, decoded, states, y_all[lo:hi], *block.T))
-        su_batch.append(su_sum)
-        decoded += su_sum
-        pu_batch.append(pu_sum)
+    fill, next_row = slots.fill, slots.next_row
+    for group in _groups(edges):
+        lo, hi = group[0], group[-1]
+        ids = []
+        append = ids.append
+        try:
+            for c in codes[lo:hi].tolist():
+                e = row[c]
+                if e < 0:
+                    e = fill(row, c)
+                append(e)
+                row = next_row[e]
+        except KeyError as err:
+            raise KeyError(f"{err.args[0]}, on the step of slot {lo + len(ids)}") from None
+        cols = slots.table()[:, ids]
+        totals += cols.sum(axis=1)
+        if g is None:
+            r_s = cols[_R_S]
+        else:
+            credits, graph_rows = _graph_pass(g, lo, walk.states, cols, y_all[lo:hi],
+                                              trace_hook is not None)
+            r_s = np.array(credits)
+        starts = [b - lo for b in group[:-1]]
+        su = np.add.reduceat(r_s, starts).tolist()
+        su_batch += su
+        pu_batch += np.add.reduceat(cols[_SUCCESS], starts).tolist()
+        if trace_hook is not None:
+            if g is None:
+                graph_cols = (np.full(hi - lo, -1, dtype=np.int32),
+                              *np.zeros((3, hi - lo), dtype=np.int32))
+            else:
+                graph_cols = np.array(graph_rows).T
+            l_s, v, g_nodes, g_edges = graph_cols
+            columns = (*cols[:_SUCCESS], l_s, r_s, v, g_nodes, g_edges)
+        for a, b, su_sum in zip(group, group[1:], su):
+            if trace_hook is not None:
+                part = slice(a - lo, b - lo)
+                trace_hook(TraceChunk(a, decoded, walk.states, y_all[a:b],
+                                      *(x[part] for x in columns)))
+            decoded += su_sum
 
     counts = np.diff(np.array(edges, dtype=float))
     su_mean, su_se = _batch_stats(np.array(su_batch, dtype=float), counts)
     pu_mean, pu_se = _batch_stats(np.array(pu_batch, dtype=float), counts)
+    dropped = int(totals[_LOST])
     graph_counts = {}
     if g is not None:
         dropped = g.discarded_su
@@ -584,6 +711,7 @@ def run(
             cycle_trims=g.cycle_trims,
             cycle_trims_on_empty_graph=g.empty_cycle_trims,
         )
+    power, drops, delay = (float(totals[i]) for i in (_A_P, _DROP, _Q))
     return RunMetrics(
         scheme=scheme.value,
         seed=seed,
@@ -592,13 +720,13 @@ def run(
         su_se=su_se,
         pu_throughput=pu_mean,
         pu_se=pu_se,
-        pu_power=-cfg.pu_power * power_sum / n_slots,
-        pu_drops=-drops_sum / n_slots,
-        pu_queue_delay=-delay_sum / n_slots,
+        pu_power=-cfg.pu_power * power / n_slots,
+        pu_drops=-drops / n_slots,
+        pu_queue_delay=-delay / n_slots,
         drop_rate=dropped / n_slots,
         decoded_total=decoded,
-        states_visited=len(states),
-        steps_filled=len(steps),
+        states_visited=len(walk.states),
+        steps_filled=len(walk.steps),
         **graph_counts,
     )
 

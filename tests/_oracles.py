@@ -14,9 +14,11 @@ test, and a ground-truth PU pair.  The PU pair states its own ARQ rule, apart
 from `cogarq.pu_tracker.update`, so checking the tracker against it compares
 two independent statements of the rule.  The baseline receivers are stated
 here on the decoding graph, where the simulator credits them from their
-compact models.  The trace invariants are checked here one record at a
-time, where the package checks them on a chunk's columns; `records` and
-`chunk_of` convert between the two forms.
+compact models.  The Monte Carlo run is stated here slot by slot
+(`reference_run`), where the package walks entry ids over pre-packed input
+codes and gathers its columns with numpy.  The trace invariants are checked
+here one record at a time, where the package checks them on a chunk's
+columns; `records` and `chunk_of` convert between the two forms.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from cogarq.cd_graph import CdGraph, prune_unreachable, pu, record_slot, su
+from cogarq.cd_graph import CdGraph, prune_unreachable, pu, record_slot, root, slot_of, su
+from cogarq.cd_protocol import on_new_cycle, select_label
 from cogarq.channel import (
     PU_ALONE,
     PU_UNDER_SU,
@@ -38,10 +41,23 @@ from cogarq.channel import (
     RatePair,
     RegionProbabilities,
     classify_su_outcomes,
+    draw_gain_arrays,
 )
 from cogarq.pu_system import PuConfig
 from cogarq.pu_tracker import PuFeedback
-from cogarq.simulator import InvariantReport, SchemeKind, SystemConfig, TraceChunk
+from cogarq.simulator import (
+    _LOSSES,
+    InvariantReport,
+    RunMetrics,
+    SchemeKind,
+    SystemConfig,
+    TraceChunk,
+    _arq_table,
+    _batch_stats,
+    _CompactWalk,
+    scheme_model,
+)
+from cogarq.virtual_state import point_belief
 
 
 @dataclass(frozen=True)
@@ -425,6 +441,117 @@ def check_trace_invariants(
         cnt12 += yt in SU_UNDER_PU
         cnt57 += yt in SU_NEEDS_PU
     return InvariantReport(slots, cycles, checks, violations)
+
+
+def reference_run(scheme: SchemeKind, policy, cfg: SystemConfig, seed: int, n_slots: int,
+                  trace_hook=None, batches: int = 100) -> RunMetrics:
+    """Slot-by-slot reference for `cogarq.simulator.run`.
+
+    Draws every stream for the whole run at once, and steps each slot in
+    Python: the SU and PU access decisions by comparing the draws with the
+    access probabilities, the PU's decode and feedback, the true PU's ARQ
+    step and queue, the compact walk's step, and, for chain decoding, the
+    decoding graph.  Running sums give the metrics; a trace chunk is built
+    from one row per slot.  It shares the compact walk (`_CompactWalk`) and
+    the scheme models with the package, but neither the input codes nor
+    the entry table and gathers.
+    """
+    batches = min(batches, n_slots)
+    pu_cfg = cfg.pu
+    arq = _arq_table(pu_cfg)
+    q_max = pu_cfg.q_max
+
+    ss = np.random.SeedSequence(seed)
+    gain_rng, pu_rng, arr_rng, su_rng = (np.random.default_rng(s) for s in ss.spawn(4))
+    gs, gps, gp, gsp = draw_gain_arrays(gain_rng, cfg.snr, n_slots)
+    theta_p = 2.0 ** cfg.rates.r_p - 1.0
+    y_all = classify_su_outcomes(gs, gps, cfg.rates).astype(np.int8)
+    succ0 = gp > theta_p
+    succ1 = gp > theta_p * (1.0 + gsp)
+    pu_u = pu_rng.random(n_slots)
+    su_u = su_rng.random(n_slots)
+    arrivals = arr_rng.choice(pu_cfg.arrival_pmf.size, size=n_slots, p=pu_cfg.arrival_pmf)
+
+    model = scheme_model(scheme, pu_cfg)
+    walk = _CompactWalk(model, _LOSSES[scheme], policy.probs, arq, cfg.success_probs(), pu_cfg)
+    sid = walk.visit((model.initial_cd(), 0, 0, point_belief(0, q_max), 0))
+    g = CdGraph() if scheme is SchemeKind.CHAIN_DECODING else None
+    idle, ack, nack = int(PuFeedback.IDLE), int(PuFeedback.ACK), int(PuFeedback.NACK)
+
+    t = d = q = 0
+    edges = [-(-b * n_slots // batches) for b in range(batches + 1)]
+    su_batch, pu_batch = [], []
+    decoded = dropped = 0
+    power_sum = drops_sum = delay_sum = 0.0
+    for bi in range(batches):
+        lo, hi = edges[bi], edges[bi + 1]
+        su_sum = pu_sum = 0
+        rows = []
+        for n in range(lo, hi):
+            y = int(y_all[n])
+            a_s = 1 if su_u[n] < walk.mus[sid] else 0
+            l_s = pu_slot = known = None
+            if g is not None:
+                _, tr_t, tr_d, _, _ = walk.states[sid]
+                if tr_t == 0:
+                    on_new_cycle(g)
+                pu_slot = n - tr_d
+                known = pu_slot in g.decoded_pu
+                l_s = select_label(g, pu(pu_slot), known, n).label if a_s else None
+            a_p = 1 if pu_u[n] < pu_cfg.transmit_prob(t, d, q) else 0
+            success = bool(succ1[n] if a_s else succ0[n]) if a_p else False
+            y_p = (ack if success else nack) if a_p else idle
+            o, t_next, d_next = arq[t, d, y_p]
+            key = (sid, a_s, a_p, y, y_p)
+            try:
+                nxt, r_s, lost = walk.steps.get(key) or walk.fill(key)
+            except KeyError as err:
+                raise KeyError(f"{err.args[0]}, on the step of slot {n}") from None
+            v_before = root(g)[1] if g is not None else 0
+            if g is not None:
+                if a_p:
+                    r_s = record_slot(g, l_s, pu(pu_slot), known, y)
+                else:
+                    r_s = record_slot(g, l_s, None, 0, None if l_s is None else y)
+            arrival = int(arrivals[n])
+            su_sum += r_s
+            dropped += lost
+            pu_sum += success
+            power_sum += a_p
+            drops_sum += max(q - o + arrival - q_max, 0)
+            delay_sum += q
+            if g is None:
+                rows.append((sid, t, d, q, a_s, a_p, y_p, o, -1, r_s, 0, 0, 0))
+            else:
+                rows.append((sid, t, d, q, a_s, a_p, y_p, o,
+                             -1 if l_s is None else slot_of(l_s), r_s, v_before,
+                             len(g.su_nodes) + len(g.pu_nodes), g.edge_count()))
+            q = min(q - o + arrival, q_max)
+            t, d = t_next, d_next
+            sid = nxt
+        if trace_hook is not None:
+            trace_hook(TraceChunk(lo, decoded, walk.states, y_all[lo:hi], *np.array(rows).T))
+        su_batch.append(su_sum)
+        decoded += su_sum
+        pu_batch.append(pu_sum)
+
+    counts = np.diff(np.array(edges, dtype=float))
+    su_mean, su_se = _batch_stats(np.array(su_batch, dtype=float), counts)
+    pu_mean, pu_se = _batch_stats(np.array(pu_batch, dtype=float), counts)
+    graph_counts = {}
+    if g is not None:
+        dropped = g.discarded_su
+        graph_counts = dict(graph_max_nodes=g.max_nodes, graph_max_edges=g.max_edges,
+                            cycle_trims=g.cycle_trims,
+                            cycle_trims_on_empty_graph=g.empty_cycle_trims)
+    return RunMetrics(
+        scheme=scheme.value, seed=seed, n_slots=n_slots,
+        su_throughput=su_mean, su_se=su_se, pu_throughput=pu_mean, pu_se=pu_se,
+        pu_power=-cfg.pu_power * power_sum / n_slots, pu_drops=-drops_sum / n_slots,
+        pu_queue_delay=-delay_sum / n_slots, drop_rate=dropped / n_slots,
+        decoded_total=decoded, states_visited=len(walk.states), steps_filled=len(walk.steps),
+        **graph_counts,
+    )
 
 
 def region_probabilities(

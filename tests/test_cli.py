@@ -186,6 +186,8 @@ def test_config_error_loads_no_lp_solver(tmp_path):
         ("mean_gamma_s", "1e200"),
         # the swept mean gamma_ps = 1e308 * mean_gamma_s overflows
         ("sweep_values", "1e308"),
+        # with rate_p = optimize (about 2.5), (2^rate_s - 1)(2^rate_p - 1) overflows
+        ("rate_s", "1023"),
     ],
 )
 def test_main_rejects_out_of_range_values(tmp_path, capsys, key, value):
@@ -196,6 +198,14 @@ def test_main_rejects_out_of_range_values(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert key in err
     assert f"exp.cfg:{len(text.splitlines())}:" in err
+
+
+def test_overflowing_rate_pair_names_both_rate_lines(tmp_path, capsys):
+    text = "mean_gamma_s = 5\nmean_gamma_p = 10\nmean_gamma_ps = 5\nrate_s = 600\nrate_p = 600\n"
+    assert main([str(write(tmp_path, text)), "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "exp.cfg:4: rate_s must be below 1023 - rate_p" in err
+    assert "(rate_p is set on line 5)" in err
 
 
 def test_overflowing_swept_mean_names_the_sweep_values_line(tmp_path, capsys):

@@ -280,6 +280,23 @@ def test_solver_properties_and_pi_oracle(probs, r_max, extra_d, rho0, rho_ratio,
     assert rep.su_throughput == pytest.approx(oracle.su, abs=1e-9)
 
 
+def test_floor_below_the_default_lp_tolerance_is_met():
+    # A falsifying example of the property test above: a floor of 3e-8 lies
+    # under HiGHS's default feasibility tolerance, which took it as met by
+    # a policy with no PU throughput.
+    from cogarq.simulator import SchemeKind, scheme_model
+
+    probs = RegionProbabilities(*(np.ones(7) / 7).tolist())
+    cfg = PuConfig(1, 2, 1, saturating_arrivals(1))
+    space = enumerate_space(scheme_model(SchemeKind.CHAIN_DECODING, cfg), cfg, probs, (0.5, 0.0))
+    kernel = build_kernel(space)
+    floor = 5.96e-8 * evaluate_policy(space, kernel, np.zeros(space.n)).pu_reward.throughput
+    rep = solve_constrained(space, kernel, floor)
+    assert floor == pytest.approx(2.98e-8)
+    assert rep.constraint_value >= floor - 1e-12
+    assert rep.su_throughput == pytest.approx(_pi_oracle(space, kernel, floor).su, abs=1e-12)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 8).flatmap(
     lambda n: st.lists(st.floats(0.01, 1.0), min_size=n * n, max_size=n * n)))

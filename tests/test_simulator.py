@@ -14,6 +14,7 @@ from cogarq.simulator import (
     RunMetrics,
     SchemeKind,
     SystemConfig,
+    TraceChunk,
     TraceInvariantChecker,
     run,
     scheme_model,
@@ -26,6 +27,7 @@ from _oracles import (
     chunk_of,
     memoryless_decode,
     records,
+    reference_run,
     region_probabilities,
     split,
 )
@@ -304,6 +306,98 @@ def test_policy_missing_a_reachable_state_raises():
     missing = AccessPolicy({s: p for s, p in policy.probs.items() if s.t != 1})
     with pytest.raises(KeyError, match="policy has no entry for state"):
         run(SchemeKind.FIC_BIC, missing, system, 3, 2_000)
+
+
+def _matches_reference(scheme, policy, system, seed, n_slots, batches=100):
+    """Run the package and the slot-by-slot reference alike; require the same
+    metrics and the same trace chunks, column by column.  Returns the chunks."""
+    got, want = [], []
+    metrics = run(scheme, policy, system, seed, n_slots, trace_hook=got.append, batches=batches)
+    assert metrics == reference_run(scheme, policy, system, seed, n_slots,
+                                    trace_hook=want.append, batches=batches)
+    assert run(scheme, policy, system, seed, n_slots, batches=batches) == metrics
+    assert len(got) == len(want) == min(batches, n_slots)
+    for a, b in zip(got, want):
+        assert (a.first, a.decoded, a.states) == (b.first, b.decoded, b.states)
+        for column in TraceChunk._fields[3:]:
+            assert np.array_equal(getattr(a, column), getattr(b, column)), (a.first, column)
+    return got
+
+
+def _column(chunks, name):
+    return np.concatenate([getattr(c, name) for c in chunks])
+
+
+@pytest.mark.parametrize("r_max", [2, 3, 5])
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+def test_run_matches_the_slot_by_slot_reference(scheme, r_max):
+    pu_cfg = PuConfig(r_max, r_max + 1, 1, saturating_arrivals(1))
+    system = SystemConfig(AvgSnrConfig(5.0, 5.0, 10.0, 2.0), RATES, pu_cfg)
+    chunks = _matches_reference(scheme, _constant_policy(system, scheme), system, 23, 3_000)
+    assert set(_column(chunks, "a_s").tolist()) == {0, 1}
+
+
+class _AnyState(dict):
+    """Transmit probabilities for every compact state, by its tracked (t, d).
+
+    A random-arrival belief filter reaches more states than `enumerate_space`
+    closes on, so the table answers any state; its own entries hold each
+    value it gives, as the package reads the distinct values off the table.
+    """
+
+    MUS = (0.0, 0.3, 1.0, 0.65)
+
+    def __init__(self):
+        super().__init__({("value", i): mu for i, mu in enumerate(self.MUS)})
+
+    def __missing__(self, state):
+        _, t, d, _ = state
+        return self.MUS[(t + d) % len(self.MUS)]
+
+
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+def test_run_matches_the_reference_with_an_idle_pu_random_arrivals_and_two_mixed_mus(scheme):
+    pu_cfg = PuConfig(3, 4, 2, np.array([0.3, 0.4, 0.3]), _pu_sometimes_idle)
+    system = SystemConfig(AvgSnrConfig(5.0, 5.0, 10.0, 2.0), RATES, pu_cfg)
+    chunks = _matches_reference(scheme, AccessPolicy(_AnyState()), system, 29, 4_000, batches=7)
+    a_p, q = _column(chunks, "a_p"), _column(chunks, "q")
+    assert 0.3 < 1.0 - a_p.mean() < 0.4  # idle at random, or on an empty queue
+    assert set(q.tolist()) == {0, 1, 2}
+    states = chunks[0].states
+    mus = {_AnyState.MUS[(states[s][1] + states[s][2]) % 4] for s in _column(chunks, "sid")}
+    assert mus == set(_AnyState.MUS)
+
+
+def test_a_draw_equal_to_its_access_probability_does_not_transmit():
+    # The SU and PU access draws are the fourth and second streams of the seed.
+    n, seed = 2_000, 31
+    streams = np.random.SeedSequence(seed).spawn(4)
+    pu_u = np.random.default_rng(streams[1]).random(n)
+    su_u = np.random.default_rng(streams[3]).random(n)
+    mu_p = float(pu_u[500])
+    pu_cfg = PuConfig(5, 5, 1, saturating_arrivals(1), lambda t, d, q: mu_p)
+    system = SystemConfig(AvgSnrConfig(5.0, 5.0, 10.0, 2.0), RATES, pu_cfg)
+    mu = float(su_u[777])
+    policy = _constant_policy(system, SchemeKind.FIC_BIC, mu)
+    chunks = _matches_reference(SchemeKind.FIC_BIC, policy, system, seed, n)
+    a_s, a_p = _column(chunks, "a_s"), _column(chunks, "a_p")
+    assert a_s[777] == 0 and np.array_equal(a_s, su_u < mu)
+    assert a_p[500] == 0 and np.array_equal(a_p[1:], pu_u[1:] < mu_p)  # slot 0: empty queue
+
+
+def test_missing_policy_state_raises_at_the_reference_slot():
+    system = small_system()
+    policy = _constant_policy(system, SchemeKind.FIC_BIC)
+    # two packets buffered behind an unknown PU packet on its fourth try
+    missing = AccessPolicy({s: p for s, p in policy.probs.items()
+                            if not (s.cd == ("U", 2) and s.t == 3)})
+    messages = []
+    for simulate in (run, reference_run):
+        with pytest.raises(KeyError, match="policy has no entry for state") as err:
+            simulate(SchemeKind.FIC_BIC, missing, system, 3, 500)
+        messages.append(err.value.args[0])
+    assert messages[0] == messages[1]
+    assert int(messages[0].rpartition("on the step of slot ")[2]) > 100, messages[0]
 
 
 def test_unknown_phase_is_a_compact_state_violation():
