@@ -179,6 +179,21 @@ def _phi(z: float) -> float:
     return 1.0 if z == 0.0 else -math.expm1(-z) / z
 
 
+def _wedge(ab: float, u: float, v: float) -> float:
+    """u (exp(-ab v) - exp(-ab u)) / (u - v), as ab u exp(-ab min(u, v))
+    phi(ab |u - v|), which has no positive exponent and needs no branch at
+    equal means (phi(0) = 1).
+
+    Where ab u overflows, that product is inf * 0.  There exp(-ab u) is 0,
+    so the value is u exp(-ab v) (1 - exp(-ab (u - v))) / (u - v) for
+    v < u, finite, and 0 otherwise.
+    """
+    x = ab * u
+    if math.isinf(x):
+        return u / (u - v) * math.exp(-ab * v) * -math.expm1(-ab * (u - v)) if v < u else 0.0
+    return x * math.exp(-ab * min(u, v)) * _phi(ab * abs(u - v))
+
+
 def exact_region_probabilities(mean_s: float, mean_ps: float, r: RatePair) -> RegionProbabilities:
     """Closed-form region probabilities under independent exponential gains.
 
@@ -206,12 +221,9 @@ def exact_region_probabilities(mean_s: float, mean_ps: float, r: RatePair) -> Re
     # region 2: gamma_ps <= b, gamma_s > a (1 + gamma_ps); region 3 mirrors it
     d_s = e_a * -math.expm1(-b * (v + a * u)) / (1.0 + a * mean_ps * u)
     d_p = e_b * -math.expm1(-a * (u + b * v)) / (1.0 + b * mean_s * v)
-    # region 1: a < gamma_s <= a + ab with gamma_ps > a + b + ab - gamma_s,
-    # plus gamma_s > a + ab with gamma_ps > b; the first part is
-    # u (exp(-ab v) - exp(-ab u)) / (u - v), written so that no exponent is
-    # positive and equal means (phi(0) = 1) need no branch
-    d_sp = e_a * e_b * (ab * u * math.exp(-ab * min(u, v)) * _phi(ab * abs(u - v))
-                        + math.exp(-ab * u))
+    # region 1: a < gamma_s <= a + ab with gamma_ps > a + b + ab - gamma_s
+    # (`_wedge`), plus gamma_s > a + ab with gamma_ps > b
+    d_sp = e_a * e_b * (_wedge(ab, u, v) + math.exp(-ab * u))
     u_0 = math.expm1(-a * u) * math.expm1(-b * v)
     # the complements; rounding may leave them a few ulps below zero
     u_s = max(-e_a * math.expm1(-b * v) - d_s, 0.0)

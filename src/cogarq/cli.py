@@ -33,7 +33,7 @@ from .mdp import (
     evaluate_policy,
     solve_constrained,
 )
-from .pu_system import PuConfig, saturating_arrivals
+from .pu_system import PuConfig
 from .simulator import (
     GenieModel,
     SchemeKind,
@@ -132,8 +132,11 @@ class ExperimentConfig:
                     "(2^rate_s - 1)(2^rate_p - 1) stays finite", (other,))
         require(self.r_max >= 1, "r_max", ">= 1")
         require(self.d_max >= max(2, self.r_max), "d_max", ">= max(2, r_max)", ("r_max",))
+        # The PU is backlogged and the floor is on its throughput, so
+        # arrivals, pu_policy and constraint_component take one value each and
+        # q_max, the PU's queue capacity, affects nothing.  All four are still
+        # validated, so that older configs load.
         require(self.q_max >= 1, "q_max", ">= 1")
-        # the MDP path supports only a backlogged PU and a throughput floor
         require(self.arrivals == "saturate", "arrivals", "saturate")
         require(self.pu_policy == "always", "pu_policy", "always")
         require(self.constraint_component == "throughput", "constraint_component", "throughput")
@@ -228,8 +231,8 @@ def _sweep_point(cfg: ExperimentConfig, rates: RatePair, index: int, check_invar
 
     Returns (index, rows, policy_records, violations, run_records,
     solve_records); a run record holds what results.csv leaves out of one
-    simulator run: its PU metrics and the counts of its compact-state walk,
-    plus, for chain decoding, the high-water marks of its decoding graph
+    simulator run: the counts of its compact-state walk, plus, for chain
+    decoding, the high-water marks of its decoding graph
     and its cycle trims.  A solve record holds the LP diagnostics of one
     constrained solve, the genie's included.  Baseline policies are
     re-optimized on their own compact models under the same PU floor, so
@@ -237,10 +240,7 @@ def _sweep_point(cfg: ExperimentConfig, rates: RatePair, index: int, check_invar
     """
     value = cfg.sweep_values[index]
     snr = _point_snr(cfg, value)
-    pu_cfg = PuConfig(
-        r_max=cfg.r_max, d_max=cfg.d_max, q_max=cfg.q_max,
-        arrival_pmf=saturating_arrivals(cfg.q_max),
-    )
+    pu_cfg = PuConfig(r_max=cfg.r_max, d_max=cfg.d_max)
     system = SystemConfig(snr=snr, rates=rates, pu=pu_cfg)
     probs = exact_region_probabilities(snr.mean_gamma_s, snr.mean_gamma_ps, rates)
     success = system.success_probs()
@@ -263,8 +263,8 @@ def _sweep_point(cfg: ExperimentConfig, rates: RatePair, index: int, check_invar
         space = enumerate_space(model, pu_cfg, probs, success)
         kernel = build_kernel(space)
         idle = evaluate_policy(space, kernel, np.zeros(space.n))
-        floor = cfg.constraint_fraction * idle.pu_reward.throughput
-        report = solve_constrained(space, kernel, floor, cfg.constraint_component)
+        floor = cfg.constraint_fraction * idle.pu_throughput
+        report = solve_constrained(space, kernel, floor)
         mixed = report.randomized_state
         solves.append({
             "sweep_value": value,
@@ -294,7 +294,7 @@ def _sweep_point(cfg: ExperimentConfig, rates: RatePair, index: int, check_invar
                 f"{name} @ {cfg.sweep}={value}: {v}" for v in checker.report.violations
             )
         add_row(name, "analytic_su_throughput", report.su_throughput)
-        add_row(name, "analytic_pu_throughput", report.pu_reward.throughput)
+        add_row(name, "analytic_pu_throughput", report.pu_throughput)
         add_row(name, "constraint_min", report.constraint_min)
         add_row(name, "mc_su_throughput", metrics.su_throughput, repr(metrics.su_se))
         add_row(name, "mc_pu_throughput", metrics.pu_throughput, repr(metrics.pu_se))
@@ -302,9 +302,6 @@ def _sweep_point(cfg: ExperimentConfig, rates: RatePair, index: int, check_invar
         run_record = {
             "sweep_value": value,
             "scheme": name,
-            "pu_power": metrics.pu_power,
-            "pu_drops": metrics.pu_drops,
-            "pu_queue_delay": metrics.pu_queue_delay,
             "states_visited": metrics.states_visited,
             "steps_filled": metrics.steps_filled,
         }
@@ -333,7 +330,7 @@ def _sweep_point(cfg: ExperimentConfig, rates: RatePair, index: int, check_invar
 
 
 def _state_record(s) -> dict:
-    return {"cd": list(s.cd), "t": s.t, "d": s.d, "belief": list(s.belief)}
+    return {"cd": list(s.cd), "t": s.t, "d": s.d, "empty": s.empty}
 
 
 def run_experiment(
@@ -395,6 +392,10 @@ def run_experiment(
             "compact models under the shared PU floor",
             "region probabilities in closed form from the exponential gain laws; "
             "region_samples does not affect the output",
+            "the PU is backlogged: its queue is empty only in the initial state, so it "
+            "idles in slot 0 and transmits in every later slot; arrivals, pu_policy and "
+            "constraint_component each accept one value (saturate, always, throughput), "
+            "and q_max, though any value >= 1 is accepted, does not affect the output",
         ],
         "invariants_checked": check_invariants,
         "invariant_violations": violations,

@@ -1,13 +1,14 @@
 """Average-reward MDP over the compact protocol state.
 
 The state couples a scheme-specific decoding phase with the tracked primary
-ARQ pair (t, d) and the queue belief.  A scheme model supplies its phase
-set, per-outcome reward, and phase update; everything else (feedback
-distribution, ARQ dynamics, belief filtering) is shared.  The constrained
-problem, maximize SU throughput subject to a floor on a PU reward
-component, is solved exactly by one linear program over state-action
-occupation measures (Altman, Constrained Markov Decision Processes, 1999,
-ch. 4), whose optimum randomizes in at most one state.
+ARQ pair (t, d) and whether the PU's queue is still empty, which holds in
+the initial state only: the backlogged PU idles there and transmits from
+then on.  A scheme model supplies its phase set, per-outcome reward, and
+phase update; everything else (feedback distribution, ARQ dynamics) is
+shared.  The constrained problem, maximize SU throughput subject to a floor
+on the PU's throughput, is solved exactly by one linear program over
+state-action occupation measures (Altman, Constrained Markov Decision
+Processes, 1999, ch. 4), whose optimum randomizes in at most one state.
 
 `scipy.optimize` is imported inside `solve_constrained`, not here: it
 costs about 0.2 s and 15 MB, which a run that stops at config validation
@@ -25,13 +26,6 @@ from scipy.sparse.csgraph import connected_components
 from .channel import RegionProbabilities
 from .pu_system import PuConfig
 from .pu_tracker import PuFeedback, update
-from .virtual_state import (
-    REWARD_COMPONENTS,
-    RewardVector,
-    expected_pu_reward,
-    next_belief,
-    point_belief,
-)
 
 __all__ = [
     "MdpState",
@@ -41,7 +35,6 @@ __all__ = [
     "EvalResult",
     "SolveReport",
     "InfeasibleConstraintError",
-    "BeliefEscapeError",
     "enumerate_space",
     "build_kernel",
     "evaluate_policy",
@@ -51,20 +44,17 @@ __all__ = [
 
 
 class MdpState(NamedTuple):
-    """Hashable compact state: scheme phase tuple, ARQ pair, queue belief."""
+    """Hashable compact state: scheme phase tuple, ARQ pair, and whether the
+    PU's queue is empty, which is True in the initial state only."""
 
     cd: tuple
     t: int
     d: int
-    belief: tuple
+    empty: bool
 
 
 class InfeasibleConstraintError(ValueError):
-    """The PU reward floor cannot be met even by the always-idle SU."""
-
-
-class BeliefEscapeError(RuntimeError):
-    """Belief enumeration did not close on a finite set."""
+    """The PU throughput floor cannot be met even by the always-idle SU."""
 
 
 @dataclass(frozen=True)
@@ -84,7 +74,7 @@ class StateSpace:
     """Enumerated states plus everything needed to build the kernel.
 
     `states` is the full product of the model's phase set with the
-    reachable ARQ/belief triples (so its size is exactly their product);
+    reachable (t, d, empty) triples (so its size is exactly their product);
     `reachable` marks the jointly-reachable subset the solver works on.
     """
 
@@ -92,12 +82,10 @@ class StateSpace:
     pu_cfg: PuConfig
     probs: RegionProbabilities
     success_probs: tuple[float, float]
-    pu_power: float
     states: list[MdpState]
     index: dict
     initial: MdpState
-    beliefs: list[tuple]
-    arq_triples: list[tuple]  # reachable (t, d, belief) combinations
+    arq_triples: list[tuple]  # reachable (t, d, empty) combinations
     reachable: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     @property
@@ -109,13 +97,13 @@ class StateSpace:
 class Kernel:
     p: np.ndarray      # (n, 2, n) next-state distribution
     r_su: np.ndarray   # (n, 2) expected SU packets credited
-    r_pu: np.ndarray   # (n, 2, 4) expected PU reward components
+    r_pu: np.ndarray   # (n, 2) expected PU throughput
 
 
 @dataclass
 class EvalResult:
     su_throughput: float
-    pu_reward: RewardVector
+    pu_throughput: float
     stationary: np.ndarray
     multichain_warning: bool = False
 
@@ -124,10 +112,9 @@ class EvalResult:
 class SolveReport:
     policy: AccessPolicy
     su_throughput: float
-    pu_reward: RewardVector
+    pu_throughput: float
     multiplier: float
     stationary: np.ndarray
-    constraint_component: str
     constraint_min: float
     constraint_value: float
     feasible: bool
@@ -143,11 +130,11 @@ class SolveReport:
     floor_slack: float = 0.0
 
 
-def _feedback_branches(t, d, belief, a_s, space):
-    """(y_p, probability) triples with their completion flag and (t', d', belief')."""
-    cfg = space.pu_cfg
+def _feedback_branches(t, d, empty, a_s, space):
+    """(a_p, o, probability, t', d') per feedback the PU can give from (t, d,
+    empty); after any slot the PU's queue holds a packet."""
     rho = space.success_probs[a_s]
-    p_tx = sum(w * cfg.transmit_prob(t, d, q) for q, w in enumerate(belief) if w > 0.0)
+    p_tx = space.pu_cfg.transmit_prob(empty)
     branches = []
     for y_p, p in (
         (PuFeedback.ACK, p_tx * rho),
@@ -156,9 +143,8 @@ def _feedback_branches(t, d, belief, a_s, space):
     ):
         if p <= 0.0:
             continue
-        o, t_n, d_n = update(t, d, y_p, cfg)
-        bel_n = next_belief(t, d, belief, o, rho, cfg)
-        branches.append((y_p, int(y_p != PuFeedback.IDLE), o, p, t_n, d_n, bel_n))
+        o, t_n, d_n = update(t, d, y_p, space.pu_cfg)
+        branches.append((int(y_p != PuFeedback.IDLE), o, p, t_n, d_n))
     return branches
 
 
@@ -167,59 +153,43 @@ def enumerate_space(
     pu_cfg: PuConfig,
     probs: RegionProbabilities,
     success_probs: tuple[float, float],
-    initial_belief: tuple | None = None,
-    pu_power: float = 1.0,
-    max_beliefs: int = 512,
 ) -> StateSpace:
-    """Breadth-first enumeration of the reachable (t, d, belief) triples,
+    """Depth-first enumeration of the reachable (t, d, empty) triples,
     crossed with the model's full phase set.
 
     The phase set is taken as a product rather than pruned to joint
     reachability, so the space size is exactly |phases| times the number of
-    ARQ/belief triples; unreachable combinations simply carry no stationary
-    mass.
+    triples; unreachable combinations simply carry no stationary mass.
+    Triples sort with the initial one, the only one whose queue is empty,
+    after the full-queue (0, 0).
     """
-    if initial_belief is None:
-        initial_belief = point_belief(0, pu_cfg.q_max)
     space = StateSpace(
         model=model,
         pu_cfg=pu_cfg,
         probs=probs,
         success_probs=success_probs,
-        pu_power=pu_power,
         states=[],
         index={},
-        initial=MdpState(model.initial_cd(), 0, 0, tuple(initial_belief)),
-        beliefs=[],
+        initial=MdpState(model.initial_cd(), 0, 0, True),
         arq_triples=[],
     )
-    seen = {(0, 0, tuple(initial_belief))}
-    frontier = [(0, 0, tuple(initial_belief))]
-    beliefs = {tuple(initial_belief)}
+    seen = {(0, 0, True)}
+    frontier = [(0, 0, True)]
     while frontier:
-        t, d, bel = frontier.pop()
+        t, d, empty = frontier.pop()
         for a_s in (0, 1):
-            for _, _, _, _, t_n, d_n, bel_n in _feedback_branches(t, d, bel, a_s, space):
-                key = (t_n, d_n, bel_n)
+            for _, _, _, t_n, d_n in _feedback_branches(t, d, empty, a_s, space):
+                key = (t_n, d_n, False)
                 if key not in seen:
                     seen.add(key)
                     frontier.append(key)
-                    beliefs.add(bel_n)
-                    if len(beliefs) > max_beliefs:
-                        raise BeliefEscapeError(
-                            f"more than {max_beliefs} distinct beliefs reached; "
-                            "this configuration is unsupported by the MDP path"
-                        )
     space.arq_triples = sorted(seen)
-    space.beliefs = sorted(beliefs)
     cd_states = list(model.cd_states(pu_cfg))
-    for t, d, bel in space.arq_triples:
+    for t, d, empty in space.arq_triples:
         for cd in cd_states:
-            s = MdpState(cd, t, d, bel)
+            s = MdpState(cd, t, d, empty)
             space.index[s] = len(space.states)
             space.states.append(s)
-    if space.initial not in space.index:
-        raise RuntimeError("initial state missing from enumeration")
 
     # joint reachability from the initial state under either action
     region_p = probs.as_array()
@@ -229,13 +199,11 @@ def enumerate_space(
     while stack:
         s = stack.pop()
         for a_s in (0, 1):
-            for _, a_p, o, _, t_n, d_n, bel_n in _feedback_branches(
-                s.t, s.d, s.belief, a_s, space
-            ):
+            for a_p, o, _, t_n, d_n in _feedback_branches(s.t, s.d, s.empty, a_s, space):
                 for y in range(1, 8):
                     if region_p[y - 1] == 0.0:
                         continue
-                    nxt = MdpState(model.next_cd(s.cd, a_s, a_p, y, o), t_n, d_n, bel_n)
+                    nxt = MdpState(model.next_cd(s.cd, a_s, a_p, y, o), t_n, d_n, False)
                     j = space.index[nxt]
                     if not reach[j]:
                         reach[j] = True
@@ -247,33 +215,34 @@ def enumerate_space(
 def build_kernel(space: StateSpace) -> Kernel:
     """Transition matrix and expected rewards for both SU actions.
 
-    Marginalizes the PU feedback (which fixes access, completion, ARQ
-    update, and belief update) against the outcome region drawn for the
-    slot.  Rows sum to one by construction.
+    Marginalizes the PU feedback (which fixes access, completion and the
+    ARQ update) against the outcome region drawn for the slot.  Rows sum
+    to one by construction.  The PU's expected throughput is its transmit
+    probability times its decoding probability under the SU's action.
     """
     n = space.n
     model = space.model
     region_p = space.probs.as_array()
     p = np.zeros((n, 2, n))
     r_su = np.zeros((n, 2))
-    r_pu = np.zeros((n, 2, 4))
-    branch_cache: dict = {}
+    r_pu = np.zeros((n, 2))
+    branch_cache: dict = {}  # (t, d, empty, a_s) -> (PU reward, feedback branches)
     for i, s in enumerate(space.states):
         for a_s in (0, 1):
-            key = (s.t, s.d, s.belief, a_s)
+            key = (s.t, s.d, s.empty, a_s)
             if key not in branch_cache:
-                branch_cache[key] = _feedback_branches(s.t, s.d, s.belief, a_s, space)
-            r_pu[i, a_s] = expected_pu_reward(
-                s.t, s.d, s.belief, a_s, space.pu_cfg, space.success_probs, space.pu_power
-            ).as_array()
-            for _, a_p, o, p_b, t_n, d_n, bel_n in branch_cache[key]:
+                branch_cache[key] = (
+                    space.pu_cfg.transmit_prob(s.empty) * space.success_probs[a_s],
+                    _feedback_branches(s.t, s.d, s.empty, a_s, space))
+            r_pu[i, a_s], branches = branch_cache[key]
+            for a_p, o, p_b, t_n, d_n in branches:
                 for y in range(1, 8):
                     p_y = region_p[y - 1]
                     if p_y == 0.0:
                         continue
                     w = p_b * p_y
                     cd_n = model.next_cd(s.cd, a_s, a_p, y, o)
-                    j = space.index[MdpState(cd_n, t_n, d_n, bel_n)]
+                    j = space.index[MdpState(cd_n, t_n, d_n, False)]
                     p[i, a_s, j] += w
                     r_su[i, a_s] += w * model.reward(s.cd, a_s, a_p, y)
     return Kernel(p, r_su, r_pu)
@@ -296,7 +265,7 @@ def stationary_distribution(p: np.ndarray) -> np.ndarray:
 def _policy_matrix(kernel: Kernel, mu: np.ndarray):
     p = (1.0 - mu)[:, None] * kernel.p[:, 0, :] + mu[:, None] * kernel.p[:, 1, :]
     r_su = (1.0 - mu) * kernel.r_su[:, 0] + mu * kernel.r_su[:, 1]
-    r_pu = (1.0 - mu)[:, None] * kernel.r_pu[:, 0, :] + mu[:, None] * kernel.r_pu[:, 1, :]
+    r_pu = (1.0 - mu) * kernel.r_pu[:, 0] + mu * kernel.r_pu[:, 1]
     return p, r_su, r_pu
 
 
@@ -333,7 +302,7 @@ def _recurrent_stationary(p: np.ndarray, start: int):
 
 
 def evaluate_policy(space: StateSpace, kernel: Kernel, policy) -> EvalResult:
-    """Long-run average SU throughput and PU reward under a policy.
+    """Long-run average SU and PU throughput under a policy.
 
     Accepts an AccessPolicy or a raw probability vector.  If the induced
     chain is reducible, the evaluation is restricted to a recurrent class
@@ -343,8 +312,20 @@ def evaluate_policy(space: StateSpace, kernel: Kernel, policy) -> EvalResult:
     p, r_su, r_pu = _policy_matrix(kernel, mu)
     pi, warning = _recurrent_stationary(p, space.index[space.initial])
     su = float(pi @ r_su)
-    pu = RewardVector(*(pi @ r_pu).tolist())
-    return EvalResult(su, pu, pi, warning)
+    return EvalResult(su, _four_column_dot(pi, r_pu), pi, warning)
+
+
+def _four_column_dot(pi: np.ndarray, r: np.ndarray) -> float:
+    """pi @ r, read off the first column of an (n, 4) product.
+
+    numpy's BLAS sums a lone vector and the columns of a matrix four or
+    more wide in different orders.  Results for a given seed have been
+    computed in the four-column order, and they stay bit-identical only
+    in it: the floor set from this value fixes the LP's path.
+    """
+    m = np.zeros((r.size, 4))
+    m[:, 0] = r
+    return float((pi @ m)[0])
 
 
 def _policy_vector(space: StateSpace, policy) -> np.ndarray:
@@ -374,10 +355,9 @@ def solve_constrained(
     space: StateSpace,
     kernel: Kernel,
     constraint_min: float,
-    component: str = "throughput",
     constraint_tol: float = 1e-4,
 ) -> SolveReport:
-    """Maximize SU throughput subject to a floor on one PU reward component.
+    """Maximize SU throughput subject to a floor on the PU's throughput.
 
     One linear program over the state-action occupation measure x of the
     jointly-reachable states: maximize sum x r_su subject to the balance
@@ -390,17 +370,13 @@ def solve_constrained(
     """
     from scipy.optimize import linprog  # see the module docstring
 
-    if component not in REWARD_COMPONENTS:
-        raise ValueError(f"unknown constraint component {component!r}")
-    comp = REWARD_COMPONENTS.index(component)
-
     # the solver works on the jointly-reachable subset; product states that
     # no trajectory can visit keep the idle action and zero mass
     ridx = np.nonzero(space.reachable)[0]
     m = ridx.size
     p_sub = kernel.p[np.ix_(ridx, np.arange(2), ridx)]
     r_su = kernel.r_su[ridx]
-    r_c = kernel.r_pu[ridx, :, comp]
+    r_c = kernel.r_pu[ridx]
     # column 2 s + a holds x[s, a]; rows: inflow balance per state, then sum x = 1
     a_eq = np.vstack([np.repeat(np.eye(m), 2, axis=1) - p_sub.reshape(2 * m, m).T,
                       np.ones((1, 2 * m))])
@@ -414,9 +390,9 @@ def solve_constrained(
                   A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
                   options={"primal_feasibility_tolerance": tol})
     if res.status == 2:
-        idle = evaluate_policy(space, kernel, np.zeros(space.n)).pu_reward.component(component)
+        idle = evaluate_policy(space, kernel, np.zeros(space.n)).pu_throughput
         raise InfeasibleConstraintError(
-            f"PU {component} floor {constraint_min} exceeds the idle-SU value {idle}"
+            f"PU throughput floor {constraint_min} exceeds the idle-SU value {idle}"
         )
     if res.status != 0:
         raise RuntimeError(f"constrained LP failed: {res.message}")
@@ -434,7 +410,7 @@ def solve_constrained(
     mu = np.zeros(space.n)
     mu[ridx] = mu_sub
     res_eval = evaluate_policy(space, kernel, mu)
-    value = res_eval.pu_reward.component(component)
+    value = res_eval.pu_throughput
     if value < constraint_min - constraint_tol:
         raise RuntimeError(
             f"constrained solve missed the floor: {value} < {constraint_min}"
@@ -442,10 +418,9 @@ def solve_constrained(
     return SolveReport(
         policy=_policy_from_vector(space, mu),
         su_throughput=res_eval.su_throughput,
-        pu_reward=res_eval.pu_reward,
+        pu_throughput=res_eval.pu_throughput,
         multiplier=multiplier,
         stationary=res_eval.stationary,
-        constraint_component=component,
         constraint_min=constraint_min,
         constraint_value=value,
         feasible=True,

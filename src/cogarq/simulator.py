@@ -2,15 +2,16 @@
 
 One run wires the fading channel, the ground-truth PU pair, the SU-side
 tracker, the decoding machinery of the selected scheme, and a fixed access
-policy.  Channel gains, PU access draws, arrivals, and SU access draws come
-from four independent seed-derived streams, so two runs with the same seed
-but different policies see the same environment.
+policy.  Channel gains and SU access draws come from independent
+seed-derived streams, so two runs with the same seed but different policies
+see the same environment.  The PU is backlogged and needs no draw: it idles
+in slot 0, on its empty queue, and transmits in every later slot.
 
 A run first packs each slot's random inputs into one small int code with
 numpy: the outcome region, the PU's decode with and without SU
-interference, the ranks of the two access draws among the distinct access
-probabilities, and the arrivals.  The slot loop then walks integer entry
-ids only.  A walk state is a compact-state id plus the true PU's (t, d, q),
+interference, and the rank of the SU access draw among the policy's
+distinct access probabilities.  The slot loop then walks integer entry ids
+only.  A walk state is a compact-state id plus the true PU's (t, d, empty),
 and each (walk state, code) pair gets one entry on first use, holding the
 slot's step: the compact walk's step table gives the tracker's step, the
 model's phase update and reward and the drop rule, and the true PU steps
@@ -57,9 +58,7 @@ from .pu_tracker import PuFeedback, update
 from .virtual_state import (
     CdPhase,
     ChainDecodingModel,
-    next_belief,
     phase_flags,
-    point_belief,
     translate_outcome,
 )
 
@@ -93,7 +92,6 @@ class SystemConfig:
     snr: AvgSnrConfig
     rates: RatePair
     pu: PuConfig
-    pu_power: float = 1.0
 
     def success_probs(self) -> tuple[float, float]:
         return (
@@ -298,27 +296,25 @@ _LOSSES = {
 class _CompactWalk:
     """Integer ids for the compact states a run visits, and their steps.
 
-    A state is (cd, tracked t, tracked d, belief, held): the policy's state
+    A state is (cd, tracked t, tracked d, empty, held): the policy's state
     plus the packets the open window has lost so far, which only FIC/BIC
     sets.  Each state gets an id on first visit, with its transmit
     probability in `mus`.  `steps` maps (id, a_s, a_p, y, y_p) to (next id,
     model reward, SU packets dropped) and is filled on first use from the
     ARQ table (the tracker's step and its completion o_hat), the model's
-    `next_cd` and `reward`, the scheme's drop rule and `next_belief`.
+    `next_cd` and `reward`, and the scheme's drop rule.  After any slot the
+    PU's queue holds a packet, so no state but the first has `empty` set.
     """
 
-    def __init__(self, model, losses, probs: dict, arq: dict, rho, pu_cfg: PuConfig):
+    def __init__(self, model, losses, probs: dict, arq: dict):
         self.model = model
         self.losses = losses
         self.probs = probs
         self.arq = arq
-        self.rho = rho
-        self.pu_cfg = pu_cfg
         self.states: list = []
         self.mus: list = []
         self.ids: dict = {}
         self.steps: dict = {}
-        self._beliefs: dict = {}  # (t, d, belief, o_hat, a_s) -> next belief
 
     def visit(self, state) -> int:
         sid = self.ids.get(state)
@@ -334,15 +330,10 @@ class _CompactWalk:
 
     def fill(self, key):
         sid, a_s, a_p, y, y_p = key
-        cd, t, d, belief, held = self.states[sid]
+        cd, t, d, _, held = self.states[sid]
         o_hat, t_n, d_n = self.arq[t, d, y_p]
-        bkey = (t, d, belief, o_hat, a_s)
-        belief_n = self._beliefs.get(bkey)
-        if belief_n is None:
-            belief_n = next_belief(t, d, belief, o_hat, self.rho[a_s], self.pu_cfg)
-            self._beliefs[bkey] = belief_n
         dropped, held_n = self.losses(cd, held, a_s, a_p, y, o_hat)
-        nxt = (self.model.next_cd(cd, a_s, a_p, y, o_hat), t_n, d_n, belief_n, held_n)
+        nxt = (self.model.next_cd(cd, a_s, a_p, y, o_hat), t_n, d_n, False, held_n)
         entry = (self.visit(nxt), self.model.reward(cd, a_s, a_p, y), dropped)
         self.steps[key] = entry
         return entry
@@ -368,11 +359,11 @@ def _below(mu: float, rank: int, thresholds: list) -> int:
 
 
 # The fields of an entry, one slot's step, as the rows of `_SlotWalk.table()`.
-# The first eight are the `TraceChunk` columns of the same names; `success`
-# is the PU's decode, `r_s` the model reward, `lost` the SU packets the
-# scheme's drop rule counts and `drop` the PU's queue overflow.
-_ENTRY = ("sid", "t", "d", "q", "a_s", "a_p", "y_p", "o", "success", "r_s", "lost", "drop")
-_SID, _T, _D, _Q, _A_S, _A_P, _Y_P, _O, _SUCCESS, _R_S, _LOST, _DROP = range(len(_ENTRY))
+# The first seven are the `TraceChunk` columns of the same names; `success`
+# is the PU's decode, `r_s` the model reward and `lost` the SU packets the
+# scheme's drop rule counts.
+_ENTRY = ("sid", "t", "d", "a_s", "a_p", "y_p", "o", "success", "r_s", "lost")
+_SID, _T, _D, _A_S, _A_P, _Y_P, _O, _SUCCESS, _R_S, _LOST = range(len(_ENTRY))
 # Slots per slice of the input encoding, and at most per group of batches
 # that `run` walks and gathers at once, unless one batch is longer.
 _SLICE = 1 << 16
@@ -384,27 +375,22 @@ class _SlotWalk:
 
     A slot's random inputs are one int code, in mixed radix over `radix`,
     most significant first: the outcome region y - 1, the PU's decode
-    without and with SU interference, the rank of the SU access draw among
-    the policy's thresholds, that of the PU access draw among the PU's, and
-    the arrival count.  A threshold is a distinct access probability
-    strictly between 0 and 1 (`_below`).
+    without and with SU interference, and the rank of the SU access draw
+    among the policy's thresholds.  A threshold is a distinct access
+    probability strictly between 0 and 1 (`_below`).
 
     A walk state is a compact-state id of `walk` plus the true PU's (t, d,
-    q).  `rows[w]` holds walk state w's entry for each input code, -1 until
-    filled, and ends with w itself.  An entry is one slot's step:
+    empty).  `rows[w]` holds walk state w's entry for each input code, -1
+    until filled, and ends with w itself.  An entry is one slot's step:
     `next_row[e]` is the row of the walk state it leads to, and `entries[e]`
     the slot's fields in the order of `_ENTRY`.
     """
 
-    def __init__(self, walk: _CompactWalk):
-        cfg = walk.pu_cfg
+    def __init__(self, walk: _CompactWalk, pu_cfg: PuConfig):
         self.walk = walk
-        # the true PU's access probability by (t, d, q)
-        self.pu_mu = {(t, d, q): cfg.transmit_prob(t, d, q) for t in range(cfg.r_max)
-                      for d in range(cfg.d_max) for q in range(cfg.q_max + 1)}
+        self.pu_cfg = pu_cfg
         self.thr_s = _thresholds(walk.probs.values())
-        self.thr_p = _thresholds(self.pu_mu.values())
-        self.radix = (7, 2, 2, len(self.thr_s) + 1, len(self.thr_p) + 1, cfg.arrival_pmf.size)
+        self.radix = (7, 2, 2, len(self.thr_s) + 1)
         self.parts = list(itertools.product(*map(range, self.radix)))  # by code
         self.n_codes = len(self.parts)
         self.ids: dict = {}
@@ -417,16 +403,17 @@ class _SlotWalk:
     def encode(self, cfg: SystemConfig, seed: int, n_slots: int):
         """Each slot's outcome region (int8) and input code.
 
-        Channel gains, PU access draws, arrivals and SU access draws come
-        from four spawned children of the seed's `SeedSequence`.  The gains
-        are drawn for the whole run, one link at a time, and reduced to one
-        byte per slot each for the region and the partial code; the other
-        streams are drawn one slice of slots at a time, as one whole-run
-        draw would give them, so no other whole-run float array exists.
+        Channel gains and SU access draws come from the first and the
+        fourth of four spawned children of the seed's `SeedSequence`.  The
+        middle two are not drawn; spawning four keeps the SU stream, and so
+        every output for a given seed, as it was.  The gains are drawn
+        for the whole run, one link at a time, and reduced to one byte per
+        slot each for the region and the partial code; the SU's draws are
+        taken one slice of slots at a time, as one whole-run draw would give
+        them, so no other whole-run float array exists.
         """
-        ss = np.random.SeedSequence(seed)
-        gain_rng, pu_rng, arr_rng, su_rng = (np.random.default_rng(s) for s in ss.spawn(4))
-        gs, gps, gp, gsp = draw_gain_arrays(gain_rng, cfg.snr, n_slots)
+        gain_ss, _, _, su_ss = np.random.SeedSequence(seed).spawn(4)
+        gs, gps, gp, gsp = draw_gain_arrays(np.random.default_rng(gain_ss), cfg.snr, n_slots)
         theta_p = 2.0 ** cfg.rates.r_p - 1.0
         y = np.empty(n_slots, dtype=np.int8)
         codes = np.empty(n_slots, dtype=np.min_scalar_type(self.n_codes - 1))
@@ -436,14 +423,10 @@ class _SlotWalk:
             codes[sl] = (((y[sl] - 1) * 2 + (gp[sl] > theta_p)) * 2
                          + (gp[sl] > theta_p * (1.0 + gsp[sl])))
         del gs, gps, gp, gsp
-        _, _, _, n_s, n_p, n_arr = self.radix
-        thr_s, thr_p = np.array(self.thr_s), np.array(self.thr_p)
+        su_rng, n_s, thr_s = np.random.default_rng(su_ss), self.radix[-1], np.array(self.thr_s)
         for sl in slices:
-            m = codes[sl].size
-            c = codes[sl].astype(np.int64) * n_s + np.searchsorted(
-                thr_s, su_rng.random(m), side="right")
-            c = c * n_p + np.searchsorted(thr_p, pu_rng.random(m), side="right")
-            codes[sl] = c * n_arr + arr_rng.choice(n_arr, size=m, p=cfg.pu.arrival_pmf)
+            codes[sl] = codes[sl].astype(np.int64) * n_s + np.searchsorted(
+                thr_s, su_rng.random(codes[sl].size), side="right")
         return y, codes
 
     def table(self) -> np.ndarray:
@@ -462,12 +445,13 @@ class _SlotWalk:
 
     def fill(self, row: list, code: int) -> int:
         """The entry of `row`'s walk state for `code`, made and stored."""
-        walk, cfg = self.walk, self.walk.pu_cfg
-        sid, t, d, q = self.states[row[-1]]
-        y, s0, s1, rank_s, rank_p, arrival = self.parts[code]
+        walk = self.walk
+        sid, t, d, empty = self.states[row[-1]]
+        y, s0, s1, rank_s = self.parts[code]
         y += 1
         a_s = _below(walk.mus[sid], rank_s, self.thr_s)
-        a_p = _below(self.pu_mu[t, d, q], rank_p, self.thr_p)
+        # The PU's access rule gives 0 or 1, so its decision takes no draw.
+        a_p = int(self.pu_cfg.transmit_prob(empty))
         success = (s1 if a_s else s0) if a_p else 0
         y_p = int((PuFeedback.ACK if success else PuFeedback.NACK) if a_p else PuFeedback.IDLE)
         # The true PU and the SU-side tracker both step on the overheard
@@ -476,11 +460,9 @@ class _SlotWalk:
         o, t_n, d_n = walk.arq[t, d, y_p]
         key = (sid, a_s, a_p, y, y_p)
         nxt, r_s, lost = walk.steps.get(key) or walk.fill(key)
-        q_n = q - o + arrival
         e = len(self.entries)
-        self.entries.append((sid, t, d, q, a_s, a_p, y_p, o, success, r_s, lost,
-                             max(q_n - cfg.q_max, 0)))
-        self.next_row.append(self.row((nxt, t_n, d_n, min(q_n, cfg.q_max))))
+        self.entries.append((sid, t, d, a_s, a_p, y_p, o, success, r_s, lost))
+        self.next_row.append(self.row((nxt, t_n, d_n, False)))
         row[code] = e
         return e
 
@@ -497,9 +479,6 @@ class RunMetrics:
     su_se: float
     pu_throughput: float
     pu_se: float
-    pu_power: float
-    pu_drops: float
-    pu_queue_delay: float
     drop_rate: float
     decoded_total: int
     states_visited: int = 0  # distinct compact states the run reached
@@ -520,10 +499,10 @@ class TraceChunk(NamedTuple):
     """One batch of a run's slots as int columns, handed to `trace_hook`.
 
     Entry i of every column is slot `first + i`.  `states` is the run's own
-    list of compact states by id, (cd, tracked t, tracked d, belief, held);
+    list of compact states by id, (cd, tracked t, tracked d, empty, held);
     it grows as the run visits new states.  `decoded` counts the SU packets
     credited before slot `first`.  Per slot the columns hold the outcome
-    region `y`, the compact-state id, the true PU's `t`, `d` and `q`, both
+    region `y`, the compact-state id, the true PU's `t` and `d`, both
     access decisions, the overheard feedback `y_p` and the window's
     completion `o`, the slot of the SU packet sent (`l_s`, -1 if none), the
     SU packets credited `r_s`, and the decoding graph's root potential `v`
@@ -538,7 +517,6 @@ class TraceChunk(NamedTuple):
     sid: np.ndarray
     t: np.ndarray
     d: np.ndarray
-    q: np.ndarray
     a_s: np.ndarray
     a_p: np.ndarray
     y_p: np.ndarray
@@ -643,19 +621,18 @@ def run(
     batches = min(batches, n_slots)
     pu_cfg = cfg.pu
     model = scheme_model(scheme, pu_cfg)
-    walk = _CompactWalk(model, _LOSSES[scheme], policy.probs, _arq_table(pu_cfg),
-                        cfg.success_probs(), pu_cfg)
-    slots = _SlotWalk(walk)
+    walk = _CompactWalk(model, _LOSSES[scheme], policy.probs, _arq_table(pu_cfg))
+    slots = _SlotWalk(walk, pu_cfg)
     y_all, codes = slots.encode(cfg, seed, n_slots)
-    start = walk.visit((model.initial_cd(), 0, 0, point_belief(0, pu_cfg.q_max), 0))
-    row = slots.row((start, 0, 0, 0))
+    start = walk.visit((model.initial_cd(), 0, 0, True, 0))
+    row = slots.row((start, 0, 0, True))
     # Chain decoding runs the decoding graph, which credits its packets.
     g = CdGraph() if scheme is SchemeKind.CHAIN_DECODING else None
 
     # Slot n falls in batch (n * batches) // n_slots.
     edges = [-(-b * n_slots // batches) for b in range(batches + 1)]
     su_batch, pu_batch = [], []
-    totals = np.zeros(len(_ENTRY), dtype=np.int64)
+    dropped = 0  # SU packets the scheme's drop rule counts
     decoded = 0  # SU packets credited in the batches before this one
     fill, next_row = slots.fill, slots.next_row
     for group in _groups(edges):
@@ -672,7 +649,7 @@ def run(
         except KeyError as err:
             raise KeyError(f"{err.args[0]}, on the step of slot {lo + len(ids)}") from None
         cols = slots.table()[:, ids]
-        totals += cols.sum(axis=1)
+        dropped += int(cols[_LOST].sum())
         if g is None:
             r_s = cols[_R_S]
         else:
@@ -701,7 +678,6 @@ def run(
     counts = np.diff(np.array(edges, dtype=float))
     su_mean, su_se = _batch_stats(np.array(su_batch, dtype=float), counts)
     pu_mean, pu_se = _batch_stats(np.array(pu_batch, dtype=float), counts)
-    dropped = int(totals[_LOST])
     graph_counts = {}
     if g is not None:
         dropped = g.discarded_su
@@ -711,7 +687,6 @@ def run(
             cycle_trims=g.cycle_trims,
             cycle_trims_on_empty_graph=g.empty_cycle_trims,
         )
-    power, drops, delay = (float(totals[i]) for i in (_A_P, _DROP, _Q))
     return RunMetrics(
         scheme=scheme.value,
         seed=seed,
@@ -720,9 +695,6 @@ def run(
         su_se=su_se,
         pu_throughput=pu_mean,
         pu_se=pu_se,
-        pu_power=-cfg.pu_power * power / n_slots,
-        pu_drops=-drops / n_slots,
-        pu_queue_delay=-delay / n_slots,
         drop_rate=dropped / n_slots,
         decoded_total=decoded,
         states_visited=len(walk.states),

@@ -4,38 +4,27 @@ Instead of carrying the whole decoding graph, the SU can credit a chain's
 worth of packets the moment the chain is formed, because the root is
 retransmitted until it eventually succeeds.  The resulting state is just a
 phase describing the virtual knowledge of the current PU packet, a counter
-of SU packets pinned behind it, the tracked (t, d) of the primary ARQ
-process, and a belief over the hidden PU queue.  This module provides the
-per-slot virtual throughput, the expected PU reward, the belief filter, and
-the phase update, all of which the policy optimizer consumes; the (t, d)
-step is `pu_tracker.update`.
+of SU packets pinned behind it, and the tracked (t, d) of the primary ARQ
+process.  This module provides the per-slot virtual throughput and the
+phase update, which the policy optimizer consumes; the (t, d) step is
+`pu_tracker.update`.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-
-import numpy as np
 
 from .channel import PU_ALONE, PU_UNDER_SU, SU_CLEAN, SU_NEEDS_PU
-from .pu_system import PuConfig, completion_probability
+from .pu_system import PuConfig
 
 __all__ = [
     "CdPhase",
-    "RewardVector",
-    "REWARD_COMPONENTS",
     "ChainDecodingModel",
     "phase_from_flags",
     "phase_flags",
     "virtual_reward",
-    "expected_pu_reward",
-    "next_belief",
     "translate_outcome",
-    "point_belief",
 ]
-
-BELIEF_DECIMALS = 12
 
 
 class CdPhase(enum.Enum):
@@ -67,33 +56,6 @@ def phase_from_flags(kappa: int, iota: int) -> CdPhase:
         raise ValueError(f"no phase maps to flags ({kappa}, {iota})") from None
 
 
-def point_belief(q: int, q_max: int) -> tuple[float, ...]:
-    b = [0.0] * (q_max + 1)
-    b[q] = 1.0
-    return tuple(b)
-
-
-REWARD_COMPONENTS = ("throughput", "power", "drops", "queue_delay")
-
-
-@dataclass(frozen=True)
-class RewardVector:
-    """PU reward components; costs are negative."""
-
-    throughput: float
-    power: float
-    drops: float
-    queue_delay: float
-
-    def component(self, name: str) -> float:
-        if name not in REWARD_COMPONENTS:
-            raise ValueError(f"unknown reward component {name!r}")
-        return float(getattr(self, name))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.throughput, self.power, self.drops, self.queue_delay])
-
-
 # -- per-slot virtual throughput ----------------------------------------------
 
 
@@ -114,93 +76,6 @@ def virtual_reward(a_s: int, a_p: int, y: int, phase: CdPhase, b_s: int) -> int:
     g += iota * kappa * a_p * ((1 - a_s) * (y in PU_ALONE) + a_s * (y in PU_UNDER_SU))
     g += iota * kappa * a_p * a_s * (y == 6)
     return int(g)
-
-
-# -- expected PU reward ---------------------------------------------------------
-
-
-def expected_pu_reward(
-    t: int,
-    d: int,
-    belief: tuple[float, ...],
-    a_s: int,
-    cfg: PuConfig,
-    success_probs: tuple[float, float],
-    pu_power: float = 1.0,
-) -> RewardVector:
-    """Belief- and policy-averaged one-slot PU reward in ARQ state (t, d).
-
-    `success_probs` is (P(PU decodes | SU idle), P(PU decodes | SU active)).
-    Throughput counts successful PU slots, power charges each transmission,
-    drops charge buffer overflow, and queue_delay charges queue occupancy.
-    """
-    rho = success_probs[a_s]
-    pmf = cfg.arrival_pmf
-    thr = 0.0
-    pow_ = 0.0
-    drops = 0.0
-    delay = 0.0
-    for q, w in enumerate(belief):
-        if w == 0.0:
-            continue
-        mu = cfg.transmit_prob(t, d, q)
-        thr += w * mu * rho
-        pow_ += w * mu
-        delay += w * q
-        for a_p, p_a in ((1, mu), (0, 1.0 - mu)):
-            if p_a == 0.0:
-                continue
-            for o in (0, 1):
-                p_o = completion_probability(t, d, q, a_p, rho, cfg)
-                p_o = p_o if o == 1 else 1.0 - p_o
-                if p_o == 0.0:
-                    continue
-                overflow = np.maximum(q - o + np.arange(pmf.size) - cfg.q_max, 0)
-                drops += w * p_a * p_o * float(pmf @ overflow)
-    return RewardVector(
-        throughput=thr, power=-pu_power * pow_, drops=-drops, queue_delay=-delay
-    )
-
-
-# -- belief filter ----------------------------------------------------------------
-
-
-def next_belief(
-    t: int,
-    d: int,
-    belief: tuple[float, ...],
-    o: int,
-    success_prob: float,
-    cfg: PuConfig,
-) -> tuple[float, ...]:
-    """Bayes update of the queue belief after observing completion o.
-
-    Conditions on the completion indicator, marginalizing the PU access
-    decision; `success_prob` is the PU decoding probability under the SU
-    action taken this slot, which the completion odds depend on.
-    """
-    pmf = cfg.arrival_pmf
-    num = np.zeros(cfg.q_max + 1)
-    den = 0.0
-    for q, w in enumerate(belief):
-        if w == 0.0:
-            continue
-        mu = cfg.transmit_prob(t, d, q)
-        p_o = mu * completion_probability(t, d, q, 1, success_prob, cfg) + (
-            1.0 - mu
-        ) * completion_probability(t, d, q, 0, success_prob, cfg)
-        p_obs = p_o if o == 1 else 1.0 - p_o
-        if p_obs == 0.0:
-            continue
-        den += w * p_obs
-        for b, pb in enumerate(pmf):
-            if pb > 0.0:
-                num[min(q - o + b, cfg.q_max)] += w * p_obs * pb
-    if den <= 0.0:
-        raise ValueError(f"observed completion o={o} has zero probability under the belief")
-    out = num / den
-    out = np.round(out, BELIEF_DECIMALS)
-    return tuple(out.tolist())
 
 
 # -- scheme model for the policy optimizer ---------------------------------------

@@ -12,7 +12,10 @@ The package runs only vectorized and table-driven per-slot code, so the
 scalar references live here: the one-slot channel classifier and PU decoding
 test, and a ground-truth PU pair.  The PU pair states its own ARQ rule, apart
 from `cogarq.pu_tracker.update`, so checking the tracker against it compares
-two independent statements of the rule.  The baseline receivers are stated
+two independent statements of the rule.  It also keeps a general queue: its
+own capacity, arrivals and randomized access policy, of which the package's
+backlogged PU is one case, so the tracker is checked on idle slots and
+delay-deadline expiries anywhere in a session.  The baseline receivers are stated
 here on the decoding graph, where the simulator credits them from their
 compact models.  The Monte Carlo run is stated here slot by slot
 (`reference_run`), where the package walks entry ids over pre-packed input
@@ -57,7 +60,6 @@ from cogarq.simulator import (
     _CompactWalk,
     scheme_model,
 )
-from cogarq.virtual_state import point_belief
 
 
 @dataclass(frozen=True)
@@ -110,12 +112,12 @@ class PuState:
     d: int = 0
     q: int = 0
 
-    def validate(self, cfg: PuConfig) -> "PuState":
+    def validate(self, cfg: PuConfig, q_max: int) -> "PuState":
         if not (0 <= self.t < cfg.r_max):
             raise ValueError(f"t out of range: {self.t}")
         if not (0 <= self.d < cfg.d_max):
             raise ValueError(f"d out of range: {self.d}")
-        if not (0 <= self.q <= cfg.q_max):
+        if not (0 <= self.q <= q_max):
             raise ValueError(f"q out of range: {self.q}")
         if self.d < self.t:
             raise ValueError(f"delay {self.d} below retransmission count {self.t}")
@@ -124,10 +126,11 @@ class PuState:
         return self
 
 
-def advance(state: PuState, b_p: int, a_p: int, success: bool, cfg: PuConfig):
+def advance(state: PuState, b_p: int, a_p: int, success: bool, cfg: PuConfig, q_max: int):
     """Apply one slot of PU dynamics given the realized access and outcome.
 
-    Returns (y, o, next_state).  `success` is only consulted when a_p=1.
+    Returns (y, o, next_state), with b_p packets arriving into a queue of
+    capacity q_max.  `success` is only consulted when a_p=1.
     ACK always completes, NACK completes at either deadline, and an idle
     slot completes only at the delay deadline of a nonempty queue.
     """
@@ -146,7 +149,7 @@ def advance(state: PuState, b_p: int, a_p: int, success: bool, cfg: PuConfig):
         o = 1 if (t == cfg.r_max - 1 or d == cfg.d_max - 1) else 0
     else:
         o = 1 if d == cfg.d_max - 1 else 0
-    q_next = min(q - o + b_p, cfg.q_max)
+    q_next = min(q - o + b_p, q_max)
     t_next = (1 - o) * (t + a_p)
     d_next = (1 - o) * (d + (1 if t > 0 else a_p))
     return y, o, PuState(t_next, d_next, q_next)
@@ -169,19 +172,24 @@ def step(
     rates: RatePair,
     rng: np.random.Generator,
     cfg: PuConfig,
+    q_max: int,
+    access=lambda t, d, q: 1.0,
 ) -> StepResult:
     """One slot of the PU system with a randomized access decision.
 
-    One uniform draw is consumed per slot even for degenerate policies, so
-    trajectories stay aligned across runs that only differ in the policy.
+    `access(t, d, q)` is the transmit probability of a nonempty queue; an
+    empty one never transmits.  One uniform draw is consumed per slot even
+    for degenerate policies, so trajectories stay aligned across runs that
+    only differ in the policy.
     """
-    state.validate(cfg)
-    if not (0 <= b_p < cfg.arrival_pmf.size):
-        raise ValueError(f"arrival count {b_p} outside pmf support")
+    state.validate(cfg, q_max)
+    if b_p < 0:
+        raise ValueError(f"negative arrival count {b_p}")
     u = rng.random()
-    a_p = 1 if u < cfg.transmit_prob(state.t, state.d, state.q) else 0
+    p = access(state.t, state.d, state.q) if state.q else 0.0
+    a_p = 1 if u < p else 0
     success = pu_success(g, rates, a_s) if a_p else False
-    y, o, nxt = advance(state, b_p, a_p, success, cfg)
+    y, o, nxt = advance(state, b_p, a_p, success, cfg, q_max)
     if a_p:
         label_event = "new" if state.t == 0 else "retx"
     else:
@@ -239,7 +247,6 @@ class TraceRecord(NamedTuple):
     o: int
     t: int
     d: int
-    q: int
     tr_t: int
     tr_d: int
     tr_label: int | None
@@ -269,11 +276,11 @@ def records(chunk: TraceChunk) -> list[TraceRecord]:
     out = []
     m_before = chunk.decoded
     columns = zip(*(getattr(chunk, c).tolist() for c in _COLUMNS))
-    for n, (y, sid, t, d, q, a_s, a_p, y_p, o, l_s, r_s, v, nodes, edges) in enumerate(
+    for n, (y, sid, t, d, a_s, a_p, y_p, o, l_s, r_s, v, nodes, edges) in enumerate(
             columns, start=chunk.first):
         (phase, b_s), tr_t, tr_d = chunk.states[sid][:3]
         out.append(TraceRecord(
-            n=n, a_s=a_s, a_p=a_p, y_p=y_p, y=y, o=o, t=t, d=d, q=q, tr_t=tr_t, tr_d=tr_d,
+            n=n, a_s=a_s, a_p=a_p, y_p=y_p, y=y, o=o, t=t, d=d, tr_t=tr_t, tr_d=tr_d,
             tr_label=n - tr_d if a_p else None, true_label=n - d if a_p else None,
             l_s=None if l_s < 0 else l_s, r_s=r_s, m_before=m_before, v_before=v,
             phase=phase, b_s=b_s, cycle_start=bool(a_p and t == 0),
@@ -448,41 +455,37 @@ def reference_run(scheme: SchemeKind, policy, cfg: SystemConfig, seed: int, n_sl
     """Slot-by-slot reference for `cogarq.simulator.run`.
 
     Draws every stream for the whole run at once, and steps each slot in
-    Python: the SU and PU access decisions by comparing the draws with the
-    access probabilities, the PU's decode and feedback, the true PU's ARQ
-    step and queue, the compact walk's step, and, for chain decoding, the
-    decoding graph.  Running sums give the metrics; a trace chunk is built
-    from one row per slot.  It shares the compact walk (`_CompactWalk`) and
-    the scheme models with the package, but neither the input codes nor
-    the entry table and gathers.
+    Python: the SU access decision by comparing its draw with the access
+    probability, the backlogged PU's access (idle in slot 0, on its empty
+    queue, and transmitting from then on), its decode and feedback, the
+    true PU's ARQ step, the compact walk's step, and, for chain decoding,
+    the decoding graph.  Running sums give the metrics; a trace chunk is
+    built from one row per slot.  It shares the compact walk
+    (`_CompactWalk`) and the scheme models with the package, but neither
+    the input codes nor the entry table and gathers.
     """
     batches = min(batches, n_slots)
     pu_cfg = cfg.pu
     arq = _arq_table(pu_cfg)
-    q_max = pu_cfg.q_max
 
-    ss = np.random.SeedSequence(seed)
-    gain_rng, pu_rng, arr_rng, su_rng = (np.random.default_rng(s) for s in ss.spawn(4))
-    gs, gps, gp, gsp = draw_gain_arrays(gain_rng, cfg.snr, n_slots)
+    gain_ss, _, _, su_ss = np.random.SeedSequence(seed).spawn(4)
+    gs, gps, gp, gsp = draw_gain_arrays(np.random.default_rng(gain_ss), cfg.snr, n_slots)
     theta_p = 2.0 ** cfg.rates.r_p - 1.0
     y_all = classify_su_outcomes(gs, gps, cfg.rates).astype(np.int8)
     succ0 = gp > theta_p
     succ1 = gp > theta_p * (1.0 + gsp)
-    pu_u = pu_rng.random(n_slots)
-    su_u = su_rng.random(n_slots)
-    arrivals = arr_rng.choice(pu_cfg.arrival_pmf.size, size=n_slots, p=pu_cfg.arrival_pmf)
+    su_u = np.random.default_rng(su_ss).random(n_slots)
 
     model = scheme_model(scheme, pu_cfg)
-    walk = _CompactWalk(model, _LOSSES[scheme], policy.probs, arq, cfg.success_probs(), pu_cfg)
-    sid = walk.visit((model.initial_cd(), 0, 0, point_belief(0, q_max), 0))
+    walk = _CompactWalk(model, _LOSSES[scheme], policy.probs, arq)
+    sid = walk.visit((model.initial_cd(), 0, 0, True, 0))
     g = CdGraph() if scheme is SchemeKind.CHAIN_DECODING else None
     idle, ack, nack = int(PuFeedback.IDLE), int(PuFeedback.ACK), int(PuFeedback.NACK)
 
-    t = d = q = 0
+    t = d = 0
     edges = [-(-b * n_slots // batches) for b in range(batches + 1)]
     su_batch, pu_batch = [], []
     decoded = dropped = 0
-    power_sum = drops_sum = delay_sum = 0.0
     for bi in range(batches):
         lo, hi = edges[bi], edges[bi + 1]
         su_sum = pu_sum = 0
@@ -498,7 +501,7 @@ def reference_run(scheme: SchemeKind, policy, cfg: SystemConfig, seed: int, n_sl
                 pu_slot = n - tr_d
                 known = pu_slot in g.decoded_pu
                 l_s = select_label(g, pu(pu_slot), known, n).label if a_s else None
-            a_p = 1 if pu_u[n] < pu_cfg.transmit_prob(t, d, q) else 0
+            a_p = 1 if n > 0 else 0
             success = bool(succ1[n] if a_s else succ0[n]) if a_p else False
             y_p = (ack if success else nack) if a_p else idle
             o, t_next, d_next = arq[t, d, y_p]
@@ -513,20 +516,15 @@ def reference_run(scheme: SchemeKind, policy, cfg: SystemConfig, seed: int, n_sl
                     r_s = record_slot(g, l_s, pu(pu_slot), known, y)
                 else:
                     r_s = record_slot(g, l_s, None, 0, None if l_s is None else y)
-            arrival = int(arrivals[n])
             su_sum += r_s
             dropped += lost
             pu_sum += success
-            power_sum += a_p
-            drops_sum += max(q - o + arrival - q_max, 0)
-            delay_sum += q
             if g is None:
-                rows.append((sid, t, d, q, a_s, a_p, y_p, o, -1, r_s, 0, 0, 0))
+                rows.append((sid, t, d, a_s, a_p, y_p, o, -1, r_s, 0, 0, 0))
             else:
-                rows.append((sid, t, d, q, a_s, a_p, y_p, o,
+                rows.append((sid, t, d, a_s, a_p, y_p, o,
                              -1 if l_s is None else slot_of(l_s), r_s, v_before,
                              len(g.su_nodes) + len(g.pu_nodes), g.edge_count()))
-            q = min(q - o + arrival, q_max)
             t, d = t_next, d_next
             sid = nxt
         if trace_hook is not None:
@@ -547,10 +545,8 @@ def reference_run(scheme: SchemeKind, policy, cfg: SystemConfig, seed: int, n_sl
     return RunMetrics(
         scheme=scheme.value, seed=seed, n_slots=n_slots,
         su_throughput=su_mean, su_se=su_se, pu_throughput=pu_mean, pu_se=pu_se,
-        pu_power=-cfg.pu_power * power_sum / n_slots, pu_drops=-drops_sum / n_slots,
-        pu_queue_delay=-delay_sum / n_slots, drop_rate=dropped / n_slots,
-        decoded_total=decoded, states_visited=len(walk.states), steps_filled=len(walk.steps),
-        **graph_counts,
+        drop_rate=dropped / n_slots, decoded_total=decoded,
+        states_visited=len(walk.states), steps_filled=len(walk.steps), **graph_counts,
     )
 
 
@@ -628,13 +624,13 @@ def limit_distribution(p: np.ndarray, start: int) -> np.ndarray:
     return m[start]
 
 
-def _oracle_evaluate(kernel, mu: np.ndarray, start: int, comp: int):
-    """(SU reward, PU component) long-run averages of the policy `mu`."""
+def _oracle_evaluate(kernel, mu: np.ndarray, start: int):
+    """(SU reward, PU throughput) long-run averages of the policy `mu`."""
     p = (1.0 - mu)[:, None] * kernel.p[:, 0, :] + mu[:, None] * kernel.p[:, 1, :]
     pi = limit_distribution(p, start)
     r_su = (1.0 - mu) * kernel.r_su[:, 0] + mu * kernel.r_su[:, 1]
-    r_c = (1.0 - mu) * kernel.r_pu[:, 0, comp] + mu * kernel.r_pu[:, 1, comp]
-    return float(pi @ r_su), float(pi @ r_c)
+    r_pu = (1.0 - mu) * kernel.r_pu[:, 0] + mu * kernel.r_pu[:, 1]
+    return float(pi @ r_su), float(pi @ r_pu)
 
 
 def _policy_iteration(p: np.ndarray, reward: np.ndarray, ref: int, init=None, max_iter=200):
@@ -677,13 +673,13 @@ def _policy_iteration(p: np.ndarray, reward: np.ndarray, ref: int, init=None, ma
 @dataclass
 class PiSolution:
     su: float           # long-run SU reward
-    constraint: float   # long-run value of the constrained PU component
+    constraint: float   # long-run PU throughput
     multiplier: float   # 0 when the floor is slack, else the bisected lambda
     mu: np.ndarray      # transmit probability per state of the kernel
 
 
 def pi_constrained_solve(kernel, reachable: np.ndarray, start: int, floor: float,
-                         component: int = 0, lambda_tol: float = 1e-6) -> PiSolution:
+                         lambda_tol: float = 1e-6) -> PiSolution:
     """Constrained solve by policy iteration inside a multiplier bisection.
 
     The Lagrangian reward r_su + lambda r_pu is maximized by policy
@@ -697,7 +693,7 @@ def pi_constrained_solve(kernel, reachable: np.ndarray, start: int, floor: float
     ridx = np.nonzero(reachable)[0]
     p_sub = kernel.p[np.ix_(ridx, np.arange(2), ridx)]
     r_su_sub = kernel.r_su[ridx]
-    r_c_sub = kernel.r_pu[ridx, :, component]
+    r_c_sub = kernel.r_pu[ridx]
     ref = int(np.nonzero(ridx == start)[0][0])
 
     def expand(pol_sub) -> np.ndarray:
@@ -706,7 +702,7 @@ def pi_constrained_solve(kernel, reachable: np.ndarray, start: int, floor: float
         return mu
 
     def value(pol_sub):
-        return _oracle_evaluate(kernel, expand(pol_sub), start, component)
+        return _oracle_evaluate(kernel, expand(pol_sub), start)
 
     def solve_at(lam, init=None):
         pol = _policy_iteration(p_sub, r_su_sub + lam * r_c_sub, ref, init=init)

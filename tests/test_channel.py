@@ -192,17 +192,20 @@ def test_region_probabilities_match_exact_integrals(means, rates):
     assert (np.abs(mc - exact) <= 3 * se + 1e-9).all()
 
 
-@pytest.mark.parametrize("ratio", [1e-9, 1e-6, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1e9])
+@pytest.mark.parametrize("ratio", [1e-9, 1e-6, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1e9, 1e300])
 def test_exact_regions_at_extreme_mean_ratios(ratio):
     # gamma_ps / gamma_s = 2e-7 is a valid sweep value; the closed form
     # must stay finite there and agree with sampling at both extremes and
-    # next to equal means
-    r = RatePair(optimize_rate(5.0), optimize_rate(10.0))
-    exact = exact_region_probabilities(5.0, 5.0 * ratio, r).as_array()
+    # next to equal means.  At 1e300 gamma_s is 1e-300 and both rates are
+    # 500, so that ab / mean_s overflows while exp(-ab / mean_ps) is 0.
+    mean_s, r = 5.0, RatePair(optimize_rate(5.0), optimize_rate(10.0))
+    if ratio == 1e300:
+        mean_s, r = 1e-300, RatePair(500.0, 500.0)
+    exact = exact_region_probabilities(mean_s, mean_s * ratio, r).as_array()
     assert np.isfinite(exact).all()
     assert exact.sum() == pytest.approx(1.0, abs=1e-12)
     n = 1_000_000
-    cfg = AvgSnrConfig(5.0, 5.0 * ratio, 1.0, 1.0)
+    cfg = AvgSnrConfig(mean_s, mean_s * ratio, 1.0, 1.0)
     mc = region_probabilities(cfg, r, n, np.random.default_rng(5)).as_array()
     se = np.sqrt(np.maximum(exact * (1 - exact), 1e-12) / n)
     assert (np.abs(mc - exact) <= 3 * se + 1e-9).all()

@@ -112,31 +112,58 @@ def test_run_experiment_check_invariants_flag(tmp_path):
     assert meta["invariant_violations"] == []
 
 
-def test_metadata_reports_pu_metrics_and_walk_counts(tmp_path):
+def test_metadata_reports_walk_and_graph_counts(tmp_path):
     cfg = write(tmp_path, GOOD)
     out = tmp_path / "meta"
     assert main([str(cfg), "-o", str(out)]) == 0
     runs = json.loads((out / "run-metadata.json").read_text())["simulator_runs"]
     assert [(r["sweep_value"], r["scheme"]) for r in runs] == [
         (v, s) for v in (0.2, 1.0) for s in ("chain_decoding", "no_fic_bic")]
+    graph_keys = {"graph_max_nodes", "graph_max_edges", "cycle_trims",
+                  "cycle_trims_on_empty_graph"}
     for r in runs:
-        # the backlogged PU sends and holds a packet in every slot but the first
-        assert r["pu_power"] == r["pu_queue_delay"] == -(3000 - 1) / 3000
-        assert -1.0 <= r["pu_drops"] <= 0.0
         # every state but the initial one is first reached through a step
         assert 1 <= r["states_visited"] <= r["steps_filled"] + 1
-        graph_keys = {"graph_max_nodes", "graph_max_edges", "cycle_trims",
-                      "cycle_trims_on_empty_graph"}
+        keys = {"sweep_value", "scheme", "states_visited", "steps_filled"}
         if r["scheme"] == "chain_decoding":
+            assert set(r) == keys | graph_keys
             # an edge joins two stored nodes, and a cycle starts at least
             # every r_max = 3 slots
             assert r["graph_max_nodes"] >= 2 and r["graph_max_edges"] >= 1
             assert 0 < r["cycle_trims_on_empty_graph"] < r["cycle_trims"]
             assert 3000 / 3 <= r["cycle_trims"] <= 3000
         else:
-            assert graph_keys.isdisjoint(r)
-    rows = list(csv.DictReader((out / "results.csv").open()))
-    assert {r["metric"] for r in rows}.isdisjoint({"pu_power", "pu_drops", "pu_queue_delay"})
+            assert set(r) == keys
+
+
+def test_q_max_does_not_change_the_output(tmp_path):
+    # The PU is backlogged, so its queue capacity changes nothing the CLI writes
+    # but the config echo.
+    paths = [run_experiment(write(tmp_path, GOOD.replace("q_max = 1", f"q_max = {q}"),
+                                  name=f"q{q}.cfg"), tmp_path / f"q{q}")
+             for q in (1, 3)]
+    assert paths[0]["results"].read_bytes() == paths[1]["results"].read_bytes()
+    assert paths[0]["policies"].read_bytes() == paths[1]["policies"].read_bytes()
+    metas = [json.loads(p["metadata"].read_text()) for p in paths]
+    assert [m["config"].pop("q_max") for m in metas] == [1, 3]
+    assert metas[0] == metas[1]
+    # the first state is the only one with an empty queue, at (t, d) = (0, 0)
+    states = [st for line in paths[0]["policies"].open() for st in json.loads(line)["states"]]
+    assert {(st["t"], st["d"]) for st in states if st["empty"]} == {(0, 0)}
+    assert any("backlogged" in a and "q_max" in a for a in metas[0]["assumptions"])
+
+
+def test_far_rates_with_a_vanishing_mean_run(tmp_path):
+    # ab * u overflows in the region-1 term of the closed form, where
+    # exp(-ab u) is 0: no SU or PU packet decodes, and the run completes.
+    text = ("mean_gamma_s = 1e-300\nmean_gamma_p = 10\nmean_gamma_ps = 1\n"
+            "rate_s = 500\nrate_p = 500\nn_slots = 500\n")
+    out = tmp_path / "out"
+    assert main([str(write(tmp_path, text)), "-o", str(out)]) == 0
+    rows = {(r["scheme"], r["metric"]): float(r["value"])
+            for r in csv.DictReader((out / "results.csv").open())}
+    assert rows[("genie", "analytic_su_throughput")] == 0.0
+    assert rows[("chain_decoding", "mc_pu_throughput")] == 0.0
 
 
 def test_worker_pool_matches_serial(tmp_path):
@@ -188,6 +215,11 @@ def test_config_error_loads_no_lp_solver(tmp_path):
         ("sweep_values", "1e308"),
         # with rate_p = optimize (about 2.5), (2^rate_s - 1)(2^rate_p - 1) overflows
         ("rate_s", "1023"),
+        # the PU is backlogged and the floor is on its throughput
+        ("q_max", "0"),
+        ("arrivals", "poisson"),
+        ("pu_policy", "random"),
+        ("constraint_component", "latency"),
     ],
 )
 def test_main_rejects_out_of_range_values(tmp_path, capsys, key, value):
@@ -259,7 +291,7 @@ def test_metadata_reports_solver_diagnostics(tmp_path):
         if r["randomized_state"] is None:
             assert not mixed and pol["mix_weight"] is None
         else:
-            assert {k: mixed[0][k] for k in ("cd", "t", "d", "belief")} == r["randomized_state"]
+            assert {k: mixed[0][k] for k in ("cd", "t", "d", "empty")} == r["randomized_state"]
             assert pol["mix_weight"] == mixed[0]["mu"]
     # the floor binds at the larger cross link, so some solve randomizes
     assert any(r["randomized_state"] for r in solves)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from cogarq.channel import AvgSnrConfig, RatePair, RegionProbabilities
 from cogarq.mdp import (
     AccessPolicy,
-    BeliefEscapeError,
     InfeasibleConstraintError,
     Kernel,
     MdpState,
@@ -18,8 +17,8 @@ from cogarq.mdp import (
     solve_constrained,
     stationary_distribution,
 )
-from cogarq.pu_system import PuConfig, saturating_arrivals
-from cogarq.virtual_state import ChainDecodingModel, point_belief
+from cogarq.pu_system import PuConfig
+from cogarq.virtual_state import ChainDecodingModel
 
 from _oracles import pi_constrained_solve, region_probabilities, state_actions
 
@@ -27,9 +26,8 @@ PROBS = RegionProbabilities(0.06, 0.15, 0.07, 0.26, 0.20, 0.10, 0.16)
 RHO = (0.62, 0.32)
 
 
-def make_space(r_max=5, d_max=5, q_max=1, probs=PROBS, rho=RHO, policy=None):
-    pol = policy or (lambda t, d, q: 1.0)
-    cfg = PuConfig(r_max, d_max, q_max, saturating_arrivals(q_max), pol)
+def make_space(r_max=5, d_max=5, probs=PROBS, rho=RHO):
+    cfg = PuConfig(r_max, d_max)
     model = ChainDecodingModel(cfg)
     space = enumerate_space(model, cfg, probs, rho)
     return space, build_kernel(space)
@@ -50,16 +48,15 @@ def test_space_size_is_phase_times_arq_product():
 
 def test_single_try_deadline_funnels_to_cycle_start():
     # with a one-transmission deadline every PU slot completes, so from any
-    # state where the backlogged PU actually transmits (saturated belief)
-    # the next state sits in the unknown phase at t = 0
+    # state where the backlogged PU actually transmits (a full queue) the
+    # next state sits in the unknown phase at t = 0
     space, kernel = make_space(r_max=1, d_max=2)
-    saturated = point_belief(1, 1)
     idx_ok = {
         j for j, s in enumerate(space.states) if s.cd == ("U", 0) and s.t == 0
     }
     checked = 0
     for i, s in enumerate(space.states):
-        if s.belief != saturated:
+        if s.empty:
             continue
         for a in (0, 1):
             support = set(np.nonzero(kernel.p[i, a])[0])
@@ -79,7 +76,7 @@ def test_always_idle_policy_earns_nothing():
     space, kernel = make_space()
     res = evaluate_policy(space, kernel, np.zeros(space.n))
     assert res.su_throughput == pytest.approx(0.0, abs=1e-12)
-    assert res.pu_reward.throughput == pytest.approx(RHO[0], abs=1e-9)
+    assert res.pu_throughput == pytest.approx(RHO[0], abs=1e-9)
 
 
 def test_policy_vector_shape_checked():
@@ -89,7 +86,7 @@ def test_policy_vector_shape_checked():
 
 
 def test_access_policy_validation():
-    s = MdpState(("U", 0), 0, 0, (1.0,))
+    s = MdpState(("U", 0), 0, 0, True)
     with pytest.raises(ValueError):
         AccessPolicy({s: 1.5})
 
@@ -106,20 +103,18 @@ def test_vacuous_constraint_returns_unconstrained_optimum():
     assert rep.su_throughput == pytest.approx(_pi_oracle(space, kernel, 0.0).su, abs=1e-9)
 
 
-def test_silent_pu_transmit_everywhere():
-    space, kernel = make_space(policy=lambda t, d, q: 0.0)
+def test_unconstrained_optimum_matches_exhaustive_search():
+    # every deterministic policy on the reachable states of a small model
+    space, kernel = make_space(r_max=2, d_max=2)
     rep = solve_constrained(space, kernel, 0.0)
-    # exhaustive check over deterministic policies on the recurrent states
-    recurrent = np.nonzero(rep.stationary > 1e-12)[0]
+    reachable = np.flatnonzero(space.reachable)
+    assert reachable.size == 6
     best = -1.0
-    for assign in itertools.product((0.0, 1.0), repeat=len(recurrent)):
+    for assign in itertools.product((0.0, 1.0), repeat=reachable.size):
         mu = np.zeros(space.n)
-        mu[recurrent] = assign
-        val = evaluate_policy(space, kernel, mu).su_throughput
-        best = max(best, val)
-    assert rep.su_throughput == pytest.approx(best, abs=1e-9)
-    for i in recurrent:
-        assert rep.policy.probs[space.states[i]] == 1.0
+        mu[reachable] = assign
+        best = max(best, evaluate_policy(space, kernel, mu).su_throughput)
+    assert rep.su_throughput == pytest.approx(best, abs=1e-12)
 
 
 def test_constrained_solve_matches_pi_oracle():
@@ -129,7 +124,7 @@ def test_constrained_solve_matches_pi_oracle():
     rho = (0.6231992280023452, 0.3202827933851996)
     space, kernel = make_space(probs=probs, rho=rho)
     idle = evaluate_policy(space, kernel, np.zeros(space.n))
-    floor = 0.8 * idle.pu_reward.throughput
+    floor = 0.8 * idle.pu_throughput
     rep = solve_constrained(space, kernel, floor)
     oracle = _pi_oracle(space, kernel, floor)
     assert rep.su_throughput == pytest.approx(oracle.su, abs=1e-9)
@@ -140,7 +135,7 @@ def test_constrained_solve_matches_pi_oracle():
 def test_tightening_the_floor_never_helps():
     space, kernel = make_space(probs=PROBS, rho=RHO)
     idle = evaluate_policy(space, kernel, np.zeros(space.n))
-    cap = idle.pu_reward.throughput
+    cap = idle.pu_throughput
     values = []
     for frac in (0.0, 0.5, 0.8, 0.95):
         rep = solve_constrained(space, kernel, frac * cap)
@@ -154,21 +149,6 @@ def test_infeasible_floor_raises():
         solve_constrained(space, kernel, RHO[0] + 0.01)
 
 
-def test_unknown_component_rejected():
-    space, kernel = make_space()
-    with pytest.raises(ValueError):
-        solve_constrained(space, kernel, 0.0, component="latency")
-
-
-def test_belief_escape_guard():
-    rng = np.random.default_rng(3)
-    pmf = np.array([0.3, 0.4, 0.3])
-    cfg = PuConfig(3, 4, 2, pmf, lambda t, d, q: 0.5)
-    model = ChainDecodingModel(cfg)
-    with pytest.raises(BeliefEscapeError):
-        enumerate_space(model, cfg, PROBS, RHO, max_beliefs=8)
-
-
 def test_kernel_matches_empirical_frequencies_small():
     from collections import defaultdict
 
@@ -176,7 +156,7 @@ def test_kernel_matches_empirical_frequencies_small():
 
     snr = AvgSnrConfig(5.0, 5.0, 10.0, 2.0)
     rates = RatePair(1.9140575925881422, 2.5182556953531106)
-    pu_cfg = PuConfig(5, 5, 1, saturating_arrivals(1))
+    pu_cfg = PuConfig(5, 5)
     system = SystemConfig(snr, rates, pu_cfg)
     probs = region_probabilities(snr, rates, 500_000, np.random.default_rng(0))
     space = enumerate_space(ChainDecodingModel(pu_cfg), pu_cfg, probs, system.success_probs())
@@ -187,13 +167,12 @@ def test_kernel_matches_empirical_frequencies_small():
         SchemeKind.CHAIN_DECODING, policy, system, seed=5, n_slots=200_000,
         trace_hook=lambda c: recs.extend(state_actions(c)),
     )
-    bel0, bel1 = point_belief(0, 1), point_belief(1, 1)
     counts = defaultdict(lambda: defaultdict(int))
     for i in range(len(recs) - 1):
         ph, b, t, d, a = recs[i]
         ph2, b2, t2, d2, _ = recs[i + 1]
-        s = space.index[MdpState((ph, b), t, d, bel0 if i == 0 else bel1)]
-        s2 = space.index[MdpState((ph2, b2), t2, d2, bel1)]
+        s = space.index[MdpState((ph, b), t, d, i == 0)]
+        s2 = space.index[MdpState((ph2, b2), t2, d2, False)]
         counts[(s, a)][s2] += 1
     checked = 0
     for (i, a), row in counts.items():
@@ -227,14 +206,14 @@ def test_unused_states_take_the_lagrangian_greedy_action(monkeypatch, frac, r_ma
     monkeypatch.setattr(scipy.optimize, "linprog",
                         lambda *a, **k: results.append(linprog(*a, **k)) or results[-1])
     space, kernel = make_space(r_max=r_max, d_max=r_max)
-    cap = evaluate_policy(space, kernel, np.zeros(space.n)).pu_reward.throughput
+    cap = evaluate_policy(space, kernel, np.zeros(space.n)).pu_throughput
     rep = solve_constrained(space, kernel, frac * cap)
     (res,) = results
     ridx = np.nonzero(space.reachable)[0]
     m = ridx.size
     x = res.x.reshape(m, 2)
     p_sub = kernel.p[np.ix_(ridx, [0, 1], ridx)]
-    q = (kernel.r_su[ridx] + rep.multiplier * kernel.r_pu[ridx, :, 0]
+    q = (kernel.r_su[ridx] + rep.multiplier * kernel.r_pu[ridx]
          + p_sub @ -res.eqlin.marginals[:m])
     gain = q[:, 1] - q[:, 0]
     strict = np.abs(gain) > 1e-9
@@ -265,11 +244,11 @@ _region_vectors = st.lists(st.floats(1e-3, 1.0), min_size=7, max_size=7).map(
 def test_solver_properties_and_pi_oracle(probs, r_max, extra_d, rho0, rho_ratio, frac, scheme):
     from cogarq.simulator import GenieModel, SchemeKind, scheme_model
 
-    cfg = PuConfig(r_max, max(2, r_max) + extra_d, 1, saturating_arrivals(1))
+    cfg = PuConfig(r_max, max(2, r_max) + extra_d)
     model = GenieModel(cfg) if scheme == "genie" else scheme_model(SchemeKind(scheme), cfg)
     space = enumerate_space(model, cfg, probs, (rho0, rho0 * rho_ratio))
     kernel = build_kernel(space)
-    floor = frac * evaluate_policy(space, kernel, np.zeros(space.n)).pu_reward.throughput
+    floor = frac * evaluate_policy(space, kernel, np.zeros(space.n)).pu_throughput
     rep = solve_constrained(space, kernel, floor)
     mu = np.array(list(rep.policy.probs.values()))
     assert ((mu >= 0.0) & (mu <= 1.0)).all()
@@ -287,10 +266,10 @@ def test_floor_below_the_default_lp_tolerance_is_met():
     from cogarq.simulator import SchemeKind, scheme_model
 
     probs = RegionProbabilities(*(np.ones(7) / 7).tolist())
-    cfg = PuConfig(1, 2, 1, saturating_arrivals(1))
+    cfg = PuConfig(1, 2)
     space = enumerate_space(scheme_model(SchemeKind.CHAIN_DECODING, cfg), cfg, probs, (0.5, 0.0))
     kernel = build_kernel(space)
-    floor = 5.96e-8 * evaluate_policy(space, kernel, np.zeros(space.n)).pu_reward.throughput
+    floor = 5.96e-8 * evaluate_policy(space, kernel, np.zeros(space.n)).pu_throughput
     rep = solve_constrained(space, kernel, floor)
     assert floor == pytest.approx(2.98e-8)
     assert rep.constraint_value >= floor - 1e-12

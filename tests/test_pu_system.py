@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from cogarq.channel import RatePair
-from cogarq.pu_system import (
-    PuConfig,
-    always_transmit,
-    completion_probability,
-    saturating_arrivals,
-)
+from cogarq.pu_system import PuConfig
 from cogarq.pu_tracker import PuFeedback, update
 
 from _oracles import LinkGains, PuState, advance, step
@@ -15,8 +10,8 @@ from _oracles import LinkGains, PuState, advance, step
 R11 = RatePair(1.0, 1.0)
 
 
-def cfg_for(r_max=5, d_max=5, q_max=3, pmf=None, policy=always_transmit):
-    return PuConfig(r_max, d_max, q_max, pmf, policy)
+def cfg_for(r_max=5, d_max=5):
+    return PuConfig(r_max, d_max)
 
 
 def test_completion_examples():
@@ -42,47 +37,45 @@ def test_config_validation():
         cfg_for(r_max=3, d_max=2)
     with pytest.raises(ValueError):
         cfg_for(d_max=1, r_max=1)  # degenerate delay deadline
-    with pytest.raises(ValueError):
-        PuConfig(2, 3, 2, np.array([0.5, 0.4]))  # pmf does not sum to 1
 
 
 def test_empty_queue_never_transmits():
     cfg = cfg_for()
-    assert cfg.transmit_prob(0, 0, 0) == 0.0
-    assert cfg.transmit_prob(0, 0, 1) == 1.0
+    assert cfg.transmit_prob(True) == 0.0
+    assert cfg.transmit_prob(False) == 1.0
 
 
 def test_step_idle_empty_queue_accumulates_arrivals():
-    cfg = cfg_for(q_max=5)
+    cfg = cfg_for()
     res = step(PuState(0, 0, 0), 2, 0, LinkGains(0, 0, 9, 0), R11,
-               np.random.default_rng(0), cfg)
+               np.random.default_rng(0), cfg, 5)
     assert res.a_p == 0 and res.y == PuFeedback.IDLE
     assert res.next_state == PuState(0, 0, 2)
     assert res.label_event is None
 
 
 def test_step_first_attempt_success():
-    cfg = cfg_for(q_max=5)
+    cfg = cfg_for()
     g = LinkGains(0, 0, 9.0, 0.0)  # C(9) well above the rate
-    res = step(PuState(0, 0, 3), 0, 0, g, R11, np.random.default_rng(0), cfg)
+    res = step(PuState(0, 0, 3), 0, 0, g, R11, np.random.default_rng(0), cfg, 5)
     assert res.a_p == 1 and res.o == 1
     assert res.next_state == PuState(0, 0, 2)
     assert res.label_event == "new"
 
 
 def test_step_first_attempt_failure():
-    cfg = cfg_for(q_max=5)
+    cfg = cfg_for()
     g = LinkGains(0, 0, 0.1, 0.0)
-    res = step(PuState(0, 0, 3), 0, 0, g, R11, np.random.default_rng(0), cfg)
+    res = step(PuState(0, 0, 3), 0, 0, g, R11, np.random.default_rng(0), cfg, 5)
     assert res.o == 0 and res.y == PuFeedback.NACK
     assert res.next_state == PuState(1, 1, 3)
     assert res.label_event == "new"
 
 
 def test_step_retransmission_label_event():
-    cfg = cfg_for(q_max=5)
+    cfg = cfg_for()
     res = step(PuState(2, 2, 3), 0, 0, LinkGains(0, 0, 0.1, 0), R11,
-               np.random.default_rng(0), cfg)
+               np.random.default_rng(0), cfg, 5)
     assert res.label_event == "retx"
 
 
@@ -93,25 +86,25 @@ def _random_trajectory(seed, n_slots=300, policy=None):
     q_max = int(rng.integers(1, 4))
     pmf = rng.dirichlet(np.ones(q_max + 1))
     pol = policy or (lambda t, d, q: 0.7)
-    cfg = PuConfig(r_max, d_max, q_max, pmf, pol)
+    cfg = PuConfig(r_max, d_max)
     state = PuState()
     out = []
     for n in range(n_slots):
         b_p = int(rng.choice(q_max + 1, p=pmf))
         g = LinkGains(0, 0, float(rng.exponential(2.0)), 0.0)
-        res = step(state, b_p, 0, g, R11, rng, cfg)
+        res = step(state, b_p, 0, g, R11, rng, cfg, q_max, pol)
         out.append((state, res))
         state = res.next_state
-    return cfg, out
+    return cfg, q_max, out
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_trajectory_invariants(seed):
-    cfg, traj = _random_trajectory(seed)
+    cfg, q_max, traj = _random_trajectory(seed)
     for state, res in traj:
-        state.validate(cfg)
+        state.validate(cfg, q_max)
         assert state.d >= state.t
-        assert state.q <= cfg.q_max
+        assert state.q <= q_max
         if state.d == cfg.d_max - 1 and state.q > 0:
             assert res.o == 1  # delay deadline drops regardless of outcome
         # t resets exactly on completion
@@ -123,11 +116,11 @@ def test_trajectory_invariants(seed):
 
 def test_backlogged_always_transmit_keeps_d_equal_t():
     rng = np.random.default_rng(9)
-    cfg = cfg_for(r_max=4, d_max=6, q_max=2, pmf=saturating_arrivals(2))
+    cfg = cfg_for(r_max=4, d_max=6)
     state = PuState(0, 0, 2)
     for n in range(500):
         g = LinkGains(0, 0, float(rng.exponential(2.0)), 0.0)
-        res = step(state, 2, 0, g, R11, rng, cfg)
+        res = step(state, 2, 0, g, R11, rng, cfg, 2)
         assert res.a_p == 1
         state = res.next_state
         assert state.d == state.t
@@ -137,7 +130,7 @@ def test_backlogged_always_transmit_keeps_d_equal_t():
 def test_advance_rejects_transmission_from_empty_queue():
     cfg = cfg_for()
     with pytest.raises(ValueError):
-        advance(PuState(0, 0, 0), 0, 1, True, cfg)
+        advance(PuState(0, 0, 0), 0, 1, True, cfg, 3)
 
 
 def test_access_draw_consumed_even_for_degenerate_policies():
@@ -146,27 +139,7 @@ def test_access_draw_consumed_even_for_degenerate_policies():
     g = LinkGains(0, 0, 9.0, 0.0)
     tails = []
     for p in (0.0, 1.0):
-        cfg = cfg_for(policy=lambda t, d, q, p=p: p)
         rng = np.random.default_rng(123)
-        step(PuState(0, 0, 2), 0, 0, g, R11, rng, cfg)
+        step(PuState(0, 0, 2), 0, 0, g, R11, rng, cfg_for(), 3, lambda t, d, q, p=p: p)
         tails.append(rng.random())
     assert tails[0] == tails[1]
-
-
-def test_completion_probability_matches_indicator_cases():
-    cfg = cfg_for(r_max=3, d_max=4, q_max=2)
-    # deterministic branches
-    assert completion_probability(0, 0, 0, 0, 0.5, cfg) == 0.0
-    assert completion_probability(1, 3, 2, 0, 0.5, cfg) == 1.0
-    assert completion_probability(2, 2, 1, 1, 0.5, cfg) == 1.0  # ARQ deadline
-    assert completion_probability(1, 1, 1, 1, 0.37, cfg) == 0.37
-    # every state, against the oracle's own completion rule
-    for t in range(3):
-        for d in range(t, 4):
-            o_ack, o_nack, o_idle = (
-                advance(PuState(t, d, 1), 0, a_p, ok, cfg)[1]
-                for a_p, ok in ((1, True), (1, False), (0, False))
-            )
-            assert completion_probability(t, d, 1, 1, 0.37, cfg) == pytest.approx(
-                0.37 * o_ack + 0.63 * o_nack)
-            assert completion_probability(t, d, 1, 0, 0.37, cfg) == o_idle

@@ -5,7 +5,7 @@ import pytest
 
 from cogarq.channel import AvgSnrConfig, RatePair
 from cogarq.mdp import AccessPolicy, build_kernel, enumerate_space, evaluate_policy, solve_constrained
-from cogarq.pu_system import PuConfig, saturating_arrivals
+from cogarq.pu_system import PuConfig
 from cogarq.simulator import (
     FicBicModel,
     FicOnlyModel,
@@ -37,13 +37,12 @@ RATES = RatePair(1.9140575925881422, 2.5182556953531106)
 # SHA-256 of the 5,000-slot chain-decoding trace below (seed 7), one
 # `repr(tuple(record))` per line of its `records`.  It locks every field of every slot, so
 # the receiver's label choices, credits and graph sizes, bit for bit.
-CD_TRACE_SHA256 = "c05d913b9872024bdcd76c58b1acb4096f33d9b4829784a707c94b916db4110a"
+CD_TRACE_SHA256 = "218534b9abf91036a6960eb08d509978c7a09417c814a9c41542800cf3ac73e3"
 
 
 def small_system(mean_ps=5.0, mean_sp=2.0, r_max=5, d_max=5):
     snr = AvgSnrConfig(5.0, mean_ps, 10.0, mean_sp)
-    pu_cfg = PuConfig(r_max, d_max, 1, saturating_arrivals(1))
-    return SystemConfig(snr, RATES, pu_cfg)
+    return SystemConfig(snr, RATES, PuConfig(r_max, d_max))
 
 
 def solved_policy(system, scheme, fraction=0.8, samples=300_000):
@@ -53,7 +52,7 @@ def solved_policy(system, scheme, fraction=0.8, samples=300_000):
     space = enumerate_space(model, system.pu, probs, system.success_probs())
     kernel = build_kernel(space)
     idle = evaluate_policy(space, kernel, np.zeros(space.n))
-    rep = solve_constrained(space, kernel, fraction * idle.pu_reward.throughput)
+    rep = solve_constrained(space, kernel, fraction * idle.pu_throughput)
     return rep
 
 
@@ -170,7 +169,7 @@ def _hand_trace():
     two buffered SU packets; slot 4 opens a fresh cycle.
     """
     mk = lambda **kw: TraceRecord(**{
-        "q": 1, "l_s": None, "r_s": 0, "m_before": 0, "phase": "U", "b_s": 0,
+        "l_s": None, "r_s": 0, "m_before": 0, "phase": "U", "b_s": 0,
         "y_p": 0, "g_nodes": 0, "g_edges": 0,
         **kw})
     recs = [
@@ -226,7 +225,7 @@ def test_tracker_mismatch_detected():
 
 def test_run_metrics_validation():
     with pytest.raises(ValueError):
-        RunMetrics("x", 0, 10, 0.1, 0.0, 1.5, 0.0, 0.0, 0.0, 0.0, 0.0, 1)
+        RunMetrics("x", 0, 10, 0.1, 0.0, 1.5, 0.0, 0.0, 1)
 
 
 def test_drop_rate_counts_trimmed_packets():
@@ -237,7 +236,7 @@ def test_drop_rate_counts_trimmed_packets():
 
 
 def test_scheme_models_expose_consistent_tables():
-    pu_cfg = PuConfig(4, 5, 1, saturating_arrivals(1))
+    pu_cfg = PuConfig(4, 5)
     for model in (FicBicModel(pu_cfg), FicOnlyModel(pu_cfg),
                   NoFicBicModel(pu_cfg), GenieModel(pu_cfg)):
         states = model.cd_states(pu_cfg)
@@ -253,10 +252,6 @@ def test_scheme_models_expose_consistent_tables():
                             assert r >= 0
 
 
-def _pu_sometimes_idle(t, d, q):
-    return 0.7
-
-
 def _constant_policy(system, scheme, mu=0.6):
     """Transmit with probability `mu` in every enumerated state, so both
     actions occur from every state a run reaches."""
@@ -270,9 +265,8 @@ def _constant_policy(system, scheme, mu=0.6):
 @pytest.mark.parametrize("r_max", [2, 3, 5])
 @pytest.mark.parametrize("mean_ps", [0.5, 5.0, 25.0])  # cross-link ratios 0.1, 1 and 5
 def test_baselines_match_the_graph_receiver_oracle(mean_ps, r_max):
-    # A PU that idles at random and a delay deadline past the retransmission
-    # deadline give idle slots and windows that close on them.
-    pu_cfg = PuConfig(r_max, r_max + 1, 1, saturating_arrivals(1), _pu_sometimes_idle)
+    # The backlogged PU idles in slot 0 and sends in every later slot.
+    pu_cfg = PuConfig(r_max, r_max + 1)
     system = SystemConfig(AvgSnrConfig(5.0, mean_ps, 10.0, 2.0), RATES, pu_cfg)
     n_slots = 6_000
     for scheme in (SchemeKind.FIC_BIC, SchemeKind.FIC_ONLY, SchemeKind.NO_FIC_BIC):
@@ -294,7 +288,7 @@ def test_baselines_match_the_graph_receiver_oracle(mean_ps, r_max):
             drops = rx.graph.discarded_su
         assert m.decoded_total == decoded
         assert m.drop_rate == drops / n_slots
-        assert {rec.a_p for rec in trace} == {0, 1}
+        assert [rec.a_p for rec in trace] == [0] + [1] * (n_slots - 1)
         if scheme is SchemeKind.FIC_BIC and mean_ps > 1.0:
             assert drops > 0
 
@@ -331,18 +325,17 @@ def _column(chunks, name):
 @pytest.mark.parametrize("r_max", [2, 3, 5])
 @pytest.mark.parametrize("scheme", list(SchemeKind))
 def test_run_matches_the_slot_by_slot_reference(scheme, r_max):
-    pu_cfg = PuConfig(r_max, r_max + 1, 1, saturating_arrivals(1))
+    pu_cfg = PuConfig(r_max, r_max + 1)
     system = SystemConfig(AvgSnrConfig(5.0, 5.0, 10.0, 2.0), RATES, pu_cfg)
     chunks = _matches_reference(scheme, _constant_policy(system, scheme), system, 23, 3_000)
     assert set(_column(chunks, "a_s").tolist()) == {0, 1}
 
 
 class _AnyState(dict):
-    """Transmit probabilities for every compact state, by its tracked (t, d).
+    """Transmit probabilities for every compact state, by its tracked t.
 
-    A random-arrival belief filter reaches more states than `enumerate_space`
-    closes on, so the table answers any state; its own entries hold each
-    value it gives, as the package reads the distinct values off the table.
+    The table answers any state; its own entries hold each value it gives,
+    as the package reads the distinct values off the table.
     """
 
     MUS = (0.0, 0.3, 1.0, 0.65)
@@ -351,38 +344,41 @@ class _AnyState(dict):
         super().__init__({("value", i): mu for i, mu in enumerate(self.MUS)})
 
     def __missing__(self, state):
-        _, t, d, _ = state
-        return self.MUS[(t + d) % len(self.MUS)]
+        return self.MUS[state[1] % len(self.MUS)]
 
 
 @pytest.mark.parametrize("scheme", list(SchemeKind))
-def test_run_matches_the_reference_with_an_idle_pu_random_arrivals_and_two_mixed_mus(scheme):
-    pu_cfg = PuConfig(3, 4, 2, np.array([0.3, 0.4, 0.3]), _pu_sometimes_idle)
-    system = SystemConfig(AvgSnrConfig(5.0, 5.0, 10.0, 2.0), RATES, pu_cfg)
+def test_run_matches_the_reference_with_two_mixed_mus(scheme):
+    system = SystemConfig(AvgSnrConfig(5.0, 5.0, 10.0, 2.0), RATES, PuConfig(4, 5))
     chunks = _matches_reference(scheme, AccessPolicy(_AnyState()), system, 29, 4_000, batches=7)
-    a_p, q = _column(chunks, "a_p"), _column(chunks, "q")
-    assert 0.3 < 1.0 - a_p.mean() < 0.4  # idle at random, or on an empty queue
-    assert set(q.tolist()) == {0, 1, 2}
     states = chunks[0].states
-    mus = {_AnyState.MUS[(states[s][1] + states[s][2]) % 4] for s in _column(chunks, "sid")}
+    mus = {_AnyState.MUS[states[s][1] % 4] for s in _column(chunks, "sid")}
     assert mus == set(_AnyState.MUS)
 
 
 def test_a_draw_equal_to_its_access_probability_does_not_transmit():
-    # The SU and PU access draws are the fourth and second streams of the seed.
+    # The SU access draws are the fourth stream of the seed.
     n, seed = 2_000, 31
-    streams = np.random.SeedSequence(seed).spawn(4)
-    pu_u = np.random.default_rng(streams[1]).random(n)
-    su_u = np.random.default_rng(streams[3]).random(n)
-    mu_p = float(pu_u[500])
-    pu_cfg = PuConfig(5, 5, 1, saturating_arrivals(1), lambda t, d, q: mu_p)
-    system = SystemConfig(AvgSnrConfig(5.0, 5.0, 10.0, 2.0), RATES, pu_cfg)
+    su_u = np.random.default_rng(np.random.SeedSequence(seed).spawn(4)[3]).random(n)
+    system = SystemConfig(AvgSnrConfig(5.0, 5.0, 10.0, 2.0), RATES, PuConfig(5, 5))
     mu = float(su_u[777])
     policy = _constant_policy(system, SchemeKind.FIC_BIC, mu)
     chunks = _matches_reference(SchemeKind.FIC_BIC, policy, system, seed, n)
-    a_s, a_p = _column(chunks, "a_s"), _column(chunks, "a_p")
+    a_s = _column(chunks, "a_s")
     assert a_s[777] == 0 and np.array_equal(a_s, su_u < mu)
-    assert a_p[500] == 0 and np.array_equal(a_p[1:], pu_u[1:] < mu_p)  # slot 0: empty queue
+
+
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+def test_backlogged_pu_idles_in_slot_0_only(scheme):
+    system = small_system()
+    chunks = []
+    m = run(scheme, _constant_policy(system, scheme), system, 37, 2_000, trace_hook=chunks.append)
+    assert _column(chunks, "a_p").tolist() == [0] + [1] * 1_999
+    # the first state is the only one with an empty queue
+    states = chunks[0].states
+    assert [s[3] for s in states] == [True] + [False] * (len(states) - 1)
+    assert _column(chunks, "sid")[0] == 0 and 0 not in _column(chunks, "sid")[1:]
+    assert m.states_visited == len(states)
 
 
 def test_missing_policy_state_raises_at_the_reference_slot():

@@ -5,37 +5,38 @@ import pytest
 
 from cogarq.channel import RegionProbabilities
 from cogarq.mdp import MdpState, build_kernel, enumerate_space
-from cogarq.pu_system import PuConfig, saturating_arrivals
+from cogarq.pu_system import PuConfig
 from cogarq.pu_tracker import PuFeedback, update
+from cogarq.simulator import FicBicModel
 from cogarq.virtual_state import (
     ChainDecodingModel,
     CdPhase,
-    expected_pu_reward,
-    next_belief,
     phase_flags,
     phase_from_flags,
-    point_belief,
     translate_outcome,
     virtual_reward,
 )
 
 PROBS = RegionProbabilities(0.06, 0.15, 0.07, 0.26, 0.20, 0.10, 0.16)
+RHO = (0.62, 0.31)
 
 
-def cfg_for(r_max=5, d_max=5, q_max=1, policy=None):
-    pol = policy or (lambda t, d, q: 1.0)
-    return PuConfig(r_max, d_max, q_max, saturating_arrivals(q_max), pol)
+def cfg_for(r_max=5, d_max=5):
+    return PuConfig(r_max, d_max)
 
 
-def expected_virtual_reward(phase, b, a_s, cfg, rho=(0.6, 0.3)):
-    """build_kernel's expected SU credit in state (phase, b, t=0, d=0, q=1)."""
+def _kernel_at(phase, b, empty, rho=(0.6, 0.3)):
+    """build_kernel's output and the index of state (phase, b, t=0, d=0, empty)."""
+    cfg = cfg_for()
     space = enumerate_space(ChainDecodingModel(cfg), cfg, PROBS, rho)
-    i = space.index[MdpState((phase.value, b), 0, 0, point_belief(1, 1))]
-    return build_kernel(space).r_su[i, a_s]
+    return build_kernel(space), space.index[MdpState((phase.value, b), 0, 0, empty)]
 
 
-def saturated(q_max=1):
-    return point_belief(q_max, q_max)
+def expected_virtual_reward(phase, b, a_s, empty=False):
+    """build_kernel's expected SU credit in state (phase, b, t=0, d=0, empty);
+    the PU idles in the one state whose queue is empty."""
+    kernel, i = _kernel_at(phase, b, empty)
+    return kernel.r_su[i, a_s]
 
 
 def test_phase_flag_bijection():
@@ -82,50 +83,37 @@ def test_virtual_reward_rejects_pinned_packets_outside_unknown_phase():
 
 
 def test_expected_virtual_reward_idle_pu():
-    cfg = cfg_for(policy=lambda t, d, q: 0.0)
-    got = expected_virtual_reward(CdPhase.U, 0, 1, cfg)
+    got = expected_virtual_reward(CdPhase.U, 0, 1, empty=True)
     want = PROBS.delta_sp + PROBS.delta_s + PROBS.ups_sp + PROBS.ups_s
     assert got == pytest.approx(want)
 
 
 def test_expected_virtual_reward_forward_known_idle_su():
-    assert expected_virtual_reward(CdPhase.K_FWD, 0, 0, cfg_for()) == 0.0
+    assert expected_virtual_reward(CdPhase.K_FWD, 0, 0) == 0.0
 
 
 def test_expected_virtual_reward_pinned_release():
-    got = expected_virtual_reward(CdPhase.U, 1, 0, cfg_for())
+    got = expected_virtual_reward(CdPhase.U, 1, 0)
     want = PROBS.delta_sp + PROBS.delta_p + PROBS.ups_sp + PROBS.ups_p
     assert got == pytest.approx(want)
 
 
 def test_expected_pu_reward_idle_su_throughput():
-    cfg = cfg_for()
-    rho = (0.62, 0.31)
-    r = expected_pu_reward(0, 0, saturated(), 0, cfg, rho)
-    assert r.throughput == pytest.approx(0.62)
-    assert r.power == pytest.approx(-1.0)
+    # the backlogged PU sends from a full queue and succeeds with rho[a_s]
+    kernel, i = _kernel_at(CdPhase.U, 0, False, RHO)
+    assert kernel.r_pu[i, 0] == 0.62
 
 
 def test_expected_pu_reward_silent_pu_is_zero():
-    cfg = cfg_for(policy=lambda t, d, q: 0.0)
-    r = expected_pu_reward(0, 0, saturated(), 1, cfg, (0.62, 0.31))
-    assert r.throughput == 0.0 and r.power == 0.0
+    # the initial state's queue is empty, so the PU stays silent
+    kernel, i = _kernel_at(CdPhase.U, 0, True, RHO)
+    assert kernel.r_pu[i].tolist() == [0.0, 0.0]
 
 
 def test_expected_pu_reward_interference_monotone():
-    cfg = cfg_for()
-    rho = (0.62, 0.31)
-    r1 = expected_pu_reward(0, 0, saturated(), 1, cfg, rho)
-    r0 = expected_pu_reward(0, 0, saturated(), 0, cfg, rho)
-    assert r1.throughput <= r0.throughput
-
-
-def test_expected_pu_reward_overflow_drops():
-    # full queue, saturating arrivals, no completion possible while idle
-    cfg = cfg_for(q_max=2, policy=lambda t, d, q: 0.0)
-    r = expected_pu_reward(0, 0, saturated(2), 0, cfg, (0.5, 0.5))
-    assert r.drops == pytest.approx(-2.0)  # q - 0 + b - q_max = 2
-    assert r.queue_delay == pytest.approx(-2.0)
+    kernel, _ = _kernel_at(CdPhase.U, 0, False, RHO)
+    assert (kernel.r_pu[:, 1] <= kernel.r_pu[:, 0]).all()
+    assert set(kernel.r_pu[:, 1].tolist()) == {0.0, 0.31}
 
 
 def test_transition_completion_resets():
@@ -152,45 +140,14 @@ def test_transition_mutual_connection():
     assert model.next_cd(("U", 0), 1, 1, 7, 0) == ("K_BIDIR", 0)
 
 
-def test_transition_backlogged_belief_fixed():
-    cfg = cfg_for(q_max=3)
-    bel = point_belief(3, 3)
-    rho = (0.6, 0.3)
-    for y_p in (PuFeedback.ACK, PuFeedback.NACK):
-        o, _, _ = update(1, 1, y_p, cfg)
-        assert next_belief(1, 1, bel, o, rho[1], cfg) == bel
-
-
-def test_next_belief_stays_normalized_and_bayes():
-    rng = np.random.default_rng(0)
-    pmf = rng.dirichlet(np.ones(4))
-    cfg = PuConfig(3, 4, 3, pmf, lambda t, d, q: 0.5)
-    belief = tuple(rng.dirichlet(np.ones(4)).tolist())
-    for o in (0, 1):
-        for (t, d) in ((0, 0), (1, 1), (1, 2)):
-            try:
-                nxt = next_belief(t, d, belief, o, 0.4, cfg)
-            except ValueError:
-                continue  # zero-probability observation under this belief
-            assert abs(sum(nxt) - 1.0) < 1e-9
-            assert min(nxt) >= 0.0
-
-
-def test_next_belief_impossible_observation_raises():
-    cfg = cfg_for(policy=lambda t, d, q: 0.0)
-    # idle PU below the delay deadline can never complete
-    with pytest.raises(ValueError):
-        next_belief(0, 0, point_belief(1, 1), 1, 0.5, cfg)
-
-
 @pytest.mark.parametrize("seed", range(6))
 def test_random_walk_keeps_state_invariants(seed):
     rng = np.random.default_rng(seed)
-    # randomized PU access keeps every feedback observation feasible
-    cfg = cfg_for(r_max=4, d_max=6, policy=lambda t, d, q: 0.7)
+    # idle feedback at random reaches phases and delays a backlogged PU never does
+    cfg = cfg_for(r_max=4, d_max=6)
     model = ChainDecodingModel(cfg)
     rho = (0.5, 0.25)
-    cd, t, d, belief = model.initial_cd(), 0, 0, point_belief(1, 1)
+    cd, t, d = model.initial_cd(), 0, 0
     for _ in range(300):
         a_s = int(rng.random() < 0.5)
         if rng.random() < 0.8:
@@ -200,7 +157,6 @@ def test_random_walk_keeps_state_invariants(seed):
             y_p = PuFeedback.IDLE
         y = int(rng.integers(1, 8))
         o, t_n, d_n = update(t, d, y_p, cfg)
-        belief = next_belief(t, d, belief, o, rho[a_s], cfg)
         cd = model.next_cd(cd, a_s, int(y_p != PuFeedback.IDLE), y, o)
         t, d = t_n, d_n
         phase, b_s = CdPhase(cd[0]), cd[1]
@@ -209,7 +165,6 @@ def test_random_walk_keeps_state_invariants(seed):
         assert 0 <= b_s <= cfg.r_max - 1
         assert (phase is CdPhase.U) or b_s == 0
         assert 0 <= t < cfg.r_max and t <= d < cfg.d_max
-        assert abs(sum(belief) - 1.0) < 1e-9
 
 
 def test_translate_outcome_mapping():
@@ -250,3 +205,26 @@ def test_scheme_model_matches_transition_on_path():
         want = by_phase(cd, a_s, 1, y, o)
         cd = model.next_cd(cd, a_s, 1, y, o)
         assert cd == want
+
+
+@pytest.mark.parametrize("r_max", range(1, 6))
+@pytest.mark.parametrize("model_cls", [ChainDecodingModel, FicBicModel])
+def test_phase_counter_cap_never_binds_on_reachable_states(model_cls, r_max):
+    # The pinned-packet counter is capped at r_max - 1 only to close the
+    # product space.  On every jointly reachable state and every branch of
+    # positive probability the cap changes nothing: the counter reaches
+    # r_max - 1 only on the last try, which completes the PU packet.
+    for d_max in (max(2, r_max), r_max + 2):
+        cfg = cfg_for(r_max, d_max)
+        model, uncapped = model_cls(cfg), model_cls(cfg)
+        uncapped.b_cap = 10**6
+        space = enumerate_space(model, cfg, PROBS, RHO)
+        reachable = [space.states[i] for i in np.flatnonzero(space.reachable)]
+        assert max(s.cd[1] for s in reachable) == r_max - 1
+        for s in reachable:
+            feedback = [PuFeedback.IDLE] if s.empty else [PuFeedback.ACK, PuFeedback.NACK]
+            for a_s, y_p, y in itertools.product((0, 1), feedback, range(1, 8)):
+                o = update(s.t, s.d, y_p, cfg)[0]
+                a_p = int(y_p != PuFeedback.IDLE)
+                assert model.next_cd(s.cd, a_s, a_p, y, o) == uncapped.next_cd(
+                    s.cd, a_s, a_p, y, o), (s, a_s, y_p, y)
