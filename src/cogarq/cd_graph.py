@@ -18,6 +18,11 @@ bounded by what pruning retains.  Most slots see a graph with no edge at
 all, so the queries answer that case without a traversal: the closure of a
 seed set is the seeds and the root is the fresh packet.  Argument checks
 run either way.
+
+The slots of decoded packets are remembered only from a horizon on, which
+`forget` moves up to the graph's slot.  Below it a label is a node only
+while it is stored: the graph no longer knows whether any other such label
+was decoded, so every query that names one raises instead of guessing.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ __all__ = [
     "reachable",
     "record_slot",
     "prune_unreachable",
+    "forget",
 ]
 
 
@@ -67,12 +73,14 @@ def _name(label: int) -> str:
 class CdGraph:
     """Mutable graph state; one instance per simulated receiver.
 
-    `decoded_su` and `decoded_pu` hold the slots of decoded packets; the
-    node sets and the edge dicts hold labels.  Besides the structure it
-    keeps counters that change only when an edge is added, a node removed
-    or a cycle trim made (`cd_protocol.on_new_cycle`): the stored edge
-    count, the high-water marks of stored nodes and edges, and the number
-    of cycle trims and of those that found nothing stored.
+    `decoded_su` and `decoded_pu` hold the slots of the decoded packets the
+    graph remembers, those since `forget` last set `horizon`; the node sets
+    and the edge dicts hold labels.  Besides the structure it keeps
+    counters that change only when an edge is added, a node removed, a
+    packet decoded or a cycle trim made (`cd_protocol.on_new_cycle`): the
+    stored edge count, the high-water marks of stored nodes, of edges and
+    of remembered decoded slots, and the number of cycle trims and of those
+    that found nothing stored.
     """
 
     def __init__(self, slot: int = 0):
@@ -83,9 +91,11 @@ class CdGraph:
         self.in_edges: dict[int, set[int]] = {}
         self.decoded_su: set[int] = set()
         self.decoded_pu: set[int] = set()
+        self.horizon = 0
         self.discarded_su = 0
         self.max_nodes = 0
         self.max_edges = 0
+        self.max_decoded = 0
         self.cycle_trims = 0
         self.empty_cycle_trims = 0
         self._edges = 0
@@ -94,13 +104,25 @@ class CdGraph:
 
     # -- structural helpers -------------------------------------------------
 
+    def _stored(self, label: int) -> bool:
+        return label in (self.pu_nodes if label & 1 else self.su_nodes)
+
     def is_decoded(self, label: int) -> bool:
-        return (label >> 1) in (self.decoded_pu if label & 1 else self.decoded_su)
+        """Whether the packet was decoded; raises below the horizon unless stored."""
+        slot = label >> 1
+        if slot in (self.decoded_pu if label & 1 else self.decoded_su):
+            return True
+        if slot < self.horizon and not self._stored(label):
+            raise ValueError(f"{_name(label)} lies below the horizon {self.horizon}")
+        return False
 
     def contains(self, label: int) -> bool:
-        """Node membership, counting implicit undecoded labels up to the slot."""
+        """Node membership, counting implicit undecoded labels from the
+        horizon up to the slot; below the horizon only stored labels."""
         slot = label >> 1
-        return 0 <= slot <= self.slot and slot not in (
+        if slot < self.horizon:
+            return self._stored(label)
+        return slot <= self.slot and slot not in (
             self.decoded_pu if label & 1 else self.decoded_su)
 
     def _touch(self, label: int):
@@ -243,6 +265,9 @@ def _commit_decodes(g: CdGraph, labels: set) -> int:
                 newly_su += 1
             if lab in g.su_nodes:
                 g._remove_node(lab)
+    remembered = len(g.decoded_su) + len(g.decoded_pu)
+    if remembered > g.max_decoded:
+        g.max_decoded = remembered
     return newly_su
 
 
@@ -271,9 +296,9 @@ def record_slot(
         if l_s & 1 or not g.contains(l_s):
             raise ValueError(f"invalid SU label {_name(l_s)}")
     if l_p is not None:
-        if not l_p & 1:
+        if not l_p & 1 or l_p >> 1 > g.slot:
             raise ValueError(f"invalid PU label {_name(l_p)}")
-        if bool(pu_known) != (l_p >> 1 in g.decoded_pu):
+        if bool(pu_known) != g.is_decoded(l_p):
             raise ValueError(
                 f"pu_known={pu_known} inconsistent with graph state for {_name(l_p)}")
 
@@ -327,3 +352,17 @@ def prune_unreachable(g: CdGraph, keep_root: int) -> int:
             g._remove_node(node)
     g.discarded_su += dropped_su
     return dropped_su
+
+
+def forget(g: CdGraph):
+    """Drop every decoded slot; the graph's slot becomes the horizon.
+
+    Stored nodes stay nodes, also below the horizon; every other label
+    there stops being one, and a query that names it raises.  A caller may
+    forget when it will name no label before the current slot other than
+    stored ones.  The decoded slots all lie before the current slot, as
+    `record_slot` takes no label after it.
+    """
+    g.horizon = g.slot
+    g.decoded_su.clear()
+    g.decoded_pu.clear()

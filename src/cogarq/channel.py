@@ -28,7 +28,6 @@ __all__ = [
     "SU_NEEDS_PU",
     "classify_su_outcomes",
     "pu_success_probability",
-    "draw_gain_arrays",
     "exact_region_probabilities",
     "optimize_rate",
 ]
@@ -158,20 +157,6 @@ def pu_success_probability(cfg: AvgSnrConfig, r: RatePair, a_s: int) -> float:
     if a_s == 0:
         return base
     return base / (1.0 + theta * cfg.mean_gamma_sp / mp)
-
-
-def draw_gain_arrays(rng: np.random.Generator, cfg: AvgSnrConfig, n: int):
-    """n slots of independent exponential gains (Rayleigh power fading), as
-    four arrays (gamma_s, gamma_ps, gamma_p, gamma_sp).
-
-    Each link is drawn as one array in turn; a zero-mean link is
-    identically zero and draws nothing.
-    """
-    gs = rng.exponential(cfg.mean_gamma_s, n) if cfg.mean_gamma_s > 0 else np.zeros(n)
-    gps = rng.exponential(cfg.mean_gamma_ps, n) if cfg.mean_gamma_ps > 0 else np.zeros(n)
-    gp = rng.exponential(cfg.mean_gamma_p, n) if cfg.mean_gamma_p > 0 else np.zeros(n)
-    gsp = rng.exponential(cfg.mean_gamma_sp, n) if cfg.mean_gamma_sp > 0 else np.zeros(n)
-    return gs, gps, gp, gsp
 
 
 def _phi(z: float) -> float:

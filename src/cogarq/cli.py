@@ -309,6 +309,7 @@ def _sweep_point(cfg: ExperimentConfig, rates: RatePair, index: int, check_invar
             run_record.update(
                 graph_max_nodes=metrics.graph_max_nodes,
                 graph_max_edges=metrics.graph_max_edges,
+                graph_max_decoded=metrics.graph_max_decoded,
                 cycle_trims=metrics.cycle_trims,
                 cycle_trims_on_empty_graph=metrics.cycle_trims_on_empty_graph,
             )

@@ -7,20 +7,22 @@ seed-derived streams, so two runs with the same seed but different policies
 see the same environment.  The PU is backlogged and needs no draw: it idles
 in slot 0, on its empty queue, and transmits in every later slot.
 
-A run first packs each slot's random inputs into one small int code with
-numpy: the outcome region, the PU's decode with and without SU
-interference, and the rank of the SU access draw among the policy's
-distinct access probabilities.  The slot loop then walks integer entry ids
-only.  A walk state is a compact-state id plus the true PU's (t, d, empty),
-and each (walk state, code) pair gets one entry on first use, holding the
-slot's step: the compact walk's step table gives the tracker's step, the
-model's phase update and reward and the drop rule, and the true PU steps
-through the ARQ table on its own.  Every batch sum and trace column is a
-numpy gather over the entry ids.  The baselines are credited by their
-compact models: FIC/BIC decodes within the current primary ARQ window in
-both directions, FIC-only only forward, and no-FIC/BIC slot by slot with no
-memory at all.  Chain decoding also runs the full decoding graph over each
-walked batch, which credits its packets.
+A run packs each slot's random inputs into one small int code with numpy,
+one slice of slots at a time: the outcome region, the PU's decode with and
+without SU interference, and the rank of the SU access draw among the
+policy's distinct access probabilities.  The slot loop then walks integer
+entry ids only.  A walk state is a compact-state id plus the true PU's (t,
+d, empty), and each (walk state, code) pair gets one entry on first use,
+holding the slot's step: the compact walk's step table gives the tracker's
+step, the model's phase update and reward and the drop rule, and the true
+PU steps through the ARQ table on its own.  Every batch sum and trace
+column is a numpy gather over the entry ids of a walked group of slots.
+The baselines are credited by their compact models: FIC/BIC decodes within
+the current primary ARQ window in both directions, FIC-only only forward,
+and no-FIC/BIC slot by slot with no memory at all.  Chain decoding also
+runs the full decoding graph over each walked group, which credits its
+packets.  Without a trace hook, the memory a run holds does not grow with
+its number of slots.
 
 With a trace hook, `run` hands over each batch of slots as one `TraceChunk`
 of int columns, and `TraceInvariantChecker.feed` checks the per-trace
@@ -30,15 +32,17 @@ recording.
 
 from __future__ import annotations
 
+import copy
 import enum
+import functools
 import itertools
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .cd_graph import CdGraph, pu, record_slot, root, slot_of
+from .cd_graph import CdGraph, forget, pu, record_slot, root, slot_of
 from .cd_protocol import on_new_cycle, select_label
 from .channel import (
     PU_ALONE,
@@ -49,7 +53,6 @@ from .channel import (
     AvgSnrConfig,
     RatePair,
     classify_su_outcomes,
-    draw_gain_arrays,
     pu_success_probability,
 )
 from .mdp import AccessPolicy
@@ -364,10 +367,37 @@ def _below(mu: float, rank: int, thresholds: list) -> int:
 # scheme's drop rule counts.
 _ENTRY = ("sid", "t", "d", "a_s", "a_p", "y_p", "o", "success", "r_s", "lost")
 _SID, _T, _D, _A_S, _A_P, _Y_P, _O, _SUCCESS, _R_S, _LOST = range(len(_ENTRY))
-# Slots per slice of the input encoding, and at most per group of batches
-# that `run` walks and gathers at once, unless one batch is longer.
-_SLICE = 1 << 16
+# Slots per slice of the input encoding, and at most per group of slots that
+# `run` walks and gathers at once.
+_SLICE = 1 << 14
 _GROUP = 1 << 10
+
+
+def _gain_slices(rng: np.random.Generator, snr: AvgSnrConfig, n_slots: int) -> list:
+    """The gains of the links (gamma_s, gamma_ps, gamma_p, gamma_sp), as one
+    iterator per link over consecutive slices of at most `_SLICE` slots.
+
+    The numbers are those of one draw of the whole run: `n_slots`
+    exponential gains of each link in turn from `rng`, where a zero-mean
+    link is identically zero and draws nothing.  Each link draws a slice at
+    a time from its own copy of `rng`, set where that link starts.  A
+    pre-pass sets the copies: it draws and discards the links before each
+    one, a slice at a time, which consumes the stream as the whole draw
+    does.
+    """
+    sizes = [min(_SLICE, n_slots - lo) for lo in range(0, n_slots, _SLICE)]
+    buf = np.empty(_SLICE)
+    links, drawn = [], False
+    for mean in (snr.mean_gamma_s, snr.mean_gamma_ps, snr.mean_gamma_p, snr.mean_gamma_sp):
+        if mean <= 0:
+            links.append(map(np.zeros, sizes))
+            continue
+        if drawn:  # discard the last link drawn before this one
+            for size in sizes:
+                rng.standard_exponential(out=buf[:size])
+        links.append(map(functools.partial(copy.deepcopy(rng).exponential, mean), sizes))
+        drawn = True
+    return links
 
 
 class _SlotWalk:
@@ -401,33 +431,28 @@ class _SlotWalk:
         self._table = np.empty((len(_ENTRY), 0), dtype=np.int32)
 
     def encode(self, cfg: SystemConfig, seed: int, n_slots: int):
-        """Each slot's outcome region (int8) and input code.
+        """Yield each slice's outcome regions (int8) and input codes, in order.
 
         Channel gains and SU access draws come from the first and the
         fourth of four spawned children of the seed's `SeedSequence`.  The
         middle two are not drawn; spawning four keeps the SU stream, and so
-        every output for a given seed, as it was.  The gains are drawn
-        for the whole run, one link at a time, and reduced to one byte per
-        slot each for the region and the partial code; the SU's draws are
-        taken one slice of slots at a time, as one whole-run draw would give
-        them, so no other whole-run float array exists.
+        every output for a given seed, as it was.  Each slice's numbers are
+        those one draw of the whole run would give (`_gain_slices`).  Only
+        one slice's gains, SU draws, regions, codes and temporaries exist at
+        a time, so the memory `encode` holds does not grow with `n_slots`.
         """
         gain_ss, _, _, su_ss = np.random.SeedSequence(seed).spawn(4)
-        gs, gps, gp, gsp = draw_gain_arrays(np.random.default_rng(gain_ss), cfg.snr, n_slots)
+        gains = _gain_slices(np.random.default_rng(gain_ss), cfg.snr, n_slots)
         theta_p = 2.0 ** cfg.rates.r_p - 1.0
-        y = np.empty(n_slots, dtype=np.int8)
-        codes = np.empty(n_slots, dtype=np.min_scalar_type(self.n_codes - 1))
-        slices = [slice(lo, lo + _SLICE) for lo in range(0, n_slots, _SLICE)]
-        for sl in slices:
-            y[sl] = classify_su_outcomes(gs[sl], gps[sl], cfg.rates)
-            codes[sl] = (((y[sl] - 1) * 2 + (gp[sl] > theta_p)) * 2
-                         + (gp[sl] > theta_p * (1.0 + gsp[sl])))
-        del gs, gps, gp, gsp
         su_rng, n_s, thr_s = np.random.default_rng(su_ss), self.radix[-1], np.array(self.thr_s)
-        for sl in slices:
-            codes[sl] = codes[sl].astype(np.int64) * n_s + np.searchsorted(
-                thr_s, su_rng.random(codes[sl].size), side="right")
-        return y, codes
+        dtype = np.min_scalar_type(self.n_codes - 1)
+        for gs, gps, gp, gsp in zip(*gains):
+            y = classify_su_outcomes(gs, gps, cfg.rates).astype(np.int8)
+            codes = ((((y.astype(np.int64) - 1) * 2 + (gp > theta_p)) * 2
+                      + (gp > theta_p * (1.0 + gsp))) * n_s
+                     + np.searchsorted(thr_s, su_rng.random(len(y)), side="right"))
+            del gs, gps, gp, gsp  # a long run's slice is freed while it is walked
+            yield y, codes.astype(dtype)
 
     def table(self) -> np.ndarray:
         """The entries as int32 rows, one per field of `_ENTRY`."""
@@ -484,11 +509,13 @@ class RunMetrics:
     states_visited: int = 0  # distinct compact states the run reached
     steps_filled: int = 0    # entries of its step table
     # Chain decoding only: the decoding graph's high-water marks of stored
-    # nodes and edges, its cycle trims and those that found nothing stored.
+    # nodes and edges, its cycle trims and those that found nothing stored,
+    # and the high-water mark of the decoded slots it remembers.
     graph_max_nodes: int = 0
     graph_max_edges: int = 0
     cycle_trims: int = 0
     cycle_trims_on_empty_graph: int = 0
+    graph_max_decoded: int = 0
 
     def __post_init__(self):
         if not (0.0 <= self.pu_throughput <= 1.0):
@@ -537,17 +564,6 @@ def _batch_stats(per_batch: np.ndarray, counts: np.ndarray):
     )
 
 
-def _groups(edges: list) -> list:
-    """The batch edges cut into groups of consecutive batches, each spanning
-    at most `_GROUP` slots unless it is one longer batch."""
-    groups = [[edges[0]]]
-    for e in edges[1:]:
-        if len(groups[-1]) > 1 and e - groups[-1][0] > _GROUP:
-            groups.append([groups[-1][-1]])
-        groups[-1].append(e)
-    return groups
-
-
 def _graph_pass(g: CdGraph, first: int, states: list, cols: np.ndarray, y: np.ndarray,
                 tracing: bool):
     """Chain decoding's graph over walked slots from slot `first` on.
@@ -562,10 +578,14 @@ def _graph_pass(g: CdGraph, first: int, states: list, cols: np.ndarray, y: np.nd
     for n, sid, a_s, a_p, y_n in zip(range(first, first + len(y)), cols[_SID].tolist(),
                                      cols[_A_S].tolist(), cols[_A_P].tolist(), y.tolist()):
         # The tracked PU packet of this slot is the one first sent tr_d slots
-        # ago; tr_t = 0 starts a new primary ARQ cycle.
+        # ago; tr_t = 0 starts a new primary ARQ cycle, with a packet first
+        # sent now.  Until the next cycle start the graph is asked only about
+        # that packet, stored nodes and the fresh packets of this slot on, so
+        # it forgets the decoded slots before this one (stored nodes stay).
         tr_t, tr_d = tracked[sid]
         if tr_t == 0:
             on_new_cycle(g)
+            forget(g)
         pu_slot = n - tr_d
         known = pu_slot in g.decoded_pu
         l_s = select_label(g, pu(pu_slot), known, n).label if a_s else None
@@ -593,21 +613,26 @@ def run(
     """Simulate `n_slots` slots of the given scheme under a fixed policy.
 
     Deterministic in (scheme, policy, cfg, seed).  The slots' random inputs
-    are packed into int codes first (`_SlotWalk.encode`); the slot loop
-    then only looks up, per slot, the entry of its walk state and code,
-    filled on first use, and moves to the entry's next walk state.  The
-    loop walks a group of consecutive batches (`_groups`) at a time, and
-    every trace column is a numpy gather over the group's entry ids, every
-    batch sum a `reduceat` of one; chain decoding also runs its decoding
-    graph over each walked group.
+    are packed into int codes one slice at a time (`_SlotWalk.encode`); the
+    slot loop then only looks up, per slot, the entry of its walk state and
+    code, filled on first use, and moves to the entry's next walk state.
+    The loop walks a group of at most `_GROUP` slots of a slice at a time,
+    and every trace column is a numpy gather over the group's entry ids,
+    every batch sum a `reduceat` of one, added up over the groups a batch
+    spans; chain decoding also runs its decoding graph over each walked
+    group.  An untraced run holds memory that does not grow with `n_slots`:
+    one slice of inputs, one group of columns, the entry table and the
+    graph, which forgets decoded slots it can no longer be asked about
+    (`cd_graph.forget`).  A traced run also holds the columns of one batch,
+    O(n_slots / batches).
 
     Standard errors use batch means over `batches` contiguous blocks, which
     absorbs the burst correlation that chain releases introduce.  The SU's
     access thresholds are the distinct values of `policy.probs`.  Raises
     `KeyError`, naming the slot, when the policy has no entry for a compact
     state the run reaches.  A `trace_hook` is called once per batch, in
-    order, with the batch's `TraceChunk`, after the batch's group is
-    walked.
+    order, with the batch's `TraceChunk`, after the group that ends the
+    batch is walked.
 
     `drop_rate` counts, per slot, the SU packets the scheme's receiver gives
     up on: for chain decoding, those trimmed from the graph at a cycle
@@ -623,57 +648,72 @@ def run(
     model = scheme_model(scheme, pu_cfg)
     walk = _CompactWalk(model, _LOSSES[scheme], policy.probs, _arq_table(pu_cfg))
     slots = _SlotWalk(walk, pu_cfg)
-    y_all, codes = slots.encode(cfg, seed, n_slots)
     start = walk.visit((model.initial_cd(), 0, 0, True, 0))
     row = slots.row((start, 0, 0, True))
     # Chain decoding runs the decoding graph, which credits its packets.
     g = CdGraph() if scheme is SchemeKind.CHAIN_DECODING else None
+    tracing = trace_hook is not None
 
     # Slot n falls in batch (n * batches) // n_slots.
     edges = [-(-b * n_slots // batches) for b in range(batches + 1)]
-    su_batch, pu_batch = [], []
+    su_batch, pu_batch = [0] * batches, [0] * batches
     dropped = 0  # SU packets the scheme's drop rule counts
-    decoded = 0  # SU packets credited in the batches before this one
+    decoded = 0  # SU packets credited in the batches before the open one
+    pending = []  # the open batch's trace columns, one tuple per group walked
     fill, next_row = slots.fill, slots.next_row
-    for group in _groups(edges):
-        lo, hi = group[0], group[-1]
-        ids = []
-        append = ids.append
-        try:
-            for c in codes[lo:hi].tolist():
-                e = row[c]
-                if e < 0:
-                    e = fill(row, c)
-                append(e)
-                row = next_row[e]
-        except KeyError as err:
-            raise KeyError(f"{err.args[0]}, on the step of slot {lo + len(ids)}") from None
-        cols = slots.table()[:, ids]
-        dropped += int(cols[_LOST].sum())
-        if g is None:
-            r_s = cols[_R_S]
-        else:
-            credits, graph_rows = _graph_pass(g, lo, walk.states, cols, y_all[lo:hi],
-                                              trace_hook is not None)
-            r_s = np.array(credits)
-        starts = [b - lo for b in group[:-1]]
-        su = np.add.reduceat(r_s, starts).tolist()
-        su_batch += su
-        pu_batch += np.add.reduceat(cols[_SUCCESS], starts).tolist()
-        if trace_hook is not None:
+    lo = 0  # the group's first slot
+    for y_slice, code_slice in slots.encode(cfg, seed, n_slots):
+        for at in range(0, len(code_slice), _GROUP):
+            ids = []
+            append = ids.append
+            try:
+                for c in code_slice[at:at + _GROUP].tolist():
+                    e = row[c]
+                    if e < 0:
+                        e = fill(row, c)
+                    append(e)
+                    row = next_row[e]
+            except KeyError as err:
+                raise KeyError(f"{err.args[0]}, on the step of slot {lo + len(ids)}") from None
+            hi = lo + len(ids)
+            y = y_slice[at:at + _GROUP]
+            cols = slots.table()[:, ids]
+            dropped += int(cols[_LOST].sum())
             if g is None:
-                graph_cols = (np.full(hi - lo, -1, dtype=np.int32),
-                              *np.zeros((3, hi - lo), dtype=np.int32))
+                r_s = cols[_R_S]
             else:
-                graph_cols = np.array(graph_rows).T
-            l_s, v, g_nodes, g_edges = graph_cols
-            columns = (*cols[:_SUCCESS], l_s, r_s, v, g_nodes, g_edges)
-        for a, b, su_sum in zip(group, group[1:], su):
-            if trace_hook is not None:
-                part = slice(a - lo, b - lo)
-                trace_hook(TraceChunk(a, decoded, walk.states, y_all[a:b],
-                                      *(x[part] for x in columns)))
-            decoded += su_sum
+                credits, graph_rows = _graph_pass(g, lo, walk.states, cols, y, tracing)
+                r_s = np.array(credits)
+            # The group's part of each batch it meets: from its first slot, and
+            # from each batch edge inside it.
+            first_b = bisect_right(edges, lo) - 1
+            cuts = [lo, *edges[first_b + 1:bisect_left(edges, hi)]]
+            starts = [c - lo for c in cuts]
+            su = np.add.reduceat(r_s, starts).tolist()
+            pu_sums = np.add.reduceat(cols[_SUCCESS], starts).tolist()
+            if tracing:
+                if g is None:
+                    graph_cols = (np.full(hi - lo, -1, dtype=np.int32),
+                                  *np.zeros((3, hi - lo), dtype=np.int32))
+                else:  # a flat iterator converts about twice as fast as the rows
+                    graph_cols = np.fromiter(itertools.chain.from_iterable(graph_rows),
+                                             np.int64, 4 * (hi - lo)).reshape(-1, 4).T
+                l_s, v, g_nodes, g_edges = graph_cols
+                # in the order of the columns of `TraceChunk`
+                columns = (y, *cols[:_SUCCESS], l_s, r_s, v, g_nodes, g_edges)
+            for b, a, su_sum, pu_sum in zip(itertools.count(first_b), cuts, su, pu_sums):
+                su_batch[b] += su_sum
+                pu_batch[b] += pu_sum
+                end = min(edges[b + 1], hi)
+                if tracing:
+                    pending.append(tuple(x[a - lo:end - lo] for x in columns))
+                if end == edges[b + 1]:
+                    if tracing:
+                        trace_hook(TraceChunk(edges[b], decoded, walk.states,
+                                              *map(np.concatenate, zip(*pending))))
+                        pending = []
+                    decoded += su_batch[b]
+            lo = hi
 
     counts = np.diff(np.array(edges, dtype=float))
     su_mean, su_se = _batch_stats(np.array(su_batch, dtype=float), counts)
@@ -684,6 +724,7 @@ def run(
         graph_counts = dict(
             graph_max_nodes=g.max_nodes,
             graph_max_edges=g.max_edges,
+            graph_max_decoded=g.max_decoded,
             cycle_trims=g.cycle_trims,
             cycle_trims_on_empty_graph=g.empty_cycle_trims,
         )

@@ -18,8 +18,9 @@ backlogged PU is one case, so the tracker is checked on idle slots and
 delay-deadline expiries anywhere in a session.  The baseline receivers are stated
 here on the decoding graph, where the simulator credits them from their
 compact models.  The Monte Carlo run is stated here slot by slot
-(`reference_run`), where the package walks entry ids over pre-packed input
-codes and gathers its columns with numpy.  The trace invariants are checked
+(`reference_run`), on whole-run draws (`draw_gain_arrays`), where the
+package packs input codes one slice at a time, walks entry ids over them
+and gathers its columns with numpy.  The trace invariants are checked
 here one record at a time, where the package checks them on a chunk's
 columns; `records` and `chunk_of` convert between the two forms.
 """
@@ -44,7 +45,6 @@ from cogarq.channel import (
     RatePair,
     RegionProbabilities,
     classify_su_outcomes,
-    draw_gain_arrays,
 )
 from cogarq.pu_system import PuConfig
 from cogarq.pu_tracker import PuFeedback
@@ -450,6 +450,21 @@ def check_trace_invariants(
     return InvariantReport(slots, cycles, checks, violations)
 
 
+def draw_gain_arrays(rng: np.random.Generator, cfg: AvgSnrConfig, n: int):
+    """n slots of independent exponential gains (Rayleigh power fading), as
+    four arrays (gamma_s, gamma_ps, gamma_p, gamma_sp).
+
+    Each link is drawn as one array in turn; a zero-mean link is
+    identically zero and draws nothing.  This is the whole-run draw whose
+    numbers `cogarq.simulator` reproduces one slice at a time.
+    """
+    gs = rng.exponential(cfg.mean_gamma_s, n) if cfg.mean_gamma_s > 0 else np.zeros(n)
+    gps = rng.exponential(cfg.mean_gamma_ps, n) if cfg.mean_gamma_ps > 0 else np.zeros(n)
+    gp = rng.exponential(cfg.mean_gamma_p, n) if cfg.mean_gamma_p > 0 else np.zeros(n)
+    gsp = rng.exponential(cfg.mean_gamma_sp, n) if cfg.mean_gamma_sp > 0 else np.zeros(n)
+    return gs, gps, gp, gsp
+
+
 def reference_run(scheme: SchemeKind, policy, cfg: SystemConfig, seed: int, n_slots: int,
                   trace_hook=None, batches: int = 100) -> RunMetrics:
     """Slot-by-slot reference for `cogarq.simulator.run`.
@@ -463,6 +478,11 @@ def reference_run(scheme: SchemeKind, policy, cfg: SystemConfig, seed: int, n_sl
     built from one row per slot.  It shares the compact walk
     (`_CompactWalk`) and the scheme models with the package, but neither
     the input codes nor the entry table and gathers.
+
+    Its decoding graph never forgets a decoded slot.  The package's graph
+    forgets them all at each cycle start, so what it remembers is what was
+    decoded since the cycle started; `graph_max_decoded` is the most of
+    that, counted here on the full sets.
     """
     batches = min(batches, n_slots)
     pu_cfg = cfg.pu
@@ -486,6 +506,7 @@ def reference_run(scheme: SchemeKind, policy, cfg: SystemConfig, seed: int, n_sl
     edges = [-(-b * n_slots // batches) for b in range(batches + 1)]
     su_batch, pu_batch = [], []
     decoded = dropped = 0
+    cycle_base = max_decoded = 0  # decoded slots at the cycle start, and the most since one
     for bi in range(batches):
         lo, hi = edges[bi], edges[bi + 1]
         su_sum = pu_sum = 0
@@ -498,6 +519,7 @@ def reference_run(scheme: SchemeKind, policy, cfg: SystemConfig, seed: int, n_sl
                 _, tr_t, tr_d, _, _ = walk.states[sid]
                 if tr_t == 0:
                     on_new_cycle(g)
+                    cycle_base = len(g.decoded_su) + len(g.decoded_pu)
                 pu_slot = n - tr_d
                 known = pu_slot in g.decoded_pu
                 l_s = select_label(g, pu(pu_slot), known, n).label if a_s else None
@@ -516,6 +538,8 @@ def reference_run(scheme: SchemeKind, policy, cfg: SystemConfig, seed: int, n_sl
                     r_s = record_slot(g, l_s, pu(pu_slot), known, y)
                 else:
                     r_s = record_slot(g, l_s, None, 0, None if l_s is None else y)
+                max_decoded = max(max_decoded,
+                                  len(g.decoded_su) + len(g.decoded_pu) - cycle_base)
             su_sum += r_s
             dropped += lost
             pu_sum += success
@@ -541,7 +565,8 @@ def reference_run(scheme: SchemeKind, policy, cfg: SystemConfig, seed: int, n_sl
         dropped = g.discarded_su
         graph_counts = dict(graph_max_nodes=g.max_nodes, graph_max_edges=g.max_edges,
                             cycle_trims=g.cycle_trims,
-                            cycle_trims_on_empty_graph=g.empty_cycle_trims)
+                            cycle_trims_on_empty_graph=g.empty_cycle_trims,
+                            graph_max_decoded=max_decoded)
     return RunMetrics(
         scheme=scheme.value, seed=seed, n_slots=n_slots,
         su_throughput=su_mean, su_se=su_se, pu_throughput=pu_mean, pu_se=pu_se,

@@ -4,6 +4,7 @@ import pytest
 from cogarq.cd_graph import (
     CdGraph,
     closure,
+    forget,
     is_pu,
     potential,
     prune_unreachable,
@@ -14,6 +15,7 @@ from cogarq.cd_graph import (
     slot_of,
     su,
 )
+from cogarq.cd_protocol import on_new_cycle, select_label
 
 from _oracles import matrix_power_closure
 
@@ -352,3 +354,74 @@ def test_record_slot_count_equals_decoded_flag_increase():
         r = record_slot(g, l_s, l_p, known, outcome)
         assert r == len(g.decoded_su) - before
         assert g.edge_count() == _recounted_edges(g)
+
+
+def test_forget_keeps_stored_nodes_older_than_the_horizon():
+    g = CdGraph()
+    record_slot(g, su(0), pu(0), 0, 5)  # 0_P -> 0_S
+    record_slot(g, su(1), None, 0, 2)   # 1_S decoded at once
+    record_slot(g, None, pu(2), 0, 3)   # 2_P decoded at once
+    assert g.decoded_su == {1} and g.decoded_pu == {2}
+    forget(g)
+    assert g.horizon == 3 and not g.decoded_su and not g.decoded_pu
+    assert g.contains(su(0)) and g.contains(pu(0)) and not g.is_decoded(pu(0))
+    assert closure(g, [pu(0)]) == {pu(0), su(0)} and root(g) == (su(3), 1)
+    # the stored PU packet is sent again and decoded, which releases 0_S
+    assert record_slot(g, None, pu(0), 0, 3) == 1
+    assert not g.contains(su(0)) and not g.contains(pu(0))
+    assert not g.su_nodes and not g.pu_nodes
+
+
+def test_a_forgotten_label_is_no_node_and_every_query_naming_it_raises():
+    g = CdGraph()
+    record_slot(g, su(0), None, 0, 2)     # 0_S decoded
+    record_slot(g, None, None, 0, None)   # 1_S never sent
+    forget(g)
+    for label in (su(0), su(1), pu(0), pu(1)):
+        assert not g.contains(label)
+        for query in (lambda: closure(g, [label]), lambda: g.is_decoded(label),
+                      lambda: reachable(g, su(2), label), lambda: reachable(g, label, su(2))):
+            with pytest.raises(ValueError):
+                query()
+    with pytest.raises(ValueError):
+        record_slot(g, su(1), None, 0, 2)
+    with pytest.raises(ValueError):
+        record_slot(g, su(2), pu(1), 0, 4)
+    with pytest.raises(ValueError):
+        g.add_edge(pu(0), su(2))
+    with pytest.raises(ValueError):
+        select_label(g, pu(1), 0, 2)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_forgetting_graph_answers_as_one_that_remembers(seed):
+    # Both graphs follow the chain-decoding protocol over the same slots: a
+    # backlogged PU sends a new packet every one to three slots, and the SU
+    # sends the label `select_label` picks.  One graph forgets the decoded
+    # slots before each cycle start, the other keeps them all.
+    rng = np.random.default_rng(300 + seed)
+    keep, forgetful = CdGraph(), CdGraph()
+    left = 0
+    for n in range(400):
+        if left == 0:
+            n0, left = n, int(rng.integers(1, 4))
+            on_new_cycle(keep)
+            on_new_cycle(forgetful)
+            forget(forgetful)
+        left -= 1
+        known = keep.is_decoded(pu(n0))
+        assert forgetful.is_decoded(pu(n0)) == known
+        labels = [select_label(g, pu(n0), known, n) for g in (keep, forgetful)]
+        assert (labels[0].label, labels[0].kind) == (labels[1].label, labels[1].kind)
+        assert root(keep) == root(forgetful)
+        for label in range(2 * forgetful.horizon, 2 * n + 2):
+            assert keep.contains(label) == forgetful.contains(label)
+        l_s = labels[0].label if rng.random() < 0.7 else None
+        y = int(rng.integers(1, 8))
+        assert record_slot(keep, l_s, pu(n0), known, y) == record_slot(
+            forgetful, l_s, pu(n0), known, y)
+        assert keep.snapshot() == forgetful.snapshot()
+        for full, kept in ((keep.decoded_su, forgetful.decoded_su),
+                           (keep.decoded_pu, forgetful.decoded_pu)):
+            assert {s for s in full if s >= forgetful.horizon} <= kept <= full
+    assert keep.max_decoded > forgetful.max_decoded

@@ -10,7 +10,6 @@ from cogarq.channel import (
     AvgSnrConfig,
     RatePair,
     classify_su_outcomes,
-    draw_gain_arrays,
     exact_region_probabilities,
     optimize_rate,
     pu_success_probability,
@@ -20,6 +19,7 @@ from _oracles import (
     LinkGains,
     capacity,
     classify_su_outcome,
+    draw_gain_arrays,
     gauss_laguerre_region_probabilities,
     pu_success,
     region_probabilities,

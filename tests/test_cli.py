@@ -1,15 +1,21 @@
 import csv
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cogarq import cli
+from cogarq.channel import exact_region_probabilities
 from cogarq.cli import ConfigError, load_config, main, run_experiment
+from cogarq.mdp import build_kernel, enumerate_space, evaluate_policy
+from cogarq.pu_system import PuConfig
+from cogarq.simulator import GenieModel, SchemeKind, SystemConfig, scheme_model
 
 GOOD = """
 # minimal sweep for testing
@@ -120,7 +126,7 @@ def test_metadata_reports_walk_and_graph_counts(tmp_path):
     assert [(r["sweep_value"], r["scheme"]) for r in runs] == [
         (v, s) for v in (0.2, 1.0) for s in ("chain_decoding", "no_fic_bic")]
     graph_keys = {"graph_max_nodes", "graph_max_edges", "cycle_trims",
-                  "cycle_trims_on_empty_graph"}
+                  "cycle_trims_on_empty_graph", "graph_max_decoded"}
     for r in runs:
         # every state but the initial one is first reached through a step
         assert 1 <= r["states_visited"] <= r["steps_filled"] + 1
@@ -132,6 +138,9 @@ def test_metadata_reports_walk_and_graph_counts(tmp_path):
             assert r["graph_max_nodes"] >= 2 and r["graph_max_edges"] >= 1
             assert 0 < r["cycle_trims_on_empty_graph"] < r["cycle_trims"]
             assert 3000 / 3 <= r["cycle_trims"] <= 3000
+            # the decoded slots remembered within one cycle of at most
+            # r_max = 3 slots: its SU packets, its PU packet and stored ones
+            assert 1 <= r["graph_max_decoded"] <= 3 + 1 + r["graph_max_nodes"]
         else:
             assert set(r) == keys
 
@@ -194,6 +203,46 @@ def test_config_error_loads_no_lp_solver(tmp_path):
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert done.stdout.split() == ["2", "False"], done.stderr
+
+
+ONE_POINT = """
+mean_gamma_s = 5
+mean_gamma_p = 10
+mean_gamma_sp = 2
+sweep = gamma_ps_over_gamma_s
+sweep_values = 1
+rate_s = optimize
+rate_p = optimize
+r_max = 5
+d_max = 5
+constraint_fraction = 0.8
+schemes = chain_decoding
+seed = 3
+n_slots = {n_slots}
+"""
+
+
+def _peak_rss_mb(tmp_path, n_slots: int) -> float:
+    """Peak resident memory of one CLI run in a child process, in MB."""
+    cfg = write(tmp_path, ONE_POINT.format(n_slots=n_slots), name=f"n{n_slots}.cfg")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    with (tmp_path / f"n{n_slots}.err").open("w") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cogarq.cli", str(cfg), "-o", str(tmp_path / f"n{n_slots}")],
+            env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.DEVNULL, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0, (tmp_path / f"n{n_slots}.err").read_text()
+    return usage.ru_maxrss / 1024  # KiB on Linux
+
+
+def test_peak_memory_does_not_grow_with_the_horizon(tmp_path):
+    # The inputs are encoded a slice at a time and the decoding graph
+    # forgets the decoded slots it can no longer be asked about, so ten
+    # times the slots take no more memory.  Holding whole-run streams and
+    # every decoded slot, the 500k-slot run peaked about 19 MB higher.
+    short, long = _peak_rss_mb(tmp_path, 50_000), _peak_rss_mb(tmp_path, 500_000)
+    assert long - short < 4.0, (short, long)
 
 
 @pytest.mark.parametrize(
@@ -309,3 +358,52 @@ def test_policies_report_the_multichain_flag(tmp_path):
     pols = [json.loads(line) for line in paths["policies"].open()]
     assert len(pols) == 24
     assert all(p["multichain_warning"] is False for p in pols)
+
+
+# The cross-link sweep of 24 points at a 2,000-slot horizon that the
+# benchmark runs beside the README example.
+ANALYTIC_RATIOS = ("0.01, 0.015, 0.02, 0.03, 0.04, 0.045, 0.06, 0.08, 0.1, 0.15, 0.2, 0.3, "
+                   "0.4, 0.5, 0.6, 0.8, 1, 1.25, 1.5, 2, 2.5, 3, 4, 5")
+ANALYTIC_SWEEP = f"""
+mean_gamma_s = 5
+mean_gamma_p = 10
+mean_gamma_ps = 5
+sweep = gamma_sp_over_gamma_p
+sweep_values = {ANALYTIC_RATIOS}
+rate_s = optimize
+rate_p = optimize
+r_max = 5
+d_max = 5
+constraint_fraction = 0.8
+schemes = chain_decoding, fic_bic, fic_only, no_fic_bic
+seed = 1
+n_slots = 2000
+"""
+
+
+@pytest.mark.parametrize("sweep", ["readme", "analytic"])
+def test_idle_evaluation_equals_the_closed_form_pu_throughput(tmp_path, sweep):
+    # The PU floor is a fraction of the idle policy's evaluated PU
+    # throughput.  The PU is backlogged, so that value is the closed form
+    # success_probs()[0], up to how numpy's BLAS orders the stationary sum.
+    # This pins that rounding to 2 ulp on every kernel both sweeps solve.
+    if sweep == "readme":
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        text = re.search(r"```\n(mean_gamma_s = .*?)```", readme, re.S).group(1)
+    else:
+        text = ANALYTIC_SWEEP
+    cfg = load_config(write(tmp_path, text))
+    rates = cli._resolve_rates(cfg)
+    pu_cfg = PuConfig(cfg.r_max, cfg.d_max)
+    models = [GenieModel(pu_cfg), *(scheme_model(SchemeKind(s), pu_cfg) for s in cfg.schemes)]
+    kernels = 0
+    for value in cfg.sweep_values:
+        snr = cli._point_snr(cfg, value)
+        closed = SystemConfig(snr, rates, pu_cfg).success_probs()
+        probs = exact_region_probabilities(snr.mean_gamma_s, snr.mean_gamma_ps, rates)
+        for model in models:
+            space = enumerate_space(model, pu_cfg, probs, closed)
+            idle = evaluate_policy(space, build_kernel(space), np.zeros(space.n))
+            assert abs(idle.pu_throughput - closed[0]) <= 2 * math.ulp(closed[0]), (value, model)
+            kernels += 1
+    assert kernels == 5 * len(cfg.sweep_values) == (30 if sweep == "readme" else 120)

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from cogarq import simulator
 from cogarq.channel import AvgSnrConfig, RatePair
 from cogarq.mdp import AccessPolicy, build_kernel, enumerate_space, evaluate_policy, solve_constrained
 from cogarq.pu_system import PuConfig
@@ -354,6 +355,27 @@ def test_run_matches_the_reference_with_two_mixed_mus(scheme):
     states = chunks[0].states
     mus = {_AnyState.MUS[states[s][1] % 4] for s in _column(chunks, "sid")}
     assert mus == set(_AnyState.MUS)
+
+
+@pytest.mark.parametrize("snr", [AvgSnrConfig(5.0, 5.0, 10.0, 0.0), AvgSnrConfig(5.0, 0.0, 10.0, 2.0)])
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+def test_run_matches_the_reference_across_slices_and_groups(monkeypatch, scheme, snr):
+    # With slices of 1,000 slots and groups of 300, the 5,000-slot run spans
+    # five slices and each of its 7 batches several groups.  One link has a
+    # zero mean and draws nothing; every other link draws from its own
+    # generator, set by the pre-pass.
+    monkeypatch.setattr(simulator, "_SLICE", 1_000)
+    monkeypatch.setattr(simulator, "_GROUP", 300)
+    system = SystemConfig(snr, RATES, PuConfig(4, 5))
+    _matches_reference(scheme, AccessPolicy(_AnyState()), system, 41, 5_000, batches=7)
+
+
+def test_remembered_decoded_slots_stay_bounded():
+    # README links at gamma_ps / gamma_s = 1, where the graph grows largest
+    system = small_system()
+    rep = solved_policy(system, SchemeKind.CHAIN_DECODING)
+    m = run(SchemeKind.CHAIN_DECODING, rep.policy, system, 11, 200_000)
+    assert 0 < m.graph_max_decoded <= system.pu.d_max + m.graph_max_nodes
 
 
 def test_a_draw_equal_to_its_access_probability_does_not_transmit():
