@@ -8,7 +8,7 @@ this module computes.
 
 A packet is labelled by a plain int: `su(n) = 2n` and `pu(n) = 2n + 1` for
 the packets first sent in slot n, so the side is `label & 1` and the slot
-`label >> 1`.  Only this module and its helpers know that encoding.
+`label >> 1`.  Only this module and `cd_protocol` know that encoding.
 
 Packets that were never buffered next to an edge behave exactly like the
 fresh, never-transmitted labels of the current slot: isolated, potential
@@ -17,10 +17,12 @@ stored; everything else is represented implicitly, which keeps memory
 bounded by what pruning retains.  Most slots see a graph with no edge at
 all, so the queries answer that case without a traversal: the closure of a
 seed set is the seeds and the root is the fresh packet.  Argument checks
-run either way.
+run either way.  What a slot decodes and buffers in each of the seven
+outcome regions is stated once, in `SLOT_OUTCOMES`.
 
 The slots of decoded packets are remembered only from a horizon on, which
-`forget` moves up to the graph's slot.  Below it a label is a node only
+the receiver moves up to the graph's slot at each cycle start
+(`cd_protocol.run_slot`).  Below it a label is a node only
 while it is stored: the graph no longer knows whether any other such label
 was decoded, so every query that names one raises instead of guessing.
 """
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .channel import PU_ALONE, SU_CLEAN
+from .channel import PU_ALONE, PU_UNDER_SU, SU_CLEAN, SU_NEEDS_PU, SU_UNDER_PU
 
 __all__ = [
     "su",
@@ -41,9 +43,8 @@ __all__ = [
     "potential",
     "root",
     "reachable",
-    "record_slot",
     "prune_unreachable",
-    "forget",
+    "SLOT_OUTCOMES",
 ]
 
 
@@ -74,10 +75,10 @@ class CdGraph:
     """Mutable graph state; one instance per simulated receiver.
 
     `decoded_su` and `decoded_pu` hold the slots of the decoded packets the
-    graph remembers, those since `forget` last set `horizon`; the node sets
+    graph remembers, those since `horizon` was last set; the node sets
     and the edge dicts hold labels.  Besides the structure it keeps
     counters that change only when an edge is added, a node removed, a
-    packet decoded or a cycle trim made (`cd_protocol.on_new_cycle`): the
+    packet decoded or a cycle trim made (`cd_protocol.run_slot`): the
     stored edge count, the high-water marks of stored nodes, of edges and
     of remembered decoded slots, and the number of cycle trims and of those
     that found nothing stored.
@@ -161,6 +162,26 @@ class CdGraph:
                     del self.out_edges[src]
         (self.pu_nodes if label & 1 else self.su_nodes).discard(label)
         self._version += 1
+
+    def decode(self, labels: set) -> int:
+        """Mark the labels decoded, dropping the stored ones; returns the
+        SU packets newly decoded."""
+        newly_su = 0
+        for lab in labels:
+            if lab & 1:
+                self.decoded_pu.add(lab >> 1)
+                if lab in self.pu_nodes:
+                    self._remove_node(lab)
+            else:
+                if lab >> 1 not in self.decoded_su:
+                    self.decoded_su.add(lab >> 1)
+                    newly_su += 1
+                if lab in self.su_nodes:
+                    self._remove_node(lab)
+        remembered = len(self.decoded_su) + len(self.decoded_pu)
+        if remembered > self.max_decoded:
+            self.max_decoded = remembered
+        return newly_su
 
     def edge_count(self) -> int:
         return self._edges
@@ -249,87 +270,25 @@ def root(g: CdGraph) -> tuple[int, int]:
     return stored, stored_v
 
 
-# -- slot recording ------------------------------------------------------------
+# -- one slot's outcome -------------------------------------------------------
 
 
-def _commit_decodes(g: CdGraph, labels: set) -> int:
-    newly_su = 0
-    for lab in labels:
-        if lab & 1:
-            g.decoded_pu.add(lab >> 1)
-            if lab in g.pu_nodes:
-                g._remove_node(lab)
-        else:
-            if lab >> 1 not in g.decoded_su:
-                g.decoded_su.add(lab >> 1)
-                newly_su += 1
-            if lab in g.su_nodes:
-                g._remove_node(lab)
-    remembered = len(g.decoded_su) + len(g.decoded_pu)
-    if remembered > g.max_decoded:
-        g.max_decoded = remembered
-    return newly_su
+def _slot_outcome(su_sent: int, pu_unknown: int, y: int) -> tuple:
+    if su_sent and pu_unknown:
+        return (y in SU_UNDER_PU, y in PU_UNDER_SU,
+                ((1, 0),) * (y in SU_NEEDS_PU) + ((0, 1),) * (y in PU_ALONE - PU_UNDER_SU))
+    return bool(su_sent) and y in SU_CLEAN, bool(pu_unknown) and y in PU_ALONE, ()
 
 
-def record_slot(
-    g: CdGraph,
-    l_s: int | None,
-    l_p: int | None,
-    pu_known: int,
-    y: int | None,
-) -> int:
-    """Fold one slot's transmissions and outcome into the graph.
-
-    `l_s` / `l_p` are the labels actually transmitted (None when that side
-    stayed idle), `pu_known` says whether the PU packet was already decoded
-    here, and `y` is the outcome region.  Returns the number of SU packets
-    decoded this slot; the graph advances to the next slot in place.
-    """
-    if l_s is None and l_p is None:
-        if y is not None:
-            raise ValueError("outcome given for a slot with no transmissions")
-        g.slot += 1
-        return 0
-    if y not in (1, 2, 3, 4, 5, 6, 7):
-        raise ValueError(f"outcome region must be in 1..7, got {y!r}")
-    if l_s is not None:
-        if l_s & 1 or not g.contains(l_s):
-            raise ValueError(f"invalid SU label {_name(l_s)}")
-    if l_p is not None:
-        if not l_p & 1 or l_p >> 1 > g.slot:
-            raise ValueError(f"invalid PU label {_name(l_p)}")
-        if bool(pu_known) != g.is_decoded(l_p):
-            raise ValueError(
-                f"pu_known={pu_known} inconsistent with graph state for {_name(l_p)}")
-
-    r_s = 0
-    if l_p is not None and pu_known:
-        # Interference from the known PU packet is cancelled up front, so the
-        # slot behaves as if the PU were idle.
-        if l_s is not None and y in SU_CLEAN:
-            r_s = _commit_decodes(g, closure(g, [l_s]))
-    elif l_p is None:
-        if l_s is not None and y in SU_CLEAN:
-            r_s = _commit_decodes(g, closure(g, [l_s]))
-    elif l_s is None:
-        if y in PU_ALONE:
-            r_s = _commit_decodes(g, closure(g, [l_p]))
-    else:
-        if y == 1:
-            r_s = _commit_decodes(g, closure(g, [l_s, l_p]))
-        elif y == 2:
-            r_s = _commit_decodes(g, closure(g, [l_s]))
-        elif y == 3:
-            r_s = _commit_decodes(g, closure(g, [l_p]))
-        elif y == 5:
-            g.add_edge(l_p, l_s)
-        elif y == 6:
-            g.add_edge(l_s, l_p)
-        elif y == 7:
-            g.add_edge(l_p, l_s)
-            g.add_edge(l_s, l_p)
-    g.slot += 1
-    return r_s
+# What one slot with a transmission decodes and buffers, by (SU sent, PU sent
+# and not yet known, outcome region y): whether the SU packet and the PU
+# packet sent are decoded directly, and the dependency edges buffered, each
+# a (source, destination) pair of sides, 0 for the SU packet and 1 for the PU
+# packet.  A known PU packet is cancelled before decoding, so its slot counts
+# as one the PU left idle.  Each packet decoded releases its closure.
+SLOT_OUTCOMES = {
+    (s, p, y): _slot_outcome(s, p, y) for s in (0, 1) for p in (0, 1) for y in range(1, 8)
+}
 
 
 def prune_unreachable(g: CdGraph, keep_root: int) -> int:
@@ -352,17 +311,3 @@ def prune_unreachable(g: CdGraph, keep_root: int) -> int:
             g._remove_node(node)
     g.discarded_su += dropped_su
     return dropped_su
-
-
-def forget(g: CdGraph):
-    """Drop every decoded slot; the graph's slot becomes the horizon.
-
-    Stored nodes stay nodes, also below the horizon; every other label
-    there stops being one, and a query that names it raises.  A caller may
-    forget when it will name no label before the current slot other than
-    stored ones.  The decoded slots all lie before the current slot, as
-    `record_slot` takes no label after it.
-    """
-    g.horizon = g.slot
-    g.decoded_su.clear()
-    g.decoded_pu.clear()

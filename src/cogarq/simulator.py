@@ -42,8 +42,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .cd_graph import CdGraph, forget, pu, record_slot, root, slot_of
-from .cd_protocol import on_new_cycle, select_label
+from .cd_graph import CdGraph, slot_of
+from .cd_protocol import run_slot
 from .channel import (
     PU_ALONE,
     PU_UNDER_SU,
@@ -455,9 +455,12 @@ class _SlotWalk:
             yield y, codes.astype(dtype)
 
     def table(self) -> np.ndarray:
-        """The entries as int32 rows, one per field of `_ENTRY`."""
-        if self._table.shape[1] < len(self.entries):
-            self._table = np.array(self.entries, dtype=np.int32).T.copy()
+        """The entries as int32 rows, one per field of `_ENTRY`; only the
+        entries added since the last call are converted."""
+        have = self._table.shape[1]
+        if have < len(self.entries):
+            new = np.array(self.entries[have:], dtype=np.int32).T
+            self._table = np.concatenate((self._table, new), axis=1)
         return self._table
 
     def row(self, state) -> list:
@@ -533,7 +536,8 @@ class TraceChunk(NamedTuple):
     access decisions, the overheard feedback `y_p` and the window's
     completion `o`, the slot of the SU packet sent (`l_s`, -1 if none), the
     SU packets credited `r_s`, and the decoding graph's root potential `v`
-    before the slot and its node and edge counts after it.  The baselines
+    before the slot, as `cd_protocol.run_slot` returns it with the slot's
+    credits, and its node and edge counts after it.  The baselines
     run no graph: their `l_s` is -1 and `v`, `g_nodes` and `g_edges` are 0.
     """
 
@@ -570,31 +574,21 @@ def _graph_pass(g: CdGraph, first: int, states: list, cols: np.ndarray, y: np.nd
 
     Reads each slot's compact state, for the tracked PU packet and the
     cycle starts, and both access decisions from the slots' entry columns
-    `cols`.  Returns the SU packets the graph credits per slot and, when
-    `tracing`, the rows (l_s, v, g_nodes, g_edges) of `TraceChunk`.
+    `cols`, and runs each slot with one `run_slot` call.  Returns the SU
+    packets the graph credits per slot and, when `tracing`, the rows (l_s,
+    v, g_nodes, g_edges) of `TraceChunk`.
     """
-    tracked = [s[1:3] for s in states]
+    # A slot's tracked PU packet was first sent d slots ago, d being the
+    # tracked d of its compact state; a tracked t of 0 starts a new primary
+    # ARQ cycle, with a packet first sent now.
+    new_cycle = [s[1] == 0 for s in states]
+    age = [s[2] for s in states]
     credits, rows = [], []
     for n, sid, a_s, a_p, y_n in zip(range(first, first + len(y)), cols[_SID].tolist(),
                                      cols[_A_S].tolist(), cols[_A_P].tolist(), y.tolist()):
-        # The tracked PU packet of this slot is the one first sent tr_d slots
-        # ago; tr_t = 0 starts a new primary ARQ cycle, with a packet first
-        # sent now.  Until the next cycle start the graph is asked only about
-        # that packet, stored nodes and the fresh packets of this slot on, so
-        # it forgets the decoded slots before this one (stored nodes stay).
-        tr_t, tr_d = tracked[sid]
-        if tr_t == 0:
-            on_new_cycle(g)
-            forget(g)
-        pu_slot = n - tr_d
-        known = pu_slot in g.decoded_pu
-        l_s = select_label(g, pu(pu_slot), known, n).label if a_s else None
-        if tracing:
-            v_before = root(g)[1]
-        if a_p:
-            credits.append(record_slot(g, l_s, pu(pu_slot), known, y_n))
-        else:
-            credits.append(record_slot(g, l_s, None, 0, None if l_s is None else y_n))
+        r_s, l_s, v_before = run_slot(g, n, new_cycle[sid], n - age[sid], a_s, a_p,
+                                      y_n if a_s or a_p else None)
+        credits.append(r_s)
         if tracing:
             rows.append((-1 if l_s is None else slot_of(l_s), v_before,
                          len(g.su_nodes) + len(g.pu_nodes), g.edge_count()))
@@ -620,11 +614,11 @@ def run(
     and every trace column is a numpy gather over the group's entry ids,
     every batch sum a `reduceat` of one, added up over the groups a batch
     spans; chain decoding also runs its decoding graph over each walked
-    group.  An untraced run holds memory that does not grow with `n_slots`:
-    one slice of inputs, one group of columns, the entry table and the
-    graph, which forgets decoded slots it can no longer be asked about
-    (`cd_graph.forget`).  A traced run also holds the columns of one batch,
-    O(n_slots / batches).
+    group, one `cd_protocol.run_slot` call per slot.  An untraced run holds
+    memory that does not grow with `n_slots`: one slice of inputs, one
+    group of columns, the entry table and the graph, which forgets at each
+    cycle start the decoded slots it can no longer be asked about.  A
+    traced run also holds the columns of one batch, O(n_slots / batches).
 
     Standard errors use batch means over `batches` contiguous blocks, which
     absorbs the burst correlation that chain releases introduce.  The SU's

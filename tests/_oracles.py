@@ -33,8 +33,8 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from cogarq.cd_graph import CdGraph, prune_unreachable, pu, record_slot, root, slot_of, su
-from cogarq.cd_protocol import on_new_cycle, select_label
+from cogarq.cd_graph import CdGraph, closure, is_pu, prune_unreachable, pu, root, slot_of, su
+from cogarq.cd_protocol import select_label
 from cogarq.channel import (
     PU_ALONE,
     PU_UNDER_SU,
@@ -195,6 +195,129 @@ def step(
     else:
         label_event = None
     return StepResult(a_p, y, o, nxt, label_event)
+
+
+# -- the chain-decoding receiver, one step at a time ------------------------------
+#
+# `cogarq.cd_protocol.run_slot` runs one slot in one call, reading what each
+# outcome region decodes and buffers from `cd_graph.SLOT_OUTCOMES`.  The same
+# slot is stated here as the composition it replaces: at a cycle start
+# `on_new_cycle` and `forget`, then `select_label`, then `record_slot`, whose
+# if-chain states the seven regions apart from that table.
+
+
+def _decode(g: CdGraph, labels: set) -> int:
+    newly_su = 0
+    for lab in labels:
+        if is_pu(lab):
+            g.decoded_pu.add(slot_of(lab))
+            if lab in g.pu_nodes:
+                g._remove_node(lab)
+        else:
+            if slot_of(lab) not in g.decoded_su:
+                g.decoded_su.add(slot_of(lab))
+                newly_su += 1
+            if lab in g.su_nodes:
+                g._remove_node(lab)
+    g.max_decoded = max(g.max_decoded, len(g.decoded_su) + len(g.decoded_pu))
+    return newly_su
+
+
+def record_slot(g: CdGraph, l_s: int | None, l_p: int | None, pu_known: int,
+                y: int | None) -> int:
+    """Fold one slot's transmissions and outcome into the graph.
+
+    `l_s` / `l_p` are the labels actually transmitted (None when that side
+    stayed idle), `pu_known` says whether the PU packet was already decoded
+    here, and `y` is the outcome region.  Returns the number of SU packets
+    decoded this slot; the graph advances to the next slot in place.
+    """
+    if l_s is None and l_p is None:
+        if y is not None:
+            raise ValueError("outcome given for a slot with no transmissions")
+        g.slot += 1
+        return 0
+    if y not in (1, 2, 3, 4, 5, 6, 7):
+        raise ValueError(f"outcome region must be in 1..7, got {y!r}")
+    if l_s is not None:
+        if is_pu(l_s) or not g.contains(l_s):
+            raise ValueError(f"invalid SU label {l_s}")
+    if l_p is not None:
+        if not is_pu(l_p) or slot_of(l_p) > g.slot:
+            raise ValueError(f"invalid PU label {l_p}")
+        if bool(pu_known) != g.is_decoded(l_p):
+            raise ValueError(f"pu_known={pu_known} inconsistent with graph state for {l_p}")
+
+    r_s = 0
+    if l_p is not None and pu_known:
+        # Interference from the known PU packet is cancelled up front, so the
+        # slot behaves as if the PU were idle.
+        if l_s is not None and y in SU_CLEAN:
+            r_s = _decode(g, closure(g, [l_s]))
+    elif l_p is None:
+        if l_s is not None and y in SU_CLEAN:
+            r_s = _decode(g, closure(g, [l_s]))
+    elif l_s is None:
+        if y in PU_ALONE:
+            r_s = _decode(g, closure(g, [l_p]))
+    else:
+        if y == 1:
+            r_s = _decode(g, closure(g, [l_s, l_p]))
+        elif y == 2:
+            r_s = _decode(g, closure(g, [l_s]))
+        elif y == 3:
+            r_s = _decode(g, closure(g, [l_p]))
+        elif y == 5:
+            g.add_edge(l_p, l_s)
+        elif y == 6:
+            g.add_edge(l_s, l_p)
+        elif y == 7:
+            g.add_edge(l_p, l_s)
+            g.add_edge(l_s, l_p)
+    g.slot += 1
+    return r_s
+
+
+def on_new_cycle(g: CdGraph) -> int:
+    """Trim the graph to the root's closure; returns SU packets discarded.
+
+    A graph that stores no node has nothing to trim.
+    """
+    g.cycle_trims += 1
+    if not (g.su_nodes or g.pu_nodes):
+        g.empty_cycle_trims += 1
+        return 0
+    return prune_unreachable(g, root(g)[0])
+
+
+def forget(g: CdGraph):
+    """Drop every decoded slot; the graph's slot becomes the horizon.
+
+    Stored nodes stay nodes, also below the horizon; every other label
+    there stops being one, and a query that names it raises.  A caller may
+    forget when it will name no label before the current slot other than
+    stored ones.  The decoded slots all lie before the current slot, as
+    `record_slot` takes no label after it.
+    """
+    g.horizon = g.slot
+    g.decoded_su.clear()
+    g.decoded_pu.clear()
+
+
+def composed_slot(g: CdGraph, n: int, new_cycle: bool, pu_slot: int, a_s: int, a_p: int,
+                  y: int | None):
+    """`cogarq.cd_protocol.run_slot` as the composition of the steps above:
+    (SU packets decoded, SU label sent or None, root potential before the
+    slot)."""
+    if new_cycle:
+        on_new_cycle(g)
+        forget(g)
+    known = pu_slot in g.decoded_pu
+    l_s = select_label(g, pu(pu_slot), known, n).label if a_s else None
+    v_before = root(g)[1]
+    if a_p:
+        return record_slot(g, l_s, pu(pu_slot), known, y), l_s, v_before
+    return record_slot(g, l_s, None, 0, y), l_s, v_before
 
 
 class WindowReceiver:

@@ -4,20 +4,18 @@ import pytest
 from cogarq.cd_graph import (
     CdGraph,
     closure,
-    forget,
     is_pu,
     potential,
     prune_unreachable,
     pu,
     reachable,
-    record_slot,
     root,
     slot_of,
     su,
 )
-from cogarq.cd_protocol import on_new_cycle, select_label
+from cogarq.cd_protocol import select_label
 
-from _oracles import matrix_power_closure
+from _oracles import forget, matrix_power_closure, on_new_cycle, record_slot
 
 
 def chain_example_graph():
