@@ -295,7 +295,7 @@ def prune_unreachable(g: CdGraph, keep_root: int) -> int:
     """Drop every stored node outside the kept root's forward closure.
 
     Implicit fresh labels are untouched.  Returns the number of SU packets
-    discarded, which feeds the drop-rate diagnostic; dropped packets were
+    discarded, which the run reports as `trimmed_su`; dropped packets were
     transmitted at least once and are now unrecoverable.
     """
     if keep_root & 1 or not g.contains(keep_root):

@@ -312,6 +312,7 @@ def _sweep_point(cfg: ExperimentConfig, rates: RatePair, index: int, check_invar
                 graph_max_decoded=metrics.graph_max_decoded,
                 cycle_trims=metrics.cycle_trims,
                 cycle_trims_on_empty_graph=metrics.cycle_trims_on_empty_graph,
+                trimmed_su=metrics.trimmed_su,
             )
         runs.append(run_record)
         policies.append({

@@ -349,6 +349,8 @@ _UNUSED = 1e-12
 _SLACK_TOL = 1e-9
 # HiGHS's default primal feasibility tolerance and the smallest it accepts.
 _PRIMAL_TOL, _PRIMAL_TOL_MIN = 1e-7, 1e-10
+# A policy whose PU throughput falls this far below the floor misses it.
+_FLOOR_MISS = 1e-9
 
 
 def solve_constrained(
@@ -384,33 +386,39 @@ def solve_constrained(
     b_eq[m] = 1.0
     # HiGHS's primal feasibility tolerance is absolute, 1e-7 by default, so
     # a floor below it would count as met by a policy with no PU throughput.
-    # The tolerance is held to a thousandth of the floor, within HiGHS's range.
+    # The tolerance is kept to a thousandth of the floor, within HiGHS's
+    # range.  Even so the LP's policy may miss the floor by up to that
+    # tolerance; one that misses it by more than `_FLOOR_MISS` is solved
+    # again at the smallest tolerance.
     tol = min(_PRIMAL_TOL, max(_PRIMAL_TOL_MIN, 1e-3 * constraint_min))
-    res = linprog(-r_su.ravel(), A_ub=-r_c.reshape(1, -1), b_ub=[-constraint_min],
-                  A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
-                  options={"primal_feasibility_tolerance": tol})
-    if res.status == 2:
-        idle = evaluate_policy(space, kernel, np.zeros(space.n)).pu_throughput
-        raise InfeasibleConstraintError(
-            f"PU throughput floor {constraint_min} exceeds the idle-SU value {idle}"
-        )
-    if res.status != 0:
-        raise RuntimeError(f"constrained LP failed: {res.message}")
+    for tol in (tol, _PRIMAL_TOL_MIN):
+        res = linprog(-r_su.ravel(), A_ub=-r_c.reshape(1, -1), b_ub=[-constraint_min],
+                      A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
+                      options={"primal_feasibility_tolerance": tol})
+        if res.status == 2:
+            idle = evaluate_policy(space, kernel, np.zeros(space.n)).pu_throughput
+            raise InfeasibleConstraintError(
+                f"PU throughput floor {constraint_min} exceeds the idle-SU value {idle}"
+            )
+        if res.status != 0:
+            raise RuntimeError(f"constrained LP failed: {res.message}")
 
-    x = np.where(res.x > _UNUSED, res.x, 0.0).reshape(m, 2)
-    occ = x.sum(axis=1)
-    slack = float(res.ineqlin.residual[0])
-    multiplier = 0.0 if slack > _SLACK_TOL else max(-float(res.ineqlin.marginals[0]), 0.0)
-    h = -res.eqlin.marginals[:m]
-    q = r_su + multiplier * r_c + p_sub @ h
-    greedy = (q[:, 1] > q[:, 0]).astype(float)
-    mu_sub = np.divide(x[:, 1], occ, out=greedy, where=occ > 0.0)
-    mixed = np.nonzero((mu_sub > 0.0) & (mu_sub < 1.0))[0]
+        x = np.where(res.x > _UNUSED, res.x, 0.0).reshape(m, 2)
+        occ = x.sum(axis=1)
+        slack = float(res.ineqlin.residual[0])
+        multiplier = 0.0 if slack > _SLACK_TOL else max(-float(res.ineqlin.marginals[0]), 0.0)
+        h = -res.eqlin.marginals[:m]
+        q = r_su + multiplier * r_c + p_sub @ h
+        greedy = (q[:, 1] > q[:, 0]).astype(float)
+        mu_sub = np.divide(x[:, 1], occ, out=greedy, where=occ > 0.0)
+        mixed = np.nonzero((mu_sub > 0.0) & (mu_sub < 1.0))[0]
 
-    mu = np.zeros(space.n)
-    mu[ridx] = mu_sub
-    res_eval = evaluate_policy(space, kernel, mu)
-    value = res_eval.pu_throughput
+        mu = np.zeros(space.n)
+        mu[ridx] = mu_sub
+        res_eval = evaluate_policy(space, kernel, mu)
+        value = res_eval.pu_throughput
+        if value >= constraint_min - _FLOOR_MISS:
+            break
     if value < constraint_min - constraint_tol:
         raise RuntimeError(
             f"constrained solve missed the floor: {value} < {constraint_min}"

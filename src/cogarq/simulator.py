@@ -14,15 +14,16 @@ policy's distinct access probabilities.  The slot loop then walks integer
 entry ids only.  A walk state is a compact-state id plus the true PU's (t,
 d, empty), and each (walk state, code) pair gets one entry on first use,
 holding the slot's step: the compact walk's step table gives the tracker's
-step, the model's phase update and reward and the drop rule, and the true
-PU steps through the ARQ table on its own.  Every batch sum and trace
-column is a numpy gather over the entry ids of a walked group of slots.
-The baselines are credited by their compact models: FIC/BIC decodes within
+step and the model's phase update and reward, and the true PU steps
+through the ARQ table on its own.  Every batch sum and trace column is a
+numpy gather over the entry ids of a walked group of slots.  The
+baselines are credited by their compact models: FIC/BIC decodes within
 the current primary ARQ window in both directions, FIC-only only forward,
 and no-FIC/BIC slot by slot with no memory at all.  Chain decoding also
 runs the full decoding graph over each walked group, which credits its
-packets.  Without a trace hook, the memory a run holds does not grow with
-its number of slots.
+packets.  Every scheme counts its drops by one rule: the fresh SU packets
+sent less the SU packets credited.  Without a trace hook, the memory a
+run holds does not grow with its number of slots.
 
 With a trace hook, `run` hands over each batch of slots as one `TraceChunk`
 of int columns, and `TraceInvariantChecker.feed` checks the per-trace
@@ -42,7 +43,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .cd_graph import CdGraph, slot_of
+from .cd_graph import CdGraph, slot_of, su
 from .cd_protocol import run_slot
 from .channel import (
     PU_ALONE,
@@ -250,68 +251,23 @@ def _arq_table(cfg: PuConfig):
     }
 
 
-# -- drop accounting ----------------------------------------------------------------
-#
-# Each rule maps one slot, from phase `cd` with `held` packets already lost
-# in the open ARQ window, to (SU packets counted as dropped now, packets held
-# until the window closes).  `o` is the window's completion indicator.
-
-
-def _fic_bic_losses(cd, held, a_s, a_p, y, o):
-    """FIC/BIC counts its losses when the window closes and the receiver
-    forgets it: the region-6 packets sent under the unknown PU packet, whose
-    decoding never releases them, and the buffered region-5/7 packets that
-    no PU decode released.  Region-3/4 losses are never buffered, so they
-    are not counted."""
-    unknown = cd[0] == "U"
-    held += unknown and a_s and a_p and y == 6
-    if not o:
-        return 0, held
-    buffered = 0
-    if unknown and not _pu_decoded_event(a_s, a_p, y):
-        # At most r_max - 1 earlier transmissions, so cd[1] was never capped.
-        buffered = cd[1] + a_s * a_p * (y in SU_NEEDS_PU)
-    return held + buffered, 0
-
-
-def _no_fic_bic_losses(cd, held, a_s, a_p, y, o):
-    """Every SU transmission that does not decode at once is lost."""
-    return int(a_s and not _direct_su_decode(a_s, a_p, y)), 0
-
-
-def _no_losses(cd, held, a_s, a_p, y, o):
-    """FIC-only never buffers a signal, and the chain-decoding graph counts
-    its own trimmed packets."""
-    return 0, 0
-
-
-_LOSSES = {
-    SchemeKind.CHAIN_DECODING: _no_losses,
-    SchemeKind.FIC_BIC: _fic_bic_losses,
-    SchemeKind.FIC_ONLY: _no_losses,
-    SchemeKind.NO_FIC_BIC: _no_fic_bic_losses,
-}
-
-
 # -- the compact-state walk ---------------------------------------------------------
 
 
 class _CompactWalk:
     """Integer ids for the compact states a run visits, and their steps.
 
-    A state is (cd, tracked t, tracked d, empty, held): the policy's state
-    plus the packets the open window has lost so far, which only FIC/BIC
-    sets.  Each state gets an id on first visit, with its transmit
-    probability in `mus`.  `steps` maps (id, a_s, a_p, y, y_p) to (next id,
-    model reward, SU packets dropped) and is filled on first use from the
-    ARQ table (the tracker's step and its completion o_hat), the model's
-    `next_cd` and `reward`, and the scheme's drop rule.  After any slot the
-    PU's queue holds a packet, so no state but the first has `empty` set.
+    A state is the policy's state (cd, tracked t, tracked d, empty).  Each
+    state gets an id on first visit, with its transmit probability in
+    `mus`.  `steps` maps (id, a_s, a_p, y, y_p) to (next id, model reward)
+    and is filled on first use from the ARQ table (the tracker's step and
+    its completion o_hat) and the model's `next_cd` and `reward`.  After
+    any slot the PU's queue holds a packet, so no state but the first has
+    `empty` set.
     """
 
-    def __init__(self, model, losses, probs: dict, arq: dict):
+    def __init__(self, model, probs: dict, arq: dict):
         self.model = model
-        self.losses = losses
         self.probs = probs
         self.arq = arq
         self.states: list = []
@@ -323,9 +279,9 @@ class _CompactWalk:
         sid = self.ids.get(state)
         if sid is None:
             try:
-                mu = self.probs[state[:4]]
+                mu = self.probs[state]
             except KeyError:
-                raise KeyError(f"policy has no entry for state {state[:4]}") from None
+                raise KeyError(f"policy has no entry for state {state}") from None
             sid = self.ids[state] = len(self.states)
             self.states.append(state)
             self.mus.append(mu)
@@ -333,11 +289,10 @@ class _CompactWalk:
 
     def fill(self, key):
         sid, a_s, a_p, y, y_p = key
-        cd, t, d, _, held = self.states[sid]
+        cd, t, d, _ = self.states[sid]
         o_hat, t_n, d_n = self.arq[t, d, y_p]
-        dropped, held_n = self.losses(cd, held, a_s, a_p, y, o_hat)
-        nxt = (self.model.next_cd(cd, a_s, a_p, y, o_hat), t_n, d_n, False, held_n)
-        entry = (self.visit(nxt), self.model.reward(cd, a_s, a_p, y), dropped)
+        nxt = (self.model.next_cd(cd, a_s, a_p, y, o_hat), t_n, d_n, False)
+        entry = (self.visit(nxt), self.model.reward(cd, a_s, a_p, y))
         self.steps[key] = entry
         return entry
 
@@ -363,10 +318,9 @@ def _below(mu: float, rank: int, thresholds: list) -> int:
 
 # The fields of an entry, one slot's step, as the rows of `_SlotWalk.table()`.
 # The first seven are the `TraceChunk` columns of the same names; `success`
-# is the PU's decode, `r_s` the model reward and `lost` the SU packets the
-# scheme's drop rule counts.
-_ENTRY = ("sid", "t", "d", "a_s", "a_p", "y_p", "o", "success", "r_s", "lost")
-_SID, _T, _D, _A_S, _A_P, _Y_P, _O, _SUCCESS, _R_S, _LOST = range(len(_ENTRY))
+# is the PU's decode and `r_s` the model reward.
+_ENTRY = ("sid", "t", "d", "a_s", "a_p", "y_p", "o", "success", "r_s")
+_SID, _T, _D, _A_S, _A_P, _Y_P, _O, _SUCCESS, _R_S = range(len(_ENTRY))
 # Slots per slice of the input encoding, and at most per group of slots that
 # `run` walks and gathers at once.
 _SLICE = 1 << 14
@@ -487,9 +441,9 @@ class _SlotWalk:
         # step is part of the compact state's.
         o, t_n, d_n = walk.arq[t, d, y_p]
         key = (sid, a_s, a_p, y, y_p)
-        nxt, r_s, lost = walk.steps.get(key) or walk.fill(key)
+        nxt, r_s = walk.steps.get(key) or walk.fill(key)
         e = len(self.entries)
-        self.entries.append((sid, t, d, a_s, a_p, y_p, o, success, r_s, lost))
+        self.entries.append((sid, t, d, a_s, a_p, y_p, o, success, r_s))
         self.next_row.append(self.row((nxt, t_n, d_n, False)))
         row[code] = e
         return e
@@ -513,12 +467,14 @@ class RunMetrics:
     steps_filled: int = 0    # entries of its step table
     # Chain decoding only: the decoding graph's high-water marks of stored
     # nodes and edges, its cycle trims and those that found nothing stored,
-    # and the high-water mark of the decoded slots it remembers.
+    # the high-water mark of the decoded slots it remembers, and the SU
+    # packets its cycle trims discarded.
     graph_max_nodes: int = 0
     graph_max_edges: int = 0
     cycle_trims: int = 0
     cycle_trims_on_empty_graph: int = 0
     graph_max_decoded: int = 0
+    trimmed_su: int = 0
 
     def __post_init__(self):
         if not (0.0 <= self.pu_throughput <= 1.0):
@@ -529,11 +485,11 @@ class TraceChunk(NamedTuple):
     """One batch of a run's slots as int columns, handed to `trace_hook`.
 
     Entry i of every column is slot `first + i`.  `states` is the run's own
-    list of compact states by id, (cd, tracked t, tracked d, empty, held);
-    it grows as the run visits new states.  `decoded` counts the SU packets
-    credited before slot `first`.  Per slot the columns hold the outcome
-    region `y`, the compact-state id, the true PU's `t` and `d`, both
-    access decisions, the overheard feedback `y_p` and the window's
+    list of compact states by id, the policy's (cd, tracked t, tracked d,
+    empty); it grows as the run visits new states.  `decoded` counts the
+    SU packets credited before slot `first`.  Per slot the columns hold the
+    outcome region `y`, the compact-state id, the true PU's `t` and `d`,
+    both access decisions, the overheard feedback `y_p` and the window's
     completion `o`, the slot of the SU packet sent (`l_s`, -1 if none), the
     SU packets credited `r_s`, and the decoding graph's root potential `v`
     before the slot, as `cd_protocol.run_slot` returns it with the slot's
@@ -575,24 +531,27 @@ def _graph_pass(g: CdGraph, first: int, states: list, cols: np.ndarray, y: np.nd
     Reads each slot's compact state, for the tracked PU packet and the
     cycle starts, and both access decisions from the slots' entry columns
     `cols`, and runs each slot with one `run_slot` call.  Returns the SU
-    packets the graph credits per slot and, when `tracing`, the rows (l_s,
-    v, g_nodes, g_edges) of `TraceChunk`.
+    packets the graph credits per slot, when `tracing` the rows (l_s, v,
+    g_nodes, g_edges) of `TraceChunk`, and the number of root
+    retransmissions, the SU sends of a label other than the fresh `su(n)`.
     """
     # A slot's tracked PU packet was first sent d slots ago, d being the
     # tracked d of its compact state; a tracked t of 0 starts a new primary
     # ARQ cycle, with a packet first sent now.
     new_cycle = [s[1] == 0 for s in states]
     age = [s[2] for s in states]
-    credits, rows = [], []
+    credits, rows, retx = [], [], 0
     for n, sid, a_s, a_p, y_n in zip(range(first, first + len(y)), cols[_SID].tolist(),
                                      cols[_A_S].tolist(), cols[_A_P].tolist(), y.tolist()):
         r_s, l_s, v_before = run_slot(g, n, new_cycle[sid], n - age[sid], a_s, a_p,
                                       y_n if a_s or a_p else None)
         credits.append(r_s)
+        if a_s and l_s != su(n):  # only a graph storing an edge sends its root
+            retx += 1
         if tracing:
             rows.append((-1 if l_s is None else slot_of(l_s), v_before,
                          len(g.su_nodes) + len(g.pu_nodes), g.edge_count()))
-    return credits, rows
+    return credits, rows, retx
 
 
 def run(
@@ -628,21 +587,24 @@ def run(
     order, with the batch's `TraceChunk`, after the group that ends the
     batch is walked.
 
-    `drop_rate` counts, per slot, the SU packets the scheme's receiver gives
-    up on: for chain decoding, those trimmed from the graph at a cycle
-    start; for FIC/BIC, the region-6 and unreleased region-5/7 packets of
-    each closed ARQ window; for no-FIC/BIC, every transmission not decoded
-    at once; for FIC-only, none, as it never buffers.  The counts are not
-    comparable across schemes.
+    `drop_rate` is one rule for every scheme: the fresh SU packets sent
+    less the SU packets credited, per slot.  The SU is backlogged, so every
+    fresh packet is in the end either credited or given up, and the counts
+    compare across schemes.  A baseline SU sends a fresh packet whenever it
+    transmits; a chain-decoding SU does unless it retransmits the root of
+    its graph, which only a graph storing an edge can make it do.  Packets
+    still buffered when the run ends count as dropped, a bias of
+    O(1/n_slots).  Chain decoding also reports in `trimmed_su` the SU
+    packets its cycle trims discarded.
     """
     if n_slots < 1:
         raise ValueError(f"n_slots must be >= 1, got {n_slots}")
     batches = min(batches, n_slots)
     pu_cfg = cfg.pu
     model = scheme_model(scheme, pu_cfg)
-    walk = _CompactWalk(model, _LOSSES[scheme], policy.probs, _arq_table(pu_cfg))
+    walk = _CompactWalk(model, policy.probs, _arq_table(pu_cfg))
     slots = _SlotWalk(walk, pu_cfg)
-    start = walk.visit((model.initial_cd(), 0, 0, True, 0))
+    start = walk.visit((model.initial_cd(), 0, 0, True))
     row = slots.row((start, 0, 0, True))
     # Chain decoding runs the decoding graph, which credits its packets.
     g = CdGraph() if scheme is SchemeKind.CHAIN_DECODING else None
@@ -651,7 +613,7 @@ def run(
     # Slot n falls in batch (n * batches) // n_slots.
     edges = [-(-b * n_slots // batches) for b in range(batches + 1)]
     su_batch, pu_batch = [0] * batches, [0] * batches
-    dropped = 0  # SU packets the scheme's drop rule counts
+    fresh = 0  # fresh SU packets sent
     decoded = 0  # SU packets credited in the batches before the open one
     pending = []  # the open batch's trace columns, one tuple per group walked
     fill, next_row = slots.fill, slots.next_row
@@ -672,18 +634,19 @@ def run(
             hi = lo + len(ids)
             y = y_slice[at:at + _GROUP]
             cols = slots.table()[:, ids]
-            dropped += int(cols[_LOST].sum())
+            fresh += int(cols[_A_S].sum())
             if g is None:
                 r_s = cols[_R_S]
             else:
-                credits, graph_rows = _graph_pass(g, lo, walk.states, cols, y, tracing)
+                credits, graph_rows, retx = _graph_pass(g, lo, walk.states, cols, y, tracing)
                 r_s = np.array(credits)
+                fresh -= retx
             # The group's part of each batch it meets: from its first slot, and
             # from each batch edge inside it.
             first_b = bisect_right(edges, lo) - 1
             cuts = [lo, *edges[first_b + 1:bisect_left(edges, hi)]]
             starts = [c - lo for c in cuts]
-            su = np.add.reduceat(r_s, starts).tolist()
+            su_sums = np.add.reduceat(r_s, starts).tolist()
             pu_sums = np.add.reduceat(cols[_SUCCESS], starts).tolist()
             if tracing:
                 if g is None:
@@ -695,7 +658,7 @@ def run(
                 l_s, v, g_nodes, g_edges = graph_cols
                 # in the order of the columns of `TraceChunk`
                 columns = (y, *cols[:_SUCCESS], l_s, r_s, v, g_nodes, g_edges)
-            for b, a, su_sum, pu_sum in zip(itertools.count(first_b), cuts, su, pu_sums):
+            for b, a, su_sum, pu_sum in zip(itertools.count(first_b), cuts, su_sums, pu_sums):
                 su_batch[b] += su_sum
                 pu_batch[b] += pu_sum
                 end = min(edges[b + 1], hi)
@@ -714,13 +677,13 @@ def run(
     pu_mean, pu_se = _batch_stats(np.array(pu_batch, dtype=float), counts)
     graph_counts = {}
     if g is not None:
-        dropped = g.discarded_su
         graph_counts = dict(
             graph_max_nodes=g.max_nodes,
             graph_max_edges=g.max_edges,
             graph_max_decoded=g.max_decoded,
             cycle_trims=g.cycle_trims,
             cycle_trims_on_empty_graph=g.empty_cycle_trims,
+            trimmed_su=g.discarded_su,
         )
     return RunMetrics(
         scheme=scheme.value,
@@ -730,7 +693,7 @@ def run(
         su_se=su_se,
         pu_throughput=pu_mean,
         pu_se=pu_se,
-        drop_rate=dropped / n_slots,
+        drop_rate=(fresh - decoded) / n_slots,
         decoded_total=decoded,
         states_visited=len(walk.states),
         steps_filled=len(walk.steps),

@@ -49,7 +49,6 @@ from cogarq.channel import (
 from cogarq.pu_system import PuConfig
 from cogarq.pu_tracker import PuFeedback
 from cogarq.simulator import (
-    _LOSSES,
     InvariantReport,
     RunMetrics,
     SchemeKind,
@@ -57,7 +56,6 @@ from cogarq.simulator import (
     TraceChunk,
     _arq_table,
     _batch_stats,
-    _CompactWalk,
     scheme_model,
 )
 
@@ -419,7 +417,7 @@ def chunk_of(trace: Iterable[TraceRecord]) -> TraceChunk:
     """
     trace = list(trace)
     ids: dict = {}
-    sid = [ids.setdefault(((r.phase, r.b_s), r.tr_t, r.tr_d, None, 0), len(ids)) for r in trace]
+    sid = [ids.setdefault(((r.phase, r.b_s), r.tr_t, r.tr_d, None), len(ids)) for r in trace]
     derived = {"sid": sid, "v": [r.v_before for r in trace],
                "l_s": [-1 if r.l_s is None else r.l_s for r in trace]}
     chunk = TraceChunk(trace[0].n, trace[0].m_before, list(ids), **{
@@ -596,11 +594,14 @@ def reference_run(scheme: SchemeKind, policy, cfg: SystemConfig, seed: int, n_sl
     Python: the SU access decision by comparing its draw with the access
     probability, the backlogged PU's access (idle in slot 0, on its empty
     queue, and transmitting from then on), its decode and feedback, the
-    true PU's ARQ step, the compact walk's step, and, for chain decoding,
+    true PU's ARQ step, the compact state's step, and, for chain decoding,
     the decoding graph.  Running sums give the metrics; a trace chunk is
-    built from one row per slot.  It shares the compact walk
-    (`_CompactWalk`) and the scheme models with the package, but neither
-    the input codes nor the entry table and gathers.
+    built from one row per slot.  It shares the scheme models and the ARQ
+    table with the package, but keeps its own memo of compact states and
+    steps and its own drop count, and neither the input codes nor the entry
+    table and gathers.  A fresh SU packet is every one a baseline sends and
+    the label `su(n)` in chain decoding; the drops are the fresh packets
+    less the credited ones.
 
     Its decoding graph never forgets a decoded slot.  The package's graph
     forgets them all at each cycle start, so what it remembers is what was
@@ -620,15 +621,27 @@ def reference_run(scheme: SchemeKind, policy, cfg: SystemConfig, seed: int, n_sl
     su_u = np.random.default_rng(su_ss).random(n_slots)
 
     model = scheme_model(scheme, pu_cfg)
-    walk = _CompactWalk(model, _LOSSES[scheme], policy.probs, arq)
-    sid = walk.visit((model.initial_cd(), 0, 0, True, 0))
+    states, mus, ids = [], [], {}  # the compact states by id, in the order reached
+    steps = {}  # (state id, a_s, a_p, y, y_p) -> (next state id, model reward)
+
+    def state_id(state) -> int:
+        if state not in ids:
+            try:
+                mus.append(policy.probs[state])
+            except KeyError:
+                raise KeyError(f"policy has no entry for state {state}") from None
+            ids[state] = len(states)
+            states.append(state)
+        return ids[state]
+
+    sid = state_id((model.initial_cd(), 0, 0, True))
     g = CdGraph() if scheme is SchemeKind.CHAIN_DECODING else None
     idle, ack, nack = int(PuFeedback.IDLE), int(PuFeedback.ACK), int(PuFeedback.NACK)
 
     t = d = 0
     edges = [-(-b * n_slots // batches) for b in range(batches + 1)]
     su_batch, pu_batch = [], []
-    decoded = dropped = 0
+    decoded = fresh = 0
     cycle_base = max_decoded = 0  # decoded slots at the cycle start, and the most since one
     for bi in range(batches):
         lo, hi = edges[bi], edges[bi + 1]
@@ -636,10 +649,10 @@ def reference_run(scheme: SchemeKind, policy, cfg: SystemConfig, seed: int, n_sl
         rows = []
         for n in range(lo, hi):
             y = int(y_all[n])
-            a_s = 1 if su_u[n] < walk.mus[sid] else 0
+            a_s = 1 if su_u[n] < mus[sid] else 0
             l_s = pu_slot = known = None
             if g is not None:
-                _, tr_t, tr_d, _, _ = walk.states[sid]
+                _, tr_t, tr_d, _ = states[sid]
                 if tr_t == 0:
                     on_new_cycle(g)
                     cycle_base = len(g.decoded_su) + len(g.decoded_pu)
@@ -651,10 +664,16 @@ def reference_run(scheme: SchemeKind, policy, cfg: SystemConfig, seed: int, n_sl
             y_p = (ack if success else nack) if a_p else idle
             o, t_next, d_next = arq[t, d, y_p]
             key = (sid, a_s, a_p, y, y_p)
-            try:
-                nxt, r_s, lost = walk.steps.get(key) or walk.fill(key)
-            except KeyError as err:
-                raise KeyError(f"{err.args[0]}, on the step of slot {n}") from None
+            if key not in steps:
+                cd, tr_t, tr_d, _ = states[sid]
+                o_hat, t_hat, d_hat = arq[tr_t, tr_d, y_p]
+                try:
+                    nxt = state_id((model.next_cd(cd, a_s, a_p, y, o_hat), t_hat, d_hat, False))
+                except KeyError as err:
+                    raise KeyError(f"{err.args[0]}, on the step of slot {n}") from None
+                steps[key] = nxt, model.reward(cd, a_s, a_p, y)
+            nxt, r_s = steps[key]
+            fresh += a_s if g is None else l_s == su(n)
             v_before = root(g)[1] if g is not None else 0
             if g is not None:
                 if a_p:
@@ -664,7 +683,6 @@ def reference_run(scheme: SchemeKind, policy, cfg: SystemConfig, seed: int, n_sl
                 max_decoded = max(max_decoded,
                                   len(g.decoded_su) + len(g.decoded_pu) - cycle_base)
             su_sum += r_s
-            dropped += lost
             pu_sum += success
             if g is None:
                 rows.append((sid, t, d, a_s, a_p, y_p, o, -1, r_s, 0, 0, 0))
@@ -675,7 +693,7 @@ def reference_run(scheme: SchemeKind, policy, cfg: SystemConfig, seed: int, n_sl
             t, d = t_next, d_next
             sid = nxt
         if trace_hook is not None:
-            trace_hook(TraceChunk(lo, decoded, walk.states, y_all[lo:hi], *np.array(rows).T))
+            trace_hook(TraceChunk(lo, decoded, states, y_all[lo:hi], *np.array(rows).T))
         su_batch.append(su_sum)
         decoded += su_sum
         pu_batch.append(pu_sum)
@@ -685,16 +703,15 @@ def reference_run(scheme: SchemeKind, policy, cfg: SystemConfig, seed: int, n_sl
     pu_mean, pu_se = _batch_stats(np.array(pu_batch, dtype=float), counts)
     graph_counts = {}
     if g is not None:
-        dropped = g.discarded_su
         graph_counts = dict(graph_max_nodes=g.max_nodes, graph_max_edges=g.max_edges,
                             cycle_trims=g.cycle_trims,
                             cycle_trims_on_empty_graph=g.empty_cycle_trims,
-                            graph_max_decoded=max_decoded)
+                            graph_max_decoded=max_decoded, trimmed_su=g.discarded_su)
     return RunMetrics(
         scheme=scheme.value, seed=seed, n_slots=n_slots,
         su_throughput=su_mean, su_se=su_se, pu_throughput=pu_mean, pu_se=pu_se,
-        drop_rate=dropped / n_slots, decoded_total=decoded,
-        states_visited=len(walk.states), steps_filled=len(walk.steps), **graph_counts,
+        drop_rate=(fresh - decoded) / n_slots, decoded_total=decoded,
+        states_visited=len(states), steps_filled=len(steps), **graph_counts,
     )
 
 

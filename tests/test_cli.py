@@ -125,8 +125,11 @@ def test_metadata_reports_walk_and_graph_counts(tmp_path):
     runs = json.loads((out / "run-metadata.json").read_text())["simulator_runs"]
     assert [(r["sweep_value"], r["scheme"]) for r in runs] == [
         (v, s) for v in (0.2, 1.0) for s in ("chain_decoding", "no_fic_bic")]
+    with open(out / "results.csv", newline="") as f:
+        drops = {(float(row["sweep_value"]), row["scheme"]): float(row["value"])
+                 for row in csv.DictReader(f) if row["metric"] == "drop_rate"}
     graph_keys = {"graph_max_nodes", "graph_max_edges", "cycle_trims",
-                  "cycle_trims_on_empty_graph", "graph_max_decoded"}
+                  "cycle_trims_on_empty_graph", "graph_max_decoded", "trimmed_su"}
     for r in runs:
         # every state but the initial one is first reached through a step
         assert 1 <= r["states_visited"] <= r["steps_filled"] + 1
@@ -141,6 +144,8 @@ def test_metadata_reports_walk_and_graph_counts(tmp_path):
             # the decoded slots remembered within one cycle of at most
             # r_max = 3 slots: its SU packets, its PU packet and stored ones
             assert 1 <= r["graph_max_decoded"] <= 3 + 1 + r["graph_max_nodes"]
+            # the SU packets trimmed from the graph are among those dropped
+            assert 0 < r["trimmed_su"] <= round(drops[r["sweep_value"], "chain_decoding"] * 3000)
         else:
             assert set(r) == keys
 

@@ -236,6 +236,32 @@ def test_drop_rate_counts_trimmed_packets():
     assert 0.0 <= m.drop_rate < 1.0
 
 
+def test_chain_decoding_drops_are_fresh_packets_sent_less_credited():
+    system = small_system()
+    rep = solved_policy(system, SchemeKind.CHAIN_DECODING)
+    chunks = []
+    n_slots = 20_000
+    m = run(SchemeKind.CHAIN_DECODING, rep.policy, system, 5, n_slots, trace_hook=chunks.append)
+    trace = [rec for c in chunks for rec in records(c)]
+    fresh = sum(rec.l_s == rec.n for rec in trace)
+    # root retransmissions occur, and are not counted as fresh packets
+    assert fresh < sum(rec.a_s for rec in trace)
+    assert m.drop_rate == (fresh - m.decoded_total) / n_slots
+    # a trimmed packet is a fresh packet never credited
+    assert 0 < m.trimmed_su <= fresh - m.decoded_total
+    # the walk's states are the policy's
+    assert all(s in rep.policy.probs for s in chunks[-1].states)
+
+
+def test_fic_only_reports_its_drops():
+    # README links at gamma_ps / gamma_s = 1: FIC-only loses the packets sent
+    # under an unknown PU packet that it cannot decode at once.
+    system = small_system()
+    rep = solved_policy(system, SchemeKind.FIC_ONLY)
+    m = run(SchemeKind.FIC_ONLY, rep.policy, system, 5, 20_000)
+    assert m.drop_rate > 0.0
+
+
 def test_scheme_models_expose_consistent_tables():
     pu_cfg = PuConfig(4, 5)
     for model in (FicBicModel(pu_cfg), FicOnlyModel(pu_cfg),
@@ -276,17 +302,16 @@ def test_baselines_match_the_graph_receiver_oracle(mean_ps, r_max):
                 trace_hook=chunks.append)
         trace = [rec for c in chunks for rec in records(c)]
         rx = WindowReceiver(bic=scheme is SchemeKind.FIC_BIC)
-        decoded = drops = 0
+        decoded = 0
         for rec in trace:
             if scheme is SchemeKind.NO_FIC_BIC:
                 want = memoryless_decode(rec.a_s, rec.a_p, rec.y)
-                drops += rec.a_s and not want
             else:
                 want = rx.record(rec.a_s, rec.a_p, rec.n - rec.tr_d, rec.y, rec.o)
             assert rec.r_s == want, (scheme, rec)
             decoded += want
-        if scheme is not SchemeKind.NO_FIC_BIC:
-            drops = rx.graph.discarded_su
+        # every baseline transmission sends a fresh packet
+        drops = sum(rec.a_s for rec in trace) - decoded
         assert m.decoded_total == decoded
         assert m.drop_rate == drops / n_slots
         assert [rec.a_p for rec in trace] == [0] + [1] * (n_slots - 1)
