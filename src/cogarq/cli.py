@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import gc
 import json
 import math
@@ -55,6 +56,8 @@ _MAX_OPTIMIZED_MEAN = 1e150
 # (2^rate_s - 1)(2^rate_p - 1) < 2^(rate_s + rate_p), which is finite below 2^1024.
 _MAX_RATE_SUM = 1023
 _SCHEMES = {s.value: s for s in SchemeKind}
+# One genie model per PuConfig, like `scheme_model`, so its step table is built once.
+_genie_model = functools.cache(GenieModel)
 
 
 class ConfigError(ValueError):
@@ -277,7 +280,7 @@ def _sweep_point(cfg: ExperimentConfig, rates: RatePair, index: int, check_invar
         })
         return report
 
-    genie = solve_for("genie", GenieModel(pu_cfg))
+    genie = solve_for("genie", _genie_model(pu_cfg))
     add_row("genie", "analytic_su_throughput", genie.su_throughput)
     add_row("genie", "constraint_min", genie.constraint_min)
 

@@ -4,24 +4,26 @@ The state couples a scheme-specific decoding phase with the tracked primary
 ARQ pair (t, d) and whether the PU's queue is still empty, which holds in
 the initial state only: the backlogged PU idles there and transmits from
 then on.  A scheme model supplies its phase set, per-outcome reward, and
-phase update; everything else (feedback distribution, ARQ dynamics) is
-shared.  The constrained problem, maximize SU throughput subject to a floor
-on the PU's throughput, is solved exactly by one linear program over
-state-action occupation measures (Altman, Constrained Markov Decision
-Processes, 1999, ch. 4), whose optimum randomizes in at most one state.
+phase update; `step_table` evaluates the one-slot step once per model,
+and the kernel, the reachability search and the simulator all read it.
+The constrained problem, maximize SU throughput subject to a floor on the
+PU's throughput, is solved exactly by one linear program over state-action
+occupation measures (Altman, Constrained Markov Decision Processes, 1999,
+ch. 4), whose optimum randomizes in at most one state.
 
-`scipy.optimize` is imported inside `solve_constrained`, not here: it
-costs about 0.2 s and 15 MB, which a run that stops at config validation
-should not pay.  A full run still pays it, once, at its first solve.
+`scipy.optimize` and `scipy.sparse.csgraph` are imported where they are
+used, not here: each costs about 0.4 s alone, which a run that stops at
+config validation should not pay.  A full run pays them at its first solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+import weakref
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from .channel import RegionProbabilities
 from .pu_system import PuConfig
@@ -30,11 +32,13 @@ from .pu_tracker import PuFeedback, update
 __all__ = [
     "MdpState",
     "AccessPolicy",
+    "StepTable",
     "StateSpace",
     "Kernel",
     "EvalResult",
     "SolveReport",
     "InfeasibleConstraintError",
+    "step_table",
     "enumerate_space",
     "build_kernel",
     "evaluate_policy",
@@ -51,6 +55,32 @@ class MdpState(NamedTuple):
     t: int
     d: int
     empty: bool
+
+
+# The feedback axis of a step table, in the order `build_kernel` sums its branches.
+FEEDBACKS = (PuFeedback.ACK, PuFeedback.NACK, PuFeedback.IDLE)
+
+
+class StepTable(NamedTuple):
+    """One model's compact step for every state, SU action, feedback and region.
+
+    `states` is the product of the model's phases with `triples`, the
+    closure of `update` from (0, 0, True) under the feedbacks the access
+    rule allows: IDLE from the empty triple only, ACK and NACK from every
+    other.  It takes no probability, so one table serves every sweep point.
+    `start` indexes the initial state.  `nxt[i, a_s, f, y - 1]` is the next
+    state's index after feedback `FEEDBACKS[f]` and region y, -1 where the
+    rule excludes the feedback; `reward` holds the SU packets credited and
+    `transmit` the PU's transmit probability per state.
+    """
+
+    states: list
+    index: dict
+    start: int
+    triples: list
+    nxt: np.ndarray
+    reward: np.ndarray
+    transmit: np.ndarray
 
 
 class InfeasibleConstraintError(ValueError):
@@ -71,26 +101,27 @@ class AccessPolicy:
 
 @dataclass
 class StateSpace:
-    """Enumerated states plus everything needed to build the kernel.
-
-    `states` is the full product of the model's phase set with the
-    reachable (t, d, empty) triples (so its size is exactly their product);
-    `reachable` marks the jointly-reachable subset the solver works on.
-    """
+    """A model's `StepTable` at one sweep point's region and PU-success
+    probabilities, with the jointly-reachable states the solver works on."""
 
     model: object
     pu_cfg: PuConfig
     probs: RegionProbabilities
     success_probs: tuple[float, float]
-    states: list[MdpState]
-    index: dict
-    initial: MdpState
-    arq_triples: list[tuple]  # reachable (t, d, empty) combinations
-    reachable: np.ndarray = field(default=None)  # type: ignore[assignment]
+    table: StepTable
+    reachable: np.ndarray
+
+    @property
+    def states(self) -> list[MdpState]:
+        return self.table.states
+
+    @property
+    def index(self) -> dict:
+        return self.table.index
 
     @property
     def n(self) -> int:
-        return len(self.states)
+        return len(self.table.states)
 
 
 @dataclass
@@ -130,22 +161,53 @@ class SolveReport:
     floor_slack: float = 0.0
 
 
-def _feedback_branches(t, d, empty, a_s, space):
-    """(a_p, o, probability, t', d') per feedback the PU can give from (t, d,
-    empty); after any slot the PU's queue holds a packet."""
-    rho = space.success_probs[a_s]
-    p_tx = space.pu_cfg.transmit_prob(empty)
-    branches = []
-    for y_p, p in (
-        (PuFeedback.ACK, p_tx * rho),
-        (PuFeedback.NACK, p_tx * (1.0 - rho)),
-        (PuFeedback.IDLE, 1.0 - p_tx),
-    ):
-        if p <= 0.0:
+# model -> {PuConfig: its StepTable}, kept as long as the model lives
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def step_table(model, pu_cfg: PuConfig) -> StepTable:
+    """The model's `StepTable` under `pu_cfg`, built on first use: the one
+    place the tracker's `update` and the model's `next_cd` and `reward`
+    make the compact step."""
+    tables = _TABLES.setdefault(model, {})
+    if pu_cfg in tables:
+        return tables[pu_cfg]
+    # (t, d, empty) -> (f, completion o, next triple) per feedback allowed
+    arq, frontier = {}, [(0, 0, True)]
+    while frontier:
+        t, d, empty = triple = frontier.pop()
+        if triple in arq:
             continue
-        o, t_n, d_n = update(t, d, y_p, space.pu_cfg)
-        branches.append((int(y_p != PuFeedback.IDLE), o, p, t_n, d_n))
-    return branches
+        arq[triple] = []
+        for f in (2,) if empty else (0, 1):
+            o, t_n, d_n = update(t, d, FEEDBACKS[f], pu_cfg)
+            arq[triple].append((f, o, (t_n, d_n, False)))
+            frontier.append((t_n, d_n, False))
+    triples = sorted(arq)
+    cds = list(model.cd_states(pu_cfg))
+    states = [MdpState(cd, *triple) for triple in triples for cd in cds]
+    index = {s: i for i, s in enumerate(states)}
+    nxt = np.full((len(states), 2, 3, 7), -1, dtype=np.int32)
+    reward = np.zeros_like(nxt)
+    for i, s in enumerate(states):
+        for a_s, (f, o, triple) in itertools.product((0, 1), arq[s[1:]]):
+            a_p = int(f != 2)
+            for y in range(1, 8):
+                cd_n = model.next_cd(s.cd, a_s, a_p, y, o)
+                nxt[i, a_s, f, y - 1] = index[MdpState(cd_n, *triple)]
+                reward[i, a_s, f, y - 1] = model.reward(s.cd, a_s, a_p, y)
+    transmit = np.array([pu_cfg.transmit_prob(s.empty) for s in states])
+    start = index[MdpState(model.initial_cd(), 0, 0, True)]
+    tables[pu_cfg] = table = StepTable(states, index, start, triples, nxt, reward, transmit)
+    return table
+
+
+def _branch_probs(table: StepTable, success_probs) -> np.ndarray:
+    """(n, 2, 3): the probability of each feedback in each state under each
+    SU action, in the order of `FEEDBACKS`."""
+    p_tx = table.transmit[:, None]
+    rho = np.asarray(success_probs, dtype=float)
+    return np.stack(np.broadcast_arrays(p_tx * rho, p_tx * (1.0 - rho), 1.0 - p_tx), axis=2)
 
 
 def enumerate_space(
@@ -154,97 +216,45 @@ def enumerate_space(
     probs: RegionProbabilities,
     success_probs: tuple[float, float],
 ) -> StateSpace:
-    """Depth-first enumeration of the reachable (t, d, empty) triples,
-    crossed with the model's full phase set.
+    """The model's `step_table` states, and those jointly reachable here.
 
     The phase set is taken as a product rather than pruned to joint
-    reachability, so the space size is exactly |phases| times the number of
-    triples; unreachable combinations simply carry no stationary mass.
-    Triples sort with the initial one, the only one whose queue is empty,
-    after the full-queue (0, 0).
+    reachability; unreachable combinations simply carry no stationary
+    mass.  Reachability is a search over the table's steps whose feedback
+    and region both have positive probability, each tested on its own, so
+    a product of the two that underflows to 0 still counts.
     """
-    space = StateSpace(
-        model=model,
-        pu_cfg=pu_cfg,
-        probs=probs,
-        success_probs=success_probs,
-        states=[],
-        index={},
-        initial=MdpState(model.initial_cd(), 0, 0, True),
-        arq_triples=[],
-    )
-    seen = {(0, 0, True)}
-    frontier = [(0, 0, True)]
-    while frontier:
-        t, d, empty = frontier.pop()
-        for a_s in (0, 1):
-            for _, _, _, t_n, d_n in _feedback_branches(t, d, empty, a_s, space):
-                key = (t_n, d_n, False)
-                if key not in seen:
-                    seen.add(key)
-                    frontier.append(key)
-    space.arq_triples = sorted(seen)
-    cd_states = list(model.cd_states(pu_cfg))
-    for t, d, empty in space.arq_triples:
-        for cd in cd_states:
-            s = MdpState(cd, t, d, empty)
-            space.index[s] = len(space.states)
-            space.states.append(s)
-
-    # joint reachability from the initial state under either action
-    region_p = probs.as_array()
-    reach = np.zeros(space.n, dtype=bool)
-    stack = [space.initial]
-    reach[space.index[space.initial]] = True
-    while stack:
-        s = stack.pop()
-        for a_s in (0, 1):
-            for a_p, o, _, t_n, d_n in _feedback_branches(s.t, s.d, s.empty, a_s, space):
-                for y in range(1, 8):
-                    if region_p[y - 1] == 0.0:
-                        continue
-                    nxt = MdpState(model.next_cd(s.cd, a_s, a_p, y, o), t_n, d_n, False)
-                    j = space.index[nxt]
-                    if not reach[j]:
-                        reach[j] = True
-                        stack.append(nxt)
-    space.reachable = reach
-    return space
+    table = step_table(model, pu_cfg)
+    n = len(table.states)
+    live = ((table.nxt >= 0) & (_branch_probs(table, success_probs) > 0.0)[..., None]
+            & (probs.as_array() > 0.0))
+    adjacent = np.zeros((n, n), dtype=bool)
+    adjacent[np.nonzero(live)[0], table.nxt[live]] = True
+    reach = np.arange(n) == table.start
+    while not np.array_equal(grown := reach | adjacent[reach].any(axis=0), reach):
+        reach = grown
+    return StateSpace(model, pu_cfg, probs, success_probs, table, reach)
 
 
 def build_kernel(space: StateSpace) -> Kernel:
     """Transition matrix and expected rewards for both SU actions.
 
-    Marginalizes the PU feedback (which fixes access, completion and the
-    ARQ update) against the outcome region drawn for the slot.  Rows sum
-    to one by construction.  The PU's expected throughput is its transmit
+    Weighs every step of the table by the probability of its feedback
+    (which fixes access, completion and the ARQ update) times that of its
+    outcome region, and sums the weights into the next states with one
+    `np.add.at`, in the order (state, a_s, feedback, region).  Rows sum to
+    one by construction.  The PU's expected throughput is its transmit
     probability times its decoding probability under the SU's action.
     """
-    n = space.n
-    model = space.model
-    region_p = space.probs.as_array()
+    n, table = space.n, space.table
+    w = _branch_probs(table, space.success_probs)[..., None] * space.probs.as_array()
+    valid = table.nxt >= 0
+    i, a_s = np.nonzero(valid)[:2]
     p = np.zeros((n, 2, n))
     r_su = np.zeros((n, 2))
-    r_pu = np.zeros((n, 2))
-    branch_cache: dict = {}  # (t, d, empty, a_s) -> (PU reward, feedback branches)
-    for i, s in enumerate(space.states):
-        for a_s in (0, 1):
-            key = (s.t, s.d, s.empty, a_s)
-            if key not in branch_cache:
-                branch_cache[key] = (
-                    space.pu_cfg.transmit_prob(s.empty) * space.success_probs[a_s],
-                    _feedback_branches(s.t, s.d, s.empty, a_s, space))
-            r_pu[i, a_s], branches = branch_cache[key]
-            for a_p, o, p_b, t_n, d_n in branches:
-                for y in range(1, 8):
-                    p_y = region_p[y - 1]
-                    if p_y == 0.0:
-                        continue
-                    w = p_b * p_y
-                    cd_n = model.next_cd(s.cd, a_s, a_p, y, o)
-                    j = space.index[MdpState(cd_n, t_n, d_n, False)]
-                    p[i, a_s, j] += w
-                    r_su[i, a_s] += w * model.reward(s.cd, a_s, a_p, y)
+    np.add.at(p, (i, a_s, table.nxt[valid]), w[valid])
+    np.add.at(r_su, (i, a_s), (w * table.reward)[valid])
+    r_pu = table.transmit[:, None] * np.asarray(space.success_probs, dtype=float)
     return Kernel(p, r_su, r_pu)
 
 
@@ -272,6 +282,8 @@ def _policy_matrix(kernel: Kernel, mu: np.ndarray):
 def _recurrent_stationary(p: np.ndarray, start: int):
     """Stationary distribution supported on a recurrent class reachable from
     `start`; flags when that class is not unique."""
+    from scipy.sparse.csgraph import connected_components  # see the module docstring
+
     n = p.shape[0]
     support = p > 0.0
     n_comp, labels = connected_components(support, directed=True, connection="strong")
@@ -310,7 +322,7 @@ def evaluate_policy(space: StateSpace, kernel: Kernel, policy) -> EvalResult:
     """
     mu = _policy_vector(space, policy)
     p, r_su, r_pu = _policy_matrix(kernel, mu)
-    pi, warning = _recurrent_stationary(p, space.index[space.initial])
+    pi, warning = _recurrent_stationary(p, space.table.start)
     su = float(pi @ r_su)
     return EvalResult(su, _four_column_dot(pi, r_pu), pi, warning)
 

@@ -7,8 +7,8 @@ completion rule is a function of (t, d, feedback), and labels are the slot
 index of the packet's first transmission, which is the current slot minus
 the tracked delay.  Because the true PU state follows the same feedback,
 `update` is the only statement of the Type-I HARQ step: the simulator steps
-both the ground truth and the SU-side tracker with it, and the MDP steps its
-feedback branches with it.
+the ground truth with it, and `mdp.step_table` the SU-side tracker, whose
+step the solver and the simulator's compact walk both read.
 """
 
 from __future__ import annotations

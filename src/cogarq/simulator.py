@@ -13,17 +13,18 @@ without SU interference, and the rank of the SU access draw among the
 policy's distinct access probabilities.  The slot loop then walks integer
 entry ids only.  A walk state is a compact-state id plus the true PU's (t,
 d, empty), and each (walk state, code) pair gets one entry on first use,
-holding the slot's step: the compact walk's step table gives the tracker's
-step and the model's phase update and reward, and the true PU steps
-through the ARQ table on its own.  Every batch sum and trace column is a
-numpy gather over the entry ids of a walked group of slots.  The
-baselines are credited by their compact models: FIC/BIC decodes within
-the current primary ARQ window in both directions, FIC-only only forward,
-and no-FIC/BIC slot by slot with no memory at all.  Chain decoding also
-runs the full decoding graph over each walked group, which credits its
-packets.  Every scheme counts its drops by one rule: the fresh SU packets
-sent less the SU packets credited.  Without a trace hook, the memory a
-run holds does not grow with its number of slots.
+holding the slot's step: the compact state steps by the scheme model's
+`mdp.StepTable`, the table the solver reads, whose indices are the
+compact-state ids, and the true PU steps through the ARQ table on its
+own.  Every batch sum and trace column is a numpy gather over the entry
+ids of a walked group of slots.  The baselines are credited by their
+compact models' rewards: FIC/BIC decodes within the current primary ARQ
+window in both directions, FIC-only only forward, and no-FIC/BIC slot by
+slot with no memory at all.  Chain decoding also runs the full decoding
+graph over each walked group, which credits its packets.  Every scheme
+counts its drops by one rule: the fresh SU packets sent less the SU
+packets credited.  Without a trace hook, the memory a run holds does not
+grow with its number of slots.
 
 With a trace hook, `run` hands over each batch of slots as one `TraceChunk`
 of int columns, and `TraceInvariantChecker.feed` checks the per-trace
@@ -56,7 +57,7 @@ from .channel import (
     classify_su_outcomes,
     pu_success_probability,
 )
-from .mdp import AccessPolicy
+from .mdp import FEEDBACKS, AccessPolicy, StepTable, step_table
 from .pu_system import PuConfig
 from .pu_tracker import PuFeedback, update
 from .virtual_state import (
@@ -231,7 +232,10 @@ class GenieModel:
         return cd
 
 
+@functools.cache
 def scheme_model(scheme: SchemeKind, cfg: PuConfig):
+    """The scheme's compact model under `cfg`, one instance per process, so
+    every solve and run of the scheme shares its `mdp.step_table`."""
     return {
         SchemeKind.CHAIN_DECODING: ChainDecodingModel,
         SchemeKind.FIC_BIC: FicBicModel,
@@ -241,60 +245,14 @@ def scheme_model(scheme: SchemeKind, cfg: PuConfig):
 
 
 def _arq_table(cfg: PuConfig):
-    """`pu_tracker.update` over every (t, d, feedback), keyed by plain ints,
-    which hash faster than `PuFeedback` members in the per-slot loop."""
+    """`pu_tracker.update` over every (t, d, feedback), keyed by plain ints:
+    the true PU's step, apart from the compact state's step table."""
     return {
         (t, d, int(y)): update(t, d, y, cfg)
         for t in range(cfg.r_max)
         for d in range(cfg.d_max)
         for y in PuFeedback
     }
-
-
-# -- the compact-state walk ---------------------------------------------------------
-
-
-class _CompactWalk:
-    """Integer ids for the compact states a run visits, and their steps.
-
-    A state is the policy's state (cd, tracked t, tracked d, empty).  Each
-    state gets an id on first visit, with its transmit probability in
-    `mus`.  `steps` maps (id, a_s, a_p, y, y_p) to (next id, model reward)
-    and is filled on first use from the ARQ table (the tracker's step and
-    its completion o_hat) and the model's `next_cd` and `reward`.  After
-    any slot the PU's queue holds a packet, so no state but the first has
-    `empty` set.
-    """
-
-    def __init__(self, model, probs: dict, arq: dict):
-        self.model = model
-        self.probs = probs
-        self.arq = arq
-        self.states: list = []
-        self.mus: list = []
-        self.ids: dict = {}
-        self.steps: dict = {}
-
-    def visit(self, state) -> int:
-        sid = self.ids.get(state)
-        if sid is None:
-            try:
-                mu = self.probs[state]
-            except KeyError:
-                raise KeyError(f"policy has no entry for state {state}") from None
-            sid = self.ids[state] = len(self.states)
-            self.states.append(state)
-            self.mus.append(mu)
-        return sid
-
-    def fill(self, key):
-        sid, a_s, a_p, y, y_p = key
-        cd, t, d, _ = self.states[sid]
-        o_hat, t_n, d_n = self.arq[t, d, y_p]
-        nxt = (self.model.next_cd(cd, a_s, a_p, y, o_hat), t_n, d_n, False)
-        entry = (self.visit(nxt), self.model.reward(cd, a_s, a_p, y))
-        self.steps[key] = entry
-        return entry
 
 
 # -- the slot walk on input codes ---------------------------------------------------
@@ -363,17 +321,25 @@ class _SlotWalk:
     among the policy's thresholds.  A threshold is a distinct access
     probability strictly between 0 and 1 (`_below`).
 
-    A walk state is a compact-state id of `walk` plus the true PU's (t, d,
-    empty).  `rows[w]` holds walk state w's entry for each input code, -1
-    until filled, and ends with w itself.  An entry is one slot's step:
-    `next_row[e]` is the row of the walk state it leads to, and `entries[e]`
-    the slot's fields in the order of `_ENTRY`.
+    A walk state is a compact-state id, the state's index in the model's
+    `mdp.StepTable`, plus the true PU's (t, d, empty).  `rows[w]` holds walk
+    state w's entry for each input code, -1 until filled, and ends with w
+    itself.  An entry is one slot's step: `next_row[e]` is the row of the
+    walk state it leads to, and `entries[e]` the slot's fields in the order
+    of `_ENTRY`.  The compact state steps by the table, and the true PU by
+    the ARQ table on its own.  `mus` holds the transmit probability of each
+    compact state visited, looked up in the policy on its first visit, and
+    `steps` the table entries the walk used.
     """
 
-    def __init__(self, walk: _CompactWalk, pu_cfg: PuConfig):
-        self.walk = walk
+    def __init__(self, table: StepTable, probs: dict, pu_cfg: PuConfig):
+        self.compact = table
+        self.probs = probs
         self.pu_cfg = pu_cfg
-        self.thr_s = _thresholds(walk.probs.values())
+        self.arq = _arq_table(pu_cfg)
+        self.mus: dict = {}
+        self.steps: set = set()
+        self.thr_s = _thresholds(probs.values())
         self.radix = (7, 2, 2, len(self.thr_s) + 1)
         self.parts = list(itertools.product(*map(range, self.radix)))  # by code
         self.n_codes = len(self.parts)
@@ -383,6 +349,16 @@ class _SlotWalk:
         self.next_row: list = []
         self.entries: list = []
         self._table = np.empty((len(_ENTRY), 0), dtype=np.int32)
+
+    def visit(self, sid: int) -> int:
+        """`sid`, with its transmit probability looked up on first visit."""
+        if sid not in self.mus:
+            state = self.compact.states[sid]
+            try:
+                self.mus[sid] = self.probs[state]
+            except KeyError:
+                raise KeyError(f"policy has no entry for state {tuple(state)}") from None
+        return sid
 
     def encode(self, cfg: SystemConfig, seed: int, n_slots: int):
         """Yield each slice's outcome regions (int8) and input codes, in order.
@@ -427,11 +403,9 @@ class _SlotWalk:
 
     def fill(self, row: list, code: int) -> int:
         """The entry of `row`'s walk state for `code`, made and stored."""
-        walk = self.walk
         sid, t, d, empty = self.states[row[-1]]
         y, s0, s1, rank_s = self.parts[code]
-        y += 1
-        a_s = _below(walk.mus[sid], rank_s, self.thr_s)
+        a_s = _below(self.mus[sid], rank_s, self.thr_s)
         # The PU's access rule gives 0 or 1, so its decision takes no draw.
         a_p = int(self.pu_cfg.transmit_prob(empty))
         success = (s1 if a_s else s0) if a_p else 0
@@ -439,10 +413,12 @@ class _SlotWalk:
         # The true PU and the SU-side tracker both step on the overheard
         # feedback, whose presence is the access decision; the tracker's
         # step is part of the compact state's.
-        o, t_n, d_n = walk.arq[t, d, y_p]
-        key = (sid, a_s, a_p, y, y_p)
-        nxt, r_s = walk.steps.get(key) or walk.fill(key)
+        o, t_n, d_n = self.arq[t, d, y_p]
+        step = (sid, a_s, FEEDBACKS.index(y_p), y)
+        self.steps.add(step)
+        nxt = self.visit(int(self.compact.nxt[step]))
         e = len(self.entries)
+        r_s = int(self.compact.reward[step])
         self.entries.append((sid, t, d, a_s, a_p, y_p, o, success, r_s))
         self.next_row.append(self.row((nxt, t_n, d_n, False)))
         row[code] = e
@@ -464,7 +440,7 @@ class RunMetrics:
     drop_rate: float
     decoded_total: int
     states_visited: int = 0  # distinct compact states the run reached
-    steps_filled: int = 0    # entries of its step table
+    steps_filled: int = 0    # distinct step-table entries (state, a_s, feedback, y) it used
     # Chain decoding only: the decoding graph's high-water marks of stored
     # nodes and edges, its cycle trims and those that found nothing stored,
     # the high-water mark of the decoded slots it remembers, and the SU
@@ -484,9 +460,9 @@ class RunMetrics:
 class TraceChunk(NamedTuple):
     """One batch of a run's slots as int columns, handed to `trace_hook`.
 
-    Entry i of every column is slot `first + i`.  `states` is the run's own
-    list of compact states by id, the policy's (cd, tracked t, tracked d,
-    empty); it grows as the run visits new states.  `decoded` counts the
+    Entry i of every column is slot `first + i`.  `states` is the compact
+    states by id, the states of the scheme model's `mdp.StepTable`, each the
+    policy's (cd, tracked t, tracked d, empty).  `decoded` counts the
     SU packets credited before slot `first`.  Per slot the columns hold the
     outcome region `y`, the compact-state id, the true PU's `t` and `d`,
     both access decisions, the overheard feedback `y_p` and the window's
@@ -601,11 +577,9 @@ def run(
         raise ValueError(f"n_slots must be >= 1, got {n_slots}")
     batches = min(batches, n_slots)
     pu_cfg = cfg.pu
-    model = scheme_model(scheme, pu_cfg)
-    walk = _CompactWalk(model, policy.probs, _arq_table(pu_cfg))
-    slots = _SlotWalk(walk, pu_cfg)
-    start = walk.visit((model.initial_cd(), 0, 0, True))
-    row = slots.row((start, 0, 0, True))
+    table = step_table(scheme_model(scheme, pu_cfg), pu_cfg)
+    slots = _SlotWalk(table, policy.probs, pu_cfg)
+    row = slots.row((slots.visit(table.start), 0, 0, True))
     # Chain decoding runs the decoding graph, which credits its packets.
     g = CdGraph() if scheme is SchemeKind.CHAIN_DECODING else None
     tracing = trace_hook is not None
@@ -638,7 +612,7 @@ def run(
             if g is None:
                 r_s = cols[_R_S]
             else:
-                credits, graph_rows, retx = _graph_pass(g, lo, walk.states, cols, y, tracing)
+                credits, graph_rows, retx = _graph_pass(g, lo, table.states, cols, y, tracing)
                 r_s = np.array(credits)
                 fresh -= retx
             # The group's part of each batch it meets: from its first slot, and
@@ -666,7 +640,7 @@ def run(
                     pending.append(tuple(x[a - lo:end - lo] for x in columns))
                 if end == edges[b + 1]:
                     if tracing:
-                        trace_hook(TraceChunk(edges[b], decoded, walk.states,
+                        trace_hook(TraceChunk(edges[b], decoded, table.states,
                                               *map(np.concatenate, zip(*pending))))
                         pending = []
                     decoded += su_batch[b]
@@ -695,8 +669,8 @@ def run(
         pu_se=pu_se,
         drop_rate=(fresh - decoded) / n_slots,
         decoded_total=decoded,
-        states_visited=len(walk.states),
-        steps_filled=len(walk.steps),
+        states_visited=len(slots.mus),
+        steps_filled=len(slots.steps),
         **graph_counts,
     )
 

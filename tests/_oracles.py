@@ -17,7 +17,11 @@ own capacity, arrivals and randomized access policy, of which the package's
 backlogged PU is one case, so the tracker is checked on idle slots and
 delay-deadline expiries anywhere in a session.  The baseline receivers are stated
 here on the decoding graph, where the simulator credits them from their
-compact models.  The Monte Carlo run is stated here slot by slot
+compact models.  The solver's kernel and reachable states are stated
+here one feedback branch and region at a time (`scalar_kernel`,
+`scalar_reachable`), with `update`, `next_cd` and `reward` called
+directly, where the package reads them off one step table per model.
+The Monte Carlo run is stated here slot by slot
 (`reference_run`), on whole-run draws (`draw_gain_arrays`), where the
 package packs input codes one slice at a time, walks entry ids over them
 and gathers its columns with numpy.  The trace invariants are checked
@@ -46,8 +50,9 @@ from cogarq.channel import (
     RegionProbabilities,
     classify_su_outcomes,
 )
+from cogarq.mdp import Kernel, MdpState, StateSpace
 from cogarq.pu_system import PuConfig
-from cogarq.pu_tracker import PuFeedback
+from cogarq.pu_tracker import PuFeedback, update
 from cogarq.simulator import (
     InvariantReport,
     RunMetrics,
@@ -751,6 +756,71 @@ def gauss_laguerre_region_probabilities(
     for j in range(1, 8):
         probs[j - 1] = flat_w[regions == j].sum()
     return probs
+
+
+def _scalar_branches(t: int, d: int, empty: bool, a_s: int, pu_cfg: PuConfig,
+                     success_probs) -> list:
+    """(a_p, o, probability, t', d') per PU feedback of positive probability
+    from (t, d, empty); after any slot the PU's queue holds a packet."""
+    rho = success_probs[a_s]
+    p_tx = pu_cfg.transmit_prob(empty)
+    branches = []
+    for y_p, p in ((PuFeedback.ACK, p_tx * rho), (PuFeedback.NACK, p_tx * (1.0 - rho)),
+                   (PuFeedback.IDLE, 1.0 - p_tx)):
+        if p > 0.0:
+            o, t_n, d_n = update(t, d, y_p, pu_cfg)
+            branches.append((int(y_p != PuFeedback.IDLE), o, p, t_n, d_n))
+    return branches
+
+
+def scalar_kernel(space: StateSpace) -> Kernel:
+    """`cogarq.mdp.build_kernel`, one feedback branch and region at a time.
+
+    Steps each state of `space` with `update`, the model's `next_cd` and
+    `reward` directly, never through the package's step table, and sums the
+    branches of positive probability in the order (state, a_s, ACK / NACK /
+    IDLE, region), as the package does.  A next state missing from
+    `space.index` raises `KeyError`.
+    """
+    n, model = space.n, space.model
+    region_p = space.probs.as_array()
+    p = np.zeros((n, 2, n))
+    r_su = np.zeros((n, 2))
+    r_pu = np.zeros((n, 2))
+    for i, s in enumerate(space.states):
+        for a_s in (0, 1):
+            r_pu[i, a_s] = space.pu_cfg.transmit_prob(s.empty) * space.success_probs[a_s]
+            for a_p, o, p_b, t_n, d_n in _scalar_branches(s.t, s.d, s.empty, a_s, space.pu_cfg,
+                                                          space.success_probs):
+                for y in range(1, 8):
+                    p_y = region_p[y - 1]
+                    if p_y == 0.0:
+                        continue
+                    w = p_b * p_y
+                    j = space.index[MdpState(model.next_cd(s.cd, a_s, a_p, y, o), t_n, d_n, False)]
+                    p[i, a_s, j] += w
+                    r_su[i, a_s] += w * model.reward(s.cd, a_s, a_p, y)
+    return Kernel(p, r_su, r_pu)
+
+
+def scalar_reachable(model, pu_cfg: PuConfig, probs: RegionProbabilities, success_probs) -> set:
+    """The compact states reachable from the initial one under either SU
+    action, by depth-first search over the feedbacks and regions of
+    positive probability, stepped with `update`, `next_cd` directly."""
+    region_p = probs.as_array()
+    start = MdpState(model.initial_cd(), 0, 0, True)
+    seen, stack = {start}, [start]
+    while stack:
+        s = stack.pop()
+        for a_s in (0, 1):
+            for a_p, o, _, t_n, d_n in _scalar_branches(s.t, s.d, s.empty, a_s, pu_cfg,
+                                                        success_probs):
+                for y in range(1, 8):
+                    nxt = MdpState(model.next_cd(s.cd, a_s, a_p, y, o), t_n, d_n, False)
+                    if region_p[y - 1] != 0.0 and nxt not in seen:
+                        seen.add(nxt)
+                        stack.append(nxt)
+    return seen
 
 
 def matrix_power_closure(n_nodes: int, edges, seeds) -> set:

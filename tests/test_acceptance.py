@@ -349,7 +349,7 @@ def test_criterion_8_fig6_shape():
         rep, floor, space, kernel = _solve_with_kernel(
             system, probs, SchemeKind.CHAIN_DECODING)
         values.append(rep.su_throughput)
-        oracle = pi_constrained_solve(kernel, space.reachable, space.index[space.initial], floor)
+        oracle = pi_constrained_solve(kernel, space.reachable, space.table.start, floor)
         pi_gap = max(pi_gap, abs(rep.su_throughput - oracle.su))
         if ratio < r_star and rep.multiplier != 0.0:
             fails.append(f"floor binds below r* at {ratio}")

@@ -1,14 +1,19 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cogarq import cli
 from cogarq.channel import exact_region_probabilities
@@ -412,3 +417,82 @@ def test_idle_evaluation_equals_the_closed_form_pu_throughput(tmp_path, sweep):
             assert abs(idle.pu_throughput - closed[0]) <= 2 * math.ulp(closed[0]), (value, model)
             kernels += 1
     assert kernels == 5 * len(cfg.sweep_values) == (30 if sweep == "readme" else 120)
+
+
+
+def test_importing_the_cli_loads_no_scipy_graph_code():
+    # scipy.sparse.csgraph, about 0.36 s to import, serves one
+    # strong-components call; `mdp` imports it at its first evaluation
+    code = "import sys, cogarq.cli; print('scipy.sparse.csgraph' in sys.modules)"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert done.stdout.split() == ["False"], done.stderr
+
+
+_FLOATS = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                    st.sampled_from([-1.0, 0.0, 1e150, 1.1e150, 1e300]))
+_BAD = st.sampled_from(["", "five", "1,2", "0x10", "1.5.2", "--1", "None"])
+
+
+def _mostly(good, odd):
+    """Value texts: `good` three times in four, else `odd` or malformed."""
+    return st.one_of(good, good, good, st.one_of(odd, _BAD))
+
+
+def _value(key: str):
+    """In-range, out-of-range and malformed value texts for a schema key."""
+    if key in cli._INT_KEYS:
+        top = 3 if key == "workers" else 6  # never many worker processes
+        return _mostly(st.integers(1, top).map(str),
+                       st.one_of(st.integers(-2, 0), st.floats(-2.0, 9.0)).map(str))
+    if key in cli._FLOAT_KEYS:
+        top = 1.0 if key == "constraint_fraction" else 50.0
+        return _mostly(st.floats(0.0, top).map(repr), _FLOATS.map(repr))
+    if key in ("rate_s", "rate_p"):
+        return _mostly(st.one_of(st.just("optimize"), st.floats(0.1, 5.0).map(repr)),
+                       st.one_of(st.floats(-1.0, 1100.0), _FLOATS).map(repr))
+    if key == "sweep_values":
+        join = lambda v: ", ".join(map(repr, v))
+        return _mostly(st.lists(st.floats(0.0, 5.0), min_size=1, max_size=3).map(join),
+                       st.lists(_FLOATS, max_size=3).map(join))
+    if key == "schemes":
+        return st.lists(st.sampled_from([*cli._SCHEMES, "warp_drive"]), max_size=3).map(", ".join)
+    good = {"sweep": cli.SWEEP_PARAMS, "arrivals": ("saturate",), "pu_policy": ("always",),
+            "constraint_component": ("throughput",)}[key]
+    return _mostly(st.sampled_from(good), st.sampled_from(["poisson", "power", "none "]))
+
+
+_SCHEMA_KEYS = sorted(cli._INT_KEYS | cli._FLOAT_KEYS | cli._STR_KEYS
+                      | {"rate_s", "rate_p", "sweep_values", "schemes"})
+_LINES = st.lists(
+    st.sampled_from(_SCHEMA_KEYS).flatmap(lambda k: _value(k).map(lambda v: (k, v))),
+    max_size=10)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=_LINES, required=st.lists(st.booleans(), min_size=2, max_size=2),
+       unknown=st.sampled_from([None, None, None, "bogus", "R_MAX"]))
+def test_any_config_file_loads_or_names_its_bad_key(lines, required, unknown):
+    # Random key = value files over the schema's keys, with malformed and
+    # out-of-range numbers, unknown keys, missing required keys and broken
+    # rules across keys.  Each either loads, or makes `main` exit 2 with a
+    # ConfigError naming a key the file sets or a required key it lacks,
+    # never with another exception.  `main` runs only on files that fail,
+    # so no sweep is started.
+    head = [(k, "5") for k, keep in zip(("mean_gamma_s", "mean_gamma_p"), required) if keep]
+    lines = head + lines + ([(unknown, "1")] if unknown else [])
+    text = "".join(f"{k} = {v}\n" for k, v in lines)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "exp.cfg"
+        path.write_text(text)
+        try:
+            load_config(path)
+        except ConfigError as e:
+            missing = {"mean_gamma_s", "mean_gamma_p"} - {k for k, _ in lines}
+            assert e.key in {k for k, _ in lines} | missing, (text, str(e))
+            assert e.key in str(e), (text, str(e))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert main([str(path), "-o", str(Path(tmp) / "out")]) == 2
+            assert e.key in err.getvalue()

@@ -20,7 +20,13 @@ from cogarq.mdp import (
 from cogarq.pu_system import PuConfig
 from cogarq.virtual_state import ChainDecodingModel
 
-from _oracles import pi_constrained_solve, region_probabilities, state_actions
+from _oracles import (
+    pi_constrained_solve,
+    region_probabilities,
+    scalar_kernel,
+    scalar_reachable,
+    state_actions,
+)
 
 PROBS = RegionProbabilities(0.06, 0.15, 0.07, 0.26, 0.20, 0.10, 0.16)
 RHO = (0.62, 0.32)
@@ -42,7 +48,7 @@ def test_space_size_is_phase_times_arq_product():
     space, _ = make_space(r_max=5)
     # backlogged chain: (t, d) = (k, k) plus the empty-queue start, times
     # the R_max + 2 decoding phases
-    assert len(space.arq_triples) == 6
+    assert len(space.table.triples) == 6
     assert space.n == 6 * (5 + 2)
 
 
@@ -92,7 +98,7 @@ def test_access_policy_validation():
 
 
 def _pi_oracle(space, kernel, floor):
-    return pi_constrained_solve(kernel, space.reachable, space.index[space.initial], floor,
+    return pi_constrained_solve(kernel, space.reachable, space.table.start, floor,
                                 lambda_tol=1e-10)
 
 
@@ -293,3 +299,57 @@ def test_stationary_distribution_sums_to_one(weights):
     assert pi.sum() == pytest.approx(1.0, abs=1e-12)
     assert (pi >= 0.0).all()
     assert np.allclose(pi @ p, pi, atol=1e-12)
+
+
+def _random_regions(rng) -> RegionProbabilities:
+    """Normalized region probabilities with about a third of them zero."""
+    w = rng.random(7)
+    w[rng.random(7) < 0.35] = 0.0
+    w[rng.integers(7)] += 0.1
+    return _normalized(w)
+
+
+@pytest.mark.parametrize("r_max", range(1, 6))
+@pytest.mark.parametrize("scheme", ["chain_decoding", "fic_bic", "fic_only", "no_fic_bic", "genie"])
+def test_step_table_kernel_is_byte_equal_to_the_scalar_oracle(scheme, r_max):
+    # The kernel from the step table against the scalar rule, stepped with
+    # update, next_cd and reward directly: p, r_su and r_pu byte for byte,
+    # and the same jointly reachable states.  Regions may be zero, rho_1
+    # may be 0, and (1, 1) leaves NACK with no probability at all.  In the
+    # last case a NACK (1.1e-16) and region 5 (1.7e-311), which alone adds
+    # a pinned packet, each have positive probability, but their product
+    # underflows to 0.
+    from cogarq.simulator import GenieModel, SchemeKind, scheme_model
+
+    rng = np.random.default_rng([r_max, len(scheme)])
+    rhos = [(0.62, 0.32), (0.9, 0.0), (1.0, 1.0), (1.0, 0.25)] + [
+        tuple(sorted(rng.random(2), reverse=True)) for _ in range(4)]
+    for d_max in (max(2, r_max), r_max + 2):
+        cfg = PuConfig(r_max, d_max)
+        model = GenieModel(cfg) if scheme == "genie" else scheme_model(SchemeKind(scheme), cfg)
+        tiny = ((1.0 - 2.0**-53, 1.0 - 2.0**-53), _normalized([1.0] * 4 + [1e-310] + [1.0] * 2))
+        for rho, probs in [(rho, _random_regions(rng)) for rho in rhos] + [tiny]:
+            space = enumerate_space(model, cfg, probs, rho)
+            kernel, oracle = build_kernel(space), scalar_kernel(space)
+            for got, want in ((kernel.p, oracle.p), (kernel.r_su, oracle.r_su),
+                              (kernel.r_pu, oracle.r_pu)):
+                assert got.tobytes() == want.tobytes(), (cfg, rho, probs)
+            reachable = {s for s, r in zip(space.states, space.reachable) if r}
+            assert reachable == scalar_reachable(model, cfg, probs, rho), (cfg, rho, probs)
+
+
+@pytest.mark.parametrize("r_max", [2, 4])
+def test_certain_pu_success_keeps_the_nack_triples_unreachable(r_max):
+    # The step table's (t, d, empty) triples take no probability.  With the
+    # PU's packet decoded for certain under both SU actions, no NACK occurs,
+    # so the triples a NACK leads to are in the table but never reachable,
+    # and the solved policy idles in each of their states.
+    cfg = PuConfig(r_max, r_max)
+    space, kernel = make_space(r_max, r_max, rho=(1.0, 1.0))
+    assert space.table.triples == sorted([(t, t, False) for t in range(r_max)] + [(0, 0, True)])
+    reachable = {s[1:] for s, r in zip(space.states, space.reachable) if r}
+    assert reachable == {(0, 0, False), (0, 0, True)}
+    assert reachable == {s[1:] for s in scalar_reachable(space.model, cfg, PROBS, (1.0, 1.0))}
+    rep = solve_constrained(space, kernel, 0.5)
+    assert all(rep.policy.probs[s] == 0.0 for s, r in zip(space.states, space.reachable) if not r)
+    assert rep.pu_throughput == 1.0

@@ -62,3 +62,39 @@ def test_every_public_name_is_used_by_the_package():
         if name not in reached
     )
     assert not unused, f"public but unused by the CLI, solver or simulator: {unused}"
+
+
+def _callers(predicate) -> set:
+    """The functions of `src/cogarq`, as module.function or
+    module.Class.method, whose own bodies make a call that `predicate` picks."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and predicate(child.func):
+                found.add(scope)
+            visit(child, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def test_the_compact_step_is_evaluated_in_one_place():
+    # The model's phase update and reward are called from `mdp.step_table`
+    # alone, and the tracker's `update` (imported by name; a dict's
+    # `.update(` is another thing) from it and from the true PU's ARQ
+    # table.  The kernel, the reachability search and the simulator's walk
+    # all read that one table.
+    def method(name):
+        return lambda f: isinstance(f, ast.Attribute) and f.attr == name
+
+    assert _callers(method("next_cd")) == {"mdp.step_table"}
+    assert _callers(method("reward")) == {"mdp.step_table"}
+    tracker = lambda f: (isinstance(f, ast.Name) and f.id == "update") or (
+        isinstance(f, ast.Attribute) and f.attr == "update"
+        and isinstance(f.value, ast.Name) and f.value.id == "pu_tracker")
+    assert _callers(tracker) == {"mdp.step_table", "simulator._arq_table"}

@@ -338,8 +338,11 @@ def _matches_reference(scheme, policy, system, seed, n_slots, batches=100):
     assert run(scheme, policy, system, seed, n_slots, batches=batches) == metrics
     assert len(got) == len(want) == min(batches, n_slots)
     for a, b in zip(got, want):
-        assert (a.first, a.decoded, a.states) == (b.first, b.decoded, b.states)
-        for column in TraceChunk._fields[3:]:
+        assert (a.first, a.decoded) == (b.first, b.decoded)
+        # The package numbers compact states by the step table, the
+        # reference in the order it reaches them: each slot's state must agree.
+        assert [a.states[i] for i in a.sid.tolist()] == [b.states[i] for i in b.sid.tolist()]
+        for column in [c for c in TraceChunk._fields[3:] if c != "sid"]:
             assert np.array_equal(getattr(a, column), getattr(b, column)), (a.first, column)
     return got
 
@@ -421,11 +424,11 @@ def test_backlogged_pu_idles_in_slot_0_only(scheme):
     chunks = []
     m = run(scheme, _constant_policy(system, scheme), system, 37, 2_000, trace_hook=chunks.append)
     assert _column(chunks, "a_p").tolist() == [0] + [1] * 1_999
-    # the first state is the only one with an empty queue
+    # slot 0's state is the only one with an empty queue
     states = chunks[0].states
-    assert [s[3] for s in states] == [True] + [False] * (len(states) - 1)
-    assert _column(chunks, "sid")[0] == 0 and 0 not in _column(chunks, "sid")[1:]
-    assert m.states_visited == len(states)
+    assert [states[i].empty for i in _column(chunks, "sid")] == [True] + [False] * 1_999
+    want = reference_run(scheme, _constant_policy(system, scheme), system, 37, 2_000)
+    assert m.states_visited == want.states_visited
 
 
 def test_missing_policy_state_raises_at_the_reference_slot():
