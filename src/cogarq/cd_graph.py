@@ -280,12 +280,13 @@ def _slot_outcome(su_sent: int, pu_unknown: int, y: int) -> tuple:
     return bool(su_sent) and y in SU_CLEAN, bool(pu_unknown) and y in PU_ALONE, ()
 
 
-# What one slot with a transmission decodes and buffers, by (SU sent, PU sent
-# and not yet known, outcome region y): whether the SU packet and the PU
-# packet sent are decoded directly, and the dependency edges buffered, each
-# a (source, destination) pair of sides, 0 for the SU packet and 1 for the PU
-# packet.  A known PU packet is cancelled before decoding, so its slot counts
-# as one the PU left idle.  Each packet decoded releases its closure.
+# What one slot decodes and buffers, by (SU sent, PU packet not yet known,
+# outcome region y): whether the SU packet and the PU packet sent are
+# decoded directly, and the dependency edges buffered, each a (source,
+# destination) pair of sides, 0 for the SU packet and 1 for the PU packet.
+# The PU sends in every slot; a known PU packet is cancelled before
+# decoding, so it interferes with nothing.  Each packet decoded releases
+# its closure.
 SLOT_OUTCOMES = {
     (s, p, y): _slot_outcome(s, p, y) for s in (0, 1) for p in (0, 1) for y in range(1, 8)
 }

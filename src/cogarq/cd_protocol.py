@@ -52,30 +52,28 @@ def select_label(g: CdGraph, l_p: int, pu_known: int, n: int) -> LabelDecision:
     return LabelDecision(choice, FRESH if choice == fresh else ROOT_RETX)
 
 
-def run_slot(g: CdGraph, n: int, new_cycle: bool, pu_slot: int, a_s: int, a_p: int,
-             y: int | None) -> tuple[int, int | None, int]:
+def run_slot(g: CdGraph, n: int, new_cycle: bool, pu_slot: int, a_s: int,
+             y: int) -> tuple[int, int | None, int]:
     """Run slot n of the chain-decoding receiver on `g`, in place.
 
     At the start of a primary ARQ cycle (`new_cycle`) the graph is trimmed
     to the root's closure and forgets its decoded slots: until the next
     cycle start it is asked only about the cycle's PU packet, stored nodes
-    and the fresh packets from slot n on.  The tracked PU packet is the one
-    first sent in `pu_slot`; the PU sends it when `a_p`.  When the SU sends
+    and the fresh packets from slot n on.  The PU sends the tracked packet,
+    the one first sent in `pu_slot`, in every slot.  When the SU sends
     (`a_s`), the label is the one `select_label` picks.  `y` is the outcome
-    region, None on a slot where neither side sends.  The slot's decodes
-    and buffered edges come from `SLOT_OUTCOMES`.  Returns the SU packets
-    decoded, the SU label sent (None if the SU stayed idle) and the root
-    potential before the slot.
+    region.  The slot's decodes and buffered edges come from
+    `SLOT_OUTCOMES`.  Returns the SU packets decoded, the SU label sent
+    (None if the SU stayed idle) and the root potential before the slot.
 
     A graph that stores no edge roots at the fresh packet with potential
     one, so the SU sends the fresh packet and the packets decoded are the
     seeds themselves, committed here without a traversal.
 
-    Raises `ValueError` when n is not the graph's slot, when a slot with a
-    transmission has no outcome in 1..7 or a silent one has an outcome,
-    when the SU label is no node, and when the PU packet, sent or asked
-    about for the SU's choice while not known, is first sent after slot n
-    or lies below the horizon without being stored.
+    Raises `ValueError` when n is not the graph's slot, when the outcome is
+    not in 1..7, when the SU label is no node, and when the PU packet is
+    first sent after slot n or, while not known, lies below the horizon
+    without being stored.
     """
     if n != g.slot:
         raise ValueError(f"graph is at slot {g.slot}, not {n}")
@@ -88,23 +86,16 @@ def run_slot(g: CdGraph, n: int, new_cycle: bool, pu_slot: int, a_s: int, a_p: i
         g.horizon = n
         g.decoded_su.clear()
         g.decoded_pu.clear()
-    stored_edges = bool(g.out_edges)
-    if not (a_s or a_p):
-        if y is not None:
-            raise ValueError("outcome given for a slot with no transmissions")
-        g.slot = n + 1
-        return 0, None, root(g)[1] if stored_edges else 1
     l_p = 2 * pu_slot + 1
     known = pu_slot in g.decoded_pu
-    if (a_p or a_s and not known) and (
-            pu_slot > n or not known and pu_slot < g.horizon and l_p not in g.pu_nodes):
+    if pu_slot > n or not known and pu_slot < g.horizon and l_p not in g.pu_nodes:
         raise ValueError(f"invalid PU label {pu_slot}_P")
-    outcome = SLOT_OUTCOMES.get((a_s, a_p and not known, y))
+    outcome = SLOT_OUTCOMES.get((a_s, not known, y))
     if outcome is None:
         raise ValueError(f"outcome region must be in 1..7, got {y!r}")
     su_hit, pu_hit, edges = outcome
     r_s = 0
-    if stored_edges:
+    if g.out_edges:
         v = root(g)[1]
         l_s = select_label(g, l_p, known, n).label if a_s else None
         if l_s is not None and not g.contains(l_s):

@@ -100,7 +100,7 @@ class RegionProbabilities:
 # Which of the slot's own packets each outcome region lets the SU receiver
 # decode.  Every scheme's receiver, compact model and invariant check reads
 # these four sets.
-SU_CLEAN = frozenset({1, 2, 5, 7})   # SU packet, no PU interference (PU idle or known)
+SU_CLEAN = frozenset({1, 2, 5, 7})   # SU packet, no PU interference (PU packet known)
 SU_UNDER_PU = frozenset({1, 2})      # SU packet, under an unknown PU packet
 PU_ALONE = frozenset({1, 3, 6, 7})   # PU packet, no SU transmission
 PU_UNDER_SU = frozenset({1, 3})      # PU packet, under an SU packet

@@ -31,7 +31,6 @@ from .mdp import (
     SolveReport,
     build_kernel,
     enumerate_space,
-    evaluate_policy,
     solve_constrained,
 )
 from .pu_system import PuConfig
@@ -134,11 +133,13 @@ class ExperimentConfig:
                     f"({other} = {rates[other]!r}), so that the region probabilities' "
                     "(2^rate_s - 1)(2^rate_p - 1) stays finite", (other,))
         require(self.r_max >= 1, "r_max", ">= 1")
-        require(self.d_max >= max(2, self.r_max), "d_max", ">= max(2, r_max)", ("r_max",))
         # The PU is backlogged and the floor is on its throughput, so
-        # arrivals, pu_policy and constraint_component take one value each and
-        # q_max, the PU's queue capacity, affects nothing.  All four are still
-        # validated, so that older configs load.
+        # arrivals, pu_policy and constraint_component take one value each,
+        # and neither q_max, the PU's queue capacity, nor d_max, its delay
+        # deadline, affects anything: the PU sends in every slot, so a
+        # packet's delay is its try count, which r_max <= d_max ends first.
+        # All five are still validated, so that older configs load.
+        require(self.d_max >= max(2, self.r_max), "d_max", ">= max(2, r_max)", ("r_max",))
         require(self.q_max >= 1, "q_max", ">= 1")
         require(self.arrivals == "saturate", "arrivals", "saturate")
         require(self.pu_policy == "always", "pu_policy", "always")
@@ -243,7 +244,7 @@ def _sweep_point(cfg: ExperimentConfig, rates: RatePair, index: int, check_invar
     """
     value = cfg.sweep_values[index]
     snr = _point_snr(cfg, value)
-    pu_cfg = PuConfig(r_max=cfg.r_max, d_max=cfg.d_max)
+    pu_cfg = PuConfig(r_max=cfg.r_max)
     system = SystemConfig(snr=snr, rates=rates, pu=pu_cfg)
     probs = exact_region_probabilities(snr.mean_gamma_s, snr.mean_gamma_ps, rates)
     success = system.success_probs()
@@ -264,10 +265,10 @@ def _sweep_point(cfg: ExperimentConfig, rates: RatePair, index: int, check_invar
 
     def solve_for(name, model) -> SolveReport:
         space = enumerate_space(model, pu_cfg, probs, success)
-        kernel = build_kernel(space)
-        idle = evaluate_policy(space, kernel, np.zeros(space.n))
-        floor = cfg.constraint_fraction * idle.pu_throughput
-        report = solve_constrained(space, kernel, floor)
+        # The PU sends in every slot, so with the SU idle its throughput is
+        # its decoding probability without interference.
+        floor = cfg.constraint_fraction * success[0]
+        report = solve_constrained(space, build_kernel(space), floor)
         mixed = report.randomized_state
         solves.append({
             "sweep_value": value,
@@ -328,14 +329,14 @@ def _sweep_point(cfg: ExperimentConfig, rates: RatePair, index: int, check_invar
             "multichain_warning": report.multichain_warning,
             "states": [
                 {**_state_record(s), "mu": report.policy.probs[s]}
-                for s in sorted(report.policy.probs, key=lambda s: (s.t, s.d, s.cd))
+                for s in sorted(report.policy.probs, key=lambda s: (s.t, s.cd))
             ],
         })
     return index, rows, policies, violations, runs, solves
 
 
 def _state_record(s) -> dict:
-    return {"cd": list(s.cd), "t": s.t, "d": s.d, "empty": s.empty}
+    return {"cd": list(s.cd), "t": s.t}
 
 
 def run_experiment(
@@ -397,10 +398,10 @@ def run_experiment(
             "compact models under the shared PU floor",
             "region probabilities in closed form from the exponential gain laws; "
             "region_samples does not affect the output",
-            "the PU is backlogged: its queue is empty only in the initial state, so it "
-            "idles in slot 0 and transmits in every later slot; arrivals, pu_policy and "
-            "constraint_component each accept one value (saturate, always, throughput), "
-            "and q_max, though any value >= 1 is accepted, does not affect the output",
+            "the PU is backlogged and transmits in every slot, from slot 0 on; arrivals, "
+            "pu_policy and constraint_component each accept one value (saturate, always, "
+            "throughput), and neither q_max (any value >= 1 is accepted) nor d_max (any "
+            "value >= max(2, r_max) is accepted) affects the output",
         ],
         "invariants_checked": check_invariants,
         "invariant_violations": violations,

@@ -1,15 +1,15 @@
 """Average-reward MDP over the compact protocol state.
 
-The state couples a scheme-specific decoding phase with the tracked primary
-ARQ pair (t, d) and whether the PU's queue is still empty, which holds in
-the initial state only: the backlogged PU idles there and transmits from
-then on.  A scheme model supplies its phase set, per-outcome reward, and
-phase update; `step_table` evaluates the one-slot step once per model,
-and the kernel, the reachability search and the simulator all read it.
-The constrained problem, maximize SU throughput subject to a floor on the
-PU's throughput, is solved exactly by one linear program over state-action
-occupation measures (Altman, Constrained Markov Decision Processes, 1999,
-ch. 4), whose optimum randomizes in at most one state.
+The state couples a scheme-specific decoding phase with the tracked try
+count t of the primary ARQ process; the backlogged PU sends in every slot,
+so t is all the SU needs to track.  A scheme model supplies its phase set,
+per-outcome reward, and phase update; `step_table` evaluates the one-slot
+step once per model, and the kernel, the reachability search and the
+simulator all read it.  The constrained problem, maximize SU throughput
+subject to a floor on the PU's throughput, is solved exactly by one linear
+program over state-action occupation measures (Altman, Constrained Markov
+Decision Processes, 1999, ch. 4), whose optimum randomizes in at most one
+state.
 
 `scipy.optimize` and `scipy.sparse.csgraph` are imported where they are
 used, not here: each costs about 0.4 s alone, which a run that stops at
@@ -48,39 +48,31 @@ __all__ = [
 
 
 class MdpState(NamedTuple):
-    """Hashable compact state: scheme phase tuple, ARQ pair, and whether the
-    PU's queue is empty, which is True in the initial state only."""
+    """Hashable compact state: scheme phase tuple and tracked try count."""
 
     cd: tuple
     t: int
-    d: int
-    empty: bool
 
 
 # The feedback axis of a step table, in the order `build_kernel` sums its branches.
-FEEDBACKS = (PuFeedback.ACK, PuFeedback.NACK, PuFeedback.IDLE)
+FEEDBACKS = (PuFeedback.ACK, PuFeedback.NACK)
 
 
 class StepTable(NamedTuple):
     """One model's compact step for every state, SU action, feedback and region.
 
-    `states` is the product of the model's phases with `triples`, the
-    closure of `update` from (0, 0, True) under the feedbacks the access
-    rule allows: IDLE from the empty triple only, ACK and NACK from every
-    other.  It takes no probability, so one table serves every sweep point.
-    `start` indexes the initial state.  `nxt[i, a_s, f, y - 1]` is the next
-    state's index after feedback `FEEDBACKS[f]` and region y, -1 where the
-    rule excludes the feedback; `reward` holds the SU packets credited and
-    `transmit` the PU's transmit probability per state.
+    `states` is the product of the try counts 0..r_max - 1 with the model's
+    phases.  It takes no probability, so one table serves every sweep
+    point.  `start` indexes the initial state.  `nxt[i, a_s, f, y - 1]` is
+    the next state's index after feedback `FEEDBACKS[f]` and region y, and
+    `reward` holds the SU packets credited.
     """
 
     states: list
     index: dict
     start: int
-    triples: list
     nxt: np.ndarray
     reward: np.ndarray
-    transmit: np.ndarray
 
 
 class InfeasibleConstraintError(ValueError):
@@ -172,42 +164,26 @@ def step_table(model, pu_cfg: PuConfig) -> StepTable:
     tables = _TABLES.setdefault(model, {})
     if pu_cfg in tables:
         return tables[pu_cfg]
-    # (t, d, empty) -> (f, completion o, next triple) per feedback allowed
-    arq, frontier = {}, [(0, 0, True)]
-    while frontier:
-        t, d, empty = triple = frontier.pop()
-        if triple in arq:
-            continue
-        arq[triple] = []
-        for f in (2,) if empty else (0, 1):
-            o, t_n, d_n = update(t, d, FEEDBACKS[f], pu_cfg)
-            arq[triple].append((f, o, (t_n, d_n, False)))
-            frontier.append((t_n, d_n, False))
-    triples = sorted(arq)
     cds = list(model.cd_states(pu_cfg))
-    states = [MdpState(cd, *triple) for triple in triples for cd in cds]
+    states = [MdpState(cd, t) for t in range(pu_cfg.r_max) for cd in cds]
     index = {s: i for i, s in enumerate(states)}
-    nxt = np.full((len(states), 2, 3, 7), -1, dtype=np.int32)
-    reward = np.zeros_like(nxt)
-    for i, s in enumerate(states):
-        for a_s, (f, o, triple) in itertools.product((0, 1), arq[s[1:]]):
-            a_p = int(f != 2)
-            for y in range(1, 8):
-                cd_n = model.next_cd(s.cd, a_s, a_p, y, o)
-                nxt[i, a_s, f, y - 1] = index[MdpState(cd_n, *triple)]
-                reward[i, a_s, f, y - 1] = model.reward(s.cd, a_s, a_p, y)
-    transmit = np.array([pu_cfg.transmit_prob(s.empty) for s in states])
-    start = index[MdpState(model.initial_cd(), 0, 0, True)]
-    tables[pu_cfg] = table = StepTable(states, index, start, triples, nxt, reward, transmit)
+    nxt = np.empty((len(states), 2, len(FEEDBACKS), 7), dtype=np.int32)
+    reward = np.empty_like(nxt)
+    for (i, s), a_s, (f, y_p), y in itertools.product(
+            enumerate(states), (0, 1), enumerate(FEEDBACKS), range(1, 8)):
+        o, t_n = update(s.t, y_p, pu_cfg)
+        nxt[i, a_s, f, y - 1] = index[MdpState(model.next_cd(s.cd, a_s, y, o), t_n)]
+        reward[i, a_s, f, y - 1] = model.reward(s.cd, a_s, y)
+    start = index[MdpState(model.initial_cd(), 0)]
+    tables[pu_cfg] = table = StepTable(states, index, start, nxt, reward)
     return table
 
 
-def _branch_probs(table: StepTable, success_probs) -> np.ndarray:
-    """(n, 2, 3): the probability of each feedback in each state under each
-    SU action, in the order of `FEEDBACKS`."""
-    p_tx = table.transmit[:, None]
+def _branch_probs(success_probs) -> np.ndarray:
+    """(2, 2): the probability of each feedback under each SU action, in the
+    order of `FEEDBACKS`."""
     rho = np.asarray(success_probs, dtype=float)
-    return np.stack(np.broadcast_arrays(p_tx * rho, p_tx * (1.0 - rho), 1.0 - p_tx), axis=2)
+    return np.stack((rho, 1.0 - rho), axis=1)
 
 
 def enumerate_space(
@@ -226,8 +202,8 @@ def enumerate_space(
     """
     table = step_table(model, pu_cfg)
     n = len(table.states)
-    live = ((table.nxt >= 0) & (_branch_probs(table, success_probs) > 0.0)[..., None]
-            & (probs.as_array() > 0.0))
+    live = np.broadcast_to((_branch_probs(success_probs) > 0.0)[..., None]
+                           & (probs.as_array() > 0.0), table.nxt.shape)
     adjacent = np.zeros((n, n), dtype=bool)
     adjacent[np.nonzero(live)[0], table.nxt[live]] = True
     reach = np.arange(n) == table.start
@@ -240,21 +216,21 @@ def build_kernel(space: StateSpace) -> Kernel:
     """Transition matrix and expected rewards for both SU actions.
 
     Weighs every step of the table by the probability of its feedback
-    (which fixes access, completion and the ARQ update) times that of its
-    outcome region, and sums the weights into the next states with one
+    (which fixes completion and the ARQ update) times that of its outcome
+    region, and sums the weights into the next states with one
     `np.add.at`, in the order (state, a_s, feedback, region).  Rows sum to
-    one by construction.  The PU's expected throughput is its transmit
-    probability times its decoding probability under the SU's action.
+    one by construction.  The PU sends in every slot, so its expected
+    throughput is its decoding probability under the SU's action.
     """
     n, table = space.n, space.table
-    w = _branch_probs(table, space.success_probs)[..., None] * space.probs.as_array()
-    valid = table.nxt >= 0
-    i, a_s = np.nonzero(valid)[:2]
+    w = np.broadcast_to(_branch_probs(space.success_probs)[..., None] * space.probs.as_array(),
+                        table.nxt.shape)
+    i, a_s = np.indices(table.nxt.shape)[:2]
     p = np.zeros((n, 2, n))
     r_su = np.zeros((n, 2))
-    np.add.at(p, (i, a_s, table.nxt[valid]), w[valid])
-    np.add.at(r_su, (i, a_s), (w * table.reward)[valid])
-    r_pu = table.transmit[:, None] * np.asarray(space.success_probs, dtype=float)
+    np.add.at(p, (i, a_s, table.nxt), w)
+    np.add.at(r_su, (i, a_s), w * table.reward)
+    r_pu = np.tile(np.asarray(space.success_probs, dtype=float), (n, 1))
     return Kernel(p, r_su, r_pu)
 
 
@@ -323,21 +299,7 @@ def evaluate_policy(space: StateSpace, kernel: Kernel, policy) -> EvalResult:
     mu = _policy_vector(space, policy)
     p, r_su, r_pu = _policy_matrix(kernel, mu)
     pi, warning = _recurrent_stationary(p, space.table.start)
-    su = float(pi @ r_su)
-    return EvalResult(su, _four_column_dot(pi, r_pu), pi, warning)
-
-
-def _four_column_dot(pi: np.ndarray, r: np.ndarray) -> float:
-    """pi @ r, read off the first column of an (n, 4) product.
-
-    numpy's BLAS sums a lone vector and the columns of a matrix four or
-    more wide in different orders.  Results for a given seed have been
-    computed in the four-column order, and they stay bit-identical only
-    in it: the floor set from this value fixes the LP's path.
-    """
-    m = np.zeros((r.size, 4))
-    m[:, 0] = r
-    return float((pi @ m)[0])
+    return EvalResult(float(pi @ r_su), float(pi @ r_pu), pi, warning)
 
 
 def _policy_vector(space: StateSpace, policy) -> np.ndarray:
@@ -361,7 +323,8 @@ _UNUSED = 1e-12
 _SLACK_TOL = 1e-9
 # HiGHS's default primal feasibility tolerance and the smallest it accepts.
 _PRIMAL_TOL, _PRIMAL_TOL_MIN = 1e-7, 1e-10
-# A policy whose PU throughput falls this far below the floor misses it.
+# A policy whose PU throughput falls this far below the floor misses it, and
+# one this far above a binding floor overshoots it.
 _FLOOR_MISS = 1e-9
 
 
@@ -399,18 +362,19 @@ def solve_constrained(
     # HiGHS's primal feasibility tolerance is absolute, 1e-7 by default, so
     # a floor below it would count as met by a policy with no PU throughput.
     # The tolerance is kept to a thousandth of the floor, within HiGHS's
-    # range.  Even so the LP's policy may miss the floor by up to that
-    # tolerance; one that misses it by more than `_FLOOR_MISS` is solved
-    # again at the smallest tolerance.
+    # range.  Even so the LP's x may be off by up to that tolerance, and its
+    # policy with it.  A policy that misses the floor by more than
+    # `_FLOOR_MISS`, or exceeds a binding one by more (the optimum meets a
+    # binding floor exactly), is solved again at the smallest tolerance.
     tol = min(_PRIMAL_TOL, max(_PRIMAL_TOL_MIN, 1e-3 * constraint_min))
     for tol in (tol, _PRIMAL_TOL_MIN):
         res = linprog(-r_su.ravel(), A_ub=-r_c.reshape(1, -1), b_ub=[-constraint_min],
                       A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
                       options={"primal_feasibility_tolerance": tol})
         if res.status == 2:
-            idle = evaluate_policy(space, kernel, np.zeros(space.n)).pu_throughput
             raise InfeasibleConstraintError(
-                f"PU throughput floor {constraint_min} exceeds the idle-SU value {idle}"
+                f"PU throughput floor {constraint_min} exceeds the idle-SU value "
+                f"{space.success_probs[0]}"
             )
         if res.status != 0:
             raise RuntimeError(f"constrained LP failed: {res.message}")
@@ -429,7 +393,8 @@ def solve_constrained(
         mu[ridx] = mu_sub
         res_eval = evaluate_policy(space, kernel, mu)
         value = res_eval.pu_throughput
-        if value >= constraint_min - _FLOOR_MISS:
+        if value >= constraint_min - _FLOOR_MISS and (
+                slack > _SLACK_TOL or value <= constraint_min + _FLOOR_MISS):
             break
     if value < constraint_min - constraint_tol:
         raise RuntimeError(

@@ -4,15 +4,15 @@ One run wires the fading channel, the ground-truth PU pair, the SU-side
 tracker, the decoding machinery of the selected scheme, and a fixed access
 policy.  Channel gains and SU access draws come from independent
 seed-derived streams, so two runs with the same seed but different policies
-see the same environment.  The PU is backlogged and needs no draw: it idles
-in slot 0, on its empty queue, and transmits in every later slot.
+see the same environment.  The PU is backlogged and needs no draw: it sends
+in every slot.
 
 A run packs each slot's random inputs into one small int code with numpy,
 one slice of slots at a time: the outcome region, the PU's decode with and
 without SU interference, and the rank of the SU access draw among the
 policy's distinct access probabilities.  The slot loop then walks integer
-entry ids only.  A walk state is a compact-state id plus the true PU's (t,
-d, empty), and each (walk state, code) pair gets one entry on first use,
+entry ids only.  A walk state is a compact-state id plus the true PU's try
+count t, and each (walk state, code) pair gets one entry on first use,
 holding the slot's step: the compact state steps by the scheme model's
 `mdp.StepTable`, the table the solver reads, whose indices are the
 compact-state ids, and the true PU steps through the ARQ table on its
@@ -108,18 +108,14 @@ class SystemConfig:
 # -- compact models of the baseline schemes ---------------------------------------
 
 
-def _pu_decoded_event(a_s: int, a_p: int, y: int) -> int:
+def _pu_decoded_event(a_s: int, y: int) -> int:
     """Physical decode of the current PU packet at the SU receiver."""
-    if not a_p:
-        return 0
     return int(y in (PU_UNDER_SU if a_s else PU_ALONE))
 
 
-def _direct_su_decode(a_s: int, a_p: int, y: int) -> int:
+def _direct_su_decode(a_s: int, y: int) -> int:
     """Fresh SU packet decoded while the PU packet is unknown."""
-    if not a_s:
-        return 0
-    return int(y in (SU_UNDER_PU if a_p else SU_CLEAN))
+    return int(a_s and y in SU_UNDER_PU)
 
 
 class FicBicModel:
@@ -143,19 +139,19 @@ class FicBicModel:
     def initial_cd(self):
         return ("U", 0)
 
-    def reward(self, cd, a_s, a_p, y):
+    def reward(self, cd, a_s, y):
         if cd[0] == "K":
             return a_s * (y in SU_CLEAN)
-        return _direct_su_decode(a_s, a_p, y) + _pu_decoded_event(a_s, a_p, y) * cd[1]
+        return _direct_su_decode(a_s, y) + _pu_decoded_event(a_s, y) * cd[1]
 
-    def next_cd(self, cd, a_s, a_p, y, o):
+    def next_cd(self, cd, a_s, y, o):
         if o:
             return ("U", 0)
         if cd[0] == "K":
             return cd
-        if _pu_decoded_event(a_s, a_p, y):
+        if _pu_decoded_event(a_s, y):
             return ("K", 0)
-        return ("U", min(cd[1] + a_s * a_p * (y in SU_NEEDS_PU), self.b_cap))
+        return ("U", min(cd[1] + a_s * (y in SU_NEEDS_PU), self.b_cap))
 
 
 class FicOnlyModel:
@@ -173,15 +169,15 @@ class FicOnlyModel:
     def initial_cd(self):
         return ("U", 0)
 
-    def reward(self, cd, a_s, a_p, y):
+    def reward(self, cd, a_s, y):
         if cd[0] == "K":
             return a_s * (y in SU_CLEAN)
-        return _direct_su_decode(a_s, a_p, y)
+        return _direct_su_decode(a_s, y)
 
-    def next_cd(self, cd, a_s, a_p, y, o):
+    def next_cd(self, cd, a_s, y, o):
         if o:
             return ("U", 0)
-        if cd[0] == "U" and _pu_decoded_event(a_s, a_p, y):
+        if cd[0] == "U" and _pu_decoded_event(a_s, y):
             return ("K", 0)
         return cd
 
@@ -200,10 +196,10 @@ class NoFicBicModel:
     def initial_cd(self):
         return ("M", 0)
 
-    def reward(self, cd, a_s, a_p, y):
-        return _direct_su_decode(a_s, a_p, y)
+    def reward(self, cd, a_s, y):
+        return _direct_su_decode(a_s, y)
 
-    def next_cd(self, cd, a_s, a_p, y, o):
+    def next_cd(self, cd, a_s, y, o):
         return cd
 
 
@@ -225,10 +221,10 @@ class GenieModel:
     def initial_cd(self):
         return ("G", 0)
 
-    def reward(self, cd, a_s, a_p, y):
+    def reward(self, cd, a_s, y):
         return a_s * (y in SU_CLEAN)
 
-    def next_cd(self, cd, a_s, a_p, y, o):
+    def next_cd(self, cd, a_s, y, o):
         return cd
 
 
@@ -245,14 +241,9 @@ def scheme_model(scheme: SchemeKind, cfg: PuConfig):
 
 
 def _arq_table(cfg: PuConfig):
-    """`pu_tracker.update` over every (t, d, feedback), keyed by plain ints:
+    """`pu_tracker.update` over every (t, feedback), keyed by plain ints:
     the true PU's step, apart from the compact state's step table."""
-    return {
-        (t, d, int(y)): update(t, d, y, cfg)
-        for t in range(cfg.r_max)
-        for d in range(cfg.d_max)
-        for y in PuFeedback
-    }
+    return {(t, int(y)): update(t, y, cfg) for t in range(cfg.r_max) for y in PuFeedback}
 
 
 # -- the slot walk on input codes ---------------------------------------------------
@@ -275,10 +266,10 @@ def _below(mu: float, rank: int, thresholds: list) -> int:
 
 
 # The fields of an entry, one slot's step, as the rows of `_SlotWalk.table()`.
-# The first seven are the `TraceChunk` columns of the same names; `success`
+# The first five are the `TraceChunk` columns of the same names; `success`
 # is the PU's decode and `r_s` the model reward.
-_ENTRY = ("sid", "t", "d", "a_s", "a_p", "y_p", "o", "success", "r_s")
-_SID, _T, _D, _A_S, _A_P, _Y_P, _O, _SUCCESS, _R_S = range(len(_ENTRY))
+_ENTRY = ("sid", "t", "a_s", "y_p", "o", "success", "r_s")
+_SID, _T, _A_S, _Y_P, _O, _SUCCESS, _R_S = range(len(_ENTRY))
 # Slots per slice of the input encoding, and at most per group of slots that
 # `run` walks and gathers at once.
 _SLICE = 1 << 14
@@ -322,7 +313,7 @@ class _SlotWalk:
     probability strictly between 0 and 1 (`_below`).
 
     A walk state is a compact-state id, the state's index in the model's
-    `mdp.StepTable`, plus the true PU's (t, d, empty).  `rows[w]` holds walk
+    `mdp.StepTable`, plus the true PU's try count t.  `rows[w]` holds walk
     state w's entry for each input code, -1 until filled, and ends with w
     itself.  An entry is one slot's step: `next_row[e]` is the row of the
     walk state it leads to, and `entries[e]` the slot's fields in the order
@@ -335,7 +326,6 @@ class _SlotWalk:
     def __init__(self, table: StepTable, probs: dict, pu_cfg: PuConfig):
         self.compact = table
         self.probs = probs
-        self.pu_cfg = pu_cfg
         self.arq = _arq_table(pu_cfg)
         self.mus: dict = {}
         self.steps: set = set()
@@ -403,24 +393,21 @@ class _SlotWalk:
 
     def fill(self, row: list, code: int) -> int:
         """The entry of `row`'s walk state for `code`, made and stored."""
-        sid, t, d, empty = self.states[row[-1]]
+        sid, t = self.states[row[-1]]
         y, s0, s1, rank_s = self.parts[code]
         a_s = _below(self.mus[sid], rank_s, self.thr_s)
-        # The PU's access rule gives 0 or 1, so its decision takes no draw.
-        a_p = int(self.pu_cfg.transmit_prob(empty))
-        success = (s1 if a_s else s0) if a_p else 0
-        y_p = int((PuFeedback.ACK if success else PuFeedback.NACK) if a_p else PuFeedback.IDLE)
+        success = s1 if a_s else s0
+        y_p = PuFeedback.ACK if success else PuFeedback.NACK
         # The true PU and the SU-side tracker both step on the overheard
-        # feedback, whose presence is the access decision; the tracker's
-        # step is part of the compact state's.
-        o, t_n, d_n = self.arq[t, d, y_p]
+        # feedback; the tracker's step is part of the compact state's.
+        o, t_n = self.arq[t, y_p]
         step = (sid, a_s, FEEDBACKS.index(y_p), y)
         self.steps.add(step)
         nxt = self.visit(int(self.compact.nxt[step]))
         e = len(self.entries)
         r_s = int(self.compact.reward[step])
-        self.entries.append((sid, t, d, a_s, a_p, y_p, o, success, r_s))
-        self.next_row.append(self.row((nxt, t_n, d_n, False)))
+        self.entries.append((sid, t, a_s, int(y_p), o, success, r_s))
+        self.next_row.append(self.row((nxt, t_n)))
         row[code] = e
         return e
 
@@ -462,11 +449,11 @@ class TraceChunk(NamedTuple):
 
     Entry i of every column is slot `first + i`.  `states` is the compact
     states by id, the states of the scheme model's `mdp.StepTable`, each the
-    policy's (cd, tracked t, tracked d, empty).  `decoded` counts the
-    SU packets credited before slot `first`.  Per slot the columns hold the
-    outcome region `y`, the compact-state id, the true PU's `t` and `d`,
-    both access decisions, the overheard feedback `y_p` and the window's
-    completion `o`, the slot of the SU packet sent (`l_s`, -1 if none), the
+    policy's (cd, tracked t).  `decoded` counts the SU packets credited
+    before slot `first`.  Per slot the columns hold the outcome region `y`,
+    the compact-state id, the true PU's `t`, the SU's access decision, the
+    overheard feedback `y_p` and the window's completion `o`, the slot of
+    the SU packet sent (`l_s`, -1 if none), the
     SU packets credited `r_s`, and the decoding graph's root potential `v`
     before the slot, as `cd_protocol.run_slot` returns it with the slot's
     credits, and its node and edge counts after it.  The baselines
@@ -479,9 +466,7 @@ class TraceChunk(NamedTuple):
     y: np.ndarray
     sid: np.ndarray
     t: np.ndarray
-    d: np.ndarray
     a_s: np.ndarray
-    a_p: np.ndarray
     y_p: np.ndarray
     o: np.ndarray
     l_s: np.ndarray
@@ -505,22 +490,20 @@ def _graph_pass(g: CdGraph, first: int, states: list, cols: np.ndarray, y: np.nd
     """Chain decoding's graph over walked slots from slot `first` on.
 
     Reads each slot's compact state, for the tracked PU packet and the
-    cycle starts, and both access decisions from the slots' entry columns
-    `cols`, and runs each slot with one `run_slot` call.  Returns the SU
+    cycle starts, and the SU's access decision from the slots' entry
+    columns `cols`, and runs each slot with one `run_slot` call.  Returns the SU
     packets the graph credits per slot, when `tracing` the rows (l_s, v,
     g_nodes, g_edges) of `TraceChunk`, and the number of root
     retransmissions, the SU sends of a label other than the fresh `su(n)`.
     """
-    # A slot's tracked PU packet was first sent d slots ago, d being the
-    # tracked d of its compact state; a tracked t of 0 starts a new primary
+    # A slot's tracked PU packet was first sent t slots ago, t being the
+    # tracked try count of its compact state; a t of 0 starts a new primary
     # ARQ cycle, with a packet first sent now.
-    new_cycle = [s[1] == 0 for s in states]
-    age = [s[2] for s in states]
+    age = [s.t for s in states]
     credits, rows, retx = [], [], 0
-    for n, sid, a_s, a_p, y_n in zip(range(first, first + len(y)), cols[_SID].tolist(),
-                                     cols[_A_S].tolist(), cols[_A_P].tolist(), y.tolist()):
-        r_s, l_s, v_before = run_slot(g, n, new_cycle[sid], n - age[sid], a_s, a_p,
-                                      y_n if a_s or a_p else None)
+    for n, sid, a_s, y_n in zip(range(first, first + len(y)), cols[_SID].tolist(),
+                                cols[_A_S].tolist(), y.tolist()):
+        r_s, l_s, v_before = run_slot(g, n, age[sid] == 0, n - age[sid], a_s, y_n)
         credits.append(r_s)
         if a_s and l_s != su(n):  # only a graph storing an edge sends its root
             retx += 1
@@ -579,7 +562,7 @@ def run(
     pu_cfg = cfg.pu
     table = step_table(scheme_model(scheme, pu_cfg), pu_cfg)
     slots = _SlotWalk(table, policy.probs, pu_cfg)
-    row = slots.row((slots.visit(table.start), 0, 0, True))
+    row = slots.row((slots.visit(table.start), 0))
     # Chain decoding runs the decoding graph, which credits its packets.
     g = CdGraph() if scheme is SchemeKind.CHAIN_DECODING else None
     tracing = trace_hook is not None
@@ -698,12 +681,9 @@ class InvariantReport:
 
 
 _PHASE_FLAGS = {p.value: phase_flags(p) for p in CdPhase}
-# The always-transmit outcome by [a_p, a_s, y]; y = 0 stands for an outcome
+# The always-transmit outcome by [a_s, y]; y = 0 stands for an outcome
 # outside 1..7, which is reported and then counted as one that decodes nothing.
-_TRANSLATED = np.array([
-    [[4] + [translate_outcome(a_p, a_s, y) for y in range(1, 8)] for a_s in (0, 1)]
-    for a_p in (0, 1)
-])
+_TRANSLATED = np.array([[4] + [translate_outcome(a_s, y) for y in range(1, 8)] for a_s in (0, 1)])
 
 
 def _among(regions) -> np.ndarray:
@@ -784,7 +764,7 @@ class TraceInvariantChecker:
         if not n_rows:
             return
         first = chunk.first
-        sid, t, d, a_s, a_p, v = chunk.sid, chunk.t, chunk.d, chunk.a_s, chunk.a_p, chunk.v
+        sid, t, a_s, v = chunk.sid, chunk.t, chunk.a_s, chunk.v
         y = np.asarray(chunk.y, dtype=np.int64)
         m = chunk.decoded + np.cumsum(chunk.r_s) - chunk.r_s  # credited before each slot
         faults = []  # (row, check index, detail)
@@ -792,17 +772,16 @@ class TraceInvariantChecker:
 
         # (iii) tracker exactness
         rep.count("tracker", n_rows)
-        tracked = np.array([s[1:3] for s in chunk.states], dtype=np.int64).reshape(-1, 2)[sid]
-        for i in np.flatnonzero((tracked[:, 0] != t) | (tracked[:, 1] != d)).tolist():
-            n, tr_d = first + i, int(tracked[i, 1])
-            faults.append((i, 0, f"inferred (t={tracked[i, 0]}, d={tr_d}, "
-                              f"l={n - tr_d if a_p[i] else None}) vs true (t={t[i]}, d={d[i]}, "
-                              f"l={n - d[i] if a_p[i] else None})"))
+        tracked = np.array([s[1] for s in chunk.states], dtype=np.int64)[sid]
+        for i in np.flatnonzero(tracked != t).tolist():
+            n = first + i
+            faults.append((i, 0, f"inferred (t={tracked[i]}, l={n - tracked[i]}) "
+                              f"vs true (t={t[i]}, l={n - t[i]})"))
 
         # (v) outcome sanity
         in_range = (y >= 1) & (y <= 7)
         faults.extend((i, 1, f"y={y[i]}") for i in np.flatnonzero(~in_range).tolist())
-        yt = _TRANSLATED[a_p, a_s, np.where(in_range, y, 0)]
+        yt = _TRANSLATED[a_s, np.where(in_range, y, 0)]
 
         # (iv) compact-state invariants, once per state the chunk visits
         if self.is_cd:
@@ -814,7 +793,7 @@ class TraceInvariantChecker:
                                   for x in details)
 
         # per-cycle tallies; a cycle starts where the PU sends a new packet
-        opens = (a_p != 0) & (t == 0)
+        opens = t == 0
         if first == 0:
             opens[0] = True
         cut = np.flatnonzero(opens)

@@ -4,10 +4,10 @@ Instead of carrying the whole decoding graph, the SU can credit a chain's
 worth of packets the moment the chain is formed, because the root is
 retransmitted until it eventually succeeds.  The resulting state is just a
 phase describing the virtual knowledge of the current PU packet, a counter
-of SU packets pinned behind it, and the tracked (t, d) of the primary ARQ
-process.  This module provides the per-slot virtual throughput and the
-phase update, which the policy optimizer consumes; the (t, d) step is
-`pu_tracker.update`.
+of SU packets pinned behind it, and the tracked try count t of the primary
+ARQ process.  The backlogged PU sends in every slot.  This module provides
+the per-slot virtual throughput and the phase update, which the policy
+optimizer consumes; the t step is `pu_tracker.update`.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ def phase_from_flags(kappa: int, iota: int) -> CdPhase:
 # -- per-slot virtual throughput ----------------------------------------------
 
 
-def virtual_reward(a_s: int, a_p: int, y: int, phase: CdPhase, b_s: int) -> int:
+def virtual_reward(a_s: int, y: int, phase: CdPhase, b_s: int) -> int:
     """SU packets credited in one slot of the virtual system.
 
     Counts direct decodes under the phase's interference situation, the
@@ -71,10 +71,10 @@ def virtual_reward(a_s: int, a_p: int, y: int, phase: CdPhase, b_s: int) -> int:
         raise ValueError(f"b_s={b_s} inconsistent with phase {phase}")
     kappa, iota = phase_flags(phase)
     g = a_s * (y in SU_CLEAN)
-    g -= (1 - kappa) * a_s * a_p * (y in SU_NEEDS_PU)
-    g += a_p * (y in PU_ALONE) * b_s
-    g += iota * kappa * a_p * ((1 - a_s) * (y in PU_ALONE) + a_s * (y in PU_UNDER_SU))
-    g += iota * kappa * a_p * a_s * (y == 6)
+    g -= (1 - kappa) * a_s * (y in SU_NEEDS_PU)
+    g += (y in PU_ALONE) * b_s
+    g += iota * kappa * ((1 - a_s) * (y in PU_ALONE) + a_s * (y in PU_UNDER_SU))
+    g += iota * kappa * a_s * (y == 6)
     return int(g)
 
 
@@ -107,38 +107,34 @@ class ChainDecodingModel:
     def initial_cd(self):
         return (CdPhase.U.value, 0)
 
-    def reward(self, cd, a_s: int, a_p: int, y: int) -> int:
-        return virtual_reward(a_s, a_p, y, CdPhase(cd[0]), cd[1])
+    def reward(self, cd, a_s: int, y: int) -> int:
+        return virtual_reward(a_s, y, CdPhase(cd[0]), cd[1])
 
-    def next_cd(self, cd, a_s: int, a_p: int, y: int, o: int):
+    def next_cd(self, cd, a_s: int, y: int, o: int):
         if o:
             return (CdPhase.U.value, 0)
         kappa, iota = phase_flags(CdPhase(cd[0]))
-        hit = a_p * (y in PU_ALONE)
+        hit = int(y in PU_ALONE)
         kappa_n = 1 - (1 - kappa) * (1 - hit)
-        iota_n = iota * (1 - hit + a_p * a_s * (y == 7))
-        b_n = (1 - hit) * (cd[1] + (1 - kappa) * a_p * a_s * (y == 5))
+        iota_n = iota * (1 - hit + a_s * (y == 7))
+        b_n = (1 - hit) * (cd[1] + (1 - kappa) * a_s * (y == 5))
         return (phase_from_flags(kappa_n, iota_n).value, min(b_n, self.b_cap))
 
 
 # -- always-transmit outcome translation ----------------------------------------
 
 
-def translate_outcome(a_p: int, a_s: int, y: int) -> int:
-    """Map a slot with possible idles onto the equivalent always-transmit slot.
+def translate_outcome(a_s: int, y: int) -> int:
+    """Map a slot onto the equivalent slot in which the SU transmits too.
 
-    Idle sides are replaced by transmissions that decode nothing extra: a
-    lone PU decode becomes region 3, a lone SU decode becomes region 2, and
-    anything undecodable becomes region 4.  Slots where both sides already
-    transmit are unchanged.  Every throughput and bound formula stated for
-    the always-transmit system is evaluated on this translation.
+    The PU sends in every slot.  An idle SU is replaced by a transmission
+    that decodes nothing extra: a PU decode becomes region 3, anything
+    else region 4.  Slots where the SU transmits are unchanged.  Every
+    throughput and bound formula stated for the always-transmit system is
+    evaluated on this translation.
     """
     if y not in (1, 2, 3, 4, 5, 6, 7):
         raise ValueError(f"outcome region must be in 1..7, got {y!r}")
-    if a_p and a_s:
+    if a_s:
         return y
-    if a_p and not a_s:
-        return 3 if y in PU_ALONE else 4
-    if a_s and not a_p:
-        return 2 if y in SU_CLEAN else 4
-    return 4
+    return 3 if y in PU_ALONE else 4

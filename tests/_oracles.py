@@ -12,10 +12,10 @@ The package runs only vectorized and table-driven per-slot code, so the
 scalar references live here: the one-slot channel classifier and PU decoding
 test, and a ground-truth PU pair.  The PU pair states its own ARQ rule, apart
 from `cogarq.pu_tracker.update`, so checking the tracker against it compares
-two independent statements of the rule.  It also keeps a general queue: its
-own capacity, arrivals and randomized access policy, of which the package's
-backlogged PU is one case, so the tracker is checked on idle slots and
-delay-deadline expiries anywhere in a session.  The baseline receivers are stated
+two independent statements of the rule.  It keeps the general queue model
+the package dropped: its own delay deadline, queue capacity, arrivals and
+randomized access policy (`QueueConfig`), of which the package's
+backlogged, always-sending PU is one case.  The baseline receivers are stated
 here on the decoding graph, where the simulator credits them from their
 compact models.  The solver's kernel and reachable states are stated
 here one feedback branch and region at a time (`scalar_kernel`,
@@ -107,6 +107,25 @@ def pu_success(g: LinkGains, r: RatePair, a_s: int) -> bool:
     return r.r_p < capacity(g.gamma_p / (1.0 + a_s * g.gamma_sp))
 
 
+# The oracle PU's feedback on a slot it leaves idle; the package's PU sends
+# in every slot, so `cogarq.pu_tracker.PuFeedback` has only ACK and NACK.
+IDLE = 0
+
+
+@dataclass(frozen=True)
+class QueueConfig:
+    """The oracle PU's deadlines: r_max tries per packet, and d_max slots a
+    packet may wait in all.  d_max >= 2 keeps completion a function of
+    (t, d, feedback): with d_max = 1 an idle slot would pop the queue head."""
+
+    r_max: int
+    d_max: int
+
+    def __post_init__(self):
+        if self.r_max < 1 or self.d_max < max(2, self.r_max):
+            raise ValueError(f"need r_max >= 1 and d_max >= max(2, r_max), got {self}")
+
+
 @dataclass(frozen=True)
 class PuState:
     """Internal PU triple: retransmission count, delay, queue length."""
@@ -115,7 +134,7 @@ class PuState:
     d: int = 0
     q: int = 0
 
-    def validate(self, cfg: PuConfig, q_max: int) -> "PuState":
+    def validate(self, cfg: QueueConfig, q_max: int) -> "PuState":
         if not (0 <= self.t < cfg.r_max):
             raise ValueError(f"t out of range: {self.t}")
         if not (0 <= self.d < cfg.d_max):
@@ -129,7 +148,7 @@ class PuState:
         return self
 
 
-def advance(state: PuState, b_p: int, a_p: int, success: bool, cfg: PuConfig, q_max: int):
+def advance(state: PuState, b_p: int, a_p: int, success: bool, cfg: QueueConfig, q_max: int):
     """Apply one slot of PU dynamics given the realized access and outcome.
 
     Returns (y, o, next_state), with b_p packets arriving into a queue of
@@ -143,7 +162,7 @@ def advance(state: PuState, b_p: int, a_p: int, success: bool, cfg: PuConfig, q_
             raise ValueError("PU cannot transmit from an empty queue")
         y = PuFeedback.ACK if success else PuFeedback.NACK
     else:
-        y = PuFeedback.IDLE
+        y = IDLE
     if q == 0:
         o = 0
     elif y == PuFeedback.ACK:
@@ -161,7 +180,7 @@ def advance(state: PuState, b_p: int, a_p: int, success: bool, cfg: PuConfig, q_
 @dataclass(frozen=True)
 class StepResult:
     a_p: int
-    y: PuFeedback
+    y: int  # a PuFeedback value, or IDLE
     o: int
     next_state: PuState
     label_event: str | None  # 'new', 'retx', or None when idle
@@ -174,7 +193,7 @@ def step(
     g: LinkGains,
     rates: RatePair,
     rng: np.random.Generator,
-    cfg: PuConfig,
+    cfg: QueueConfig,
     q_max: int,
     access=lambda t, d, q: 1.0,
 ) -> StepResult:
@@ -307,20 +326,17 @@ def forget(g: CdGraph):
     g.decoded_pu.clear()
 
 
-def composed_slot(g: CdGraph, n: int, new_cycle: bool, pu_slot: int, a_s: int, a_p: int,
-                  y: int | None):
-    """`cogarq.cd_protocol.run_slot` as the composition of the steps above:
-    (SU packets decoded, SU label sent or None, root potential before the
-    slot)."""
+def composed_slot(g: CdGraph, n: int, new_cycle: bool, pu_slot: int, a_s: int, y: int):
+    """`cogarq.cd_protocol.run_slot` as the composition of the steps above,
+    with the PU sending the packet first sent in `pu_slot`: (SU packets
+    decoded, SU label sent or None, root potential before the slot)."""
     if new_cycle:
         on_new_cycle(g)
         forget(g)
     known = pu_slot in g.decoded_pu
     l_s = select_label(g, pu(pu_slot), known, n).label if a_s else None
     v_before = root(g)[1]
-    if a_p:
-        return record_slot(g, l_s, pu(pu_slot), known, y), l_s, v_before
-    return record_slot(g, l_s, None, 0, y), l_s, v_before
+    return record_slot(g, l_s, pu(pu_slot), known, y), l_s, v_before
 
 
 class WindowReceiver:
@@ -337,29 +353,25 @@ class WindowReceiver:
         self.bic = bic
         self.decoded = 0
 
-    def record(self, a_s: int, a_p: int, pu_slot: int, y: int, o: int) -> int:
+    def record(self, a_s: int, pu_slot: int, y: int, o: int) -> int:
+        """One slot in which the PU sends the packet first sent in `pu_slot`."""
         g = self.graph
         n = g.slot
-        known = 1 if (a_p and pu_slot in g.decoded_pu) else 0
+        known = int(pu_slot in g.decoded_pu)
         y_eff = y
-        if not self.bic and a_s and a_p and not known and y in (5, 6, 7):
+        if not self.bic and a_s and not known and y in (5, 6, 7):
             y_eff = 4
-        l_s = su(n) if a_s else None
-        l_p = pu(pu_slot) if a_p else None
-        outcome = None if (l_s is None and l_p is None) else y_eff
-        r = record_slot(g, l_s, l_p, known, outcome)
+        r = record_slot(g, su(n) if a_s else None, pu(pu_slot), known, y_eff)
         self.decoded += r
         if o:
             prune_unreachable(g, su(g.slot))
         return r
 
 
-def memoryless_decode(a_s: int, a_p: int, y: int) -> int:
-    """No-FIC/BIC credit: one slot on an empty graph, forgotten afterwards."""
-    l_s = su(0) if a_s else None
-    l_p = pu(0) if a_p else None
-    outcome = None if (l_s is None and l_p is None) else y
-    return record_slot(CdGraph(), l_s, l_p, 0, outcome)
+def memoryless_decode(a_s: int, y: int) -> int:
+    """No-FIC/BIC credit: one slot, with the PU sending, on an empty graph,
+    forgotten afterwards."""
+    return record_slot(CdGraph(), su(0) if a_s else None, pu(0), 0, y)
 
 
 class TraceRecord(NamedTuple):
@@ -367,16 +379,13 @@ class TraceRecord(NamedTuple):
 
     n: int
     a_s: int
-    a_p: int
     y_p: int  # PuFeedback value
     y: int
     o: int
     t: int
-    d: int
     tr_t: int
-    tr_d: int
-    tr_label: int | None
-    true_label: int | None
+    tr_label: int
+    true_label: int
     l_s: int | None
     r_s: int
     m_before: int
@@ -395,21 +404,22 @@ def records(chunk: TraceChunk) -> list[TraceRecord]:
     """The per-slot records of a trace chunk.
 
     Besides the chunk's columns a record holds what they determine: the
-    slot, the tracked pair and the compact phase and counter of the slot's
-    state, the PU packet's label as tracked and as true, the SU packets
-    credited before the slot, and whether it starts a PU cycle.
+    slot, the tracked t and the compact phase and counter of the slot's
+    state, the PU packet's label as tracked and as true (the slot less t),
+    the SU packets credited before the slot, and whether it starts a PU
+    cycle.
     """
     out = []
     m_before = chunk.decoded
     columns = zip(*(getattr(chunk, c).tolist() for c in _COLUMNS))
-    for n, (y, sid, t, d, a_s, a_p, y_p, o, l_s, r_s, v, nodes, edges) in enumerate(
+    for n, (y, sid, t, a_s, y_p, o, l_s, r_s, v, nodes, edges) in enumerate(
             columns, start=chunk.first):
-        (phase, b_s), tr_t, tr_d = chunk.states[sid][:3]
+        (phase, b_s), tr_t = chunk.states[sid]
         out.append(TraceRecord(
-            n=n, a_s=a_s, a_p=a_p, y_p=y_p, y=y, o=o, t=t, d=d, tr_t=tr_t, tr_d=tr_d,
-            tr_label=n - tr_d if a_p else None, true_label=n - d if a_p else None,
+            n=n, a_s=a_s, y_p=y_p, y=y, o=o, t=t, tr_t=tr_t,
+            tr_label=n - tr_t, true_label=n - t,
             l_s=None if l_s < 0 else l_s, r_s=r_s, m_before=m_before, v_before=v,
-            phase=phase, b_s=b_s, cycle_start=bool(a_p and t == 0),
+            phase=phase, b_s=b_s, cycle_start=t == 0,
             g_nodes=nodes, g_edges=edges))
         m_before += r_s
     return out
@@ -418,11 +428,11 @@ def records(chunk: TraceChunk) -> list[TraceRecord]:
 def chunk_of(trace: Iterable[TraceRecord]) -> TraceChunk:
     """The one chunk whose `records` are `trace`; `ValueError` if there is none.
 
-    Each distinct (phase, b, tracked t, tracked d) becomes a state.
+    Each distinct (phase, b, tracked t) becomes a state.
     """
     trace = list(trace)
     ids: dict = {}
-    sid = [ids.setdefault(((r.phase, r.b_s), r.tr_t, r.tr_d, None), len(ids)) for r in trace]
+    sid = [ids.setdefault(((r.phase, r.b_s), r.tr_t), len(ids)) for r in trace]
     derived = {"sid": sid, "v": [r.v_before for r in trace],
                "l_s": [-1 if r.l_s is None else r.l_s for r in trace]}
     chunk = TraceChunk(trace[0].n, trace[0].m_before, list(ids), **{
@@ -444,9 +454,9 @@ def split(chunk: TraceChunk, size: int) -> list[TraceChunk]:
 
 
 def state_actions(chunk: TraceChunk) -> list[tuple]:
-    """(phase, b, tracked t, tracked d, a_s) of every slot of a chunk."""
+    """(phase, b, tracked t, a_s) of every slot of a chunk."""
     states = chunk.states
-    return [(*states[s][0], *states[s][1:3], a)
+    return [(*states[s][0], states[s][1], a)
             for s, a in zip(chunk.sid.tolist(), chunk.a_s.tolist())]
 
 
@@ -454,16 +464,12 @@ def state_actions(chunk: TraceChunk) -> list[tuple]:
 _PHASE_FLAGS = {"U": (0, 1), "K_BIDIR": (1, 1), "K_FWD": (1, 0)}
 
 
-def _always_transmit(a_p: int, a_s: int, y: int) -> int:
-    """The outcome of the always-transmit slot equivalent to (a_p, a_s, y):
-    an idle side becomes a transmission that decodes nothing extra."""
-    if a_p and a_s:
-        return y
-    if a_p:
-        return 3 if y in PU_ALONE else 4
+def _always_transmit(a_s: int, y: int) -> int:
+    """The outcome of the always-transmit slot equivalent to (a_s, y), the
+    PU sending: an idle SU becomes a transmission that decodes nothing extra."""
     if a_s:
-        return 2 if y in SU_CLEAN else 4
-    return 4
+        return y
+    return 3 if y in PU_ALONE else 4
 
 
 def check_trace_invariants(
@@ -502,10 +508,10 @@ def check_trace_invariants(
 
         # (iii) tracker exactness
         count("tracker")
-        if (rec.tr_t, rec.tr_d) != (rec.t, rec.d) or rec.tr_label != rec.true_label:
+        if rec.tr_t != rec.t or rec.tr_label != rec.true_label:
             fail("tracker", rec.n,
-                 f"inferred (t={rec.tr_t}, d={rec.tr_d}, l={rec.tr_label}) vs "
-                 f"true (t={rec.t}, d={rec.d}, l={rec.true_label})")
+                 f"inferred (t={rec.tr_t}, l={rec.tr_label}) vs "
+                 f"true (t={rec.t}, l={rec.true_label})")
 
         # (v) outcome sanity
         in_range = rec.y in (1, 2, 3, 4, 5, 6, 7)
@@ -553,7 +559,7 @@ def check_trace_invariants(
             cnt12 = cnt57 = 0
             started = True
 
-        yt = _always_transmit(rec.a_p, rec.a_s, rec.y) if in_range else 4
+        yt = _always_transmit(rec.a_s, rec.y) if in_range else 4
 
         # recursion right-hand side for this slot, then roll the accumulators
         if is_cd:
@@ -597,10 +603,9 @@ def reference_run(scheme: SchemeKind, policy, cfg: SystemConfig, seed: int, n_sl
 
     Draws every stream for the whole run at once, and steps each slot in
     Python: the SU access decision by comparing its draw with the access
-    probability, the backlogged PU's access (idle in slot 0, on its empty
-    queue, and transmitting from then on), its decode and feedback, the
-    true PU's ARQ step, the compact state's step, and, for chain decoding,
-    the decoding graph.  Running sums give the metrics; a trace chunk is
+    probability, the backlogged PU's decode and feedback (it sends in every
+    slot), the true PU's ARQ step, the compact state's step, and, for chain
+    decoding, the decoding graph.  Running sums give the metrics; a trace chunk is
     built from one row per slot.  It shares the scheme models and the ARQ
     table with the package, but keeps its own memo of compact states and
     steps and its own drop count, and neither the input codes nor the entry
@@ -627,7 +632,7 @@ def reference_run(scheme: SchemeKind, policy, cfg: SystemConfig, seed: int, n_sl
 
     model = scheme_model(scheme, pu_cfg)
     states, mus, ids = [], [], {}  # the compact states by id, in the order reached
-    steps = {}  # (state id, a_s, a_p, y, y_p) -> (next state id, model reward)
+    steps = {}  # (state id, a_s, y, y_p) -> (next state id, model reward)
 
     def state_id(state) -> int:
         if state not in ids:
@@ -639,11 +644,11 @@ def reference_run(scheme: SchemeKind, policy, cfg: SystemConfig, seed: int, n_sl
             states.append(state)
         return ids[state]
 
-    sid = state_id((model.initial_cd(), 0, 0, True))
+    sid = state_id((model.initial_cd(), 0))
     g = CdGraph() if scheme is SchemeKind.CHAIN_DECODING else None
-    idle, ack, nack = int(PuFeedback.IDLE), int(PuFeedback.ACK), int(PuFeedback.NACK)
+    ack, nack = int(PuFeedback.ACK), int(PuFeedback.NACK)
 
-    t = d = 0
+    t = 0
     edges = [-(-b * n_slots // batches) for b in range(batches + 1)]
     su_batch, pu_batch = [], []
     decoded = fresh = 0
@@ -657,45 +662,41 @@ def reference_run(scheme: SchemeKind, policy, cfg: SystemConfig, seed: int, n_sl
             a_s = 1 if su_u[n] < mus[sid] else 0
             l_s = pu_slot = known = None
             if g is not None:
-                _, tr_t, tr_d, _ = states[sid]
+                _, tr_t = states[sid]
                 if tr_t == 0:
                     on_new_cycle(g)
                     cycle_base = len(g.decoded_su) + len(g.decoded_pu)
-                pu_slot = n - tr_d
+                pu_slot = n - tr_t
                 known = pu_slot in g.decoded_pu
                 l_s = select_label(g, pu(pu_slot), known, n).label if a_s else None
-            a_p = 1 if n > 0 else 0
-            success = bool(succ1[n] if a_s else succ0[n]) if a_p else False
-            y_p = (ack if success else nack) if a_p else idle
-            o, t_next, d_next = arq[t, d, y_p]
-            key = (sid, a_s, a_p, y, y_p)
+            success = bool(succ1[n] if a_s else succ0[n])
+            y_p = ack if success else nack
+            o, t_next = arq[t, y_p]
+            key = (sid, a_s, y, y_p)
             if key not in steps:
-                cd, tr_t, tr_d, _ = states[sid]
-                o_hat, t_hat, d_hat = arq[tr_t, tr_d, y_p]
+                cd, tr_t = states[sid]
+                o_hat, t_hat = arq[tr_t, y_p]
                 try:
-                    nxt = state_id((model.next_cd(cd, a_s, a_p, y, o_hat), t_hat, d_hat, False))
+                    nxt = state_id((model.next_cd(cd, a_s, y, o_hat), t_hat))
                 except KeyError as err:
                     raise KeyError(f"{err.args[0]}, on the step of slot {n}") from None
-                steps[key] = nxt, model.reward(cd, a_s, a_p, y)
+                steps[key] = nxt, model.reward(cd, a_s, y)
             nxt, r_s = steps[key]
             fresh += a_s if g is None else l_s == su(n)
             v_before = root(g)[1] if g is not None else 0
             if g is not None:
-                if a_p:
-                    r_s = record_slot(g, l_s, pu(pu_slot), known, y)
-                else:
-                    r_s = record_slot(g, l_s, None, 0, None if l_s is None else y)
+                r_s = record_slot(g, l_s, pu(pu_slot), known, y)
                 max_decoded = max(max_decoded,
                                   len(g.decoded_su) + len(g.decoded_pu) - cycle_base)
             su_sum += r_s
             pu_sum += success
             if g is None:
-                rows.append((sid, t, d, a_s, a_p, y_p, o, -1, r_s, 0, 0, 0))
+                rows.append((sid, t, a_s, y_p, o, -1, r_s, 0, 0, 0))
             else:
-                rows.append((sid, t, d, a_s, a_p, y_p, o,
+                rows.append((sid, t, a_s, y_p, o,
                              -1 if l_s is None else slot_of(l_s), r_s, v_before,
                              len(g.su_nodes) + len(g.pu_nodes), g.edge_count()))
-            t, d = t_next, d_next
+            t = t_next
             sid = nxt
         if trace_hook is not None:
             trace_hook(TraceChunk(lo, decoded, states, y_all[lo:hi], *np.array(rows).T))
@@ -758,18 +759,15 @@ def gauss_laguerre_region_probabilities(
     return probs
 
 
-def _scalar_branches(t: int, d: int, empty: bool, a_s: int, pu_cfg: PuConfig,
-                     success_probs) -> list:
-    """(a_p, o, probability, t', d') per PU feedback of positive probability
-    from (t, d, empty); after any slot the PU's queue holds a packet."""
+def _scalar_branches(t: int, a_s: int, pu_cfg: PuConfig, success_probs) -> list:
+    """(o, probability, t') per PU feedback of positive probability from try
+    count t; the PU sends in every slot."""
     rho = success_probs[a_s]
-    p_tx = pu_cfg.transmit_prob(empty)
     branches = []
-    for y_p, p in ((PuFeedback.ACK, p_tx * rho), (PuFeedback.NACK, p_tx * (1.0 - rho)),
-                   (PuFeedback.IDLE, 1.0 - p_tx)):
+    for y_p, p in ((PuFeedback.ACK, rho), (PuFeedback.NACK, 1.0 - rho)):
         if p > 0.0:
-            o, t_n, d_n = update(t, d, y_p, pu_cfg)
-            branches.append((int(y_p != PuFeedback.IDLE), o, p, t_n, d_n))
+            o, t_n = update(t, y_p, pu_cfg)
+            branches.append((o, p, t_n))
     return branches
 
 
@@ -778,8 +776,8 @@ def scalar_kernel(space: StateSpace) -> Kernel:
 
     Steps each state of `space` with `update`, the model's `next_cd` and
     `reward` directly, never through the package's step table, and sums the
-    branches of positive probability in the order (state, a_s, ACK / NACK /
-    IDLE, region), as the package does.  A next state missing from
+    branches of positive probability in the order (state, a_s, ACK / NACK,
+    region), as the package does.  A next state missing from
     `space.index` raises `KeyError`.
     """
     n, model = space.n, space.model
@@ -789,17 +787,16 @@ def scalar_kernel(space: StateSpace) -> Kernel:
     r_pu = np.zeros((n, 2))
     for i, s in enumerate(space.states):
         for a_s in (0, 1):
-            r_pu[i, a_s] = space.pu_cfg.transmit_prob(s.empty) * space.success_probs[a_s]
-            for a_p, o, p_b, t_n, d_n in _scalar_branches(s.t, s.d, s.empty, a_s, space.pu_cfg,
-                                                          space.success_probs):
+            r_pu[i, a_s] = space.success_probs[a_s]
+            for o, p_b, t_n in _scalar_branches(s.t, a_s, space.pu_cfg, space.success_probs):
                 for y in range(1, 8):
                     p_y = region_p[y - 1]
                     if p_y == 0.0:
                         continue
                     w = p_b * p_y
-                    j = space.index[MdpState(model.next_cd(s.cd, a_s, a_p, y, o), t_n, d_n, False)]
+                    j = space.index[MdpState(model.next_cd(s.cd, a_s, y, o), t_n)]
                     p[i, a_s, j] += w
-                    r_su[i, a_s] += w * model.reward(s.cd, a_s, a_p, y)
+                    r_su[i, a_s] += w * model.reward(s.cd, a_s, y)
     return Kernel(p, r_su, r_pu)
 
 
@@ -808,15 +805,14 @@ def scalar_reachable(model, pu_cfg: PuConfig, probs: RegionProbabilities, succes
     action, by depth-first search over the feedbacks and regions of
     positive probability, stepped with `update`, `next_cd` directly."""
     region_p = probs.as_array()
-    start = MdpState(model.initial_cd(), 0, 0, True)
+    start = MdpState(model.initial_cd(), 0)
     seen, stack = {start}, [start]
     while stack:
         s = stack.pop()
         for a_s in (0, 1):
-            for a_p, o, _, t_n, d_n in _scalar_branches(s.t, s.d, s.empty, a_s, pu_cfg,
-                                                        success_probs):
+            for o, _, t_n in _scalar_branches(s.t, a_s, pu_cfg, success_probs):
                 for y in range(1, 8):
-                    nxt = MdpState(model.next_cd(s.cd, a_s, a_p, y, o), t_n, d_n, False)
+                    nxt = MdpState(model.next_cd(s.cd, a_s, y, o), t_n)
                     if region_p[y - 1] != 0.0 and nxt not in seen:
                         seen.add(nxt)
                         stack.append(nxt)

@@ -70,8 +70,7 @@ def _solve_with_kernel(system, probs, scheme_or_model):
              if isinstance(scheme_or_model, SchemeKind) else scheme_or_model)
     space = enumerate_space(model, system.pu, probs, system.success_probs())
     kernel = build_kernel(space)
-    idle = evaluate_policy(space, kernel, np.zeros(space.n))
-    floor = FLOOR_FRACTION * idle.pu_throughput
+    floor = FLOOR_FRACTION * system.success_probs()[0]
     rep = solve_constrained(space, kernel, floor)
     return rep, floor, space, kernel
 
@@ -85,7 +84,7 @@ def _solve(system, probs, scheme_or_model):
 def fig5():
     """Fig.-5-shaped experiment: means (5, ratio*5, 10, 2), paired seeds."""
     rates = RatePair(optimize_rate(5.0), optimize_rate(10.0))
-    pu_cfg = PuConfig(5, 5)
+    pu_cfg = PuConfig(5)
     points = {}
     for i, ratio in enumerate((0.0, 0.05, 0.2, 0.5, 1.0, 2.0, 5.0)):
         snr = AvgSnrConfig(5.0, ratio * 5.0, 10.0, 2.0)
@@ -196,18 +195,20 @@ def test_criterion_6_trace_invariant_soak():
     total_slots = 0
     fails = []
     for trial in range(10):
-        # Drawn and unused: the PU is backlogged, and drawing it keeps every
-        # other parameter of the trial at the value the soak has always used.
+        # Drawn and unused, the PU's access probability and its delay
+        # deadline: the PU sends in every slot and r_max bounds its delay.
+        # Drawing them keeps every other parameter of the trial at the value
+        # the soak has always used.
         rng.uniform(0.55, 1.0)
         r_max = int(rng.integers(2, 7))
-        d_max = r_max + int(rng.integers(0, 3))
+        rng.integers(0, 3)
         gs = float(rng.uniform(1.0, 15.0))
         gps = gs * float(rng.uniform(0.05, 4.0))
         gp = float(rng.uniform(2.0, 20.0))
         gsp = gp * float(rng.uniform(0.02, 1.5))
         snr = AvgSnrConfig(gs, gps, gp, gsp)
         rates = RatePair(optimize_rate(gs), optimize_rate(gp))
-        system = SystemConfig(snr, rates, PuConfig(r_max, d_max))
+        system = SystemConfig(snr, rates, PuConfig(r_max))
         probs = region_probabilities(
             snr, rates, 300_000,
             np.random.default_rng(np.random.SeedSequence([trial, 0x5EED])))
@@ -257,7 +258,7 @@ def test_criterion_7a_closure_equals_matrix_oracle():
 @pytest.fixture(scope="session")
 def kernel_empirics():
     rates = RatePair(optimize_rate(5.0), optimize_rate(10.0))
-    pu_cfg = PuConfig(5, 5)
+    pu_cfg = PuConfig(5)
     snr = AvgSnrConfig(5.0, 5.0, 10.0, 2.0)
     system = SystemConfig(snr, rates, pu_cfg)
     probs = region_probabilities(
@@ -279,10 +280,10 @@ def test_criterion_7b_kernel_rows_match_empirical(kernel_empirics):
     counts = defaultdict(lambda: defaultdict(int))
     idx = space.index
     for i in range(len(recs) - 1):
-        ph, b, t, d, a = recs[i]
-        ph2, b2, t2, d2, _ = recs[i + 1]
-        s = idx[MdpState((ph, b), t, d, i == 0)]
-        s2 = idx[MdpState((ph2, b2), t2, d2, False)]
+        ph, b, t, a = recs[i]
+        ph2, b2, t2, _ = recs[i + 1]
+        s = idx[MdpState((ph, b), t)]
+        s2 = idx[MdpState((ph2, b2), t2)]
         counts[(s, a)][s2] += 1
     bad, checked = [], 0
     for (i, a), row in counts.items():
@@ -311,8 +312,8 @@ def test_criterion_7c_stationary_matches_visit_frequencies(kernel_empirics):
     batches = 100
     per_batch = np.zeros((batches, space.n))
     for i in range(1, n):
-        ph, b, t, d, _ = recs[i]
-        per_batch[(i * batches) // n, space.index[MdpState((ph, b), t, d, False)]] += 1
+        ph, b, t, _ = recs[i]
+        per_batch[(i * batches) // n, space.index[MdpState((ph, b), t)]] += 1
     sizes = per_batch.sum(axis=1, keepdims=True)
     freqs = per_batch / sizes
     emp = freqs.mean(axis=0)
@@ -334,7 +335,7 @@ def test_criterion_8_fig6_shape():
     of the two grid points that bracket r*.
     """
     rates = RatePair(optimize_rate(5.0), optimize_rate(10.0))
-    pu_cfg = PuConfig(5, 5)
+    pu_cfg = PuConfig(5)
     ratios = (0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.8, 1.0)
     theta_p = 2.0 ** rates.r_p - 1.0
     r_star = (1.0 / FLOOR_FRACTION - 1.0) / theta_p
@@ -386,7 +387,7 @@ def test_supplementary_peak_tracks_constraint_activation():
     the tuned PU rate (theta_p about 4.7) that is near 0.05; forcing
     theta_p = 0.5 moves the peak to exactly 0.5.
     """
-    pu_cfg = PuConfig(5, 5)
+    pu_cfg = PuConfig(5)
 
     def peak_for(rate_p):
         rates = RatePair(optimize_rate(5.0), rate_p)

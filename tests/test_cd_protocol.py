@@ -199,9 +199,8 @@ def _isolated_start():
 def test_run_slot_matches_the_composed_steps_slot_by_slot():
     # Random slot sequences as the receiver meets them: a PU packet is sent
     # from its cycle start for one to four slots, so later slots of a cycle
-    # may find it known; the PU idles in slot 0 and now and then later.
-    # Half the runs start from a graph whose open PU packet is an isolated
-    # stored node.
+    # may find it known.  Half the runs start from a graph whose open PU
+    # packet is an isolated stored node.
     seen = Counter()
     for seed in range(40):
         rng = np.random.default_rng(400 + seed)
@@ -216,23 +215,22 @@ def test_run_slot_matches_the_composed_steps_slot_by_slot():
             if new_cycle:
                 n0, left = n, int(rng.integers(1, 5))
             left -= 1
-            a_p = int(n > 0 and rng.random() < 0.9)
             a_s = int(rng.random() < 0.7)
-            y = int(rng.integers(1, 8)) if a_s or a_p else None
+            y = int(rng.integers(1, 8))
             known = n0 in fused.decoded_pu
             edge_free = not fused.out_edges
             isolated_pu = edge_free and pu(n0) in fused.pu_nodes
-            seen["idle PU"] += not a_p
-            seen["known PU"] += bool(a_p and known)
-            seen[f"region {y} under an unknown PU"] += bool(a_s and a_p and not known)
+            seen["idle SU"] += not a_s
+            seen["known PU"] += known
+            seen[f"region {y} under an unknown PU"] += bool(a_s and not known)
             seen["stored edges"] += not edge_free
             seen["stored nodes, no edge"] += edge_free and bool(fused.su_nodes or fused.pu_nodes)
-            got = run_slot(fused, n, new_cycle, n0, a_s, a_p, y)
-            assert got == composed_slot(steps, n, new_cycle, n0, a_s, a_p, y), (seed, n)
+            got = run_slot(fused, n, new_cycle, n0, a_s, y)
+            assert got == composed_slot(steps, n, new_cycle, n0, a_s, y), (seed, n)
             assert _state(fused) == _state(steps), (seed, n)
             seen["isolated PU packet decoded"] += isolated_pu and n0 in fused.decoded_pu
         seen["SU packets trimmed"] += fused.discarded_su
-    for kind in ("idle PU", "known PU", "stored edges", "stored nodes, no edge",
+    for kind in ("idle SU", "known PU", "stored edges", "stored nodes, no edge",
                  "isolated PU packet decoded", "SU packets trimmed",
                  *(f"region {y} under an unknown PU" for y in range(1, 8))):
         assert seen[kind] > 0, kind
@@ -249,9 +247,7 @@ def _graph_with_history():
             if new_cycle:
                 n0, left = n, int(rng.integers(1, 5))
             left -= 1
-            a_s, a_p = int(rng.random() < 0.7), int(n > 0)
-            composed_slot(g, n, new_cycle, n0, a_s, a_p,
-                          int(rng.integers(1, 8)) if a_s or a_p else None)
+            composed_slot(g, n, new_cycle, n0, int(rng.random() < 0.7), int(rng.integers(1, 8)))
             if g.out_edges and any(slot_of(x) < g.horizon for x in g.su_nodes | g.pu_nodes):
                 return g
 
@@ -273,7 +269,7 @@ def _outcome(step, g, args):
 def test_run_slot_raises_exactly_where_the_composed_steps_raise():
     # Every input over a few graphs, valid and not: a right or wrong n, a
     # cycle start or not, the PU packet stored, forgotten below the horizon,
-    # decoded or not above it, or after the current slot, both access
+    # decoded or not above it, or after the current slot, both SU access
     # decisions, and outcomes None, out of range and in 1..7.  Both steps
     # must raise together and, where neither raises, agree.  The one
     # difference: `run_slot` checks n also on a slot the SU stays silent,
@@ -289,10 +285,10 @@ def test_run_slot_raises_exactly_where_the_composed_steps_raise():
         # every PU slot from just below the horizon on, the stored ones and -1
         pu_slots = {-1, *range(max(g.horizon - 2, 0), g.slot + 2),
                     *(slot_of(x) for x in g.pu_nodes)}
-        for n, new_cycle, pu_slot, a_s, a_p, y in itertools.product(
+        for n, new_cycle, pu_slot, a_s, y in itertools.product(
                 (g.slot - 1, g.slot, g.slot + 1), (False, True), sorted(pu_slots),
-                (0, 1), (0, 1), (None, 0, 1, 2, 3, 4, 5, 6, 7, 8)):
-            args = (n, new_cycle, pu_slot, a_s, a_p, y)
+                (0, 1), (None, 0, 1, 2, 3, 4, 5, 6, 7, 8)):
+            args = (n, new_cycle, pu_slot, a_s, y)
             fused, steps = copy.deepcopy(g), copy.deepcopy(g)
             got = _outcome(run_slot, fused, args)
             if n != g.slot and not a_s:
@@ -304,25 +300,21 @@ def test_run_slot_raises_exactly_where_the_composed_steps_raise():
 
 
 @pytest.mark.parametrize("check, build, args", [
-    ("n is the graph's slot", CdGraph, lambda g: (1, True, 0, 1, 0, 2)),
-    ("an outcome in 1..7 on a slot with a transmission", CdGraph,
-     lambda g: (0, True, 0, 1, 0, 0)),
-    ("an outcome in 1..7 on a slot with a transmission", lambda: CdGraph(slot=2),
-     lambda g: (2, False, 1, 0, 1, 8)),
-    ("an outcome in 1..7 on a slot with a transmission", lambda: CdGraph(slot=2),
-     lambda g: (2, False, 1, 1, 1, None)),
-    ("no outcome on a silent slot", CdGraph, lambda g: (0, True, 0, 0, 0, 3)),
+    ("n is the graph's slot", CdGraph, lambda g: (1, True, 0, 1, 2)),
+    ("an outcome in 1..7", CdGraph, lambda g: (0, True, 0, 1, 0)),
+    ("an outcome in 1..7", lambda: CdGraph(slot=2), lambda g: (2, False, 1, 0, 8)),
+    ("an outcome in 1..7", lambda: CdGraph(slot=2), lambda g: (2, False, 1, 1, None)),
     ("the SU label is a node", lambda: _with_fresh_decoded(CdGraph(slot=4)),
-     lambda g: (4, False, 3, 1, 1, 2)),
+     lambda g: (4, False, 3, 1, 2)),
     ("the PU label is not after the slot", lambda: CdGraph(slot=2),
-     lambda g: (2, False, 3, 0, 1, 3)),
+     lambda g: (2, False, 3, 0, 3)),
     ("the PU label is not after the slot", lambda: CdGraph(slot=2),
-     lambda g: (2, False, 3, 1, 0, 2)),
+     lambda g: (2, False, 3, 1, 2)),
     # `run_slot` reads whether the PU packet is known from the graph, so it
     # can disagree with `is_decoded` only where that raises: below the horizon.
     ("a PU label below the horizon that is not stored", _graph_with_history,
      lambda g: (g.slot, False, next(s for s in range(g.horizon) if pu(s) not in g.pu_nodes),
-                1, 1, 3)),
+                1, 3)),
 ])
 def test_each_argument_check_raises_from_run_slot_as_from_the_composed_steps(check, build, args):
     g = build()

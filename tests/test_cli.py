@@ -166,10 +166,43 @@ def test_q_max_does_not_change_the_output(tmp_path):
     metas = [json.loads(p["metadata"].read_text()) for p in paths]
     assert [m["config"].pop("q_max") for m in metas] == [1, 3]
     assert metas[0] == metas[1]
-    # the first state is the only one with an empty queue, at (t, d) = (0, 0)
+    # a compact state is the phase and the tracked try count
     states = [st for line in paths[0]["policies"].open() for st in json.loads(line)["states"]]
-    assert {(st["t"], st["d"]) for st in states if st["empty"]} == {(0, 0)}
+    assert states and all(set(st) == {"cd", "t", "mu"} for st in states)
     assert any("backlogged" in a and "q_max" in a for a in metas[0]["assumptions"])
+
+
+@pytest.mark.parametrize("r_max,d_maxes", [(5, (5, 8)), (3, (3, 6))])
+def test_d_max_does_not_change_the_output(tmp_path, r_max, d_maxes):
+    # The PU sends in every slot, so a packet's delay is its try count and
+    # the retransmission deadline r_max <= d_max ends it first: the delay
+    # deadline changes nothing the CLI writes but the config echo.
+    text = GOOD.replace("r_max = 3", f"r_max = {r_max}")
+    paths = [run_experiment(write(tmp_path, text.replace("d_max = 3", f"d_max = {d}"),
+                                  name=f"d{d}.cfg"), tmp_path / f"d{d}")
+             for d in d_maxes]
+    assert paths[0]["results"].read_bytes() == paths[1]["results"].read_bytes()
+    assert paths[0]["policies"].read_bytes() == paths[1]["policies"].read_bytes()
+    metas = [json.loads(p["metadata"].read_text()) for p in paths]
+    assert [m["config"].pop("d_max") for m in metas] == list(d_maxes)
+    assert metas[0] == metas[1]
+    assert any("backlogged" in a and "d_max" in a for a in metas[0]["assumptions"])
+
+
+def test_floor_is_the_closed_form_fraction_of_the_idle_su_pu_throughput(tmp_path):
+    # The PU sends in every slot, so with the SU idle its throughput is its
+    # decoding probability without interference; every row's floor is that
+    # times constraint_fraction, to the last bit.
+    path = write(tmp_path, GOOD)
+    cfg = load_config(path)
+    rates = cli._resolve_rates(cfg)
+    rows = csv.DictReader(run_experiment(path, tmp_path / "out")["results"].open())
+    floors = {(r["scheme"], float(r["sweep_value"])): r["value"] for r in rows
+              if r["metric"] == "constraint_min"}
+    assert len(floors) == 2 * 3
+    for (_, value), floor in floors.items():
+        system = SystemConfig(cli._point_snr(cfg, value), rates, PuConfig(cfg.r_max))
+        assert floor == repr(cfg.constraint_fraction * system.success_probs()[0])
 
 
 def test_far_rates_with_a_vanishing_mean_run(tmp_path):
@@ -350,7 +383,7 @@ def test_metadata_reports_solver_diagnostics(tmp_path):
         if r["randomized_state"] is None:
             assert not mixed and pol["mix_weight"] is None
         else:
-            assert {k: mixed[0][k] for k in ("cd", "t", "d", "empty")} == r["randomized_state"]
+            assert {k: mixed[0][k] for k in ("cd", "t")} == r["randomized_state"]
             assert pol["mix_weight"] == mixed[0]["mu"]
     # the floor binds at the larger cross link, so some solve randomizes
     assert any(r["randomized_state"] for r in solves)
@@ -393,10 +426,10 @@ n_slots = 2000
 
 @pytest.mark.parametrize("sweep", ["readme", "analytic"])
 def test_idle_evaluation_equals_the_closed_form_pu_throughput(tmp_path, sweep):
-    # The PU floor is a fraction of the idle policy's evaluated PU
-    # throughput.  The PU is backlogged, so that value is the closed form
-    # success_probs()[0], up to how numpy's BLAS orders the stationary sum.
-    # This pins that rounding to 2 ulp on every kernel both sweeps solve.
+    # The PU floor is a fraction of the closed form success_probs()[0],
+    # the PU's throughput with the SU idle.  The idle policy's evaluation on
+    # every kernel both sweeps solve is an oracle for that closed form: it
+    # agrees to 2 ulp, the rounding of the stationary sum.
     if sweep == "readme":
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         text = re.search(r"```\n(mean_gamma_s = .*?)```", readme, re.S).group(1)
@@ -404,7 +437,7 @@ def test_idle_evaluation_equals_the_closed_form_pu_throughput(tmp_path, sweep):
         text = ANALYTIC_SWEEP
     cfg = load_config(write(tmp_path, text))
     rates = cli._resolve_rates(cfg)
-    pu_cfg = PuConfig(cfg.r_max, cfg.d_max)
+    pu_cfg = PuConfig(cfg.r_max)
     models = [GenieModel(pu_cfg), *(scheme_model(SchemeKind(s), pu_cfg) for s in cfg.schemes)]
     kernels = 0
     for value in cfg.sweep_values:

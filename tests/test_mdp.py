@@ -32,8 +32,8 @@ PROBS = RegionProbabilities(0.06, 0.15, 0.07, 0.26, 0.20, 0.10, 0.16)
 RHO = (0.62, 0.32)
 
 
-def make_space(r_max=5, d_max=5, probs=PROBS, rho=RHO):
-    cfg = PuConfig(r_max, d_max)
+def make_space(r_max=5, probs=PROBS, rho=RHO):
+    cfg = PuConfig(r_max)
     model = ChainDecodingModel(cfg)
     space = enumerate_space(model, cfg, probs, rho)
     return space, build_kernel(space)
@@ -46,24 +46,19 @@ def test_kernel_rows_sum_to_one():
 
 def test_space_size_is_phase_times_arq_product():
     space, _ = make_space(r_max=5)
-    # backlogged chain: (t, d) = (k, k) plus the empty-queue start, times
-    # the R_max + 2 decoding phases
-    assert len(space.table.triples) == 6
-    assert space.n == 6 * (5 + 2)
+    # the R_max try counts times the R_max + 2 decoding phases
+    assert space.n == 5 * (5 + 2)
 
 
 def test_single_try_deadline_funnels_to_cycle_start():
     # with a one-transmission deadline every PU slot completes, so from any
-    # state where the backlogged PU actually transmits (a full queue) the
-    # next state sits in the unknown phase at t = 0
-    space, kernel = make_space(r_max=1, d_max=2)
+    # state the next state sits in the unknown phase at t = 0
+    space, kernel = make_space(r_max=1)
     idx_ok = {
         j for j, s in enumerate(space.states) if s.cd == ("U", 0) and s.t == 0
     }
     checked = 0
     for i, s in enumerate(space.states):
-        if s.empty:
-            continue
         for a in (0, 1):
             support = set(np.nonzero(kernel.p[i, a])[0])
             assert support <= idx_ok
@@ -92,7 +87,7 @@ def test_policy_vector_shape_checked():
 
 
 def test_access_policy_validation():
-    s = MdpState(("U", 0), 0, 0, True)
+    s = MdpState(("U", 0), 0)
     with pytest.raises(ValueError):
         AccessPolicy({s: 1.5})
 
@@ -111,10 +106,10 @@ def test_vacuous_constraint_returns_unconstrained_optimum():
 
 def test_unconstrained_optimum_matches_exhaustive_search():
     # every deterministic policy on the reachable states of a small model
-    space, kernel = make_space(r_max=2, d_max=2)
+    space, kernel = make_space(r_max=2)
     rep = solve_constrained(space, kernel, 0.0)
     reachable = np.flatnonzero(space.reachable)
-    assert reachable.size == 6
+    assert reachable.size == 5
     best = -1.0
     for assign in itertools.product((0.0, 1.0), repeat=reachable.size):
         mu = np.zeros(space.n)
@@ -162,7 +157,7 @@ def test_kernel_matches_empirical_frequencies_small():
 
     snr = AvgSnrConfig(5.0, 5.0, 10.0, 2.0)
     rates = RatePair(1.9140575925881422, 2.5182556953531106)
-    pu_cfg = PuConfig(5, 5)
+    pu_cfg = PuConfig(5)
     system = SystemConfig(snr, rates, pu_cfg)
     probs = region_probabilities(snr, rates, 500_000, np.random.default_rng(0))
     space = enumerate_space(ChainDecodingModel(pu_cfg), pu_cfg, probs, system.success_probs())
@@ -175,10 +170,10 @@ def test_kernel_matches_empirical_frequencies_small():
     )
     counts = defaultdict(lambda: defaultdict(int))
     for i in range(len(recs) - 1):
-        ph, b, t, d, a = recs[i]
-        ph2, b2, t2, d2, _ = recs[i + 1]
-        s = space.index[MdpState((ph, b), t, d, i == 0)]
-        s2 = space.index[MdpState((ph2, b2), t2, d2, False)]
+        ph, b, t, a = recs[i]
+        ph2, b2, t2, _ = recs[i + 1]
+        s = space.index[MdpState((ph, b), t)]
+        s2 = space.index[MdpState((ph2, b2), t2)]
         counts[(s, a)][s2] += 1
     checked = 0
     for (i, a), row in counts.items():
@@ -211,7 +206,7 @@ def test_unused_states_take_the_lagrangian_greedy_action(monkeypatch, frac, r_ma
     linprog = scipy.optimize.linprog
     monkeypatch.setattr(scipy.optimize, "linprog",
                         lambda *a, **k: results.append(linprog(*a, **k)) or results[-1])
-    space, kernel = make_space(r_max=r_max, d_max=r_max)
+    space, kernel = make_space(r_max=r_max)
     cap = evaluate_policy(space, kernel, np.zeros(space.n)).pu_throughput
     rep = solve_constrained(space, kernel, frac * cap)
     (res,) = results
@@ -228,7 +223,9 @@ def test_unused_states_take_the_lagrangian_greedy_action(monkeypatch, frac, r_ma
     assert single.sum() >= 2
     assert np.array_equal(gain[single] > 0.0, x[single, 1] > 1e-12)
     silent = ~occupied & strict
-    assert silent.sum() >= 1
+    # At the looser floor the LP occupies every reachable state; the tighter
+    # one leaves states to the rule.
+    assert silent.sum() >= 1 if frac == 0.95 else occupied.all()
     mu = np.array([rep.policy.probs[space.states[i]] for i in ridx])
     assert np.array_equal(mu[silent], (gain[silent] > 0.0).astype(float))
 
@@ -244,19 +241,18 @@ _region_vectors = st.lists(st.floats(1e-3, 1.0), min_size=7, max_size=7).map(_no
 @given(
     probs=_region_vectors,
     r_max=st.integers(1, 5),
-    extra_d=st.integers(0, 2),
     rho0=st.floats(0.05, 0.95),
     rho_ratio=st.floats(0.0, 1.0),
     frac=st.floats(0.0, 0.99),
     scheme=st.sampled_from(["chain_decoding", "fic_bic", "fic_only", "no_fic_bic", "genie"]),
 )
 # The LP's policy at HiGHS's default tolerance missed this floor by 4.4e-8.
-@example(probs=_normalized([1.0, 0.0625, 1.0, 0.125, 0.03125, 1.0, 1.0]), r_max=5, extra_d=0,
+@example(probs=_normalized([1.0, 0.0625, 1.0, 0.125, 0.03125, 1.0, 1.0]), r_max=5,
          rho0=0.75, rho_ratio=0.0, frac=0.5, scheme="fic_bic")
-def test_solver_properties_and_pi_oracle(probs, r_max, extra_d, rho0, rho_ratio, frac, scheme):
+def test_solver_properties_and_pi_oracle(probs, r_max, rho0, rho_ratio, frac, scheme):
     from cogarq.simulator import GenieModel, SchemeKind, scheme_model
 
-    cfg = PuConfig(r_max, max(2, r_max) + extra_d)
+    cfg = PuConfig(r_max)
     model = GenieModel(cfg) if scheme == "genie" else scheme_model(SchemeKind(scheme), cfg)
     space = enumerate_space(model, cfg, probs, (rho0, rho0 * rho_ratio))
     kernel = build_kernel(space)
@@ -278,7 +274,7 @@ def test_floor_below_the_default_lp_tolerance_is_met():
     from cogarq.simulator import SchemeKind, scheme_model
 
     probs = RegionProbabilities(*(np.ones(7) / 7).tolist())
-    cfg = PuConfig(1, 2)
+    cfg = PuConfig(1)
     space = enumerate_space(scheme_model(SchemeKind.CHAIN_DECODING, cfg), cfg, probs, (0.5, 0.0))
     kernel = build_kernel(space)
     floor = 5.96e-8 * evaluate_policy(space, kernel, np.zeros(space.n)).pu_throughput
@@ -324,32 +320,31 @@ def test_step_table_kernel_is_byte_equal_to_the_scalar_oracle(scheme, r_max):
     rng = np.random.default_rng([r_max, len(scheme)])
     rhos = [(0.62, 0.32), (0.9, 0.0), (1.0, 1.0), (1.0, 0.25)] + [
         tuple(sorted(rng.random(2), reverse=True)) for _ in range(4)]
-    for d_max in (max(2, r_max), r_max + 2):
-        cfg = PuConfig(r_max, d_max)
-        model = GenieModel(cfg) if scheme == "genie" else scheme_model(SchemeKind(scheme), cfg)
-        tiny = ((1.0 - 2.0**-53, 1.0 - 2.0**-53), _normalized([1.0] * 4 + [1e-310] + [1.0] * 2))
-        for rho, probs in [(rho, _random_regions(rng)) for rho in rhos] + [tiny]:
-            space = enumerate_space(model, cfg, probs, rho)
-            kernel, oracle = build_kernel(space), scalar_kernel(space)
-            for got, want in ((kernel.p, oracle.p), (kernel.r_su, oracle.r_su),
-                              (kernel.r_pu, oracle.r_pu)):
-                assert got.tobytes() == want.tobytes(), (cfg, rho, probs)
-            reachable = {s for s, r in zip(space.states, space.reachable) if r}
-            assert reachable == scalar_reachable(model, cfg, probs, rho), (cfg, rho, probs)
+    cfg = PuConfig(r_max)
+    model = GenieModel(cfg) if scheme == "genie" else scheme_model(SchemeKind(scheme), cfg)
+    tiny = ((1.0 - 2.0**-53, 1.0 - 2.0**-53), _normalized([1.0] * 4 + [1e-310] + [1.0] * 2))
+    for rho, probs in [(rho, _random_regions(rng)) for rho in rhos] + [tiny]:
+        space = enumerate_space(model, cfg, probs, rho)
+        kernel, oracle = build_kernel(space), scalar_kernel(space)
+        for got, want in ((kernel.p, oracle.p), (kernel.r_su, oracle.r_su),
+                          (kernel.r_pu, oracle.r_pu)):
+            assert got.tobytes() == want.tobytes(), (cfg, rho, probs)
+        reachable = {s for s, r in zip(space.states, space.reachable) if r}
+        assert reachable == scalar_reachable(model, cfg, probs, rho), (cfg, rho, probs)
 
 
 @pytest.mark.parametrize("r_max", [2, 4])
-def test_certain_pu_success_keeps_the_nack_triples_unreachable(r_max):
-    # The step table's (t, d, empty) triples take no probability.  With the
-    # PU's packet decoded for certain under both SU actions, no NACK occurs,
-    # so the triples a NACK leads to are in the table but never reachable,
+def test_certain_pu_success_keeps_the_nack_try_counts_unreachable(r_max):
+    # The step table's try counts take no probability.  With the PU's
+    # packet decoded for certain under both SU actions, no NACK occurs, so
+    # the try counts a NACK leads to are in the table but never reachable,
     # and the solved policy idles in each of their states.
-    cfg = PuConfig(r_max, r_max)
-    space, kernel = make_space(r_max, r_max, rho=(1.0, 1.0))
-    assert space.table.triples == sorted([(t, t, False) for t in range(r_max)] + [(0, 0, True)])
-    reachable = {s[1:] for s, r in zip(space.states, space.reachable) if r}
-    assert reachable == {(0, 0, False), (0, 0, True)}
-    assert reachable == {s[1:] for s in scalar_reachable(space.model, cfg, PROBS, (1.0, 1.0))}
+    cfg = PuConfig(r_max)
+    space, kernel = make_space(r_max, rho=(1.0, 1.0))
+    assert sorted({s.t for s in space.states}) == list(range(r_max))
+    reachable = {s.t for s, r in zip(space.states, space.reachable) if r}
+    assert reachable == {0}
+    assert reachable == {s.t for s in scalar_reachable(space.model, cfg, PROBS, (1.0, 1.0))}
     rep = solve_constrained(space, kernel, 0.5)
     assert all(rep.policy.probs[s] == 0.0 for s, r in zip(space.states, space.reachable) if not r)
     assert rep.pu_throughput == 1.0

@@ -5,32 +5,36 @@ from cogarq.channel import RatePair
 from cogarq.pu_system import PuConfig
 from cogarq.pu_tracker import PuFeedback, update
 
-from _oracles import LinkGains, PuState, advance, step
+from _oracles import IDLE, LinkGains, PuState, QueueConfig, advance, step
 
 R11 = RatePair(1.0, 1.0)
 
 
 def cfg_for(r_max=5, d_max=5):
-    return PuConfig(r_max, d_max)
+    """The oracle PU's deadlines."""
+    return QueueConfig(r_max, d_max)
 
 
 def test_completion_examples():
-    cfg = cfg_for(r_max=5, d_max=5)
-    assert update(0, 0, PuFeedback.IDLE, cfg) == (0, 0, 0)
-    assert update(2, 2, PuFeedback.ACK, cfg) == (1, 0, 0)
-    assert update(4, 4, PuFeedback.NACK, cfg) == (1, 0, 0)  # ARQ deadline
-    assert update(1, 1, PuFeedback.NACK, cfg) == (0, 2, 2)
+    cfg = PuConfig(5)
+    assert update(2, PuFeedback.ACK, cfg) == (1, 0)
+    assert update(4, PuFeedback.NACK, cfg) == (1, 0)  # ARQ deadline
+    assert update(1, PuFeedback.NACK, cfg) == (0, 2)
+    assert update(0, PuFeedback.NACK, PuConfig(1)) == (1, 0)  # one try only
 
 
-def test_completion_delay_deadline_without_transmission():
+def test_oracle_completion_delay_deadline_without_transmission():
     cfg = cfg_for(r_max=3, d_max=6)
-    assert update(2, 5, PuFeedback.IDLE, cfg) == (1, 0, 0)
-    assert update(2, 5, PuFeedback.NACK, cfg) == (1, 0, 0)
+    assert advance(PuState(2, 5, 1), 0, 0, False, cfg, 3) == (IDLE, 1, PuState(0, 0, 0))
+    assert advance(PuState(2, 5, 1), 0, 1, False, cfg, 3) == (
+        PuFeedback.NACK, 1, PuState(0, 0, 0))
     # below the deadline an idle slot keeps the session open and ages it
-    assert update(2, 4, PuFeedback.IDLE, cfg) == (0, 2, 5)
+    assert advance(PuState(2, 4, 1), 0, 0, False, cfg, 3) == (IDLE, 0, PuState(2, 5, 1))
 
 
 def test_config_validation():
+    with pytest.raises(ValueError):
+        PuConfig(0)
     with pytest.raises(ValueError):
         cfg_for(r_max=0)
     with pytest.raises(ValueError):
@@ -39,17 +43,15 @@ def test_config_validation():
         cfg_for(d_max=1, r_max=1)  # degenerate delay deadline
 
 
-def test_empty_queue_never_transmits():
-    cfg = cfg_for()
-    assert cfg.transmit_prob(True) == 0.0
-    assert cfg.transmit_prob(False) == 1.0
+def test_backlogged_pu_always_transmits():
+    assert PuConfig(5).transmit_prob() == 1.0
 
 
 def test_step_idle_empty_queue_accumulates_arrivals():
     cfg = cfg_for()
     res = step(PuState(0, 0, 0), 2, 0, LinkGains(0, 0, 9, 0), R11,
                np.random.default_rng(0), cfg, 5)
-    assert res.a_p == 0 and res.y == PuFeedback.IDLE
+    assert res.a_p == 0 and res.y == IDLE
     assert res.next_state == PuState(0, 0, 2)
     assert res.label_event is None
 
@@ -86,7 +88,7 @@ def _random_trajectory(seed, n_slots=300, policy=None):
     q_max = int(rng.integers(1, 4))
     pmf = rng.dirichlet(np.ones(q_max + 1))
     pol = policy or (lambda t, d, q: 0.7)
-    cfg = PuConfig(r_max, d_max)
+    cfg = cfg_for(r_max, d_max)
     state = PuState()
     out = []
     for n in range(n_slots):

@@ -5,8 +5,9 @@ import pytest
 
 from cogarq import simulator
 from cogarq.channel import AvgSnrConfig, RatePair
-from cogarq.mdp import AccessPolicy, build_kernel, enumerate_space, evaluate_policy, solve_constrained
+from cogarq.mdp import AccessPolicy, build_kernel, enumerate_space, solve_constrained
 from cogarq.pu_system import PuConfig
+from cogarq.pu_tracker import PuFeedback
 from cogarq.simulator import (
     FicBicModel,
     FicOnlyModel,
@@ -37,13 +38,14 @@ RATES = RatePair(1.9140575925881422, 2.5182556953531106)
 
 # SHA-256 of the 5,000-slot chain-decoding trace below (seed 7), one
 # `repr(tuple(record))` per line of its `records`.  It locks every field of every slot, so
-# the receiver's label choices, credits and graph sizes, bit for bit.
-CD_TRACE_SHA256 = "218534b9abf91036a6960eb08d509978c7a09417c814a9c41542800cf3ac73e3"
+# the receiver's label choices, credits and graph sizes, bit for bit.  The slot-by-slot
+# `reference_run` gives the same digest for the same policy and seed.
+CD_TRACE_SHA256 = "e3c6feb8612262956d8ad504ca1f6c6d9a735244e3b8072dd4cb3774e06cdc15"
 
 
-def small_system(mean_ps=5.0, mean_sp=2.0, r_max=5, d_max=5):
+def small_system(mean_ps=5.0, mean_sp=2.0, r_max=5):
     snr = AvgSnrConfig(5.0, mean_ps, 10.0, mean_sp)
-    return SystemConfig(snr, RATES, PuConfig(r_max, d_max))
+    return SystemConfig(snr, RATES, PuConfig(r_max))
 
 
 def solved_policy(system, scheme, fraction=0.8, samples=300_000):
@@ -51,10 +53,7 @@ def solved_policy(system, scheme, fraction=0.8, samples=300_000):
     probs = region_probabilities(system.snr, system.rates, samples, rng)
     model = scheme_model(scheme, system.pu)
     space = enumerate_space(model, system.pu, probs, system.success_probs())
-    kernel = build_kernel(space)
-    idle = evaluate_policy(space, kernel, np.zeros(space.n))
-    rep = solve_constrained(space, kernel, fraction * idle.pu_throughput)
-    return rep
+    return solve_constrained(space, build_kernel(space), fraction * system.success_probs()[0])
 
 
 def test_same_seed_reproduces_everything():
@@ -117,26 +116,26 @@ def test_mc_tracks_analytic_on_short_run():
 def test_window_receiver_backward_release():
     rx = WindowReceiver(bic=True)
     # slot 0: buffered dependency (outcome 5), slot 1: direct PU decode
-    assert rx.record(1, 1, 0, 5, 0) == 0
-    assert rx.record(1, 1, 0, 3, 0) == 1  # buffered packet released
+    assert rx.record(1, 0, 5, 0) == 0
+    assert rx.record(1, 0, 3, 0) == 1  # buffered packet released
     assert rx.decoded == 1
 
 
 def test_window_receiver_forward_only_never_releases_backward():
     rx = WindowReceiver(bic=False)
-    assert rx.record(1, 1, 0, 5, 0) == 0
-    assert rx.record(1, 1, 0, 3, 0) == 0  # no backward release
+    assert rx.record(1, 0, 5, 0) == 0
+    assert rx.record(1, 0, 3, 0) == 0  # no backward release
     # forward: the PU packet is now known, a clean-channel outcome decodes
-    assert rx.record(1, 1, 0, 5, 0) == 1
+    assert rx.record(1, 0, 5, 0) == 1
     assert rx.decoded == 1
 
 
 def test_window_receiver_clears_at_completion():
     rx = WindowReceiver(bic=True)
-    rx.record(1, 1, 0, 5, 1)  # buffered, but the window closes immediately
+    rx.record(1, 0, 5, 1)  # buffered, but the window closes immediately
     assert not rx.graph.su_nodes and not rx.graph.pu_nodes
     # next window: old buffer is gone, a PU decode releases nothing
-    assert rx.record(1, 1, 1, 3, 0) == 0
+    assert rx.record(1, 1, 3, 0) == 0
 
 
 def test_checker_accepts_short_cd_run():
@@ -171,18 +170,18 @@ def _hand_trace():
     """
     mk = lambda **kw: TraceRecord(**{
         "l_s": None, "r_s": 0, "m_before": 0, "phase": "U", "b_s": 0,
-        "y_p": 0, "g_nodes": 0, "g_edges": 0,
+        "g_nodes": 0, "g_edges": 0,
         **kw})
     recs = [
-        mk(n=0, a_s=1, a_p=1, y_p=2, y=5, o=0, t=0, d=0, tr_t=0, tr_d=0,
+        mk(n=0, a_s=1, y_p=2, y=5, o=0, t=0, tr_t=0,
            tr_label=0, true_label=0, l_s=0, v_before=1, cycle_start=True),
-        mk(n=1, a_s=1, a_p=1, y_p=1, y=6, o=1, t=1, d=1, tr_t=1, tr_d=1,
+        mk(n=1, a_s=1, y_p=1, y=6, o=1, t=1, tr_t=1,
            tr_label=0, true_label=0, l_s=1, v_before=1, b_s=1, cycle_start=False),
-        mk(n=2, a_s=1, a_p=1, y_p=2, y=5, o=0, t=0, d=0, tr_t=0, tr_d=0,
+        mk(n=2, a_s=1, y_p=2, y=5, o=0, t=0, tr_t=0,
            tr_label=2, true_label=2, l_s=1, v_before=2, cycle_start=True),
-        mk(n=3, a_s=0, a_p=1, y_p=1, y=3, o=1, t=1, d=1, tr_t=1, tr_d=1,
+        mk(n=3, a_s=0, y_p=1, y=3, o=1, t=1, tr_t=1,
            tr_label=2, true_label=2, r_s=2, v_before=2, b_s=1, cycle_start=False),
-        mk(n=4, a_s=0, a_p=1, y_p=2, y=4, o=0, t=0, d=0, tr_t=0, tr_d=0,
+        mk(n=4, a_s=0, y_p=2, y=4, o=0, t=0, tr_t=0,
            tr_label=4, true_label=4, m_before=2, v_before=1, cycle_start=True),
     ]
     return recs
@@ -219,7 +218,7 @@ def test_hand_built_trace_detects_corruption():
 def test_tracker_mismatch_detected():
     system = small_system()
     recs = _hand_trace()
-    bad = recs[2]._replace(tr_t=1)
+    bad = recs[2]._replace(tr_t=1, tr_label=1)
     report = _reports(recs[:2] + [bad] + recs[3:], system)
     assert any("tracker" in v for v in report.violations)
 
@@ -263,20 +262,17 @@ def test_fic_only_reports_its_drops():
 
 
 def test_scheme_models_expose_consistent_tables():
-    pu_cfg = PuConfig(4, 5)
+    pu_cfg = PuConfig(4)
     for model in (FicBicModel(pu_cfg), FicOnlyModel(pu_cfg),
                   NoFicBicModel(pu_cfg), GenieModel(pu_cfg)):
         states = model.cd_states(pu_cfg)
         assert model.initial_cd() in states
         for cd in states:
             for a_s in (0, 1):
-                for a_p in (0, 1):
-                    for y in range(1, 8):
-                        for o in (0, 1):
-                            nxt = model.next_cd(cd, a_s, a_p, y, o)
-                            assert nxt in states
-                            r = model.reward(cd, a_s, a_p, y)
-                            assert r >= 0
+                for y in range(1, 8):
+                    for o in (0, 1):
+                        assert model.next_cd(cd, a_s, y, o) in states
+                        assert model.reward(cd, a_s, y) >= 0
 
 
 def _constant_policy(system, scheme, mu=0.6):
@@ -292,8 +288,7 @@ def _constant_policy(system, scheme, mu=0.6):
 @pytest.mark.parametrize("r_max", [2, 3, 5])
 @pytest.mark.parametrize("mean_ps", [0.5, 5.0, 25.0])  # cross-link ratios 0.1, 1 and 5
 def test_baselines_match_the_graph_receiver_oracle(mean_ps, r_max):
-    # The backlogged PU idles in slot 0 and sends in every later slot.
-    pu_cfg = PuConfig(r_max, r_max + 1)
+    pu_cfg = PuConfig(r_max)
     system = SystemConfig(AvgSnrConfig(5.0, mean_ps, 10.0, 2.0), RATES, pu_cfg)
     n_slots = 6_000
     for scheme in (SchemeKind.FIC_BIC, SchemeKind.FIC_ONLY, SchemeKind.NO_FIC_BIC):
@@ -305,16 +300,15 @@ def test_baselines_match_the_graph_receiver_oracle(mean_ps, r_max):
         decoded = 0
         for rec in trace:
             if scheme is SchemeKind.NO_FIC_BIC:
-                want = memoryless_decode(rec.a_s, rec.a_p, rec.y)
+                want = memoryless_decode(rec.a_s, rec.y)
             else:
-                want = rx.record(rec.a_s, rec.a_p, rec.n - rec.tr_d, rec.y, rec.o)
+                want = rx.record(rec.a_s, rec.n - rec.tr_t, rec.y, rec.o)
             assert rec.r_s == want, (scheme, rec)
             decoded += want
         # every baseline transmission sends a fresh packet
         drops = sum(rec.a_s for rec in trace) - decoded
         assert m.decoded_total == decoded
         assert m.drop_rate == drops / n_slots
-        assert [rec.a_p for rec in trace] == [0] + [1] * (n_slots - 1)
         if scheme is SchemeKind.FIC_BIC and mean_ps > 1.0:
             assert drops > 0
 
@@ -354,7 +348,7 @@ def _column(chunks, name):
 @pytest.mark.parametrize("r_max", [2, 3, 5])
 @pytest.mark.parametrize("scheme", list(SchemeKind))
 def test_run_matches_the_slot_by_slot_reference(scheme, r_max):
-    pu_cfg = PuConfig(r_max, r_max + 1)
+    pu_cfg = PuConfig(r_max)
     system = SystemConfig(AvgSnrConfig(5.0, 5.0, 10.0, 2.0), RATES, pu_cfg)
     chunks = _matches_reference(scheme, _constant_policy(system, scheme), system, 23, 3_000)
     assert set(_column(chunks, "a_s").tolist()) == {0, 1}
@@ -378,7 +372,7 @@ class _AnyState(dict):
 
 @pytest.mark.parametrize("scheme", list(SchemeKind))
 def test_run_matches_the_reference_with_two_mixed_mus(scheme):
-    system = SystemConfig(AvgSnrConfig(5.0, 5.0, 10.0, 2.0), RATES, PuConfig(4, 5))
+    system = SystemConfig(AvgSnrConfig(5.0, 5.0, 10.0, 2.0), RATES, PuConfig(4))
     chunks = _matches_reference(scheme, AccessPolicy(_AnyState()), system, 29, 4_000, batches=7)
     states = chunks[0].states
     mus = {_AnyState.MUS[states[s][1] % 4] for s in _column(chunks, "sid")}
@@ -394,7 +388,7 @@ def test_run_matches_the_reference_across_slices_and_groups(monkeypatch, scheme,
     # generator, set by the pre-pass.
     monkeypatch.setattr(simulator, "_SLICE", 1_000)
     monkeypatch.setattr(simulator, "_GROUP", 300)
-    system = SystemConfig(snr, RATES, PuConfig(4, 5))
+    system = SystemConfig(snr, RATES, PuConfig(4))
     _matches_reference(scheme, AccessPolicy(_AnyState()), system, 41, 5_000, batches=7)
 
 
@@ -403,14 +397,14 @@ def test_remembered_decoded_slots_stay_bounded():
     system = small_system()
     rep = solved_policy(system, SchemeKind.CHAIN_DECODING)
     m = run(SchemeKind.CHAIN_DECODING, rep.policy, system, 11, 200_000)
-    assert 0 < m.graph_max_decoded <= system.pu.d_max + m.graph_max_nodes
+    assert 0 < m.graph_max_decoded <= system.pu.r_max + m.graph_max_nodes
 
 
 def test_a_draw_equal_to_its_access_probability_does_not_transmit():
     # The SU access draws are the fourth stream of the seed.
     n, seed = 2_000, 31
     su_u = np.random.default_rng(np.random.SeedSequence(seed).spawn(4)[3]).random(n)
-    system = SystemConfig(AvgSnrConfig(5.0, 5.0, 10.0, 2.0), RATES, PuConfig(5, 5))
+    system = SystemConfig(AvgSnrConfig(5.0, 5.0, 10.0, 2.0), RATES, PuConfig(5))
     mu = float(su_u[777])
     policy = _constant_policy(system, SchemeKind.FIC_BIC, mu)
     chunks = _matches_reference(SchemeKind.FIC_BIC, policy, system, seed, n)
@@ -419,14 +413,19 @@ def test_a_draw_equal_to_its_access_probability_does_not_transmit():
 
 
 @pytest.mark.parametrize("scheme", list(SchemeKind))
-def test_backlogged_pu_idles_in_slot_0_only(scheme):
+def test_backlogged_pu_sends_in_every_slot(scheme):
     system = small_system()
     chunks = []
     m = run(scheme, _constant_policy(system, scheme), system, 37, 2_000, trace_hook=chunks.append)
-    assert _column(chunks, "a_p").tolist() == [0] + [1] * 1_999
-    # slot 0's state is the only one with an empty queue
-    states = chunks[0].states
-    assert [states[i].empty for i in _column(chunks, "sid")] == [True] + [False] * 1_999
+    # feedback in every slot, slot 0 included: the PU is never idle
+    y_p = _column(chunks, "y_p")
+    assert set(y_p.tolist()) == {PuFeedback.ACK, PuFeedback.NACK}
+    assert m.pu_throughput == pytest.approx(np.mean(y_p == PuFeedback.ACK), abs=1e-15)
+    # the tracked try count is the true one in every slot, from a cycle
+    # that starts in slot 0
+    states, t = chunks[0].states, _column(chunks, "t")
+    assert [states[i].t for i in _column(chunks, "sid")] == t.tolist()
+    assert t[0] == 0 and t.max() == system.pu.r_max - 1
     want = reference_run(scheme, _constant_policy(system, scheme), system, 37, 2_000)
     assert m.states_visited == want.states_visited
 
@@ -471,11 +470,11 @@ def traces():
 
 def _mutant(chunk, kind, rng):
     """The chunk with one kind of fault planted at seeded slots."""
-    cols = {c: getattr(chunk, c).copy() for c in ("y", "d", "v")}
+    cols = {c: getattr(chunk, c).copy() for c in ("y", "t", "v")}
     pick = lambda mask: rng.choice(np.flatnonzero(mask), size=3, replace=False)
-    cycle_starts = (chunk.a_p == 1) & (chunk.t == 0)
-    if kind == "tracker":
-        cols["d"][pick(chunk.a_p == 1)] += 1
+    cycle_starts = chunk.t == 0
+    if kind == "tracker":  # a true t off the tracked one, away from the cycle starts
+        cols["t"][pick(chunk.t > 0)] += 1
     elif kind == "outcome-range":
         cols["y"][pick(np.ones(len(chunk.y), bool))] = [0, 8, -3]
     elif kind == "compact-state":
