@@ -13,19 +13,18 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import gc
 import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .channel import AvgSnrConfig, RatePair, exact_region_probabilities, optimize_rate
+from .channel import SU_CLEAN, AvgSnrConfig, RatePair, exact_region_probabilities, optimize_rate
 from .mdp import (
     InfeasibleConstraintError,
     SolveReport,
@@ -35,7 +34,6 @@ from .mdp import (
 )
 from .pu_system import PuConfig
 from .simulator import (
-    GenieModel,
     SchemeKind,
     SystemConfig,
     TraceInvariantChecker,
@@ -55,8 +53,6 @@ _MAX_OPTIMIZED_MEAN = 1e150
 # (2^rate_s - 1)(2^rate_p - 1) < 2^(rate_s + rate_p), which is finite below 2^1024.
 _MAX_RATE_SUM = 1023
 _SCHEMES = {s.value: s for s in SchemeKind}
-# One genie model per PuConfig, like `scheme_model`, so its step table is built once.
-_genie_model = functools.cache(GenieModel)
 
 
 class ConfigError(ValueError):
@@ -84,14 +80,10 @@ class ExperimentConfig:
     r_max: int = 5
     d_max: int = 5
     q_max: int = 1
-    arrivals: str = "saturate"
-    pu_policy: str = "always"
-    constraint_component: str = "throughput"
     constraint_fraction: float = 0.8
     schemes: tuple = tuple(s.value for s in SchemeKind)
     seed: int = 1
     n_slots: int = 100_000
-    region_samples: int = 1_000_000
     workers: int = 1
 
     def validate(self):
@@ -133,32 +125,26 @@ class ExperimentConfig:
                     f"({other} = {rates[other]!r}), so that the region probabilities' "
                     "(2^rate_s - 1)(2^rate_p - 1) stays finite", (other,))
         require(self.r_max >= 1, "r_max", ">= 1")
-        # The PU is backlogged and the floor is on its throughput, so
-        # arrivals, pu_policy and constraint_component take one value each,
-        # and neither q_max, the PU's queue capacity, nor d_max, its delay
-        # deadline, affects anything: the PU sends in every slot, so a
-        # packet's delay is its try count, which r_max <= d_max ends first.
-        # All five are still validated, so that older configs load.
+        # Neither q_max, the PU's queue capacity, nor d_max, its delay
+        # deadline, affects anything: the PU is backlogged and sends in every
+        # slot, so a packet's delay is its try count, which r_max <= d_max
+        # ends first.  Both are still validated, so that older configs load.
         require(self.d_max >= max(2, self.r_max), "d_max", ">= max(2, r_max)", ("r_max",))
         require(self.q_max >= 1, "q_max", ">= 1")
-        require(self.arrivals == "saturate", "arrivals", "saturate")
-        require(self.pu_policy == "always", "pu_policy", "always")
-        require(self.constraint_component == "throughput", "constraint_component", "throughput")
         require(0.0 <= self.constraint_fraction <= 1.0, "constraint_fraction", "in [0, 1]")
         require(all(s in _SCHEMES for s in self.schemes), "schemes", f"among {tuple(_SCHEMES)}")
         require(self.seed >= 0, "seed", ">= 0")
         require(self.n_slots >= 1, "n_slots", ">= 1")
-        require(self.region_samples >= 1, "region_samples", ">= 1")
         require(self.workers >= 1, "workers", ">= 1")
         return self
 
 
-_INT_KEYS = {"r_max", "d_max", "q_max", "seed", "n_slots", "region_samples", "workers"}
+_INT_KEYS = {"r_max", "d_max", "q_max", "seed", "n_slots", "workers"}
 _FLOAT_KEYS = {
     "mean_gamma_s", "mean_gamma_p", "mean_gamma_ps", "mean_gamma_sp",
     "constraint_fraction",
 }
-_STR_KEYS = {"sweep", "arrivals", "pu_policy", "constraint_component"}
+_STR_KEYS = {"sweep"}
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -238,9 +224,16 @@ def _sweep_point(cfg: ExperimentConfig, rates: RatePair, index: int, check_invar
     simulator run: the counts of its compact-state walk, plus, for chain
     decoding, the high-water marks of its decoding graph
     and its cycle trims.  A solve record holds the LP diagnostics of one
-    constrained solve, the genie's included.  Baseline policies are
-    re-optimized on their own compact models under the same PU floor, so
-    the comparison is between optimized schemes, not one policy reused.
+    scheme's constrained solve.  Baseline policies are re-optimized on
+    their own compact models under the same PU floor, so the comparison is
+    between optimized schemes, not one policy reused.
+
+    The genie-aided ceiling needs no solve.  Its receiver knows every PU
+    packet in advance, so it has one phase and its rewards do not depend on
+    the try count: each SU transmission earns w, the probability of a clean
+    SU link, and costs the PU rho_0 - rho_1.  A policy's values depend only
+    on the fraction phi of slots it sends in, and the optimum is the largest
+    phi the floor allows, min(1, (rho_0 - floor) / (rho_0 - rho_1)).
     """
     value = cfg.sweep_values[index]
     snr = _point_snr(cfg, value)
@@ -248,6 +241,9 @@ def _sweep_point(cfg: ExperimentConfig, rates: RatePair, index: int, check_invar
     system = SystemConfig(snr=snr, rates=rates, pu=pu_cfg)
     probs = exact_region_probabilities(snr.mean_gamma_s, snr.mean_gamma_ps, rates)
     success = system.success_probs()
+    # The PU sends in every slot, so with the SU idle its throughput is its
+    # decoding probability without interference.
+    floor = cfg.constraint_fraction * success[0]
     seed = _run_seed(cfg.seed, index)
 
     rows = []
@@ -265,9 +261,6 @@ def _sweep_point(cfg: ExperimentConfig, rates: RatePair, index: int, check_invar
 
     def solve_for(name, model) -> SolveReport:
         space = enumerate_space(model, pu_cfg, probs, success)
-        # The PU sends in every slot, so with the SU idle its throughput is
-        # its decoding probability without interference.
-        floor = cfg.constraint_fraction * success[0]
         report = solve_constrained(space, build_kernel(space), floor)
         mixed = report.randomized_state
         solves.append({
@@ -281,9 +274,10 @@ def _sweep_point(cfg: ExperimentConfig, rates: RatePair, index: int, check_invar
         })
         return report
 
-    genie = solve_for("genie", _genie_model(pu_cfg))
-    add_row("genie", "analytic_su_throughput", genie.su_throughput)
-    add_row("genie", "constraint_min", genie.constraint_min)
+    regions, (rho0, rho1) = probs.as_array(), success
+    phi = min(1.0, (rho0 - floor) / (rho0 - rho1)) if rho0 > rho1 else 1.0
+    add_row("genie", "analytic_su_throughput", sum(regions[y - 1] for y in sorted(SU_CLEAN)) * phi)
+    add_row("genie", "constraint_min", floor)
 
     for name in cfg.schemes:
         scheme = _SCHEMES[name]
@@ -396,12 +390,10 @@ def run_experiment(
         "assumptions": [
             "baseline access policies re-optimized per scheme on scheme-specific "
             "compact models under the shared PU floor",
-            "region probabilities in closed form from the exponential gain laws; "
-            "region_samples does not affect the output",
-            "the PU is backlogged and transmits in every slot, from slot 0 on; arrivals, "
-            "pu_policy and constraint_component each accept one value (saturate, always, "
-            "throughput), and neither q_max (any value >= 1 is accepted) nor d_max (any "
-            "value >= max(2, r_max) is accepted) affects the output",
+            "region probabilities in closed form from the exponential gain laws",
+            "the PU is backlogged and transmits in every slot, from slot 0 on, and its "
+            "throughput carries the floor; neither q_max (any value >= 1 is accepted) nor "
+            "d_max (any value >= max(2, r_max) is accepted) affects the output",
         ],
         "invariants_checked": check_invariants,
         "invariant_violations": violations,

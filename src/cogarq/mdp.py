@@ -11,9 +11,10 @@ program over state-action occupation measures (Altman, Constrained Markov
 Decision Processes, 1999, ch. 4), whose optimum randomizes in at most one
 state.
 
-`scipy.optimize` and `scipy.sparse.csgraph` are imported where they are
-used, not here: each costs about 0.4 s alone, which a run that stops at
-config validation should not pay.  A full run pays them at its first solve.
+`scipy.optimize` is imported where it is used, not here: it costs about
+0.6 s, which a run that stops at config validation should not pay.  A full
+run pays it at its first solve.  The recurrent class an evaluation needs is
+read off a boolean transitive closure, so no graph library is loaded.
 """
 
 from __future__ import annotations
@@ -257,36 +258,22 @@ def _policy_matrix(kernel: Kernel, mu: np.ndarray):
 
 def _recurrent_stationary(p: np.ndarray, start: int):
     """Stationary distribution supported on a recurrent class reachable from
-    `start`; flags when that class is not unique."""
-    from scipy.sparse.csgraph import connected_components  # see the module docstring
+    `start`; flags when that class is not unique.
 
+    `reach` is the transitive closure of the chain's support, by repeated
+    boolean squaring.  A state is recurrent when every state it reaches
+    reaches it back; its row of `reach` is then its class.  The class of
+    the lowest-indexed recurrent state reachable from `start` is evaluated.
+    """
     n = p.shape[0]
-    support = p > 0.0
-    n_comp, labels = connected_components(support, directed=True, connection="strong")
-    closed = np.ones(n_comp, dtype=bool)
-    for i in range(n):
-        for j in np.nonzero(support[i])[0]:
-            if labels[j] != labels[i]:
-                closed[labels[i]] = False
-    # reachability from start over the support graph
-    seen = np.zeros(n, dtype=bool)
-    seen[start] = True
-    stack = [start]
-    while stack:
-        i = stack.pop()
-        for j in np.nonzero(support[i])[0]:
-            if not seen[j]:
-                seen[j] = True
-                stack.append(j)
-    reach_closed = sorted({labels[i] for i in np.nonzero(seen)[0] if closed[labels[i]]})
-    warning = len(reach_closed) != 1
-    cls = reach_closed[0]
-    members = np.nonzero(labels == cls)[0]
-    sub = p[np.ix_(members, members)]
-    pi_sub = stationary_distribution(sub)
+    reach = (p > 0.0) | np.eye(n, dtype=bool)
+    while not np.array_equal(grown := reach @ reach, reach):
+        reach = grown
+    recurrent = np.flatnonzero(reach[start] & (reach <= reach.T).all(axis=1))
+    members = np.flatnonzero(reach[recurrent[0]])
     pi = np.zeros(n)
-    pi[members] = pi_sub
-    return pi, warning
+    pi[members] = stationary_distribution(p[np.ix_(members, members)])
+    return pi, not reach[recurrent[0], recurrent].all()
 
 
 def evaluate_policy(space: StateSpace, kernel: Kernel, policy) -> EvalResult:

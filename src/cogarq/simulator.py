@@ -77,7 +77,6 @@ __all__ = [
     "FicBicModel",
     "FicOnlyModel",
     "NoFicBicModel",
-    "GenieModel",
     "scheme_model",
     "run",
 ]
@@ -198,31 +197,6 @@ class NoFicBicModel:
 
     def reward(self, cd, a_s, y):
         return _direct_su_decode(a_s, y)
-
-    def next_cd(self, cd, a_s, y, o):
-        return cd
-
-
-class GenieModel:
-    """Hypothetical receiver that always knows the PU packet in advance.
-
-    Not a runnable scheme; used to evaluate the analytic ceiling every
-    scheme meets when the cross link vanishes.
-    """
-
-    name = "genie"
-
-    def __init__(self, cfg: PuConfig | None = None):
-        self._cfg = cfg
-
-    def cd_states(self, cfg: PuConfig | None = None):
-        return [("G", 0)]
-
-    def initial_cd(self):
-        return ("G", 0)
-
-    def reward(self, cd, a_s, y):
-        return a_s * (y in SU_CLEAN)
 
     def next_cd(self, cd, a_s, y, o):
         return cd

@@ -21,6 +21,11 @@ compact models.  The solver's kernel and reachable states are stated
 here one feedback branch and region at a time (`scalar_kernel`,
 `scalar_reachable`), with `update`, `next_cd` and `reward` called
 directly, where the package reads them off one step table per model.
+The genie-aided receiver's compact model (`GenieModel`) lives here: the CLI
+writes its row in closed form, which the solver on this model checks.  The
+evaluation's recurrent class is found here by scipy's strongly connected
+components (`recurrent_stationary`), where the package reads it off a
+boolean transitive closure.
 The Monte Carlo run is stated here slot by slot
 (`reference_run`), on whole-run draws (`draw_gain_arrays`), where the
 package packs input codes one slice at a time, walks entry ids over them
@@ -372,6 +377,32 @@ def memoryless_decode(a_s: int, y: int) -> int:
     """No-FIC/BIC credit: one slot, with the PU sending, on an empty graph,
     forgotten afterwards."""
     return record_slot(CdGraph(), su(0) if a_s else None, pu(0), 0, y)
+
+
+class GenieModel:
+    """Compact model of a receiver that always knows the PU packet in advance.
+
+    Not a runnable scheme: the analytic ceiling every scheme meets when the
+    cross link vanishes.  The CLI writes its row in closed form; this model
+    lets the solver check that closed form.
+    """
+
+    name = "genie"
+
+    def __init__(self, cfg: PuConfig | None = None):
+        self._cfg = cfg
+
+    def cd_states(self, cfg: PuConfig | None = None):
+        return [("G", 0)]
+
+    def initial_cd(self):
+        return ("G", 0)
+
+    def reward(self, cd, a_s, y):
+        return a_s * (y in SU_CLEAN)
+
+    def next_cd(self, cd, a_s, y, o):
+        return cd
 
 
 class TraceRecord(NamedTuple):
@@ -853,6 +884,46 @@ def limit_distribution(p: np.ndarray, start: int) -> np.ndarray:
         m = m @ m
         m /= m.sum(axis=1, keepdims=True)
     return m[start]
+
+
+def recurrent_stationary(p: np.ndarray, start: int):
+    """`cogarq.mdp._recurrent_stationary` by strongly connected components.
+
+    The package's evaluation before it read the classes off a boolean
+    closure: scipy's `connected_components` labels the classes, a class is
+    closed when no support edge leaves it, and a depth-first search from
+    `start` finds the closed classes it reaches.  Returns the stationary law
+    of the lowest-labelled one, solved with one balance row replaced by the
+    normalization, and whether more than one closed class is reachable.
+    """
+    from scipy.sparse.csgraph import connected_components
+
+    n = p.shape[0]
+    support = p > 0.0
+    n_comp, labels = connected_components(support, directed=True, connection="strong")
+    closed = np.ones(n_comp, dtype=bool)
+    for i in range(n):
+        for j in np.nonzero(support[i])[0]:
+            if labels[j] != labels[i]:
+                closed[labels[i]] = False
+    seen = np.zeros(n, dtype=bool)
+    seen[start] = True
+    stack = [start]
+    while stack:
+        i = stack.pop()
+        for j in np.nonzero(support[i])[0]:
+            if not seen[j]:
+                seen[j] = True
+                stack.append(j)
+    reach_closed = sorted({labels[i] for i in np.nonzero(seen)[0] if closed[labels[i]]})
+    members = np.nonzero(labels == reach_closed[0])[0]
+    a = p[np.ix_(members, members)].T - np.eye(members.size)
+    a[-1] = 1.0
+    b = np.zeros(members.size)
+    b[-1] = 1.0
+    pi = np.zeros(n)
+    pi[members] = np.linalg.solve(a, b)
+    return pi, len(reach_closed) != 1
 
 
 def _oracle_evaluate(kernel, mu: np.ndarray, start: int):

@@ -24,7 +24,6 @@ from cogarq.mdp import (
 )
 from cogarq.pu_system import PuConfig
 from cogarq.simulator import (
-    GenieModel,
     SchemeKind,
     SystemConfig,
     TraceInvariantChecker,
@@ -33,6 +32,7 @@ from cogarq.simulator import (
 )
 
 from _oracles import (
+    GenieModel,
     matrix_power_closure,
     pi_constrained_solve,
     region_probabilities,

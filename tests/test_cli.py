@@ -20,7 +20,9 @@ from cogarq.channel import exact_region_probabilities
 from cogarq.cli import ConfigError, load_config, main, run_experiment
 from cogarq.mdp import build_kernel, enumerate_space, evaluate_policy
 from cogarq.pu_system import PuConfig
-from cogarq.simulator import GenieModel, SchemeKind, SystemConfig, scheme_model
+from cogarq.simulator import SchemeKind, SystemConfig, scheme_model
+
+from _oracles import GenieModel
 
 GOOD = """
 # minimal sweep for testing
@@ -38,7 +40,6 @@ constraint_fraction = 0.8
 schemes = chain_decoding, no_fic_bic
 seed = 9
 n_slots = 3000
-region_samples = 50000
 """
 
 
@@ -205,6 +206,35 @@ def test_floor_is_the_closed_form_fraction_of_the_idle_su_pu_throughput(tmp_path
         assert floor == repr(cfg.constraint_fraction * system.success_probs()[0])
 
 
+def test_genie_rows_are_the_closed_form(tmp_path):
+    # The genie earns the clean-SU regions 1, 2, 5 and 7 in every slot it
+    # sends in, and sends in the largest fraction the floor allows.  The
+    # sweep crosses a silent cross link (rho_0 = rho_1), a slack floor and a
+    # binding one.
+    text = (GOOD.replace("sweep = gamma_ps_over_gamma_s", "sweep = gamma_sp_over_gamma_p")
+            .replace("sweep_values = 0.2, 1", "sweep_values = 0, 0.01, 1")
+            .replace("schemes = chain_decoding, no_fic_bic", "schemes = no_fic_bic")
+            .replace("n_slots = 3000", "n_slots = 300"))
+    path = write(tmp_path, text)
+    cfg = load_config(path)
+    rates = cli._resolve_rates(cfg)
+    rows = {(r["metric"], float(r["sweep_value"])): r["value"]
+            for r in csv.DictReader(run_experiment(path, tmp_path / "out")["results"].open())
+            if r["scheme"] == "genie"}
+    phis = []
+    for value in cfg.sweep_values:
+        snr = cli._point_snr(cfg, value)
+        rho0, rho1 = SystemConfig(snr, rates, PuConfig(cfg.r_max)).success_probs()
+        r = exact_region_probabilities(snr.mean_gamma_s, snr.mean_gamma_ps, rates)
+        floor = cfg.constraint_fraction * rho0
+        phi = min(1.0, (rho0 - floor) / (rho0 - rho1)) if rho0 > rho1 else 1.0
+        phis.append(phi)
+        su = (r.delta_sp + r.delta_s + r.ups_s + r.ups_sp) * phi
+        assert rows["analytic_su_throughput", value] == repr(float(su))
+        assert rows["constraint_min", value] == repr(float(floor))
+    assert len(rows) == 2 * 3 and phis[0] == phis[1] == 1.0 and phis[2] < 1.0
+
+
 def test_far_rates_with_a_vanishing_mean_run(tmp_path):
     # ab * u overflows in the region-1 term of the closed form, where
     # exp(-ab u) is 0: no SU or PU packet decodes, and the run completes.
@@ -295,7 +325,6 @@ def test_peak_memory_does_not_grow_with_the_horizon(tmp_path):
         ("n_slots", "-5"),
         ("r_max", "0"),
         ("d_max", "1"),
-        ("region_samples", "0"),
         ("mean_gamma_ps", "nan"),
         ("rate_s", "-1"),
         ("workers", "0"),
@@ -307,8 +336,9 @@ def test_peak_memory_does_not_grow_with_the_horizon(tmp_path):
         ("sweep_values", "1e308"),
         # with rate_p = optimize (about 2.5), (2^rate_s - 1)(2^rate_p - 1) overflows
         ("rate_s", "1023"),
-        # the PU is backlogged and the floor is on its throughput
         ("q_max", "0"),
+        # retired keys, now rejected as unknown whatever their value
+        ("region_samples", "0"),
         ("arrivals", "poisson"),
         ("pu_policy", "random"),
         ("constraint_component", "latency"),
@@ -322,6 +352,21 @@ def test_main_rejects_out_of_range_values(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert key in err
     assert f"exp.cfg:{len(text.splitlines())}:" in err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("arrivals", "saturate"),
+    ("pu_policy", "always"),
+    ("constraint_component", "throughput"),
+    ("region_samples", "1000000"),
+])
+def test_retired_keys_are_unknown(tmp_path, capsys, key, value):
+    # These keys accepted one value each, or changed no output, and are gone:
+    # even the value once accepted is now an unknown key on its line.
+    text = GOOD + f"{key} = {value}\n"
+    assert main([str(write(tmp_path, text)), "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"exp.cfg:{len(text.splitlines())}: unknown key {key!r}" in err
 
 
 def test_overflowing_rate_pair_names_both_rate_lines(tmp_path, capsys):
@@ -365,16 +410,15 @@ def test_metadata_reports_solver_diagnostics(tmp_path):
     paths = run_experiment(write(tmp_path, GOOD), tmp_path / "out")
     meta = json.loads(paths["metadata"].read_text())
     solves = meta["solves"]
+    # the genie's row is a closed form, so it has no solve
     assert [(r["sweep_value"], r["scheme"]) for r in solves] == [
-        (v, s) for v in (0.2, 1.0) for s in ("genie", "chain_decoding", "no_fic_bic")]
+        (v, s) for v in (0.2, 1.0) for s in ("chain_decoding", "no_fic_bic")]
     pols = {(p["sweep_value"], p["scheme"]): p for p in map(json.loads, paths["policies"].open())}
     for r in solves:
         assert r["status"] == 0
         assert isinstance(r["nit"], int) and r["nit"] >= 0
         assert r["floor_slack"] >= -1e-9
-        pol = pols.get((r["sweep_value"], r["scheme"]))
-        if pol is None:  # the genie has no policy record
-            continue
+        pol = pols[r["sweep_value"], r["scheme"]]
         assert 1 <= r["reachable_states"] <= len(pol["states"])
         if r["floor_slack"] > 1e-9:
             assert pol["multiplier"] == 0.0
@@ -453,14 +497,19 @@ def test_idle_evaluation_equals_the_closed_form_pu_throughput(tmp_path, sweep):
 
 
 
-def test_importing_the_cli_loads_no_scipy_graph_code():
-    # scipy.sparse.csgraph, about 0.36 s to import, serves one
-    # strong-components call; `mdp` imports it at its first evaluation
-    code = "import sys, cogarq.cli; print('scipy.sparse.csgraph' in sys.modules)"
+def test_importing_the_cli_loads_no_scipy_graph_code(tmp_path):
+    # scipy.sparse.csgraph costs about 0.36 s to import.  The evaluation
+    # reads a policy's recurrent class off a boolean closure, so neither the
+    # import nor a full run, solves and evaluations included, loads it.
+    cfg = write(tmp_path, GOOD.replace("n_slots = 3000", "n_slots = 300"))
+    code = ("import sys, cogarq.cli; imported = 'scipy.sparse.csgraph' in sys.modules; "
+            f"code = cogarq.cli.main([{str(cfg)!r}, '-o', {str(tmp_path / 'out')!r}]); "
+            "print(imported, code, 'scipy.optimize' in sys.modules, "
+            "'scipy.sparse.csgraph' in sys.modules)")
     src = str(Path(cli.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=60)
-    assert done.stdout.split() == ["False"], done.stderr
+    assert done.stdout.split()[-4:] == ["False", "0", "True", "False"], done.stderr
 
 
 _FLOATS = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
@@ -491,8 +540,7 @@ def _value(key: str):
                        st.lists(_FLOATS, max_size=3).map(join))
     if key == "schemes":
         return st.lists(st.sampled_from([*cli._SCHEMES, "warp_drive"]), max_size=3).map(", ".join)
-    good = {"sweep": cli.SWEEP_PARAMS, "arrivals": ("saturate",), "pu_policy": ("always",),
-            "constraint_component": ("throughput",)}[key]
+    good = {"sweep": cli.SWEEP_PARAMS}[key]
     return _mostly(st.sampled_from(good), st.sampled_from(["poisson", "power", "none "]))
 
 

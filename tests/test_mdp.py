@@ -1,15 +1,16 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cogarq.channel import AvgSnrConfig, RatePair, RegionProbabilities
+from cogarq import mdp
+from cogarq.channel import SU_CLEAN, SU_UNDER_PU, AvgSnrConfig, RatePair, RegionProbabilities
 from cogarq.mdp import (
     AccessPolicy,
     InfeasibleConstraintError,
-    Kernel,
     MdpState,
     build_kernel,
     enumerate_space,
@@ -21,7 +22,9 @@ from cogarq.pu_system import PuConfig
 from cogarq.virtual_state import ChainDecodingModel
 
 from _oracles import (
+    GenieModel,
     pi_constrained_solve,
+    recurrent_stationary,
     region_probabilities,
     scalar_kernel,
     scalar_reachable,
@@ -250,7 +253,7 @@ _region_vectors = st.lists(st.floats(1e-3, 1.0), min_size=7, max_size=7).map(_no
 @example(probs=_normalized([1.0, 0.0625, 1.0, 0.125, 0.03125, 1.0, 1.0]), r_max=5,
          rho0=0.75, rho_ratio=0.0, frac=0.5, scheme="fic_bic")
 def test_solver_properties_and_pi_oracle(probs, r_max, rho0, rho_ratio, frac, scheme):
-    from cogarq.simulator import GenieModel, SchemeKind, scheme_model
+    from cogarq.simulator import SchemeKind, scheme_model
 
     cfg = PuConfig(r_max)
     model = GenieModel(cfg) if scheme == "genie" else scheme_model(SchemeKind(scheme), cfg)
@@ -315,7 +318,7 @@ def test_step_table_kernel_is_byte_equal_to_the_scalar_oracle(scheme, r_max):
     # last case a NACK (1.1e-16) and region 5 (1.7e-311), which alone adds
     # a pinned packet, each have positive probability, but their product
     # underflows to 0.
-    from cogarq.simulator import GenieModel, SchemeKind, scheme_model
+    from cogarq.simulator import SchemeKind, scheme_model
 
     rng = np.random.default_rng([r_max, len(scheme)])
     rhos = [(0.62, 0.32), (0.9, 0.0), (1.0, 1.0), (1.0, 0.25)] + [
@@ -348,3 +351,108 @@ def test_certain_pu_success_keeps_the_nack_try_counts_unreachable(r_max):
     rep = solve_constrained(space, kernel, 0.5)
     assert all(rep.policy.probs[s] == 0.0 for s, r in zip(space.states, space.reachable) if not r)
     assert rep.pu_throughput == 1.0
+
+
+@pytest.mark.parametrize("r_max", [1, 3, 5])
+@pytest.mark.parametrize("scheme,earning", [("genie", SU_CLEAN), ("no_fic_bic", SU_UNDER_PU)])
+def test_memoryless_optimum_is_the_closed_form(scheme, earning, r_max):
+    # The genie and no-FIC/BIC have one phase each, and rewards that do not
+    # depend on t: each transmission earns w, the probability of the regions
+    # that credit it, and costs the PU rho_0 - rho_1.  So a policy's values
+    # depend only on its transmit fraction phi, and the LP's optimum is
+    # SU = w phi* and PU = rho_0 - (rho_0 - rho_1) phi*, with
+    # phi* = min(1, (rho_0 - floor) / (rho_0 - rho_1)), or 1 if rho_0 = rho_1.
+    # Where w = 0 every phi up to phi* is optimal, so the PU value is free.
+    from cogarq.simulator import SchemeKind, scheme_model
+
+    cfg = PuConfig(r_max)
+    model = GenieModel(cfg) if scheme == "genie" else scheme_model(SchemeKind(scheme), cfg)
+    rng = np.random.default_rng([r_max, len(scheme)])
+    for k in range(40):
+        rho0 = (0.05, 1.0, rng.uniform(0.05, 1.0))[k % 3]
+        rho1 = (rho0, 0.0, rho0 * rng.random(), rng.random() * 1e-3)[k % 4]
+        frac = (0.0, rng.random(), 0.99)[k % 3]
+        probs = _random_regions(rng)
+        space = enumerate_space(model, cfg, probs, (rho0, rho1))
+        floor = frac * rho0
+        rep = solve_constrained(space, build_kernel(space), floor)
+        w = sum(probs.as_array()[y - 1] for y in earning)
+        phi = min(1.0, (rho0 - floor) / (rho0 - rho1)) if rho0 > rho1 else 1.0
+        case = (rho0, rho1, frac, probs)
+        assert abs(rep.su_throughput - w * phi) <= 1e-12, case
+        if w > 0.0:
+            assert abs(rep.pu_throughput - (rho0 - (rho0 - rho1) * phi)) <= 1e-12, case
+
+
+def _reaches(p: np.ndarray, i: int) -> set:
+    """The states the chain `p` reaches from `i`, `i` included."""
+    seen, stack = {i}, [i]
+    while stack:
+        for j in np.flatnonzero(p[stack.pop()] > 0.0):
+            if j not in seen:
+                seen.add(int(j))
+                stack.append(int(j))
+    return seen
+
+
+@st.composite
+def _sparse_chains(draw):
+    """A stochastic matrix of at most 12 states, each with one to three
+    successors, so that several closed classes and transient states are
+    common, and a start state."""
+    n = draw(st.integers(1, 12))
+    p = np.zeros((n, n))
+    for i in range(n):
+        succ = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+        w = draw(st.lists(st.floats(0.01, 1.0), min_size=len(succ), max_size=len(succ)))
+        p[i, succ] = np.array(w) / sum(w)
+    return p, draw(st.integers(0, n - 1))
+
+
+# 0 -> {1, 2} transient, 1 -> {1, 3} and 2 -> 2 closed, 3 -> 1: two classes.
+_TWO_CLASSES = np.array([[0.0, 0.5, 0.5, 0.0], [0.0, 0.3, 0.0, 0.7],
+                         [0.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sparse_chains())
+@example((_TWO_CLASSES, 0))
+@example((_TWO_CLASSES, 3))
+def test_recurrent_class_matches_the_strong_components_oracle(chain):
+    # The closure-based class search against scipy's strongly connected
+    # components: the same multichain flag, the same law where the class
+    # reachable from the start is unique, and otherwise a stationary law
+    # on one closed class the start reaches.
+    p, start = chain
+    pi, warning = mdp._recurrent_stationary(p, start)
+    want, want_warning = recurrent_stationary(p, start)
+    assert warning == want_warning
+    if not warning:
+        assert np.abs(pi - want).max() <= 1e-12
+        return
+    assert abs(pi.sum() - 1.0) <= 1e-12 and (pi >= 0.0).all()
+    assert np.abs(pi @ p - pi).max() <= 1e-12
+    top = int(np.argmax(pi))
+    cls = _reaches(p, top)
+    assert all(top in _reaches(p, j) for j in cls)  # closed and strongly connected
+    assert set(np.flatnonzero(pi > 0.0)) <= cls
+    assert top in _reaches(p, start)
+
+
+def test_a_policy_reaching_two_closed_classes_is_flagged():
+    # No compact model can raise the flag: every PU cycle ends within r_max
+    # slots in the initial state, so the start is recurrent under any
+    # policy.  On this hand-built chain, sending in state 0 moves to the
+    # absorbing state 1 or 2 with equal odds; idling keeps state 0.
+    p = np.zeros((3, 2, 3))
+    p[0, 0, 0] = 1.0
+    p[0, 1, 1:] = 0.5
+    p[1, :, 1] = p[2, :, 2] = 1.0
+    kernel = SimpleNamespace(p=p, r_su=np.array([[0.0, 0.0], [0.25, 0.25], [0.75, 0.75]]),
+                             r_pu=np.ones((3, 2)))
+    space = SimpleNamespace(n=3, table=SimpleNamespace(start=0))
+    res = evaluate_policy(space, kernel, np.array([1.0, 0.0, 0.0]))
+    assert res.multichain_warning
+    # the class of the lowest-indexed recurrent state the start reaches
+    assert res.stationary.tolist() == [0.0, 1.0, 0.0] and res.su_throughput == 0.25
+    assert not evaluate_policy(space, kernel, np.zeros(3)).multichain_warning

@@ -11,7 +11,6 @@ from cogarq.pu_tracker import PuFeedback
 from cogarq.simulator import (
     FicBicModel,
     FicOnlyModel,
-    GenieModel,
     NoFicBicModel,
     RunMetrics,
     SchemeKind,
@@ -23,6 +22,7 @@ from cogarq.simulator import (
 )
 
 from _oracles import (
+    GenieModel,
     TraceRecord,
     WindowReceiver,
     check_trace_invariants,
