@@ -17,7 +17,6 @@ import gc
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -84,7 +83,6 @@ class ExperimentConfig:
     schemes: tuple = tuple(s.value for s in SchemeKind)
     seed: int = 1
     n_slots: int = 100_000
-    workers: int = 1
 
     def validate(self):
         """Check every key against its range in config-schema.txt."""
@@ -135,11 +133,10 @@ class ExperimentConfig:
         require(all(s in _SCHEMES for s in self.schemes), "schemes", f"among {tuple(_SCHEMES)}")
         require(self.seed >= 0, "seed", ">= 0")
         require(self.n_slots >= 1, "n_slots", ">= 1")
-        require(self.workers >= 1, "workers", ">= 1")
         return self
 
 
-_INT_KEYS = {"r_max", "d_max", "q_max", "seed", "n_slots", "workers"}
+_INT_KEYS = {"r_max", "d_max", "q_max", "seed", "n_slots"}
 _FLOAT_KEYS = {
     "mean_gamma_s", "mean_gamma_p", "mean_gamma_ps", "mean_gamma_sp",
     "constraint_fraction",
@@ -219,8 +216,8 @@ def _run_seed(master: int, sweep_index: int) -> int:
 def _sweep_point(cfg: ExperimentConfig, rates: RatePair, index: int, check_invariants: bool):
     """Solve and simulate every scheme at one sweep point.
 
-    Returns (index, rows, policy_records, violations, run_records,
-    solve_records); a run record holds what results.csv leaves out of one
+    Returns (rows, policy_records, violations, run_records, solve_records);
+    a run record holds what results.csv leaves out of one
     simulator run: the counts of its compact-state walk, plus, for chain
     decoding, the high-water marks of its decoding graph
     and its cycle trims.  A solve record holds the LP diagnostics of one
@@ -260,7 +257,7 @@ def _sweep_point(cfg: ExperimentConfig, rates: RatePair, index: int, check_invar
         })
 
     def solve_for(name, model) -> SolveReport:
-        space = enumerate_space(model, pu_cfg, probs, success)
+        space = enumerate_space(model, probs, success)
         report = solve_constrained(space, build_kernel(space), floor)
         mixed = report.randomized_state
         solves.append({
@@ -320,13 +317,12 @@ def _sweep_point(cfg: ExperimentConfig, rates: RatePair, index: int, check_invar
             "constraint_min": report.constraint_min,
             "constraint_value": report.constraint_value,
             "mix_weight": report.mix_weight,
-            "multichain_warning": report.multichain_warning,
             "states": [
                 {**_state_record(s), "mu": report.policy.probs[s]}
                 for s in sorted(report.policy.probs, key=lambda s: (s.t, s.cd))
             ],
         })
-    return index, rows, policies, violations, runs, solves
+    return rows, policies, violations, runs, solves
 
 
 def _state_record(s) -> dict:
@@ -340,7 +336,11 @@ def run_experiment(
     seed_override: int | None = None,
     slots_override: int | None = None,
 ) -> dict:
-    """Execute the configured sweep and write the three output files."""
+    """Execute the configured sweep and write the three output files.
+
+    The sweep points run one after another in this process, in order, and
+    their rows and records are written in that order.
+    """
     cfg = load_config(cfg_path)
     if seed_override is not None:
         cfg.seed = seed_override
@@ -351,19 +351,10 @@ def run_experiment(
     out.mkdir(parents=True, exist_ok=True)
     rates = _resolve_rates(cfg)
 
-    indices = range(len(cfg.sweep_values))
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(
-                _sweep_point,
-                [cfg] * len(cfg.sweep_values),
-                [rates] * len(cfg.sweep_values),
-                indices,
-                [check_invariants] * len(cfg.sweep_values),
-            ))
-    else:
-        results = [_sweep_point(cfg, rates, i, check_invariants) for i in indices]
-    results.sort(key=lambda r: r[0])
+    lists = rows, policies, violations, runs, solves = [], [], [], [], []
+    for i in range(len(cfg.sweep_values)):
+        for acc, part in zip(lists, _sweep_point(cfg, rates, i, check_invariants)):
+            acc.extend(part)
 
     results_path = out / "results.csv"
     with results_path.open("w", newline="") as fh:
@@ -372,16 +363,13 @@ def run_experiment(
             "stderr", "seed", "n_slots",
         ])
         writer.writeheader()
-        for _, rows, *_ in results:
-            writer.writerows(rows)
+        writer.writerows(rows)
 
     policies_path = out / "policies.jsonl"
     with policies_path.open("w") as fh:
-        for _, _, pols, *_ in results:
-            for rec in pols:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        for rec in policies:
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
-    violations = [v for _, _, _, vs, *_ in results for v in vs]
     meta = {
         "version": __version__,
         "config": {k: (list(v) if isinstance(v, tuple) else v)
@@ -397,8 +385,8 @@ def run_experiment(
         ],
         "invariants_checked": check_invariants,
         "invariant_violations": violations,
-        "simulator_runs": [run for _, _, _, _, runs, _ in results for run in runs],
-        "solves": [solve for *_, solves in results for solve in solves],
+        "simulator_runs": runs,
+        "solves": solves,
     }
     meta_path = out / "run-metadata.json"
     meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")

@@ -11,10 +11,17 @@ program over state-action occupation measures (Altman, Constrained Markov
 Decision Processes, 1999, ch. 4), whose optimum randomizes in at most one
 state.
 
+Every model's chain is unichain.  `step_table` checks that each step
+completing the PU packet leads to the start, and `update`'s deadline
+completes a packet within r_max slots.  So the start is reached within
+r_max slots under any action: it is recurrent under every policy, and its
+class is exactly the set of states it reaches.  An evaluation solves the
+stationary law on that set, which a search over the policy's support
+finds, so no class search or graph library is needed.
+
 `scipy.optimize` is imported where it is used, not here: it costs about
 0.6 s, which a run that stops at config validation should not pay.  A full
-run pays it at its first solve.  The recurrent class an evaluation needs is
-read off a boolean transitive closure, so no graph library is loaded.
+run pays it at its first solve.
 """
 
 from __future__ import annotations
@@ -27,7 +34,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import RegionProbabilities
-from .pu_system import PuConfig
 from .pu_tracker import PuFeedback, update
 
 __all__ = [
@@ -64,7 +70,8 @@ class StepTable(NamedTuple):
 
     `states` is the product of the try counts 0..r_max - 1 with the model's
     phases.  It takes no probability, so one table serves every sweep
-    point.  `start` indexes the initial state.  `nxt[i, a_s, f, y - 1]` is
+    point.  `start` indexes the initial state, where every step that
+    completes the PU packet leads.  `nxt[i, a_s, f, y - 1]` is
     the next state's index after feedback `FEEDBACKS[f]` and region y, and
     `reward` holds the SU packets credited.
     """
@@ -98,7 +105,6 @@ class StateSpace:
     probabilities, with the jointly-reachable states the solver works on."""
 
     model: object
-    pu_cfg: PuConfig
     probs: RegionProbabilities
     success_probs: tuple[float, float]
     table: StepTable
@@ -129,7 +135,6 @@ class EvalResult:
     su_throughput: float
     pu_throughput: float
     stationary: np.ndarray
-    multichain_warning: bool = False
 
 
 @dataclass
@@ -141,8 +146,6 @@ class SolveReport:
     stationary: np.ndarray
     constraint_min: float
     constraint_value: float
-    feasible: bool
-    multichain_warning: bool = False
     mix_weight: float | None = None  # transmit probability of the randomized state
     # LP diagnostics: HiGHS status and iteration count, the reachable states
     # it ran over, the one state it randomizes (or None) and the slack of
@@ -154,30 +157,46 @@ class SolveReport:
     floor_slack: float = 0.0
 
 
-# model -> {PuConfig: its StepTable}, kept as long as the model lives
+# model -> its StepTable, kept as long as the model lives
 _TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def step_table(model, pu_cfg: PuConfig) -> StepTable:
-    """The model's `StepTable` under `pu_cfg`, built on first use: the one
-    place the tracker's `update` and the model's `next_cd` and `reward`
-    make the compact step."""
-    tables = _TABLES.setdefault(model, {})
-    if pu_cfg in tables:
-        return tables[pu_cfg]
-    cds = list(model.cd_states(pu_cfg))
-    states = [MdpState(cd, t) for t in range(pu_cfg.r_max) for cd in cds]
+def step_table(model) -> StepTable:
+    """The model's `StepTable` under its own `cfg`, built on first use: the
+    one place the tracker's `update` and the model's `next_cd` and `reward`
+    make the compact step.
+
+    Raises ValueError if a step that completes the PU packet does not lead
+    to the start, which the unichain evaluation relies on.
+    """
+    if model in _TABLES:
+        return _TABLES[model]
+    cfg = model.cfg
+    cds = list(model.cd_states())
+    states = [MdpState(cd, t) for t in range(cfg.r_max) for cd in cds]
     index = {s: i for i, s in enumerate(states)}
+    start = index[MdpState(model.initial_cd(), 0)]
     nxt = np.empty((len(states), 2, len(FEEDBACKS), 7), dtype=np.int32)
     reward = np.empty_like(nxt)
     for (i, s), a_s, (f, y_p), y in itertools.product(
             enumerate(states), (0, 1), enumerate(FEEDBACKS), range(1, 8)):
-        o, t_n = update(s.t, y_p, pu_cfg)
-        nxt[i, a_s, f, y - 1] = index[MdpState(model.next_cd(s.cd, a_s, y, o), t_n)]
+        o, t_n = update(s.t, y_p, cfg)
+        nxt[i, a_s, f, y - 1] = j = index[MdpState(model.next_cd(s.cd, a_s, y, o), t_n)]
+        if o and j != start:
+            raise ValueError(f"{model.name}: completing the PU packet in {s} under "
+                             f"a_s={a_s}, region {y} leads to {states[j]}, not the start")
         reward[i, a_s, f, y - 1] = model.reward(s.cd, a_s, y)
-    start = index[MdpState(model.initial_cd(), 0)]
-    tables[pu_cfg] = table = StepTable(states, index, start, nxt, reward)
+    _TABLES[model] = table = StepTable(states, index, start, nxt, reward)
     return table
+
+
+def _reached(adjacent: np.ndarray, start: int) -> np.ndarray:
+    """The states `start` reaches on the boolean support `adjacent`, itself
+    included, by a fixed-point search."""
+    reach = np.arange(adjacent.shape[0]) == start
+    while not np.array_equal(grown := reach | adjacent[reach].any(axis=0), reach):
+        reach = grown
+    return reach
 
 
 def _branch_probs(success_probs) -> np.ndarray:
@@ -189,7 +208,6 @@ def _branch_probs(success_probs) -> np.ndarray:
 
 def enumerate_space(
     model,
-    pu_cfg: PuConfig,
     probs: RegionProbabilities,
     success_probs: tuple[float, float],
 ) -> StateSpace:
@@ -201,16 +219,13 @@ def enumerate_space(
     and region both have positive probability, each tested on its own, so
     a product of the two that underflows to 0 still counts.
     """
-    table = step_table(model, pu_cfg)
+    table = step_table(model)
     n = len(table.states)
     live = np.broadcast_to((_branch_probs(success_probs) > 0.0)[..., None]
                            & (probs.as_array() > 0.0), table.nxt.shape)
     adjacent = np.zeros((n, n), dtype=bool)
     adjacent[np.nonzero(live)[0], table.nxt[live]] = True
-    reach = np.arange(n) == table.start
-    while not np.array_equal(grown := reach | adjacent[reach].any(axis=0), reach):
-        reach = grown
-    return StateSpace(model, pu_cfg, probs, success_probs, table, reach)
+    return StateSpace(model, probs, success_probs, table, _reached(adjacent, table.start))
 
 
 def build_kernel(space: StateSpace) -> Kernel:
@@ -256,37 +271,20 @@ def _policy_matrix(kernel: Kernel, mu: np.ndarray):
     return p, r_su, r_pu
 
 
-def _recurrent_stationary(p: np.ndarray, start: int):
-    """Stationary distribution supported on a recurrent class reachable from
-    `start`; flags when that class is not unique.
-
-    `reach` is the transitive closure of the chain's support, by repeated
-    boolean squaring.  A state is recurrent when every state it reaches
-    reaches it back; its row of `reach` is then its class.  The class of
-    the lowest-indexed recurrent state reachable from `start` is evaluated.
-    """
-    n = p.shape[0]
-    reach = (p > 0.0) | np.eye(n, dtype=bool)
-    while not np.array_equal(grown := reach @ reach, reach):
-        reach = grown
-    recurrent = np.flatnonzero(reach[start] & (reach <= reach.T).all(axis=1))
-    members = np.flatnonzero(reach[recurrent[0]])
-    pi = np.zeros(n)
-    pi[members] = stationary_distribution(p[np.ix_(members, members)])
-    return pi, not reach[recurrent[0], recurrent].all()
-
-
 def evaluate_policy(space: StateSpace, kernel: Kernel, policy) -> EvalResult:
     """Long-run average SU and PU throughput under a policy.
 
-    Accepts an AccessPolicy or a raw probability vector.  If the induced
-    chain is reducible, the evaluation is restricted to a recurrent class
-    reachable from the initial state and a warning is flagged.
+    Accepts an AccessPolicy or a raw probability vector.  The start is
+    recurrent under every policy (see the module docstring), so the law is
+    solved on the states it reaches over the policy's support, its class;
+    every other state carries no mass.
     """
     mu = _policy_vector(space, policy)
     p, r_su, r_pu = _policy_matrix(kernel, mu)
-    pi, warning = _recurrent_stationary(p, space.table.start)
-    return EvalResult(float(pi @ r_su), float(pi @ r_pu), pi, warning)
+    members = np.flatnonzero(_reached(p > 0.0, space.table.start))
+    pi = np.zeros(space.n)
+    pi[members] = stationary_distribution(p[np.ix_(members, members)])
+    return EvalResult(float(pi @ r_su), float(pi @ r_pu), pi)
 
 
 def _policy_vector(space: StateSpace, policy) -> np.ndarray:
@@ -313,14 +311,11 @@ _PRIMAL_TOL, _PRIMAL_TOL_MIN = 1e-7, 1e-10
 # A policy whose PU throughput falls this far below the floor misses it, and
 # one this far above a binding floor overshoots it.
 _FLOOR_MISS = 1e-9
+# A policy still this far below the floor after the re-solve is an error.
+_CONSTRAINT_TOL = 1e-4
 
 
-def solve_constrained(
-    space: StateSpace,
-    kernel: Kernel,
-    constraint_min: float,
-    constraint_tol: float = 1e-4,
-) -> SolveReport:
+def solve_constrained(space: StateSpace, kernel: Kernel, constraint_min: float) -> SolveReport:
     """Maximize SU throughput subject to a floor on the PU's throughput.
 
     One linear program over the state-action occupation measure x of the
@@ -383,7 +378,7 @@ def solve_constrained(
         if value >= constraint_min - _FLOOR_MISS and (
                 slack > _SLACK_TOL or value <= constraint_min + _FLOOR_MISS):
             break
-    if value < constraint_min - constraint_tol:
+    if value < constraint_min - _CONSTRAINT_TOL:
         raise RuntimeError(
             f"constrained solve missed the floor: {value} < {constraint_min}"
         )
@@ -395,8 +390,6 @@ def solve_constrained(
         stationary=res_eval.stationary,
         constraint_min=constraint_min,
         constraint_value=value,
-        feasible=True,
-        multichain_warning=res_eval.multichain_warning,
         mix_weight=float(mu_sub[mixed[0]]) if mixed.size else None,
         lp_status=int(res.status),
         lp_iterations=int(res.nit),

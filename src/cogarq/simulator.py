@@ -128,12 +128,11 @@ class FicBicModel:
     name = "fic_bic"
 
     def __init__(self, cfg: PuConfig):
+        self.cfg = cfg
         self.b_cap = cfg.r_max - 1
-        self._cfg = cfg
 
-    def cd_states(self, cfg: PuConfig | None = None):
-        cfg = cfg or self._cfg
-        return [("U", b) for b in range(cfg.r_max)] + [("K", 0)]
+    def cd_states(self):
+        return [("U", b) for b in range(self.cfg.r_max)] + [("K", 0)]
 
     def initial_cd(self):
         return ("U", 0)
@@ -159,10 +158,10 @@ class FicOnlyModel:
 
     name = "fic_only"
 
-    def __init__(self, cfg: PuConfig | None = None):
-        self._cfg = cfg
+    def __init__(self, cfg: PuConfig):
+        self.cfg = cfg
 
-    def cd_states(self, cfg: PuConfig | None = None):
+    def cd_states(self):
         return [("U", 0), ("K", 0)]
 
     def initial_cd(self):
@@ -186,10 +185,10 @@ class NoFicBicModel:
 
     name = "no_fic_bic"
 
-    def __init__(self, cfg: PuConfig | None = None):
-        self._cfg = cfg
+    def __init__(self, cfg: PuConfig):
+        self.cfg = cfg
 
-    def cd_states(self, cfg: PuConfig | None = None):
+    def cd_states(self):
         return [("M", 0)]
 
     def initial_cd(self):
@@ -533,9 +532,8 @@ def run(
     if n_slots < 1:
         raise ValueError(f"n_slots must be >= 1, got {n_slots}")
     batches = min(batches, n_slots)
-    pu_cfg = cfg.pu
-    table = step_table(scheme_model(scheme, pu_cfg), pu_cfg)
-    slots = _SlotWalk(table, policy.probs, pu_cfg)
+    table = step_table(scheme_model(scheme, cfg.pu))
+    slots = _SlotWalk(table, policy.probs, cfg.pu)
     row = slots.row((slots.visit(table.start), 0))
     # Chain decoding runs the decoding graph, which credits its packets.
     g = CdGraph() if scheme is SchemeKind.CHAIN_DECODING else None

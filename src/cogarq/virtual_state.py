@@ -94,12 +94,11 @@ class ChainDecodingModel:
     name = "chain_decoding"
 
     def __init__(self, cfg: PuConfig):
+        self.cfg = cfg
         self.b_cap = cfg.r_max - 1
-        self._cfg = cfg
 
-    def cd_states(self, cfg: PuConfig | None = None):
-        cfg = cfg or self._cfg
-        states = [(CdPhase.U.value, b) for b in range(cfg.r_max)]
+    def cd_states(self):
+        states = [(CdPhase.U.value, b) for b in range(self.cfg.r_max)]
         states.append((CdPhase.K_BIDIR.value, 0))
         states.append((CdPhase.K_FWD.value, 0))
         return states

@@ -24,8 +24,8 @@ directly, where the package reads them off one step table per model.
 The genie-aided receiver's compact model (`GenieModel`) lives here: the CLI
 writes its row in closed form, which the solver on this model checks.  The
 evaluation's recurrent class is found here by scipy's strongly connected
-components (`recurrent_stationary`), where the package reads it off a
-boolean transitive closure.
+components (`recurrent_stationary`), where the package takes the states
+the start reaches, which every model's step table makes its class.
 The Monte Carlo run is stated here slot by slot
 (`reference_run`), on whole-run draws (`draw_gain_arrays`), where the
 package packs input codes one slice at a time, walks entry ids over them
@@ -389,10 +389,10 @@ class GenieModel:
 
     name = "genie"
 
-    def __init__(self, cfg: PuConfig | None = None):
-        self._cfg = cfg
+    def __init__(self, cfg: PuConfig):
+        self.cfg = cfg
 
-    def cd_states(self, cfg: PuConfig | None = None):
+    def cd_states(self):
         return [("G", 0)]
 
     def initial_cd(self):
@@ -819,7 +819,7 @@ def scalar_kernel(space: StateSpace) -> Kernel:
     for i, s in enumerate(space.states):
         for a_s in (0, 1):
             r_pu[i, a_s] = space.success_probs[a_s]
-            for o, p_b, t_n in _scalar_branches(s.t, a_s, space.pu_cfg, space.success_probs):
+            for o, p_b, t_n in _scalar_branches(s.t, a_s, model.cfg, space.success_probs):
                 for y in range(1, 8):
                     p_y = region_p[y - 1]
                     if p_y == 0.0:
@@ -831,7 +831,7 @@ def scalar_kernel(space: StateSpace) -> Kernel:
     return Kernel(p, r_su, r_pu)
 
 
-def scalar_reachable(model, pu_cfg: PuConfig, probs: RegionProbabilities, success_probs) -> set:
+def scalar_reachable(model, probs: RegionProbabilities, success_probs) -> set:
     """The compact states reachable from the initial one under either SU
     action, by depth-first search over the feedbacks and regions of
     positive probability, stepped with `update`, `next_cd` directly."""
@@ -841,7 +841,7 @@ def scalar_reachable(model, pu_cfg: PuConfig, probs: RegionProbabilities, succes
     while stack:
         s = stack.pop()
         for a_s in (0, 1):
-            for o, _, t_n in _scalar_branches(s.t, a_s, pu_cfg, success_probs):
+            for o, _, t_n in _scalar_branches(s.t, a_s, model.cfg, success_probs):
                 for y in range(1, 8):
                     nxt = MdpState(model.next_cd(s.cd, a_s, y, o), t_n)
                     if region_p[y - 1] != 0.0 and nxt not in seen:
@@ -887,10 +887,11 @@ def limit_distribution(p: np.ndarray, start: int) -> np.ndarray:
 
 
 def recurrent_stationary(p: np.ndarray, start: int):
-    """`cogarq.mdp._recurrent_stationary` by strongly connected components.
+    """The stationary law of `cogarq.mdp.evaluate_policy`, by strongly
+    connected components.
 
-    The package's evaluation before it read the classes off a boolean
-    closure: scipy's `connected_components` labels the classes, a class is
+    The package's evaluation once searched the classes this way: scipy's
+    `connected_components` labels the classes, a class is
     closed when no support edge leaves it, and a depth-first search from
     `start` finds the closed classes it reaches.  Returns the stationary law
     of the lowest-labelled one, solved with one balance row replaced by the

@@ -68,7 +68,7 @@ class Point:
 def _solve_with_kernel(system, probs, scheme_or_model):
     model = (scheme_model(scheme_or_model, system.pu)
              if isinstance(scheme_or_model, SchemeKind) else scheme_or_model)
-    space = enumerate_space(model, system.pu, probs, system.success_probs())
+    space = enumerate_space(model, probs, system.success_probs())
     kernel = build_kernel(space)
     floor = FLOOR_FRACTION * system.success_probs()[0]
     rep = solve_constrained(space, kernel, floor)
@@ -265,7 +265,7 @@ def kernel_empirics():
         snr, rates, 1_000_000,
         np.random.default_rng(np.random.SeedSequence([1, 0x5EED])))
     space = enumerate_space(
-        scheme_model(SchemeKind.CHAIN_DECODING, pu_cfg), pu_cfg, probs,
+        scheme_model(SchemeKind.CHAIN_DECODING, pu_cfg), probs,
         system.success_probs())
     kernel = build_kernel(space)
     policy = AccessPolicy({s: 0.5 for s in space.states})

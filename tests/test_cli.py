@@ -248,14 +248,6 @@ def test_far_rates_with_a_vanishing_mean_run(tmp_path):
     assert rows[("chain_decoding", "mc_pu_throughput")] == 0.0
 
 
-def test_worker_pool_matches_serial(tmp_path):
-    serial = run_experiment(write(tmp_path, GOOD), tmp_path / "s")
-    parallel = run_experiment(
-        write(tmp_path, GOOD + "workers = 2\n", name="par.cfg"), tmp_path / "p"
-    )
-    assert serial["results"].read_bytes() == parallel["results"].read_bytes()
-
-
 def test_main_exit_codes(tmp_path, capsys):
     cfg = write(tmp_path, GOOD)
     assert main([str(cfg), "-o", str(tmp_path / "cli"), "--slots", "1200"]) == 0
@@ -327,7 +319,6 @@ def test_peak_memory_does_not_grow_with_the_horizon(tmp_path):
         ("d_max", "1"),
         ("mean_gamma_ps", "nan"),
         ("rate_s", "-1"),
-        ("workers", "0"),
         # breaks d_max >= r_max against the default d_max = 5
         ("r_max", "6"),
         # past the rate search's range, with rate_s = optimize
@@ -342,6 +333,7 @@ def test_peak_memory_does_not_grow_with_the_horizon(tmp_path):
         ("arrivals", "poisson"),
         ("pu_policy", "random"),
         ("constraint_component", "latency"),
+        ("workers", "0"),
     ],
 )
 def test_main_rejects_out_of_range_values(tmp_path, capsys, key, value):
@@ -359,10 +351,12 @@ def test_main_rejects_out_of_range_values(tmp_path, capsys, key, value):
     ("pu_policy", "always"),
     ("constraint_component", "throughput"),
     ("region_samples", "1000000"),
+    ("workers", "1"),
 ])
 def test_retired_keys_are_unknown(tmp_path, capsys, key, value):
-    # These keys accepted one value each, or changed no output, and are gone:
-    # even the value once accepted is now an unknown key on its line.
+    # These keys accepted one value each, or changed no output (workers only
+    # scheduled the sweep points), and are gone: even the value once
+    # accepted is now an unknown key on its line.
     text = GOOD + f"{key} = {value}\n"
     assert main([str(write(tmp_path, text)), "-o", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
@@ -402,7 +396,7 @@ def test_each_sweep_point_computes_its_own_regions(tmp_path, monkeypatch):
     cfg = load_config(path)
     rates = cli._resolve_rates(cfg)
     want = [{k: str(v) for k, v in row.items()}
-            for i in range(3) for row in cli._sweep_point(cfg, rates, i, False)[1]]
+            for i in range(3) for row in cli._sweep_point(cfg, rates, i, False)[0]]
     assert list(csv.DictReader(paths["results"].open())) == want
 
 
@@ -436,15 +430,6 @@ def test_metadata_reports_solver_diagnostics(tmp_path):
     assert {r["metric"] for r in rows} == {
         "analytic_su_throughput", "analytic_pu_throughput", "constraint_min",
         "mc_su_throughput", "mc_pu_throughput", "drop_rate"}
-
-
-def test_policies_report_the_multichain_flag(tmp_path):
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    text = re.search(r"```\n(mean_gamma_s = .*?)```", readme, re.S).group(1)
-    paths = run_experiment(write(tmp_path, text), tmp_path / "out", slots_override=2000)
-    pols = [json.loads(line) for line in paths["policies"].open()]
-    assert len(pols) == 24
-    assert all(p["multichain_warning"] is False for p in pols)
 
 
 # The cross-link sweep of 24 points at a 2,000-slot horizon that the
@@ -489,7 +474,7 @@ def test_idle_evaluation_equals_the_closed_form_pu_throughput(tmp_path, sweep):
         closed = SystemConfig(snr, rates, pu_cfg).success_probs()
         probs = exact_region_probabilities(snr.mean_gamma_s, snr.mean_gamma_ps, rates)
         for model in models:
-            space = enumerate_space(model, pu_cfg, probs, closed)
+            space = enumerate_space(model, probs, closed)
             idle = evaluate_policy(space, build_kernel(space), np.zeros(space.n))
             assert abs(idle.pu_throughput - closed[0]) <= 2 * math.ulp(closed[0]), (value, model)
             kernels += 1
@@ -499,17 +484,18 @@ def test_idle_evaluation_equals_the_closed_form_pu_throughput(tmp_path, sweep):
 
 def test_importing_the_cli_loads_no_scipy_graph_code(tmp_path):
     # scipy.sparse.csgraph costs about 0.36 s to import.  The evaluation
-    # reads a policy's recurrent class off a boolean closure, so neither the
-    # import nor a full run, solves and evaluations included, loads it.
+    # solves the law on the states the start reaches, so neither the import
+    # nor a full run, solves and evaluations included, loads it.  The sweep
+    # points run in this process, so no run loads multiprocessing either.
     cfg = write(tmp_path, GOOD.replace("n_slots = 3000", "n_slots = 300"))
     code = ("import sys, cogarq.cli; imported = 'scipy.sparse.csgraph' in sys.modules; "
             f"code = cogarq.cli.main([{str(cfg)!r}, '-o', {str(tmp_path / 'out')!r}]); "
             "print(imported, code, 'scipy.optimize' in sys.modules, "
-            "'scipy.sparse.csgraph' in sys.modules)")
+            "'scipy.sparse.csgraph' in sys.modules, 'multiprocessing' in sys.modules)")
     src = str(Path(cli.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=60)
-    assert done.stdout.split()[-4:] == ["False", "0", "True", "False"], done.stderr
+    assert done.stdout.split()[-5:] == ["False", "0", "True", "False", "False"], done.stderr
 
 
 _FLOATS = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
@@ -525,8 +511,7 @@ def _mostly(good, odd):
 def _value(key: str):
     """In-range, out-of-range and malformed value texts for a schema key."""
     if key in cli._INT_KEYS:
-        top = 3 if key == "workers" else 6  # never many worker processes
-        return _mostly(st.integers(1, top).map(str),
+        return _mostly(st.integers(1, 6).map(str),
                        st.one_of(st.integers(-2, 0), st.floats(-2.0, 9.0)).map(str))
     if key in cli._FLOAT_KEYS:
         top = 1.0 if key == "constraint_fraction" else 50.0

@@ -38,7 +38,7 @@ RHO = (0.62, 0.32)
 def make_space(r_max=5, probs=PROBS, rho=RHO):
     cfg = PuConfig(r_max)
     model = ChainDecodingModel(cfg)
-    space = enumerate_space(model, cfg, probs, rho)
+    space = enumerate_space(model, probs, rho)
     return space, build_kernel(space)
 
 
@@ -163,7 +163,7 @@ def test_kernel_matches_empirical_frequencies_small():
     pu_cfg = PuConfig(5)
     system = SystemConfig(snr, rates, pu_cfg)
     probs = region_probabilities(snr, rates, 500_000, np.random.default_rng(0))
-    space = enumerate_space(ChainDecodingModel(pu_cfg), pu_cfg, probs, system.success_probs())
+    space = enumerate_space(ChainDecodingModel(pu_cfg), probs, system.success_probs())
     kernel = build_kernel(space)
     policy = AccessPolicy({s: 0.5 for s in space.states})
     recs = []
@@ -257,7 +257,7 @@ def test_solver_properties_and_pi_oracle(probs, r_max, rho0, rho_ratio, frac, sc
 
     cfg = PuConfig(r_max)
     model = GenieModel(cfg) if scheme == "genie" else scheme_model(SchemeKind(scheme), cfg)
-    space = enumerate_space(model, cfg, probs, (rho0, rho0 * rho_ratio))
+    space = enumerate_space(model, probs, (rho0, rho0 * rho_ratio))
     kernel = build_kernel(space)
     floor = frac * evaluate_policy(space, kernel, np.zeros(space.n)).pu_throughput
     rep = solve_constrained(space, kernel, floor)
@@ -278,7 +278,7 @@ def test_floor_below_the_default_lp_tolerance_is_met():
 
     probs = RegionProbabilities(*(np.ones(7) / 7).tolist())
     cfg = PuConfig(1)
-    space = enumerate_space(scheme_model(SchemeKind.CHAIN_DECODING, cfg), cfg, probs, (0.5, 0.0))
+    space = enumerate_space(scheme_model(SchemeKind.CHAIN_DECODING, cfg), probs, (0.5, 0.0))
     kernel = build_kernel(space)
     floor = 5.96e-8 * evaluate_policy(space, kernel, np.zeros(space.n)).pu_throughput
     rep = solve_constrained(space, kernel, floor)
@@ -327,13 +327,13 @@ def test_step_table_kernel_is_byte_equal_to_the_scalar_oracle(scheme, r_max):
     model = GenieModel(cfg) if scheme == "genie" else scheme_model(SchemeKind(scheme), cfg)
     tiny = ((1.0 - 2.0**-53, 1.0 - 2.0**-53), _normalized([1.0] * 4 + [1e-310] + [1.0] * 2))
     for rho, probs in [(rho, _random_regions(rng)) for rho in rhos] + [tiny]:
-        space = enumerate_space(model, cfg, probs, rho)
+        space = enumerate_space(model, probs, rho)
         kernel, oracle = build_kernel(space), scalar_kernel(space)
         for got, want in ((kernel.p, oracle.p), (kernel.r_su, oracle.r_su),
                           (kernel.r_pu, oracle.r_pu)):
             assert got.tobytes() == want.tobytes(), (cfg, rho, probs)
         reachable = {s for s, r in zip(space.states, space.reachable) if r}
-        assert reachable == scalar_reachable(model, cfg, probs, rho), (cfg, rho, probs)
+        assert reachable == scalar_reachable(model, probs, rho), (cfg, rho, probs)
 
 
 @pytest.mark.parametrize("r_max", [2, 4])
@@ -342,12 +342,11 @@ def test_certain_pu_success_keeps_the_nack_try_counts_unreachable(r_max):
     # packet decoded for certain under both SU actions, no NACK occurs, so
     # the try counts a NACK leads to are in the table but never reachable,
     # and the solved policy idles in each of their states.
-    cfg = PuConfig(r_max)
     space, kernel = make_space(r_max, rho=(1.0, 1.0))
     assert sorted({s.t for s in space.states}) == list(range(r_max))
     reachable = {s.t for s, r in zip(space.states, space.reachable) if r}
     assert reachable == {0}
-    assert reachable == {s.t for s in scalar_reachable(space.model, cfg, PROBS, (1.0, 1.0))}
+    assert reachable == {s.t for s in scalar_reachable(space.model, PROBS, (1.0, 1.0))}
     rep = solve_constrained(space, kernel, 0.5)
     assert all(rep.policy.probs[s] == 0.0 for s, r in zip(space.states, space.reachable) if not r)
     assert rep.pu_throughput == 1.0
@@ -373,7 +372,7 @@ def test_memoryless_optimum_is_the_closed_form(scheme, earning, r_max):
         rho1 = (rho0, 0.0, rho0 * rng.random(), rng.random() * 1e-3)[k % 4]
         frac = (0.0, rng.random(), 0.99)[k % 3]
         probs = _random_regions(rng)
-        space = enumerate_space(model, cfg, probs, (rho0, rho1))
+        space = enumerate_space(model, probs, (rho0, rho1))
         floor = frac * rho0
         rep = solve_constrained(space, build_kernel(space), floor)
         w = sum(probs.as_array()[y - 1] for y in earning)
@@ -384,75 +383,86 @@ def test_memoryless_optimum_is_the_closed_form(scheme, earning, r_max):
             assert abs(rep.pu_throughput - (rho0 - (rho0 - rho1) * phi)) <= 1e-12, case
 
 
-def _reaches(p: np.ndarray, i: int) -> set:
-    """The states the chain `p` reaches from `i`, `i` included."""
-    seen, stack = {i}, [i]
-    while stack:
-        for j in np.flatnonzero(p[stack.pop()] > 0.0):
-            if j not in seen:
-                seen.add(int(j))
-                stack.append(int(j))
-    return seen
-
-
 @st.composite
-def _sparse_chains(draw):
-    """A stochastic matrix of at most 12 states, each with one to three
-    successors, so that several closed classes and transient states are
-    common, and a start state."""
+def _chains_into_the_start(draw):
+    """A stochastic matrix of at most 12 states in which every state reaches
+    the start, and the start.  Each state other than the start steps to a
+    parent nearer the start, which makes the path, and to up to two more
+    states; the start has one to three successors, so it often leaves
+    states unreached."""
     n = draw(st.integers(1, 12))
+    order = draw(st.permutations(range(n)))  # the start first, parents earlier
     p = np.zeros((n, n))
-    for i in range(n):
-        succ = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+    for k, i in enumerate(order):
+        lo, hi = (0, 2) if k else (1, 3)
+        succ = set(draw(st.lists(st.integers(0, n - 1), min_size=lo, max_size=hi)))
+        if k:
+            succ.add(order[draw(st.integers(0, k - 1))])
         w = draw(st.lists(st.floats(0.01, 1.0), min_size=len(succ), max_size=len(succ)))
-        p[i, succ] = np.array(w) / sum(w)
-    return p, draw(st.integers(0, n - 1))
+        p[i, sorted(succ)] = np.array(w) / sum(w)
+    return p, order[0]
 
 
-# 0 -> {1, 2} transient, 1 -> {1, 3} and 2 -> 2 closed, 3 -> 1: two classes.
-_TWO_CLASSES = np.array([[0.0, 0.5, 0.5, 0.0], [0.0, 0.3, 0.0, 0.7],
-                         [0.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+# 0 -> 0; 1 -> {0, 2} and 2 -> 1 reach it but are never reached.
+_UNREACHED = np.array([[1.0, 0.0, 0.0], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])
+# 2 -> {0, 2}, 0 -> 1, 1 -> {0, 2}, 3 -> 1: one class of three, 3 unreached.
+_CYCLE = np.array([[0.0, 1.0, 0.0, 0.0], [0.3, 0.0, 0.7, 0.0],
+                   [0.6, 0.0, 0.4, 0.0], [0.0, 1.0, 0.0, 0.0]])
 
 
 @settings(max_examples=300, deadline=None)
-@given(_sparse_chains())
-@example((_TWO_CLASSES, 0))
-@example((_TWO_CLASSES, 3))
+@given(_chains_into_the_start())
+@example((_UNREACHED, 0))
+@example((_CYCLE, 2))
 def test_recurrent_class_matches_the_strong_components_oracle(chain):
-    # The closure-based class search against scipy's strongly connected
-    # components: the same multichain flag, the same law where the class
-    # reachable from the start is unique, and otherwise a stationary law
-    # on one closed class the start reaches.
+    # When every state reaches the start, as every step table guarantees,
+    # the start's class is the one closed class it reaches, and it is the
+    # set of states the start reaches.  The evaluation solves the law on
+    # that set; scipy's strongly connected components find the same law.
     p, start = chain
-    pi, warning = mdp._recurrent_stationary(p, start)
+    n = p.shape[0]
     want, want_warning = recurrent_stationary(p, start)
-    assert warning == want_warning
-    if not warning:
-        assert np.abs(pi - want).max() <= 1e-12
-        return
-    assert abs(pi.sum() - 1.0) <= 1e-12 and (pi >= 0.0).all()
-    assert np.abs(pi @ p - pi).max() <= 1e-12
-    top = int(np.argmax(pi))
-    cls = _reaches(p, top)
-    assert all(top in _reaches(p, j) for j in cls)  # closed and strongly connected
-    assert set(np.flatnonzero(pi > 0.0)) <= cls
-    assert top in _reaches(p, start)
+    assert not want_warning
+    kernel = SimpleNamespace(p=np.stack((p, p), axis=1), r_su=np.zeros((n, 2)),
+                             r_pu=np.zeros((n, 2)))
+    space = SimpleNamespace(n=n, table=SimpleNamespace(start=start))
+    pi = evaluate_policy(space, kernel, np.zeros(n)).stationary
+    assert np.abs(pi - want).max() <= 1e-12
 
 
-def test_a_policy_reaching_two_closed_classes_is_flagged():
-    # No compact model can raise the flag: every PU cycle ends within r_max
-    # slots in the initial state, so the start is recurrent under any
-    # policy.  On this hand-built chain, sending in state 0 moves to the
-    # absorbing state 1 or 2 with equal odds; idling keeps state 0.
-    p = np.zeros((3, 2, 3))
-    p[0, 0, 0] = 1.0
-    p[0, 1, 1:] = 0.5
-    p[1, :, 1] = p[2, :, 2] = 1.0
-    kernel = SimpleNamespace(p=p, r_su=np.array([[0.0, 0.0], [0.25, 0.25], [0.75, 0.75]]),
-                             r_pu=np.ones((3, 2)))
-    space = SimpleNamespace(n=3, table=SimpleNamespace(start=0))
-    res = evaluate_policy(space, kernel, np.array([1.0, 0.0, 0.0]))
-    assert res.multichain_warning
-    # the class of the lowest-indexed recurrent state the start reaches
-    assert res.stationary.tolist() == [0.0, 1.0, 0.0] and res.su_throughput == 0.25
-    assert not evaluate_policy(space, kernel, np.zeros(3)).multichain_warning
+@pytest.mark.parametrize("scheme", ["chain_decoding", "fic_bic", "fic_only", "no_fic_bic", "genie"])
+def test_every_model_evaluates_on_the_one_class_of_its_start(scheme):
+    # The same comparison on the real kernels, r_max 1 to 6, over random
+    # regions (about a third zero), PU success pairs and policies that
+    # idle, send or randomize per state: the oracle finds one closed class
+    # reachable from the start, and the evaluation the same law on it.
+    from cogarq.simulator import SchemeKind, scheme_model
+
+    rng = np.random.default_rng([24, len(scheme)])
+    for r_max in range(1, 7):
+        cfg = PuConfig(r_max)
+        model = GenieModel(cfg) if scheme == "genie" else scheme_model(SchemeKind(scheme), cfg)
+        for rho in [(0.62, 0.32), (1.0, 0.0), (1.0, 1.0)] + [
+                tuple(sorted(rng.random(2), reverse=True)) for _ in range(3)]:
+            space = enumerate_space(model, _random_regions(rng), rho)
+            kernel = build_kernel(space)
+            mu = np.where(rng.random(space.n) < 0.5, rng.integers(0, 2, space.n),
+                          rng.random(space.n))
+            p = (1.0 - mu)[:, None] * kernel.p[:, 0, :] + mu[:, None] * kernel.p[:, 1, :]
+            want, want_warning = recurrent_stationary(p, space.table.start)
+            assert not want_warning, (r_max, rho, mu)
+            pi = evaluate_policy(space, kernel, mu).stationary
+            assert np.abs(pi - want).max() <= 1e-12, (r_max, rho, mu)
+
+
+def test_step_table_rejects_a_completion_that_does_not_restart():
+    # A model whose PU completion keeps its phase would leave the start
+    # transient, and the evaluation's one-class law wrong.
+    from cogarq.simulator import FicOnlyModel
+
+    class StaysKnown(FicOnlyModel):
+        def next_cd(self, cd, a_s, y, o):
+            return cd if o and cd[0] == "K" else super().next_cd(cd, a_s, y, o)
+
+    with pytest.raises(ValueError, match="not the start"):
+        mdp.step_table(StaysKnown(PuConfig(3)))

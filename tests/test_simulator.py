@@ -52,7 +52,7 @@ def solved_policy(system, scheme, fraction=0.8, samples=300_000):
     rng = np.random.default_rng(np.random.SeedSequence([1, 0x5EED]))
     probs = region_probabilities(system.snr, system.rates, samples, rng)
     model = scheme_model(scheme, system.pu)
-    space = enumerate_space(model, system.pu, probs, system.success_probs())
+    space = enumerate_space(model, probs, system.success_probs())
     return solve_constrained(space, build_kernel(space), fraction * system.success_probs()[0])
 
 
@@ -265,7 +265,7 @@ def test_scheme_models_expose_consistent_tables():
     pu_cfg = PuConfig(4)
     for model in (FicBicModel(pu_cfg), FicOnlyModel(pu_cfg),
                   NoFicBicModel(pu_cfg), GenieModel(pu_cfg)):
-        states = model.cd_states(pu_cfg)
+        states = model.cd_states()
         assert model.initial_cd() in states
         for cd in states:
             for a_s in (0, 1):
@@ -280,8 +280,7 @@ def _constant_policy(system, scheme, mu=0.6):
     actions occur from every state a run reaches."""
     rng = np.random.default_rng(np.random.SeedSequence([1, 0x5EED]))
     probs = region_probabilities(system.snr, system.rates, 20_000, rng)
-    space = enumerate_space(scheme_model(scheme, system.pu), system.pu, probs,
-                            system.success_probs())
+    space = enumerate_space(scheme_model(scheme, system.pu), probs, system.success_probs())
     return AccessPolicy({s: mu for s in space.states})
 
 

@@ -28,7 +28,7 @@ def cfg_for(r_max=5):
 def _kernel_at(phase, b, rho=(0.6, 0.3)):
     """build_kernel's output and the index of state (phase, b, t=0)."""
     cfg = cfg_for()
-    space = enumerate_space(ChainDecodingModel(cfg), cfg, PROBS, rho)
+    space = enumerate_space(ChainDecodingModel(cfg), PROBS, rho)
     return build_kernel(space), space.index[MdpState((phase.value, b), 0)]
 
 
@@ -200,7 +200,7 @@ def test_phase_counter_cap_never_binds_on_reachable_states(model_cls, r_max):
     cfg = cfg_for(r_max)
     model, uncapped = model_cls(cfg), model_cls(cfg)
     uncapped.b_cap = 10**6
-    space = enumerate_space(model, cfg, PROBS, RHO)
+    space = enumerate_space(model, PROBS, RHO)
     reachable = [space.states[i] for i in np.flatnonzero(space.reachable)]
     assert max(s.cd[1] for s in reachable) == r_max - 1
     for s in reachable:
