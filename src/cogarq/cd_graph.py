@@ -186,19 +186,6 @@ class CdGraph:
     def edge_count(self) -> int:
         return self._edges
 
-    def snapshot(self) -> dict:
-        """Line-dump-friendly view of the stored graph, for debugging."""
-        return {
-            "slot": self.slot,
-            "su_nodes": sorted(slot_of(n) for n in self.su_nodes),
-            "pu_nodes": sorted(slot_of(n) for n in self.pu_nodes),
-            "edges": sorted(
-                (_name(src), _name(dst))
-                for src, dsts in self.out_edges.items()
-                for dst in dsts
-            ),
-        }
-
 
 # -- queries -----------------------------------------------------------------
 

@@ -106,6 +106,8 @@ PU_ALONE = frozenset({1, 3, 6, 7})   # PU packet, no SU transmission
 PU_UNDER_SU = frozenset({1, 3})      # PU packet, under an SU packet
 SU_NEEDS_PU = SU_CLEAN - SU_UNDER_PU  # SU packet, only once the PU packet is cancelled
 
+_RATE_REL_TOL = 1e-4  # the relative bracket width at which `optimize_rate` stops
+
 
 def classify_su_outcomes(gamma_s: np.ndarray, gamma_ps: np.ndarray, r: RatePair) -> np.ndarray:
     """Outcome region index in 1..7 at the SU receiver, one uint8 per slot.
@@ -221,13 +223,13 @@ def _rate_objective(rate: float, mean_snr: float) -> float:
     return rate * math.exp(-(2.0 ** rate - 1.0) / mean_snr)
 
 
-def optimize_rate(mean_snr: float, rel_tol: float = 1e-4) -> float:
+def optimize_rate(mean_snr: float) -> float:
     """Rate maximizing single-user throughput r * P(r < C(gamma)).
 
     The success probability under exponential fading is
     exp(-(2^r - 1) / mean_snr), and the objective is unimodal in r.  The
     maximizer is located by geometric grid search, shrinking the bracket
-    until its relative width is below `rel_tol`.
+    until its relative width is below `_RATE_REL_TOL`.
     """
     if not math.isfinite(mean_snr) or mean_snr <= 0.0:
         raise ValueError(f"mean_snr must be > 0, got {mean_snr!r}")
@@ -239,7 +241,7 @@ def optimize_rate(mean_snr: float, rel_tol: float = 1e-4) -> float:
             raise RuntimeError("rate search failed to bracket a maximum")
     hi *= 2.0
     lo = 1e-9
-    while hi / lo - 1.0 > rel_tol:
+    while hi / lo - 1.0 > _RATE_REL_TOL:
         grid = np.geomspace(lo, hi, 65)
         vals = [_rate_objective(g, mean_snr) for g in grid]
         k = int(np.argmax(vals))

@@ -98,6 +98,8 @@ class ExperimentConfig:
         require(self.sweep in SWEEP_PARAMS, "sweep", f"one of {SWEEP_PARAMS}")
         require(self.sweep_values and all(math.isfinite(v) and v >= 0.0 for v in self.sweep_values),
                 "sweep_values", "a nonempty list of finite ratios >= 0")
+        require(len(set(self.sweep_values)) == len(self.sweep_values), "sweep_values",
+                "free of repeats, compared as numbers")
         swept = _SWEPT_MEAN.get(self.sweep)
         if swept:
             require(all(math.isfinite(v * getattr(self, swept)) for v in self.sweep_values),
@@ -131,6 +133,7 @@ class ExperimentConfig:
         require(self.q_max >= 1, "q_max", ">= 1")
         require(0.0 <= self.constraint_fraction <= 1.0, "constraint_fraction", "in [0, 1]")
         require(all(s in _SCHEMES for s in self.schemes), "schemes", f"among {tuple(_SCHEMES)}")
+        require(len(set(self.schemes)) == len(self.schemes), "schemes", "free of repeats")
         require(self.seed >= 0, "seed", ">= 0")
         require(self.n_slots >= 1, "n_slots", ">= 1")
         return self
@@ -146,9 +149,15 @@ _STR_KEYS = {"sweep"}
 
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse the flat key=value file; errors carry the line number."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        lineno = data.count(b"\n", 0, e.start) + 1
+        raise ConfigError(f"{path}:{lineno}: not UTF-8 text: {e.reason}", None) from None
     values: dict = {}
     lines: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -418,7 +427,7 @@ def main(argv=None) -> int:
             seed_override=args.seed_override,
             slots_override=args.slots,
         )
-    except (ConfigError, FileNotFoundError) as e:
+    except (ConfigError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except InfeasibleConstraintError as e:

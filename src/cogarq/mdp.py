@@ -4,12 +4,12 @@ The state couples a scheme-specific decoding phase with the tracked try
 count t of the primary ARQ process; the backlogged PU sends in every slot,
 so t is all the SU needs to track.  A scheme model supplies its phase set,
 per-outcome reward, and phase update; `step_table` evaluates the one-slot
-step once per model, and the kernel, the reachability search and the
-simulator all read it.  The constrained problem, maximize SU throughput
-subject to a floor on the PU's throughput, is solved exactly by one linear
-program over state-action occupation measures (Altman, Constrained Markov
-Decision Processes, 1999, ch. 4), whose optimum randomizes in at most one
-state.
+step once per model on the states its chain can reach, and the kernel, the
+reachability search and the simulator all read it.  The constrained
+problem, maximize SU throughput subject to a floor on the PU's throughput,
+is solved exactly by one linear program over state-action occupation
+measures (Altman, Constrained Markov Decision Processes, 1999, ch. 4),
+whose optimum randomizes in at most one state.
 
 Every model's chain is unichain.  `step_table` checks that each step
 completing the PU packet leads to the start, and `update`'s deadline
@@ -68,12 +68,13 @@ FEEDBACKS = (PuFeedback.ACK, PuFeedback.NACK)
 class StepTable(NamedTuple):
     """One model's compact step for every state, SU action, feedback and region.
 
-    `states` is the product of the try counts 0..r_max - 1 with the model's
-    phases.  It takes no probability, so one table serves every sweep
-    point.  `start` indexes the initial state, where every step that
-    completes the PU packet leads.  `nxt[i, a_s, f, y - 1]` is
-    the next state's index after feedback `FEEDBACKS[f]` and region y, and
-    `reward` holds the SU packets credited.
+    `states` is every state the initial one reaches when each feedback and
+    region has positive probability, listed by try count, then in the order
+    of the model's `cd_states`.  It takes no probability, so one table
+    serves every sweep point.  `start` indexes the initial state, where
+    every step that completes the PU packet leads.  `nxt[i, a_s, f, y - 1]`
+    is the next state's index after feedback `FEEDBACKS[f]` and region y,
+    and `reward` holds the SU packets credited.
     """
 
     states: list
@@ -164,7 +165,7 @@ _TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 def step_table(model) -> StepTable:
     """The model's `StepTable` under its own `cfg`, built on first use: the
     one place the tracker's `update` and the model's `next_cd` and `reward`
-    make the compact step.
+    make the compact step, on the states a search from the start finds.
 
     Raises ValueError if a step that completes the PU packet does not lead
     to the start, which the unichain evaluation relies on.
@@ -172,21 +173,28 @@ def step_table(model) -> StepTable:
     if model in _TABLES:
         return _TABLES[model]
     cfg = model.cfg
-    cds = list(model.cd_states())
-    states = [MdpState(cd, t) for t in range(cfg.r_max) for cd in cds]
+    start = MdpState(model.initial_cd(), 0)
+    steps, stack = {}, [start]  # state -> its (next state, reward) per (a_s, feedback, region)
+    while stack:
+        if (s := stack.pop()) in steps:
+            continue
+        steps[s] = row = []
+        for a_s, y_p, y in itertools.product((0, 1), FEEDBACKS, range(1, 8)):
+            o, t_n = update(s.t, y_p, cfg)
+            nxt = MdpState(model.next_cd(s.cd, a_s, y, o), t_n)
+            if o and nxt != start:
+                raise ValueError(f"{model.name}: completing the PU packet in {s} under "
+                                 f"a_s={a_s}, region {y} leads to {nxt}, not the start")
+            row.append((nxt, model.reward(s.cd, a_s, y)))
+            stack.append(nxt)
+    # By try count, then `cd_states`: the order picks HiGHS's optimum among ties.
+    rank = {cd: k for k, cd in enumerate(model.cd_states())}
+    states = sorted(steps, key=lambda s: (s.t, rank[s.cd]))
     index = {s: i for i, s in enumerate(states)}
-    start = index[MdpState(model.initial_cd(), 0)]
-    nxt = np.empty((len(states), 2, len(FEEDBACKS), 7), dtype=np.int32)
-    reward = np.empty_like(nxt)
-    for (i, s), a_s, (f, y_p), y in itertools.product(
-            enumerate(states), (0, 1), enumerate(FEEDBACKS), range(1, 8)):
-        o, t_n = update(s.t, y_p, cfg)
-        nxt[i, a_s, f, y - 1] = j = index[MdpState(model.next_cd(s.cd, a_s, y, o), t_n)]
-        if o and j != start:
-            raise ValueError(f"{model.name}: completing the PU packet in {s} under "
-                             f"a_s={a_s}, region {y} leads to {states[j]}, not the start")
-        reward[i, a_s, f, y - 1] = model.reward(s.cd, a_s, y)
-    _TABLES[model] = table = StepTable(states, index, start, nxt, reward)
+    shape = (len(states), 2, len(FEEDBACKS), 7)
+    nxt = np.array([[index[j] for j, _ in steps[s]] for s in states], dtype=np.int32).reshape(shape)
+    reward = np.array([[r for _, r in steps[s]] for s in states], dtype=np.int32).reshape(shape)
+    _TABLES[model] = table = StepTable(states, index, index[start], nxt, reward)
     return table
 
 
@@ -213,11 +221,11 @@ def enumerate_space(
 ) -> StateSpace:
     """The model's `step_table` states, and those jointly reachable here.
 
-    The phase set is taken as a product rather than pruned to joint
-    reachability; unreachable combinations simply carry no stationary
-    mass.  Reachability is a search over the table's steps whose feedback
-    and region both have positive probability, each tested on its own, so
-    a product of the two that underflows to 0 still counts.
+    A feedback or region may have no probability at this point, so fewer
+    of the table's states may be reachable here; the rest carry no
+    stationary mass.  Reachability is a search over the table's steps whose
+    feedback and region both have positive probability, each tested on its
+    own, so a product of the two that underflows to 0 still counts.
     """
     table = step_table(model)
     n = len(table.states)
@@ -329,8 +337,8 @@ def solve_constrained(space: StateSpace, kernel: Kernel, constraint_min: float) 
     """
     from scipy.optimize import linprog  # see the module docstring
 
-    # the solver works on the jointly-reachable subset; product states that
-    # no trajectory can visit keep the idle action and zero mass
+    # the solver works on the jointly-reachable subset; table states that
+    # this point cannot reach keep the idle action and zero mass
     ridx = np.nonzero(space.reachable)[0]
     m = ridx.size
     p_sub = kernel.p[np.ix_(ridx, np.arange(2), ridx)]

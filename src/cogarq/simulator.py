@@ -121,15 +121,14 @@ class FicBicModel:
     """Within-window interference cancellation, both directions.
 
     Phase ("U", b): current PU packet undecoded, b buffered SU packets that
-    its decoding would release.  Phase ("K", 0): packet known, clean
-    channel until the window ends.
+    its decoding would release, at most one per try, so b <= t.  Phase
+    ("K", 0): packet known, clean channel until the window ends.
     """
 
     name = "fic_bic"
 
     def __init__(self, cfg: PuConfig):
         self.cfg = cfg
-        self.b_cap = cfg.r_max - 1
 
     def cd_states(self):
         return [("U", b) for b in range(self.cfg.r_max)] + [("K", 0)]
@@ -149,7 +148,7 @@ class FicBicModel:
             return cd
         if _pu_decoded_event(a_s, y):
             return ("K", 0)
-        return ("U", min(cd[1] + a_s * (y in SU_NEEDS_PU), self.b_cap))
+        return ("U", cd[1] + a_s * (y in SU_NEEDS_PU))
 
 
 class FicOnlyModel:

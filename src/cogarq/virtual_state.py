@@ -84,24 +84,19 @@ def virtual_reward(a_s: int, y: int, phase: CdPhase, b_s: int) -> int:
 class ChainDecodingModel:
     """Phase machinery of the chain-decoding scheme, as the optimizer sees it.
 
-    Phase tuples are (phase name, pinned-packet counter); the counter is
-    bounded by the retransmission deadline because each PU packet is sent at
-    most that many times.  On reachable states the cap is never hit (the
-    counter stays below the tracked retransmission count); it only closes
-    the product space over jointly-unreachable phase/ARQ combinations.
+    Phase tuples are (phase name, pinned-packet counter).  The counter
+    grows by at most one per try of the PU packet, so it never exceeds the
+    tracked try count t < r_max, and `cd_states` lists it up to r_max - 1.
     """
 
     name = "chain_decoding"
 
     def __init__(self, cfg: PuConfig):
         self.cfg = cfg
-        self.b_cap = cfg.r_max - 1
 
     def cd_states(self):
-        states = [(CdPhase.U.value, b) for b in range(self.cfg.r_max)]
-        states.append((CdPhase.K_BIDIR.value, 0))
-        states.append((CdPhase.K_FWD.value, 0))
-        return states
+        return ([(CdPhase.U.value, b) for b in range(self.cfg.r_max)]
+                + [(CdPhase.K_BIDIR.value, 0), (CdPhase.K_FWD.value, 0)])
 
     def initial_cd(self):
         return (CdPhase.U.value, 0)
@@ -117,7 +112,7 @@ class ChainDecodingModel:
         kappa_n = 1 - (1 - kappa) * (1 - hit)
         iota_n = iota * (1 - hit + a_s * (y == 7))
         b_n = (1 - hit) * (cd[1] + (1 - kappa) * a_s * (y == 5))
-        return (phase_from_flags(kappa_n, iota_n).value, min(b_n, self.b_cap))
+        return (phase_from_flags(kappa_n, iota_n).value, b_n)
 
 
 # -- always-transmit outcome translation ----------------------------------------

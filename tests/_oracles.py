@@ -331,6 +331,21 @@ def forget(g: CdGraph):
     g.decoded_pu.clear()
 
 
+def snapshot(g: CdGraph) -> dict:
+    """Line-dump-friendly view of the stored graph: its slot, node slots and
+    edges named 3_S style."""
+    def name(label):
+        return f"{slot_of(label)}_{'P' if is_pu(label) else 'S'}"
+
+    return {
+        "slot": g.slot,
+        "su_nodes": sorted(slot_of(n) for n in g.su_nodes),
+        "pu_nodes": sorted(slot_of(n) for n in g.pu_nodes),
+        "edges": sorted((name(src), name(dst))
+                        for src, dsts in g.out_edges.items() for dst in dsts),
+    }
+
+
 def composed_slot(g: CdGraph, n: int, new_cycle: bool, pu_slot: int, a_s: int, y: int):
     """`cogarq.cd_protocol.run_slot` as the composition of the steps above,
     with the PU sending the packet first sent in `pu_slot`: (SU packets

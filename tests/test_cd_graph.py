@@ -15,7 +15,7 @@ from cogarq.cd_graph import (
 )
 from cogarq.cd_protocol import select_label
 
-from _oracles import forget, matrix_power_closure, on_new_cycle, record_slot
+from _oracles import forget, matrix_power_closure, on_new_cycle, record_slot, snapshot
 
 
 def chain_example_graph():
@@ -315,7 +315,7 @@ def test_adding_edges_never_decreases_potential(seed):
 
 def test_snapshot_reflects_structure():
     g = chain_example_graph()
-    snap = g.snapshot()
+    snap = snapshot(g)
     assert snap["slot"] == 3
     assert snap["su_nodes"] == [0, 1] and snap["pu_nodes"] == [0, 2]
     assert ("0_P", "0_S") in snap["edges"] and len(snap["edges"]) == 3
@@ -418,7 +418,7 @@ def test_a_forgetting_graph_answers_as_one_that_remembers(seed):
         y = int(rng.integers(1, 8))
         assert record_slot(keep, l_s, pu(n0), known, y) == record_slot(
             forgetful, l_s, pu(n0), known, y)
-        assert keep.snapshot() == forgetful.snapshot()
+        assert snapshot(keep) == snapshot(forgetful)
         for full, kept in ((keep.decoded_su, forgetful.decoded_su),
                            (keep.decoded_pu, forgetful.decoded_pu)):
             assert {s for s in full if s >= forgetful.horizon} <= kept <= full

@@ -257,6 +257,44 @@ def test_main_exit_codes(tmp_path, capsys):
     assert "bad.cfg" in err
 
 
+def test_config_path_to_a_directory_is_an_error(tmp_path, capsys):
+    assert main([str(tmp_path), "-o", str(tmp_path / "out")]) == 2
+    assert "Is a directory" in capsys.readouterr().err
+
+
+def test_config_that_is_not_utf8_names_the_line(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_bytes(b"mean_gamma_s = 5\nmean_gamma_p = 10\n# caf\xe9\n")
+    assert main([str(cfg), "-o", str(tmp_path / "out")]) == 2
+    assert "exp.cfg:3: not UTF-8 text" in capsys.readouterr().err
+
+
+def test_output_dir_that_is_a_file_is_an_error(tmp_path, capsys):
+    cfg, taken = write(tmp_path, GOOD), write(tmp_path, "", name="taken")
+    assert main([str(cfg), "-o", str(taken)]) == 2
+    assert "File exists" in capsys.readouterr().err
+
+
+def test_output_dir_under_a_file_is_an_error(tmp_path, capsys):
+    cfg, taken = write(tmp_path, GOOD), write(tmp_path, "", name="taken")
+    assert main([str(cfg), "-o", str(taken / "sub")]) == 2
+    assert "Not a directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("sweep_values", "0.2, 1, 1.0"),
+    ("schemes", "chain_decoding, no_fic_bic, chain_decoding"),
+])
+def test_repeated_sweep_points_or_schemes_are_rejected(tmp_path, capsys, key, value):
+    # Each would write rows sharing a (scheme, sweep_value, metric) key;
+    # 1 and 1.0 are one sweep point.
+    text = GOOD + f"{key} = {value}\n"
+    assert main([str(write(tmp_path, text)), "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"exp.cfg:{len(text.splitlines())}: {key} must be free of repeats" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_error_loads_no_lp_solver(tmp_path):
     # scipy.optimize is imported at the first solve, so a run that stops at
     # validation never pays for it

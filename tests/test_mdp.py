@@ -47,10 +47,12 @@ def test_kernel_rows_sum_to_one():
     assert np.allclose(kernel.p.sum(axis=2), 1.0, atol=1e-12)
 
 
-def test_space_size_is_phase_times_arq_product():
+def test_space_holds_the_states_reachable_on_every_branch():
+    # of the 5 try counts times the 5 + 2 decoding phases, the 23 states
+    # with a pinned counter b <= t and a known phase only from t = 1 on
     space, _ = make_space(r_max=5)
-    # the R_max try counts times the R_max + 2 decoding phases
-    assert space.n == 5 * (5 + 2)
+    assert set(space.states) == scalar_reachable(space.model, PROBS, RHO)
+    assert space.n == 23
 
 
 def test_single_try_deadline_funnels_to_cycle_start():

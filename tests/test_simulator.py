@@ -1,13 +1,21 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
 
 from cogarq import simulator
 from cogarq.channel import AvgSnrConfig, RatePair
-from cogarq.mdp import AccessPolicy, build_kernel, enumerate_space, solve_constrained
+from cogarq.mdp import (
+    AccessPolicy,
+    MdpState,
+    build_kernel,
+    enumerate_space,
+    solve_constrained,
+    step_table,
+)
 from cogarq.pu_system import PuConfig
-from cogarq.pu_tracker import PuFeedback
+from cogarq.pu_tracker import PuFeedback, update
 from cogarq.simulator import (
     FicBicModel,
     FicOnlyModel,
@@ -265,14 +273,15 @@ def test_scheme_models_expose_consistent_tables():
     pu_cfg = PuConfig(4)
     for model in (FicBicModel(pu_cfg), FicOnlyModel(pu_cfg),
                   NoFicBicModel(pu_cfg), GenieModel(pu_cfg)):
-        states = model.cd_states()
-        assert model.initial_cd() in states
-        for cd in states:
-            for a_s in (0, 1):
-                for y in range(1, 8):
-                    for o in (0, 1):
-                        assert model.next_cd(cd, a_s, y, o) in states
-                        assert model.reward(cd, a_s, y) >= 0
+        # every step from a table state, under any action, feedback and
+        # region, stays in the table
+        table = step_table(model)
+        assert table.states[table.start] == MdpState(model.initial_cd(), 0)
+        for s in table.states:
+            for a_s, y_p, y in itertools.product((0, 1), PuFeedback, range(1, 8)):
+                o, t_n = update(s.t, y_p, pu_cfg)
+                assert MdpState(model.next_cd(s.cd, a_s, y, o), t_n) in table.index
+                assert model.reward(s.cd, a_s, y) >= 0
 
 
 def _constant_policy(system, scheme, mu=0.6):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from cogarq.channel import RegionProbabilities
-from cogarq.mdp import MdpState, build_kernel, enumerate_space
+from cogarq.mdp import MdpState, build_kernel, enumerate_space, step_table
 from cogarq.pu_system import PuConfig
 from cogarq.pu_tracker import PuFeedback, update
-from cogarq.simulator import FicBicModel
+from cogarq.simulator import SchemeKind, scheme_model
 from cogarq.virtual_state import (
     ChainDecodingModel,
     CdPhase,
@@ -17,6 +17,8 @@ from cogarq.virtual_state import (
     virtual_reward,
 )
 
+from _oracles import GenieModel, scalar_reachable
+
 PROBS = RegionProbabilities(0.06, 0.15, 0.07, 0.26, 0.20, 0.10, 0.16)
 RHO = (0.62, 0.31)
 
@@ -25,16 +27,16 @@ def cfg_for(r_max=5):
     return PuConfig(r_max)
 
 
-def _kernel_at(phase, b, rho=(0.6, 0.3)):
-    """build_kernel's output and the index of state (phase, b, t=0)."""
+def _kernel_at(phase, b, rho=(0.6, 0.3), t=0):
+    """build_kernel's output and the index of state (phase, b, t)."""
     cfg = cfg_for()
     space = enumerate_space(ChainDecodingModel(cfg), PROBS, rho)
-    return build_kernel(space), space.index[MdpState((phase.value, b), 0)]
+    return build_kernel(space), space.index[MdpState((phase.value, b), t)]
 
 
-def expected_virtual_reward(phase, b, a_s):
-    """build_kernel's expected SU credit in state (phase, b, t=0)."""
-    kernel, i = _kernel_at(phase, b)
+def expected_virtual_reward(phase, b, a_s, t=0):
+    """build_kernel's expected SU credit in state (phase, b, t)."""
+    kernel, i = _kernel_at(phase, b, t=t)
     return kernel.r_su[i, a_s]
 
 
@@ -86,11 +88,13 @@ def test_expected_virtual_reward_fresh_packet_under_unknown_pu():
 
 
 def test_expected_virtual_reward_forward_known_idle_su():
-    assert expected_virtual_reward(CdPhase.K_FWD, 0, 0) == 0.0
+    # a known phase first occurs at t = 1; the reward does not depend on t
+    assert expected_virtual_reward(CdPhase.K_FWD, 0, 0, t=1) == 0.0
 
 
 def test_expected_virtual_reward_pinned_release():
-    got = expected_virtual_reward(CdPhase.U, 1, 0)
+    # a pinned packet first occurs at t = 1; the reward does not depend on t
+    got = expected_virtual_reward(CdPhase.U, 1, 0, t=1)
     want = PROBS.delta_sp + PROBS.delta_p + PROBS.ups_sp + PROBS.ups_p
     assert got == pytest.approx(want)
 
@@ -191,20 +195,19 @@ def test_scheme_model_matches_transition_on_path():
 
 
 @pytest.mark.parametrize("r_max", range(1, 6))
-@pytest.mark.parametrize("model_cls", [ChainDecodingModel, FicBicModel])
-def test_phase_counter_cap_never_binds_on_reachable_states(model_cls, r_max):
-    # The pinned-packet counter is capped at r_max - 1 only to close the
-    # product space.  On every jointly reachable state and every branch of
-    # positive probability the cap changes nothing: the counter reaches
-    # r_max - 1 only on the last try, which completes the PU packet.
+@pytest.mark.parametrize("scheme", [*SchemeKind, "genie"])
+def test_step_table_holds_the_states_reachable_on_every_branch(scheme, r_max):
+    # The table's search takes no probability.  With every region positive
+    # and rho in (0, 1) every branch has positive probability, so the table
+    # holds exactly the states the scalar search reaches, in the order of
+    # the product of try counts and phases.  No clamp bounds the pinned
+    # counter: it grows by at most one per try, so b <= t.
     cfg = cfg_for(r_max)
-    model, uncapped = model_cls(cfg), model_cls(cfg)
-    uncapped.b_cap = 10**6
-    space = enumerate_space(model, PROBS, RHO)
-    reachable = [space.states[i] for i in np.flatnonzero(space.reachable)]
-    assert max(s.cd[1] for s in reachable) == r_max - 1
-    for s in reachable:
-        for a_s, y_p, y in itertools.product((0, 1), PuFeedback, range(1, 8)):
-            o = update(s.t, y_p, cfg)[0]
-            assert model.next_cd(s.cd, a_s, y, o) == uncapped.next_cd(
-                s.cd, a_s, y, o), (s, a_s, y_p, y)
+    model = GenieModel(cfg) if scheme == "genie" else scheme_model(scheme, cfg)
+    assert all(p > 0.0 for p in PROBS.as_array()) and all(0.0 < r < 1.0 for r in RHO)
+    states = step_table(model).states
+    reached = scalar_reachable(model, PROBS, RHO)
+    product = [MdpState(cd, t) for t in range(r_max) for cd in model.cd_states()]
+    assert states == [s for s in product if s in reached]
+    assert set(states) == reached
+    assert all(s.cd[1] <= s.t for s in states)
