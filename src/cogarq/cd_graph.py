@@ -14,11 +14,15 @@ Packets that were never buffered next to an edge behave exactly like the
 fresh, never-transmitted labels of the current slot: isolated, potential
 one for an SU packet and zero for a PU packet.  Only edge-touched nodes are
 stored; everything else is represented implicitly, which keeps memory
-bounded by what pruning retains.  Most slots see a graph with no edge at
-all, so the queries answer that case without a traversal: the closure of a
-seed set is the seeds and the root is the fresh packet.  Argument checks
-run either way.  What a slot decodes and buffers in each of the seven
-outcome regions is stated once, in `SLOT_OUTCOMES`.
+bounded by what pruning retains.  What a slot decodes and buffers in each
+of the seven outcome regions is stated once, in `SLOT_OUTCOMES`.
+
+Each stored node holds a small bit index, and its out-edges and exact
+forward reach, itself included, are int bitmasks: a closure is an OR of
+reach masks, reachability a bit test and a potential a popcount.  An added
+edge extends the reach of every node that reaches its source.  Nodes leave
+only as a closure or everything outside one, which no path between two
+kept nodes passes through, so the kept reach masks only lose their bits.
 
 The slots of decoded packets are remembered only from a horizon on, which
 the receiver moves up to the graph's slot at each cycle start
@@ -75,21 +79,20 @@ class CdGraph:
     """Mutable graph state; one instance per simulated receiver.
 
     `decoded_su` and `decoded_pu` hold the slots of the decoded packets the
-    graph remembers, those since `horizon` was last set; the node sets
-    and the edge dicts hold labels.  Besides the structure it keeps
-    counters that change only when an edge is added, a node removed, a
-    packet decoded or a cycle trim made (`cd_protocol.run_slot`): the
-    stored edge count, the high-water marks of stored nodes, of edges and
-    of remembered decoded slots, and the number of cycle trims and of those
-    that found nothing stored.
+    graph remembers, those since `horizon` was last set.  `index` maps each
+    stored label to its bit index, and `out` and `reach` map the bit index
+    of each stored node to its out-edge mask and reach mask; `su_mask` holds
+    the bits of the stored SU nodes.  The counters change only when an edge
+    is added, a node removed, a packet decoded or a cycle trim made
+    (`cd_protocol.run_slot`).
     """
 
     def __init__(self, slot: int = 0):
         self.slot = slot
-        self.su_nodes: set[int] = set()
-        self.pu_nodes: set[int] = set()
-        self.out_edges: dict[int, set[int]] = {}
-        self.in_edges: dict[int, set[int]] = {}
+        self.index: dict[int, int] = {}
+        self.out: dict[int, int] = {}
+        self.reach: dict[int, int] = {}
+        self.su_mask = 0
         self.decoded_su: set[int] = set()
         self.decoded_pu: set[int] = set()
         self.horizon = 0
@@ -99,88 +102,93 @@ class CdGraph:
         self.max_decoded = 0
         self.cycle_trims = 0
         self.empty_cycle_trims = 0
+        self._used = 0  # the bits of the stored nodes
         self._edges = 0
         self._version = 0  # bumped on structural change only; keys the root cache
-        self._best_cache: tuple[int, int | None, int] | None = None
+        self._best_cache: tuple[int, int, int] | None = None
 
-    # -- structural helpers -------------------------------------------------
+    @property
+    def su_nodes(self) -> set[int]:
+        return {label for label in self.index if not label & 1}
 
-    def _stored(self, label: int) -> bool:
-        return label in (self.pu_nodes if label & 1 else self.su_nodes)
-
-    def is_decoded(self, label: int) -> bool:
-        """Whether the packet was decoded; raises below the horizon unless stored."""
-        slot = label >> 1
-        if slot in (self.decoded_pu if label & 1 else self.decoded_su):
-            return True
-        if slot < self.horizon and not self._stored(label):
-            raise ValueError(f"{_name(label)} lies below the horizon {self.horizon}")
-        return False
+    @property
+    def pu_nodes(self) -> set[int]:
+        return {label for label in self.index if label & 1}
 
     def contains(self, label: int) -> bool:
         """Node membership, counting implicit undecoded labels from the
         horizon up to the slot; below the horizon only stored labels."""
         slot = label >> 1
         if slot < self.horizon:
-            return self._stored(label)
+            return label in self.index
         return slot <= self.slot and slot not in (
             self.decoded_pu if label & 1 else self.decoded_su)
 
-    def _touch(self, label: int):
-        if self.is_decoded(label):
-            raise ValueError(f"decoded packet {_name(label)} cannot re-enter the graph")
-        (self.pu_nodes if label & 1 else self.su_nodes).add(label)
+    def _store(self, label: int) -> int:
+        """The bit index of `label`, stored first if it is not."""
+        b = self.index.get(label)
+        if b is None:
+            slot = label >> 1
+            if slot < self.horizon or slot in (self.decoded_pu if label & 1 else self.decoded_su):
+                raise ValueError(f"{_name(label)} is decoded or lies below the horizon")
+            low = ~self._used & (self._used + 1)  # the lowest free bit
+            b = self.index[label] = low.bit_length() - 1
+            self.out[b], self.reach[b] = 0, low
+            self._used |= low
+            if not label & 1:
+                self.su_mask |= low
+        return b
 
     def add_edge(self, src: int, dst: int):
         if src & 1 == dst & 1:
             raise ValueError(f"edge {_name(src)}->{_name(dst)} would break bipartiteness")
-        self._touch(src)
-        self._touch(dst)
-        dsts = self.out_edges.setdefault(src, set())
-        if dst not in dsts:
-            dsts.add(dst)
-            self.in_edges.setdefault(dst, set()).add(src)
+        s, d = self._store(src), self._store(dst)
+        if not self.out[s] >> d & 1:
+            self.out[s] |= 1 << d
             self._edges += 1
             self.max_edges = max(self.max_edges, self._edges)
-        self.max_nodes = max(self.max_nodes, len(self.su_nodes) + len(self.pu_nodes))
+            reach, gained, src_bit = self.reach, self.reach[d], 1 << s
+            for b, r in reach.items():
+                if r & src_bit:
+                    reach[b] = r | gained
+        self.max_nodes = max(self.max_nodes, len(self.index))
         self._version += 1
 
-    def _remove_node(self, label: int):
-        for dst in self.out_edges.pop(label, ()):
-            self._edges -= 1
-            peers = self.in_edges.get(dst)
-            if peers:
-                peers.discard(label)
-                if not peers:
-                    del self.in_edges[dst]
-        for src in self.in_edges.pop(label, ()):
-            self._edges -= 1
-            peers = self.out_edges.get(src)
-            if peers:
-                peers.discard(label)
-                if not peers:
-                    del self.out_edges[src]
-        (self.pu_nodes if label & 1 else self.su_nodes).discard(label)
+    def _drop(self, mask: int):
+        """Remove the stored nodes in `mask`, which no path between two kept
+        nodes passes through."""
+        out, reach, keep = self.out, self.reach, ~mask
+        for label, b in list(self.index.items()):
+            if mask >> b & 1:  # its out-edges go with it
+                self._edges -= out.pop(b).bit_count()
+                del self.index[label], reach[b]
+            else:
+                cut = out[b] & mask
+                if cut:
+                    self._edges -= cut.bit_count()
+                    out[b] ^= cut
+                reach[b] &= keep
+        self._used &= keep
+        self.su_mask &= keep
         self._version += 1
 
     def decode(self, labels: set) -> int:
-        """Mark the labels decoded, dropping the stored ones; returns the
-        SU packets newly decoded."""
-        newly_su = 0
+        """Mark the labels decoded, dropping the stored ones; returns the SU
+        packets newly decoded.  `labels` is a `closure`, which keeps the
+        reach masks of the nodes left exact."""
+        mask = newly_su = 0
         for lab in labels:
             if lab & 1:
                 self.decoded_pu.add(lab >> 1)
-                if lab in self.pu_nodes:
-                    self._remove_node(lab)
-            else:
-                if lab >> 1 not in self.decoded_su:
-                    self.decoded_su.add(lab >> 1)
-                    newly_su += 1
-                if lab in self.su_nodes:
-                    self._remove_node(lab)
-        remembered = len(self.decoded_su) + len(self.decoded_pu)
-        if remembered > self.max_decoded:
-            self.max_decoded = remembered
+            elif lab >> 1 not in self.decoded_su:
+                self.decoded_su.add(lab >> 1)
+                newly_su += 1
+            b = self.index.get(lab)
+            if b is not None:
+                mask |= 1 << b
+        if mask:
+            self._drop(mask)
+        self.max_decoded = max(self.max_decoded, len(self.decoded_su) + len(self.decoded_pu))
         return newly_su
 
     def edge_count(self) -> int:
@@ -190,45 +198,39 @@ class CdGraph:
 # -- queries -----------------------------------------------------------------
 
 
-def closure(g: CdGraph, seeds: Iterable[int]) -> set[int]:
-    """Labels forward-reachable from `seeds`, seeds included.
+def _bit(g: CdGraph, label: int) -> int | None:
+    """The bit index of node `label`, None if it is not stored; raises
+    when the label is no node of the graph."""
+    b = g.index.get(label)
+    if b is None and not g.contains(label):
+        raise ValueError(f"{_name(label)} is not a node of the graph")
+    return b
 
-    Breadth-first traversal; equivalent to iterating the adjacency matrix to
-    its fixpoint, since reachability indicators only ever grow.  With no
-    edge stored nothing lies beyond the seeds.
-    """
-    seen = set()
+
+def closure(g: CdGraph, seeds: Iterable[int]) -> set[int]:
+    """Labels forward-reachable from `seeds`, seeds included: a stored seed
+    reaches its reach mask, any other seed only itself."""
+    mask, found = 0, set()
     for s in seeds:
-        if not g.contains(s):
-            raise ValueError(f"seed {_name(s)} is not a node of the graph")
-        seen.add(s)
-    out = g.out_edges
-    if out:
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for node in frontier:
-                for dst in out.get(node, ()):
-                    if dst not in seen:
-                        seen.add(dst)
-                        nxt.append(dst)
-            frontier = nxt
-    return seen
+        b = _bit(g, s)
+        if b is None:
+            found.add(s)
+        else:
+            mask |= g.reach[b]
+    return found.union([label for label, b in g.index.items() if mask >> b & 1]) if mask else found
 
 
 def potential(g: CdGraph, label: int) -> int:
     """Number of SU packets released by starting the chain at `label`."""
-    return sum(not x & 1 for x in closure(g, [label]))
+    b = _bit(g, label)
+    return int(not label & 1) if b is None else (g.reach[b] & g.su_mask).bit_count()
 
 
 def reachable(g: CdGraph, frm: int, to: int) -> bool:
-    if not g.contains(to):
-        raise ValueError(f"{_name(to)} is not a node of the graph")
-    if not g.out_edges:
-        if not g.contains(frm):
-            raise ValueError(f"seed {_name(frm)} is not a node of the graph")
+    d, b = _bit(g, to), _bit(g, frm)
+    if b is None or d is None:  # an unstored node reaches and is reached by itself only
         return frm == to
-    return to in closure(g, [frm])
+    return bool(g.reach[b] >> d & 1)
 
 
 def root(g: CdGraph) -> tuple[int, int]:
@@ -239,20 +241,17 @@ def root(g: CdGraph) -> tuple[int, int]:
     stored node only wins with potential at least two.  The best stored
     node is cached until the graph structure changes.
     """
-    if not g.out_edges:
+    if not g._edges:
         return su(g.slot), 1
     cached = g._best_cache
     if cached is None or cached[0] != g._version:
-        best = None
-        best_v = 0
-        for node in g.su_nodes:
-            v = potential(g, node)
-            if v > best_v or (v == best_v and best is not None and node > best):
-                best, best_v = node, v
-        cached = (g._version, best, best_v)
-        g._best_cache = cached
-    _, stored, stored_v = cached
-    if stored is None or stored_v <= 1:
+        best = (0, -1)
+        for x in g.index:  # a loop: faster than max() on a handful of nodes
+            if not x & 1 and (v := (potential(g, x), x)) > best:
+                best = v
+        cached = g._best_cache = (g._version, *best)
+    _, stored_v, stored = cached
+    if stored_v <= 1:
         return su(g.slot), 1
     return stored, stored_v
 
@@ -288,14 +287,10 @@ def prune_unreachable(g: CdGraph, keep_root: int) -> int:
     """
     if keep_root & 1 or not g.contains(keep_root):
         raise ValueError(f"keep_root {_name(keep_root)} is not an SU node of the graph")
-    keep = closure(g, [keep_root])
-    dropped_su = 0
-    for node in list(g.su_nodes):
-        if node not in keep:
-            g._remove_node(node)
-            dropped_su += 1
-    for node in list(g.pu_nodes):
-        if node not in keep:
-            g._remove_node(node)
+    b = g.index.get(keep_root)
+    dropped = g._used & ~(0 if b is None else g.reach[b])
+    dropped_su = (g.su_mask & dropped).bit_count()
+    if dropped:
+        g._drop(dropped)
     g.discarded_su += dropped_su
     return dropped_su

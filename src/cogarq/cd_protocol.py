@@ -66,10 +66,6 @@ def run_slot(g: CdGraph, n: int, new_cycle: bool, pu_slot: int, a_s: int,
     `SLOT_OUTCOMES`.  Returns the SU packets decoded, the SU label sent
     (None if the SU stayed idle) and the root potential before the slot.
 
-    A graph that stores no edge roots at the fresh packet with potential
-    one, so the SU sends the fresh packet and the packets decoded are the
-    seeds themselves, committed here without a traversal.
-
     Raises `ValueError` when n is not the graph's slot, when the outcome is
     not in 1..7, when the SU label is no node, and when the PU packet is
     first sent after slot n or, while not known, lies below the horizon
@@ -79,7 +75,7 @@ def run_slot(g: CdGraph, n: int, new_cycle: bool, pu_slot: int, a_s: int,
         raise ValueError(f"graph is at slot {g.slot}, not {n}")
     if new_cycle:
         g.cycle_trims += 1
-        if g.su_nodes or g.pu_nodes:
+        if g.index:
             prune_unreachable(g, root(g)[0])
         else:
             g.empty_cycle_trims += 1
@@ -88,36 +84,20 @@ def run_slot(g: CdGraph, n: int, new_cycle: bool, pu_slot: int, a_s: int,
         g.decoded_pu.clear()
     l_p = 2 * pu_slot + 1
     known = pu_slot in g.decoded_pu
-    if pu_slot > n or not known and pu_slot < g.horizon and l_p not in g.pu_nodes:
+    if pu_slot > n or not known and pu_slot < g.horizon and l_p not in g.index:
         raise ValueError(f"invalid PU label {pu_slot}_P")
     outcome = SLOT_OUTCOMES.get((a_s, not known, y))
     if outcome is None:
         raise ValueError(f"outcome region must be in 1..7, got {y!r}")
     su_hit, pu_hit, edges = outcome
-    r_s = 0
-    if g.out_edges:
+    if g.index:
         v = root(g)[1]
         l_s = select_label(g, l_p, known, n).label if a_s else None
-        if l_s is not None and not g.contains(l_s):
-            raise ValueError(f"invalid SU label {l_s >> 1}_S")
-        if su_hit or pu_hit:
-            r_s = g.decode(closure(g, [l_s] * su_hit + [l_p] * pu_hit))
-    else:
-        v = 1
-        l_s = 2 * n if a_s else None
-        if a_s and n in g.decoded_su:
-            raise ValueError(f"invalid SU label {n}_S")
-        if su_hit or pu_hit:
-            if su_hit:
-                g.decoded_su.add(n)
-                r_s = 1
-            if pu_hit:
-                g.decoded_pu.add(pu_slot)
-                if l_p in g.pu_nodes:  # an isolated node, left by a decoded neighbour
-                    g._remove_node(l_p)
-            remembered = len(g.decoded_su) + len(g.decoded_pu)
-            if remembered > g.max_decoded:
-                g.max_decoded = remembered
+    else:  # nothing stored: the root is the fresh packet, of potential one
+        v, l_s = 1, 2 * n if a_s else None
+    if l_s is not None and not g.contains(l_s):
+        raise ValueError(f"invalid SU label {l_s >> 1}_S")
+    r_s = g.decode(closure(g, [l_s] * su_hit + [l_p] * pu_hit)) if su_hit or pu_hit else 0
     if edges:
         labels = (l_s, l_p)
         for src, dst in edges:

@@ -157,13 +157,19 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"{path}:{lineno}: not UTF-8 text: {e.reason}", None) from None
     values: dict = {}
     lines: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # Lines end at "\n" alone, as the non-UTF-8 message counts them; the other
+    # separators `str.splitlines` knows are ordinary characters here.
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        raw = raw.removesuffix("\r")
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw!r}", None)
         key, _, val = (x.strip() for x in line.partition("="))
+        if key in lines:
+            raise ConfigError(
+                f"{path}:{lineno}: {key} is set twice, first on line {lines[key]}", key)
         lines[key] = lineno
         try:
             if key in _INT_KEYS:
@@ -317,6 +323,7 @@ def _sweep_point(cfg: ExperimentConfig, rates: RatePair, index: int, check_invar
                 cycle_trims=metrics.cycle_trims,
                 cycle_trims_on_empty_graph=metrics.cycle_trims_on_empty_graph,
                 trimmed_su=metrics.trimmed_su,
+                graph_slots=metrics.graph_slots,
             )
         runs.append(run_record)
         policies.append({

@@ -21,7 +21,10 @@ ids of a walked group of slots.  The baselines are credited by their
 compact models' rewards: FIC/BIC decodes within the current primary ARQ
 window in both directions, FIC-only only forward, and no-FIC/BIC slot by
 slot with no memory at all.  Chain decoding also runs the full decoding
-graph over each walked group, which credits its packets.  Every scheme
+graph over each walked group, which credits its packets: one
+`cd_protocol.run_slot` call per slot that finds a node stored or buffers
+one, and the stretches of slots between, which find the graph empty and
+leave it so, as columns.  Every scheme
 counts its drops by one rule: the fresh SU packets sent less the SU
 packets credited.  Without a trace hook, the memory a run holds does not
 grow with its number of slots.
@@ -44,7 +47,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .cd_graph import CdGraph, slot_of, su
+from .cd_graph import SLOT_OUTCOMES, CdGraph, slot_of, su
 from .cd_protocol import run_slot
 from .channel import (
     PU_ALONE,
@@ -410,6 +413,7 @@ class RunMetrics:
     cycle_trims_on_empty_graph: int = 0
     graph_max_decoded: int = 0
     trimmed_su: int = 0
+    graph_slots: int = 0  # chain decoding's slots that reached `cd_protocol.run_slot`
 
     def __post_init__(self):
         if not (0.0 <= self.pu_throughput <= 1.0):
@@ -457,32 +461,144 @@ def _batch_stats(per_batch: np.ndarray, counts: np.ndarray):
     )
 
 
-def _graph_pass(g: CdGraph, first: int, states: list, cols: np.ndarray, y: np.ndarray,
+def _empty_flags() -> np.ndarray:
+    """`_EMPTY_FLAGS`, read off `SLOT_OUTCOMES`."""
+    flags = np.zeros((2, 256), dtype=np.int64)
+    for (a_s, unknown, y), (su_hit, pu_hit, edges) in SLOT_OUTCOMES.items():
+        flags[a_s, y] |= _PLAIN | ((su_hit | pu_hit << 1 | bool(edges) << 2) if unknown
+                                   else su_hit << 3)
+    return flags
+
+
+# What a slot does on a graph that stores nothing, by [a_s, y] with y read as
+# an unsigned byte, as bits: 1 the SU packet is decoded, 2 the PU packet is
+# decoded and 4 the slot buffers an edge, each while the PU packet is not
+# known, 8 the SU packet is decoded once it is known, and `_PLAIN` the
+# outcome is in 1..7.  A known PU packet is not decoded again and buffers
+# nothing.  The stretch path takes a slot only while it is `_PLAIN`.
+_PLAIN = 16
+_EMPTY_FLAGS = _empty_flags()
+
+
+def _graph_pass(g: CdGraph, first: int, ages: np.ndarray, cols: np.ndarray, y: np.ndarray,
                 tracing: bool):
     """Chain decoding's graph over walked slots from slot `first` on.
 
-    Reads each slot's compact state, for the tracked PU packet and the
-    cycle starts, and the SU's access decision from the slots' entry
-    columns `cols`, and runs each slot with one `run_slot` call.  Returns the SU
-    packets the graph credits per slot, when `tracing` the rows (l_s, v,
-    g_nodes, g_edges) of `TraceChunk`, and the number of root
-    retransmissions, the SU sends of a label other than the fresh `su(n)`.
+    Reads each slot's tracked try count from `ages` by its compact state, for
+    the tracked PU packet and the cycle starts, and the SU's access decision
+    from the slots' entry columns `cols`.  A slot that finds a node stored
+    runs with one `run_slot` call.  From a slot that finds the graph empty
+    the pass jumps to the next slot that buffers an edge, with what each
+    slot would do on an empty graph (`_EMPTY_FLAGS`) worked out for the whole
+    group with numpy: the SU packets decoded, and whether the cycle's PU
+    packet is known, that is whether it was hit since the cycle start.  The
+    columns say so exactly from a cycle start inside the stretch on, so the
+    slots before it are stepped one by one on the graph's own decoded sets;
+    a slot whose tracked PU packet is not the one of its cycle, or whose
+    outcome is outside 1..7, goes to `run_slot`, which raises where it must.
+    The stretch commits to the graph what `run_slot` would leave: the last
+    cycle's decoded slots, the trims, the horizon, `max_decoded` and the slot.
+
+    Returns the SU packets the graph credits per slot, when `tracing` the
+    columns (l_s, v, g_nodes, g_edges) of `TraceChunk`, the number of root
+    retransmissions, the SU sends of a label other than the fresh `su(n)`,
+    and the number of `run_slot` calls.
     """
+    size = len(y)
+    at = np.arange(size)
+    a_s = cols[_A_S]
+    t = ages[cols[_SID]]
+    flags = _EMPTY_FLAGS[a_s, y.view(np.uint8)]
     # A slot's tracked PU packet was first sent t slots ago, t being the
     # tracked try count of its compact state; a t of 0 starts a new primary
-    # ARQ cycle, with a packet first sent now.
-    age = [s.t for s in states]
-    credits, rows, retx = [], [], 0
-    for n, sid, a_s, y_n in zip(range(first, first + len(y)), cols[_SID].tolist(),
-                                cols[_A_S].tolist(), y.tolist()):
-        r_s, l_s, v_before = run_slot(g, n, age[sid] == 0, n - age[sid], a_s, y_n)
-        credits.append(r_s)
-        if a_s and l_s != su(n):  # only a graph storing an edge sends its root
+    # ARQ cycle, with a packet first sent now.  A slot whose packet is not
+    # the one of its cycle is no longer plain.
+    opens = t == 0
+    start_at = np.maximum.accumulate(np.where(opens, at, -1))  # -1: before the group
+    flags[at - t != np.where(start_at < 0, g.horizon - first, start_at)] &= ~_PLAIN
+    pu_hit = flags & 2 > 0
+    last_hit = np.maximum.accumulate(np.where(pu_hit, at, -1))
+    known = np.zeros(size, dtype=bool)
+    known[1:] = last_hit[:-1] >= start_at[1:]
+    credits = np.where(known, flags >> 3, flags) & 1
+    starts = np.flatnonzero(opens)
+    cycle_decoded = (np.add.reduceat(credits, starts) + np.logical_or.reduceat(pu_hit, starts)
+                     ).tolist() if len(starts) else []
+    stops = [*np.flatnonzero((flags & _PLAIN == 0) | (flags & 4 > 0) & ~known).tolist(), size]
+    starts = [*starts.tolist(), size]
+    credited = np.flatnonzero(credits).tolist()
+    hits = np.flatnonzero(pu_hit).tolist()
+    t_l, a_l, y_l, flag_l = t.tolist(), a_s.tolist(), y.tolist(), flags.tolist()
+
+    fixed, fixed_r, rows = [], [], []  # slots credited apart from the columns
+    retx = calls = 0
+    p = 0
+    while p < size:
+        if not g.index and g.slot == first + p:
+            c = starts[bisect_left(starts, p)]
+            decoded = False
+            while p < c:  # before the stretch's first cycle start
+                f, n = flag_l[p], first + p
+                if not f & _PLAIN or a_l[p] and n in g.decoded_su:
+                    break
+                if n - t_l[p] in g.decoded_pu:
+                    r = f >> 3 & 1
+                elif f & 4:
+                    break
+                else:
+                    r = f & 1
+                    if f & 2:
+                        g.decoded_pu.add(n - t_l[p])
+                        decoded = True
+                if r:
+                    g.decoded_su.add(n)
+                    decoded = True
+                fixed.append(p)
+                fixed_r.append(r)
+                p += 1
+            if decoded:
+                g.max_decoded = max(g.max_decoded, len(g.decoded_su) + len(g.decoded_pu))
+            if p == c:  # whole cycles as columns, up to the next stop
+                j = stops[bisect_left(stops, c)]
+                if c < j:
+                    k0, k1 = bisect_left(starts, c), bisect_left(starts, j)
+                    last = starts[k1 - 1]
+                    g.cycle_trims += k1 - k0
+                    g.empty_cycle_trims += k1 - k0
+                    g.horizon = first + last
+                    g.decoded_su.clear()
+                    g.decoded_su.update(first + x for x in credited[
+                        bisect_left(credited, last):bisect_left(credited, j)])
+                    g.decoded_pu.clear()
+                    if bisect_left(hits, last) < bisect_left(hits, j):
+                        g.decoded_pu.add(first + last)
+                    g.max_decoded = max([g.max_decoded, len(g.decoded_su) + len(g.decoded_pu),
+                                         *cycle_decoded[k0:k1 - 1]])
+                p = j
+            g.slot = first + p
+            if p == size:
+                break
+        n = first + p
+        r_s, l_s, v_before = run_slot(g, n, t_l[p] == 0, n - t_l[p], a_l[p], y_l[p])
+        calls += 1
+        fixed.append(p)
+        fixed_r.append(r_s)
+        if a_l[p] and l_s != su(n):  # only a graph storing an edge sends its root
             retx += 1
         if tracing:
-            rows.append((-1 if l_s is None else slot_of(l_s), v_before,
-                         len(g.su_nodes) + len(g.pu_nodes), g.edge_count()))
-    return credits, rows, retx
+            rows.append((p, -1 if l_s is None else slot_of(l_s), v_before,
+                         len(g.index), g.edge_count()))
+        p += 1
+    credits[fixed] = fixed_r
+    graph_cols = None
+    if tracing:
+        graph_cols = np.zeros((4, size), dtype=np.int64)
+        graph_cols[0] = np.where(a_s, first + at, -1)
+        graph_cols[1] = 1
+        if rows:
+            rows = np.array(rows).T
+            graph_cols[:, rows[0]] = rows[1:]
+    return credits, graph_cols, retx, calls
 
 
 def run(
@@ -504,7 +620,9 @@ def run(
     and every trace column is a numpy gather over the group's entry ids,
     every batch sum a `reduceat` of one, added up over the groups a batch
     spans; chain decoding also runs its decoding graph over each walked
-    group, one `cd_protocol.run_slot` call per slot.  An untraced run holds
+    group (`_graph_pass`): one `cd_protocol.run_slot` call per slot that
+    finds a node stored or buffers one, and the empty-graph stretches
+    between as columns.  An untraced run holds
     memory that does not grow with `n_slots`: one slice of inputs, one
     group of columns, the entry table and the graph, which forgets at each
     cycle start the decoded slots it can no longer be asked about.  A
@@ -536,6 +654,8 @@ def run(
     row = slots.row((slots.visit(table.start), 0))
     # Chain decoding runs the decoding graph, which credits its packets.
     g = CdGraph() if scheme is SchemeKind.CHAIN_DECODING else None
+    ages = np.array([s.t for s in table.states])
+    graph_slots = 0
     tracing = trace_hook is not None
 
     # Slot n falls in batch (n * batches) // n_slots.
@@ -566,9 +686,9 @@ def run(
             if g is None:
                 r_s = cols[_R_S]
             else:
-                credits, graph_rows, retx = _graph_pass(g, lo, table.states, cols, y, tracing)
-                r_s = np.array(credits)
+                r_s, graph_cols, retx, calls = _graph_pass(g, lo, ages, cols, y, tracing)
                 fresh -= retx
+                graph_slots += calls
             # The group's part of each batch it meets: from its first slot, and
             # from each batch edge inside it.
             first_b = bisect_right(edges, lo) - 1
@@ -580,9 +700,6 @@ def run(
                 if g is None:
                     graph_cols = (np.full(hi - lo, -1, dtype=np.int32),
                                   *np.zeros((3, hi - lo), dtype=np.int32))
-                else:  # a flat iterator converts about twice as fast as the rows
-                    graph_cols = np.fromiter(itertools.chain.from_iterable(graph_rows),
-                                             np.int64, 4 * (hi - lo)).reshape(-1, 4).T
                 l_s, v, g_nodes, g_edges = graph_cols
                 # in the order of the columns of `TraceChunk`
                 columns = (y, *cols[:_SUCCESS], l_s, r_s, v, g_nodes, g_edges)
@@ -612,6 +729,7 @@ def run(
             cycle_trims=g.cycle_trims,
             cycle_trims_on_empty_graph=g.empty_cycle_trims,
             trimmed_su=g.discarded_su,
+            graph_slots=graph_slots,
         )
     return RunMetrics(
         scheme=scheme.value,

@@ -31,7 +31,12 @@ The Monte Carlo run is stated here slot by slot
 package packs input codes one slice at a time, walks entry ids over them
 and gathers its columns with numpy.  The trace invariants are checked
 here one record at a time, where the package checks them on a chunk's
-columns; `records` and `chunk_of` convert between the two forms.
+columns; `records` and `chunk_of` convert between the two forms.  The
+decoding graph is stated here on node sets with a traversal per query
+(`RefGraph`), where the package keeps bitmasks of each node's reach; the
+receiver's slot is a composition of steps on it (`composed_slot`), and
+`reference_run` takes every slot through those steps, where the package
+runs the stretches of slots that find the graph empty as columns.
 """
 
 from __future__ import annotations
@@ -42,8 +47,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from cogarq.cd_graph import CdGraph, closure, is_pu, prune_unreachable, pu, root, slot_of, su
-from cogarq.cd_protocol import select_label
+from cogarq.cd_graph import is_pu, pu, slot_of, su
 from cogarq.channel import (
     PU_ALONE,
     PU_UNDER_SU,
@@ -224,33 +228,190 @@ def step(
     return StepResult(a_p, y, o, nxt, label_event)
 
 
+# -- the decoding graph on sets, one traversal per query ------------------------
+#
+# `cogarq.cd_graph` keeps each stored node's reach as a bitmask and answers
+# its queries by lookups and popcounts.  The same graph is stated here on
+# node sets and edge dicts, with a traversal per closure, and the queries
+# and the label choice are stated over it, so the slot-by-slot references
+# below share no graph code with the package.
+
+
+def _name(label: int) -> str:
+    return f"{slot_of(label)}_{'P' if is_pu(label) else 'S'}"
+
+
+class RefGraph:
+    """The decoding graph as node sets and adjacency dicts of labels, with
+    the counters of `cogarq.cd_graph.CdGraph` under the same names."""
+
+    def __init__(self, slot: int = 0):
+        self.slot = slot
+        self.su_nodes: set[int] = set()
+        self.pu_nodes: set[int] = set()
+        self.out_edges: dict[int, set[int]] = {}
+        self.in_edges: dict[int, set[int]] = {}
+        self.decoded_su: set[int] = set()
+        self.decoded_pu: set[int] = set()
+        self.horizon = 0
+        self.discarded_su = 0
+        self.max_nodes = 0
+        self.max_edges = 0
+        self.max_decoded = 0
+        self.cycle_trims = 0
+        self.empty_cycle_trims = 0
+        self._edges = 0
+
+    def _stored(self, label: int) -> bool:
+        return label in (self.pu_nodes if is_pu(label) else self.su_nodes)
+
+    def is_decoded(self, label: int) -> bool:
+        """Whether the packet was decoded; raises below the horizon unless stored."""
+        if slot_of(label) in (self.decoded_pu if is_pu(label) else self.decoded_su):
+            return True
+        if slot_of(label) < self.horizon and not self._stored(label):
+            raise ValueError(f"{_name(label)} lies below the horizon {self.horizon}")
+        return False
+
+    def contains(self, label: int) -> bool:
+        """Node membership, counting implicit undecoded labels from the
+        horizon up to the slot; below the horizon only stored labels."""
+        if slot_of(label) < self.horizon:
+            return self._stored(label)
+        return slot_of(label) <= self.slot and not self.is_decoded(label)
+
+    def _touch(self, label: int):
+        if self.is_decoded(label):
+            raise ValueError(f"decoded packet {_name(label)} cannot re-enter the graph")
+        (self.pu_nodes if is_pu(label) else self.su_nodes).add(label)
+
+    def add_edge(self, src: int, dst: int):
+        if is_pu(src) == is_pu(dst):
+            raise ValueError(f"edge {_name(src)}->{_name(dst)} would break bipartiteness")
+        self._touch(src)
+        self._touch(dst)
+        dsts = self.out_edges.setdefault(src, set())
+        if dst not in dsts:
+            dsts.add(dst)
+            self.in_edges.setdefault(dst, set()).add(src)
+            self._edges += 1
+            self.max_edges = max(self.max_edges, self._edges)
+        self.max_nodes = max(self.max_nodes, len(self.su_nodes) + len(self.pu_nodes))
+
+    def remove_node(self, label: int):
+        for dst in self.out_edges.pop(label, ()):
+            self._edges -= 1
+            self.in_edges[dst].discard(label)
+            if not self.in_edges[dst]:
+                del self.in_edges[dst]
+        for src in self.in_edges.pop(label, ()):
+            self._edges -= 1
+            self.out_edges[src].discard(label)
+            if not self.out_edges[src]:
+                del self.out_edges[src]
+        (self.pu_nodes if is_pu(label) else self.su_nodes).discard(label)
+
+    def edge_count(self) -> int:
+        return self._edges
+
+
+def stored_edges(g) -> set:
+    """The stored edges of a `RefGraph`, or of a `cogarq.cd_graph.CdGraph` read
+    off its out-edge masks, as (source, destination) label pairs."""
+    if isinstance(g, RefGraph):
+        return {(src, dst) for src, dsts in g.out_edges.items() for dst in dsts}
+    return {(src, dst) for src, b in g.index.items()
+            for dst, d in g.index.items() if g.out[b] >> d & 1}
+
+
+def ref_closure(g: RefGraph, seeds: Iterable[int]) -> set[int]:
+    """Labels forward-reachable from `seeds`, seeds included."""
+    seen = set()
+    for s in seeds:
+        if not g.contains(s):
+            raise ValueError(f"seed {_name(s)} is not a node of the graph")
+        seen.add(s)
+    frontier = list(seen)
+    while frontier:
+        for dst in g.out_edges.get(frontier.pop(), ()):
+            if dst not in seen:
+                seen.add(dst)
+                frontier.append(dst)
+    return seen
+
+
+def ref_potential(g: RefGraph, label: int) -> int:
+    return sum(not is_pu(x) for x in ref_closure(g, [label]))
+
+
+def ref_reachable(g: RefGraph, frm: int, to: int) -> bool:
+    if not g.contains(to):
+        raise ValueError(f"{_name(to)} is not a node of the graph")
+    return to in ref_closure(g, [frm])
+
+
+def ref_root(g: RefGraph) -> tuple[int, int]:
+    """SU packet of maximum potential, ties toward the newest label; the
+    fresh packet of the current slot, potential one, is a candidate."""
+    v, label = max([(1, su(g.slot))] + [(ref_potential(g, x), x) for x in g.su_nodes])
+    return label, v
+
+
+def ref_prune_unreachable(g: RefGraph, keep_root: int) -> int:
+    """Drop every stored node outside the kept root's closure; returns the
+    SU packets dropped."""
+    if is_pu(keep_root) or not g.contains(keep_root):
+        raise ValueError(f"keep_root {_name(keep_root)} is not an SU node of the graph")
+    keep = ref_closure(g, [keep_root])
+    dropped = [x for x in g.su_nodes | g.pu_nodes if x not in keep]
+    for x in dropped:
+        g.remove_node(x)
+    dropped_su = sum(not is_pu(x) for x in dropped)
+    g.discarded_su += dropped_su
+    return dropped_su
+
+
+def ref_select_label(g: RefGraph, l_p: int, pu_known: int, n: int) -> int:
+    """The SU label for slot n: the root when the PU packet is known or
+    unlinked to the root in both directions, else the fresh packet."""
+    if n != g.slot:
+        raise ValueError(f"graph is at slot {g.slot}, not {n}")
+    rt = ref_root(g)[0]
+    if pu_known:
+        return rt
+    linked = ref_reachable(g, rt, l_p) or ref_reachable(g, l_p, rt)
+    return su(n) if linked else rt
+
+
 # -- the chain-decoding receiver, one step at a time ------------------------------
 #
 # `cogarq.cd_protocol.run_slot` runs one slot in one call, reading what each
 # outcome region decodes and buffers from `cd_graph.SLOT_OUTCOMES`.  The same
-# slot is stated here as the composition it replaces: at a cycle start
-# `on_new_cycle` and `forget`, then `select_label`, then `record_slot`, whose
-# if-chain states the seven regions apart from that table.
+# slot is stated here on a `RefGraph` as a composition of steps: at a cycle
+# start `on_new_cycle` and `forget`, then `ref_select_label`, then
+# `record_slot`, whose if-chain states the seven regions apart from that table.
 
 
-def _decode(g: CdGraph, labels: set) -> int:
+def ref_decode(g: RefGraph, labels: set) -> int:
+    """Mark the labels decoded, removing the stored ones; returns the SU
+    packets newly decoded."""
     newly_su = 0
     for lab in labels:
         if is_pu(lab):
             g.decoded_pu.add(slot_of(lab))
             if lab in g.pu_nodes:
-                g._remove_node(lab)
+                g.remove_node(lab)
         else:
             if slot_of(lab) not in g.decoded_su:
                 g.decoded_su.add(slot_of(lab))
                 newly_su += 1
             if lab in g.su_nodes:
-                g._remove_node(lab)
+                g.remove_node(lab)
     g.max_decoded = max(g.max_decoded, len(g.decoded_su) + len(g.decoded_pu))
     return newly_su
 
 
-def record_slot(g: CdGraph, l_s: int | None, l_p: int | None, pu_known: int,
+def record_slot(g: RefGraph, l_s: int | None, l_p: int | None, pu_known: int,
                 y: int | None) -> int:
     """Fold one slot's transmissions and outcome into the graph.
 
@@ -280,20 +441,20 @@ def record_slot(g: CdGraph, l_s: int | None, l_p: int | None, pu_known: int,
         # Interference from the known PU packet is cancelled up front, so the
         # slot behaves as if the PU were idle.
         if l_s is not None and y in SU_CLEAN:
-            r_s = _decode(g, closure(g, [l_s]))
+            r_s = ref_decode(g, ref_closure(g, [l_s]))
     elif l_p is None:
         if l_s is not None and y in SU_CLEAN:
-            r_s = _decode(g, closure(g, [l_s]))
+            r_s = ref_decode(g, ref_closure(g, [l_s]))
     elif l_s is None:
         if y in PU_ALONE:
-            r_s = _decode(g, closure(g, [l_p]))
+            r_s = ref_decode(g, ref_closure(g, [l_p]))
     else:
         if y == 1:
-            r_s = _decode(g, closure(g, [l_s, l_p]))
+            r_s = ref_decode(g, ref_closure(g, [l_s, l_p]))
         elif y == 2:
-            r_s = _decode(g, closure(g, [l_s]))
+            r_s = ref_decode(g, ref_closure(g, [l_s]))
         elif y == 3:
-            r_s = _decode(g, closure(g, [l_p]))
+            r_s = ref_decode(g, ref_closure(g, [l_p]))
         elif y == 5:
             g.add_edge(l_p, l_s)
         elif y == 6:
@@ -305,7 +466,7 @@ def record_slot(g: CdGraph, l_s: int | None, l_p: int | None, pu_known: int,
     return r_s
 
 
-def on_new_cycle(g: CdGraph) -> int:
+def on_new_cycle(g: RefGraph) -> int:
     """Trim the graph to the root's closure; returns SU packets discarded.
 
     A graph that stores no node has nothing to trim.
@@ -314,10 +475,10 @@ def on_new_cycle(g: CdGraph) -> int:
     if not (g.su_nodes or g.pu_nodes):
         g.empty_cycle_trims += 1
         return 0
-    return prune_unreachable(g, root(g)[0])
+    return ref_prune_unreachable(g, ref_root(g)[0])
 
 
-def forget(g: CdGraph):
+def forget(g: RefGraph):
     """Drop every decoded slot; the graph's slot becomes the horizon.
 
     Stored nodes stay nodes, also below the horizon; every other label
@@ -331,7 +492,7 @@ def forget(g: CdGraph):
     g.decoded_pu.clear()
 
 
-def snapshot(g: CdGraph) -> dict:
+def snapshot(g: RefGraph) -> dict:
     """Line-dump-friendly view of the stored graph: its slot, node slots and
     edges named 3_S style."""
     def name(label):
@@ -346,7 +507,7 @@ def snapshot(g: CdGraph) -> dict:
     }
 
 
-def composed_slot(g: CdGraph, n: int, new_cycle: bool, pu_slot: int, a_s: int, y: int):
+def composed_slot(g: RefGraph, n: int, new_cycle: bool, pu_slot: int, a_s: int, y: int):
     """`cogarq.cd_protocol.run_slot` as the composition of the steps above,
     with the PU sending the packet first sent in `pu_slot`: (SU packets
     decoded, SU label sent or None, root potential before the slot)."""
@@ -354,8 +515,8 @@ def composed_slot(g: CdGraph, n: int, new_cycle: bool, pu_slot: int, a_s: int, y
         on_new_cycle(g)
         forget(g)
     known = pu_slot in g.decoded_pu
-    l_s = select_label(g, pu(pu_slot), known, n).label if a_s else None
-    v_before = root(g)[1]
+    l_s = ref_select_label(g, pu(pu_slot), known, n) if a_s else None
+    v_before = ref_root(g)[1]
     return record_slot(g, l_s, pu(pu_slot), known, y), l_s, v_before
 
 
@@ -369,7 +530,7 @@ class WindowReceiver:
     """
 
     def __init__(self, bic: bool):
-        self.graph = CdGraph()
+        self.graph = RefGraph()
         self.bic = bic
         self.decoded = 0
 
@@ -384,14 +545,14 @@ class WindowReceiver:
         r = record_slot(g, su(n) if a_s else None, pu(pu_slot), known, y_eff)
         self.decoded += r
         if o:
-            prune_unreachable(g, su(g.slot))
+            ref_prune_unreachable(g, su(g.slot))
         return r
 
 
 def memoryless_decode(a_s: int, y: int) -> int:
     """No-FIC/BIC credit: one slot, with the PU sending, on an empty graph,
     forgotten afterwards."""
-    return record_slot(CdGraph(), su(0) if a_s else None, pu(0), 0, y)
+    return record_slot(RefGraph(), su(0) if a_s else None, pu(0), 0, y)
 
 
 class GenieModel:
@@ -662,7 +823,9 @@ def reference_run(scheme: SchemeKind, policy, cfg: SystemConfig, seed: int, n_sl
     Its decoding graph never forgets a decoded slot.  The package's graph
     forgets them all at each cycle start, so what it remembers is what was
     decoded since the cycle started; `graph_max_decoded` is the most of
-    that, counted here on the full sets.
+    that, counted here on the full sets.  `graph_slots` counts the slots
+    where the graph stores a node before or after the slot: the package
+    runs every other slot as part of an empty stretch.
     """
     batches = min(batches, n_slots)
     pu_cfg = cfg.pu
@@ -691,7 +854,7 @@ def reference_run(scheme: SchemeKind, policy, cfg: SystemConfig, seed: int, n_sl
         return ids[state]
 
     sid = state_id((model.initial_cd(), 0))
-    g = CdGraph() if scheme is SchemeKind.CHAIN_DECODING else None
+    g = RefGraph() if scheme is SchemeKind.CHAIN_DECODING else None
     ack, nack = int(PuFeedback.ACK), int(PuFeedback.NACK)
 
     t = 0
@@ -699,6 +862,7 @@ def reference_run(scheme: SchemeKind, policy, cfg: SystemConfig, seed: int, n_sl
     su_batch, pu_batch = [], []
     decoded = fresh = 0
     cycle_base = max_decoded = 0  # decoded slots at the cycle start, and the most since one
+    graph_slots = 0
     for bi in range(batches):
         lo, hi = edges[bi], edges[bi + 1]
         su_sum = pu_sum = 0
@@ -709,12 +873,13 @@ def reference_run(scheme: SchemeKind, policy, cfg: SystemConfig, seed: int, n_sl
             l_s = pu_slot = known = None
             if g is not None:
                 _, tr_t = states[sid]
+                stored_before = bool(g.su_nodes or g.pu_nodes)
                 if tr_t == 0:
                     on_new_cycle(g)
                     cycle_base = len(g.decoded_su) + len(g.decoded_pu)
                 pu_slot = n - tr_t
                 known = pu_slot in g.decoded_pu
-                l_s = select_label(g, pu(pu_slot), known, n).label if a_s else None
+                l_s = ref_select_label(g, pu(pu_slot), known, n) if a_s else None
             success = bool(succ1[n] if a_s else succ0[n])
             y_p = ack if success else nack
             o, t_next = arq[t, y_p]
@@ -729,9 +894,10 @@ def reference_run(scheme: SchemeKind, policy, cfg: SystemConfig, seed: int, n_sl
                 steps[key] = nxt, model.reward(cd, a_s, y)
             nxt, r_s = steps[key]
             fresh += a_s if g is None else l_s == su(n)
-            v_before = root(g)[1] if g is not None else 0
+            v_before = ref_root(g)[1] if g is not None else 0
             if g is not None:
                 r_s = record_slot(g, l_s, pu(pu_slot), known, y)
+                graph_slots += stored_before or bool(g.su_nodes or g.pu_nodes)
                 max_decoded = max(max_decoded,
                                   len(g.decoded_su) + len(g.decoded_pu) - cycle_base)
             su_sum += r_s
@@ -758,7 +924,8 @@ def reference_run(scheme: SchemeKind, policy, cfg: SystemConfig, seed: int, n_sl
         graph_counts = dict(graph_max_nodes=g.max_nodes, graph_max_edges=g.max_edges,
                             cycle_trims=g.cycle_trims,
                             cycle_trims_on_empty_graph=g.empty_cycle_trims,
-                            graph_max_decoded=max_decoded, trimmed_su=g.discarded_su)
+                            graph_max_decoded=max_decoded, trimmed_su=g.discarded_su,
+                            graph_slots=graph_slots)
     return RunMetrics(
         scheme=scheme.value, seed=seed, n_slots=n_slots,
         su_throughput=su_mean, su_se=su_se, pu_throughput=pu_mean, pu_se=pu_se,

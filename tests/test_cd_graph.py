@@ -15,16 +15,27 @@ from cogarq.cd_graph import (
 )
 from cogarq.cd_protocol import select_label
 
-from _oracles import forget, matrix_power_closure, on_new_cycle, record_slot, snapshot
+from _oracles import (
+    RefGraph,
+    forget,
+    matrix_power_closure,
+    on_new_cycle,
+    record_slot,
+    ref_closure,
+    ref_root,
+    ref_select_label,
+    snapshot,
+    stored_edges,
+)
 
 
-def chain_example_graph():
+def chain_example_graph(cls=CdGraph):
     """The worked chain from the construction example.
 
     Edges 0_P -> 0_S, 1_S -> 0_P, 2_P -> 1_S, built over slots 0..2; the
     graph sits at the start of slot 3.
     """
-    g = CdGraph()
+    g = cls()
     g.add_edge(pu(0), su(0))
     g.add_edge(su(1), pu(0))
     g.add_edge(pu(2), su(1))
@@ -136,7 +147,7 @@ def test_reachable_examples():
 
 
 def test_record_slot_idle_adds_fresh_only():
-    g = CdGraph()
+    g = RefGraph()
     r = record_slot(g, None, None, 0, None)
     assert r == 0 and g.slot == 1
     assert not g.su_nodes and not g.pu_nodes
@@ -147,7 +158,7 @@ def test_record_slot_idle_adds_fresh_only():
 def test_record_slot_retransmission_releases_chain():
     # both transmit slots 0 and 1 buffer the two dependency edges, then the
     # SU retransmits 1_S alone and succeeds, releasing 1_S, 0_P, 0_S
-    g = CdGraph()
+    g = RefGraph()
     assert record_slot(g, su(0), pu(0), 0, 5) == 0
     assert record_slot(g, su(1), pu(0), 0, 6) == 0
     r = record_slot(g, su(1), None, 0, 2)
@@ -157,7 +168,7 @@ def test_record_slot_retransmission_releases_chain():
 
 
 def test_record_slot_pu_retransmission_triggers_chain():
-    g = CdGraph()
+    g = RefGraph()
     record_slot(g, su(0), pu(0), 0, 5)   # 0_P -> 0_S
     record_slot(g, su(1), pu(0), 0, 6)   # 1_S -> 0_P
     record_slot(g, su(1), pu(2), 0, 5)   # 2_P -> 1_S
@@ -167,14 +178,14 @@ def test_record_slot_pu_retransmission_triggers_chain():
 
 
 def test_record_slot_mutual_blockage_buffers_nothing():
-    g = CdGraph()
+    g = RefGraph()
     r = record_slot(g, su(0), pu(0), 0, 4)
     assert r == 0
     assert not g.su_nodes and g.edge_count() == 0
 
 
 def test_record_slot_joint_decode_seeds_both():
-    g = CdGraph()
+    g = RefGraph()
     record_slot(g, su(0), pu(0), 0, 5)       # buffer 0_P -> 0_S
     r = record_slot(g, su(1), pu(0), 0, 1)   # joint decode of 1_S and 0_P
     assert r == 2  # 1_S directly plus 0_S through the released 0_P
@@ -182,7 +193,7 @@ def test_record_slot_joint_decode_seeds_both():
 
 
 def test_record_slot_known_pu_behaves_as_clean():
-    g = CdGraph()
+    g = RefGraph()
     record_slot(g, None, pu(0), 0, 3)        # PU packet decoded directly
     assert g.decoded_pu == {0}
     # same packet retransmitted: outcome 5 would be undecodable under
@@ -192,7 +203,7 @@ def test_record_slot_known_pu_behaves_as_clean():
 
 
 def test_record_slot_known_flag_must_match_graph():
-    g = CdGraph()
+    g = RefGraph()
     with pytest.raises(ValueError):
         record_slot(g, None, pu(0), 1, 3)
 
@@ -211,6 +222,7 @@ def test_prune_trims_disconnected_packets():
     assert pu(1) not in g.pu_nodes and su(2) not in g.su_nodes
     assert su(0) in g.su_nodes and pu(10) in g.pu_nodes and su(20) in g.su_nodes
     assert g.discarded_su == 1
+    assert g.edge_count() == _checked_masks(g) == 2
 
 
 def test_prune_keeps_fully_reachable_graph():
@@ -230,10 +242,10 @@ def test_prune_keeps_fully_reachable_graph():
 
 def test_prune_edgeless_graph_keeps_only_fresh():
     g = CdGraph()
-    g.add_edge(pu(0), su(0))
+    g.add_edge(su(0), pu(0))
     g.slot = 2
-    g._remove_node(pu(0))  # leave 0_S stored but edgeless
-    assert su(0) in g.su_nodes
+    assert g.decode({pu(0)}) == 0  # leave 0_S stored but edgeless
+    assert su(0) in g.su_nodes and g.edge_count() == _checked_masks(g) == 0
     prune_unreachable(g, su(2))
     assert not g.su_nodes
 
@@ -247,18 +259,30 @@ def test_bipartite_enforced():
 
 
 def test_decoded_packet_cannot_reenter():
-    g = CdGraph()
+    g = RefGraph()
     record_slot(g, su(0), None, 0, 2)
     assert g.decoded_su == {0}
     with pytest.raises(ValueError):
         record_slot(g, su(0), None, 0, 2)
+    g = CdGraph(slot=1)
+    assert g.decode({su(0)}) == 1 and g.decoded_su == {0}
+    with pytest.raises(ValueError):
+        g.add_edge(su(0), pu(1))
 
 
-def _recounted_edges(g):
-    """Stored edges counted from both adjacency dicts, which must agree."""
-    out = sum(len(v) for v in g.out_edges.values())
-    assert out == sum(len(v) for v in g.in_edges.values())
-    return out
+def _checked_masks(g):
+    """The stored edges, counted from the out-edge masks, once each mask is
+    checked to name stored nodes only and each reach mask to be the
+    node's closure by matrix powers over the stored edges."""
+    nodes = sorted(g.index)
+    at = {lab: i for i, lab in enumerate(nodes)}
+    edges = [(at[a], at[b]) for a, b in stored_edges(g)]
+    used = sum(1 << b for b in g.index.values())
+    for lab, b in g.index.items():
+        assert g.out[b] & ~used == 0 and g.reach[b] & ~used == 0
+        reach = {x for x, d in g.index.items() if g.reach[b] >> d & 1}
+        assert reach == {nodes[i] for i in matrix_power_closure(len(nodes), edges, [at[lab]])}
+    return len(edges)
 
 
 def _random_graph(rng, n_su, n_pu, p_edge):
@@ -284,7 +308,7 @@ def test_closure_matches_matrix_power_oracle(seed):
     stored = list(g.su_nodes) + list(g.pu_nodes)
     if not stored:
         return
-    assert g.edge_count() == _recounted_edges(g) == len(edges)
+    assert g.edge_count() == _checked_masks(g) == len(edges)
     seed_node = stored[int(rng.integers(len(stored)))]
     seed_idx = n_su + slot_of(seed_node) if is_pu(seed_node) else slot_of(seed_node)
     got = {n_su + slot_of(x) if is_pu(x) else slot_of(x) for x in closure(g, [seed_node])}
@@ -306,15 +330,15 @@ def test_adding_edges_never_decreases_potential(seed):
     if not dsts:
         return
     g.add_edge(srcs[0], dsts[-1])
-    assert g.edge_count() == _recounted_edges(g)
+    assert g.edge_count() == _checked_masks(g)
     g.add_edge(srcs[0], dsts[-1])  # a repeated edge is stored once
-    assert g.edge_count() == _recounted_edges(g)
+    assert g.edge_count() == _checked_masks(g)
     for n, v in before.items():
         assert potential(g, n) >= v
 
 
 def test_snapshot_reflects_structure():
-    g = chain_example_graph()
+    g = chain_example_graph(RefGraph)
     snap = snapshot(g)
     assert snap["slot"] == 3
     assert snap["su_nodes"] == [0, 1] and snap["pu_nodes"] == [0, 2]
@@ -329,15 +353,30 @@ def test_prune_leaves_only_root_reachable_nodes(seed):
     if keep not in g.su_nodes:  # fresh root wipes everything, covered elsewhere
         return
     prune_unreachable(g, keep)
-    assert g.edge_count() == _recounted_edges(g)
+    assert g.edge_count() == _checked_masks(g)
     kept = closure(g, [keep])
     for node in list(g.su_nodes) + list(g.pu_nodes):
         assert node in kept
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_a_decode_keeps_every_other_reach_mask_exact(seed):
+    # A decode drops a closure from the graph, and each node left keeps
+    # exactly what it still reaches: its reach mask loses the dropped bits.
+    rng = np.random.default_rng(500 + seed)
+    g, _ = _random_graph(rng, 6, 6, 0.25)
+    while g.index:
+        seed_node = sorted(g.index)[int(rng.integers(len(g.index)))]
+        released = closure(g, [seed_node])
+        left = (g.su_nodes | g.pu_nodes) - released
+        assert g.decode(released) == sum(not is_pu(x) for x in released)
+        assert g.su_nodes | g.pu_nodes == left
+        assert g.edge_count() == _checked_masks(g)
+
+
 def test_record_slot_count_equals_decoded_flag_increase():
     rng = np.random.default_rng(5)
-    g = CdGraph()
+    g = RefGraph()
     for n in range(60):
         y = int(rng.integers(1, 8))
         a_s = int(rng.random() < 0.7)
@@ -351,11 +390,11 @@ def test_record_slot_count_equals_decoded_flag_increase():
         outcome = None if (l_s is None and l_p is None) else y
         r = record_slot(g, l_s, l_p, known, outcome)
         assert r == len(g.decoded_su) - before
-        assert g.edge_count() == _recounted_edges(g)
+        assert g.edge_count() == len(stored_edges(g)) == sum(map(len, g.in_edges.values()))
 
 
 def test_forget_keeps_stored_nodes_older_than_the_horizon():
-    g = CdGraph()
+    g = RefGraph()
     record_slot(g, su(0), pu(0), 0, 5)  # 0_P -> 0_S
     record_slot(g, su(1), None, 0, 2)   # 1_S decoded at once
     record_slot(g, None, pu(2), 0, 3)   # 2_P decoded at once
@@ -363,7 +402,7 @@ def test_forget_keeps_stored_nodes_older_than_the_horizon():
     forget(g)
     assert g.horizon == 3 and not g.decoded_su and not g.decoded_pu
     assert g.contains(su(0)) and g.contains(pu(0)) and not g.is_decoded(pu(0))
-    assert closure(g, [pu(0)]) == {pu(0), su(0)} and root(g) == (su(3), 1)
+    assert ref_closure(g, [pu(0)]) == {pu(0), su(0)} and ref_root(g) == (su(3), 1)
     # the stored PU packet is sent again and decoded, which releases 0_S
     assert record_slot(g, None, pu(0), 0, 3) == 1
     assert not g.contains(su(0)) and not g.contains(pu(0))
@@ -371,24 +410,33 @@ def test_forget_keeps_stored_nodes_older_than_the_horizon():
 
 
 def test_a_forgotten_label_is_no_node_and_every_query_naming_it_raises():
-    g = CdGraph()
-    record_slot(g, su(0), None, 0, 2)     # 0_S decoded
-    record_slot(g, None, None, 0, None)   # 1_S never sent
-    forget(g)
+    # 0_S decoded in slot 0, 1_S never sent, then the graph forgets both at
+    # slot 2: in the oracle by its steps, in the package as `run_slot` does
+    # at a cycle start.
+    ref = RefGraph()
+    record_slot(ref, su(0), None, 0, 2)
+    record_slot(ref, None, None, 0, None)
+    forget(ref)
+    g = CdGraph(slot=2)
+    g.horizon = 2
     for label in (su(0), su(1), pu(0), pu(1)):
-        assert not g.contains(label)
-        for query in (lambda: closure(g, [label]), lambda: g.is_decoded(label),
-                      lambda: reachable(g, su(2), label), lambda: reachable(g, label, su(2))):
+        assert not g.contains(label) and not ref.contains(label)
+        for query in (lambda: closure(g, [label]), lambda: potential(g, label),
+                      lambda: reachable(g, su(2), label), lambda: reachable(g, label, su(2)),
+                      lambda: ref_closure(ref, [label]), lambda: ref.is_decoded(label)):
             with pytest.raises(ValueError):
                 query()
     with pytest.raises(ValueError):
-        record_slot(g, su(1), None, 0, 2)
+        record_slot(ref, su(1), None, 0, 2)
     with pytest.raises(ValueError):
-        record_slot(g, su(2), pu(1), 0, 4)
-    with pytest.raises(ValueError):
-        g.add_edge(pu(0), su(2))
+        record_slot(ref, su(2), pu(1), 0, 4)
+    for graph in (g, ref):
+        with pytest.raises(ValueError):
+            graph.add_edge(pu(0), su(2))
     with pytest.raises(ValueError):
         select_label(g, pu(1), 0, 2)
+    with pytest.raises(ValueError):
+        ref_select_label(ref, pu(1), 0, 2)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -398,7 +446,7 @@ def test_a_forgetting_graph_answers_as_one_that_remembers(seed):
     # sends the label `select_label` picks.  One graph forgets the decoded
     # slots before each cycle start, the other keeps them all.
     rng = np.random.default_rng(300 + seed)
-    keep, forgetful = CdGraph(), CdGraph()
+    keep, forgetful = RefGraph(), RefGraph()
     left = 0
     for n in range(400):
         if left == 0:
@@ -409,12 +457,12 @@ def test_a_forgetting_graph_answers_as_one_that_remembers(seed):
         left -= 1
         known = keep.is_decoded(pu(n0))
         assert forgetful.is_decoded(pu(n0)) == known
-        labels = [select_label(g, pu(n0), known, n) for g in (keep, forgetful)]
-        assert (labels[0].label, labels[0].kind) == (labels[1].label, labels[1].kind)
-        assert root(keep) == root(forgetful)
+        labels = [ref_select_label(g, pu(n0), known, n) for g in (keep, forgetful)]
+        assert labels[0] == labels[1]
+        assert ref_root(keep) == ref_root(forgetful)
         for label in range(2 * forgetful.horizon, 2 * n + 2):
             assert keep.contains(label) == forgetful.contains(label)
-        l_s = labels[0].label if rng.random() < 0.7 else None
+        l_s = labels[0] if rng.random() < 0.7 else None
         y = int(rng.integers(1, 8))
         assert record_slot(keep, l_s, pu(n0), known, y) == record_slot(
             forgetful, l_s, pu(n0), known, y)

@@ -5,10 +5,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from cogarq.cd_graph import CdGraph, is_pu, potential, pu, root, slot_of, su
+from cogarq.cd_graph import CdGraph, is_pu, potential, prune_unreachable, pu, root, slot_of, su
 from cogarq.cd_protocol import FRESH, ROOT_RETX, LabelDecision, run_slot, select_label
 
-from _oracles import composed_slot, matrix_power_closure, on_new_cycle, record_slot
+from _oracles import RefGraph, composed_slot, matrix_power_closure, ref_decode, stored_edges
 
 
 def test_decision_kind_validation():
@@ -66,6 +66,15 @@ def test_slot_mismatch_rejected():
         select_label(g, pu(2), 0, 3)
 
 
+def _new_cycle(g):
+    """A cycle-start slot in which the SU stays idle and nothing is decoded
+    or buffered, so that only the trim changes the graph; returns the SU
+    packets it discarded."""
+    before = g.discarded_su
+    run_slot(g, g.slot, True, g.slot, 0, 4)
+    return g.discarded_su - before
+
+
 def test_new_cycle_trims_off_chain_packets():
     g = CdGraph()
     g.add_edge(su(0), pu(10))
@@ -73,7 +82,7 @@ def test_new_cycle_trims_off_chain_packets():
     g.add_edge(pu(1), su(0))   # completed PU packet pointing at the root
     g.add_edge(pu(1), su(2))   # and at a stranded fresh packet
     g.slot = 25
-    dropped = on_new_cycle(g)
+    dropped = _new_cycle(g)
     assert dropped == 1
     assert su(2) not in g.su_nodes and pu(1) not in g.pu_nodes
     assert potential(g, su(0)) == 2
@@ -89,15 +98,16 @@ def test_new_cycle_respects_root_handover():
     g.add_edge(pu(1), su(5))
     g.slot = 6
     assert root(g)[0] == su(4)
-    dropped = on_new_cycle(g)
+    dropped = _new_cycle(g)
     assert dropped == 0
     assert {su(0), su(4), su(5)} <= g.su_nodes
 
 
 def test_new_cycle_on_fresh_graph_is_noop():
     g = CdGraph(slot=7)
-    assert on_new_cycle(g) == 0
+    assert _new_cycle(g) == 0
     assert not g.su_nodes and not g.pu_nodes
+    assert (g.cycle_trims, g.empty_cycle_trims, g.horizon) == (1, 1, 7)
 
 
 def _check_root_against_oracle(g) -> set:
@@ -106,7 +116,7 @@ def _check_root_against_oracle(g) -> set:
     the labels the root releases."""
     nodes = sorted(g.su_nodes | g.pu_nodes | {su(g.slot)})
     index = {lab: i for i, lab in enumerate(nodes)}
-    edges = [(index[a], index[b]) for a, dsts in g.out_edges.items() for b in dsts]
+    edges = [(index[a], index[b]) for a, b in stored_edges(g)]
     release = {}
     for lab in nodes:
         if not is_pu(lab):
@@ -135,37 +145,32 @@ def test_protocol_only_emits_root_or_fresh(seed):
     assert d.label in (root(g)[0], su(9))
     assert (d.kind == FRESH) == (d.label == su(9))
 
-    # Then drive the graph slot by slot as the receiver does: a trim when a
-    # PU cycle starts, a label choice when the SU sends, and the slot's
-    # outcome.  Most slots find an empty graph, which the graph answers
-    # without a traversal; the oracle checks both kinds of slot, and that a
-    # trim keeps exactly the stored nodes the root releases.
-    empty = stored = 0
+    # Then drive the graph slot by slot as the receiver does, with a PU
+    # cycle of one to three slots: a trim when a cycle starts, a label
+    # choice when the SU sends, and the slot's outcome.  Most slots find an
+    # empty graph; the oracle checks both kinds of slot, and that a trim
+    # keeps exactly the stored nodes the root releases.  The trim is made
+    # here, so `run_slot`'s own trim at the cycle start finds nothing to drop.
+    empty = stored = left = 0
     for n in range(9, 209):
-        if rng.random() < 0.3:
+        new_cycle = left == 0
+        if new_cycle:
+            n0, left = n, int(rng.integers(1, 4))
             before = g.su_nodes | g.pu_nodes
             released = _check_root_against_oracle(g)
-            on_new_cycle(g)
+            prune_unreachable(g, root(g)[0])
             assert g.su_nodes | g.pu_nodes == before & released
+        left -= 1
         _check_root_against_oracle(g)
         if g.su_nodes or g.pu_nodes:
             stored += 1
         else:
             empty += 1
-        pu_slot = n - int(rng.integers(0, 3))
-        known = pu_slot in g.decoded_pu
-        l_s = None
-        if rng.random() < 0.7:
-            d = select_label(g, pu(pu_slot), known, n)
-            assert d.label in (root(g)[0], su(n))
-            assert (d.kind == FRESH) == (d.label == su(n))
-            l_s = d.label
-        l_p = pu(pu_slot) if rng.random() < 0.8 else None
-        y = int(rng.integers(1, 8))
-        if l_s is None and l_p is None:
-            record_slot(g, None, None, 0, None)
-        else:
-            record_slot(g, l_s, l_p, known if l_p is not None else 0, y)
+        rt = root(g)[0]
+        trimmed = g.discarded_su
+        _, l_s, _ = run_slot(g, n, new_cycle, n0, int(rng.random() < 0.7),
+                             int(rng.integers(1, 8)))
+        assert l_s in (None, rt, su(n)) and g.discarded_su == trimmed
     assert empty > 0 and stored > 0
 
 
@@ -173,27 +178,26 @@ def test_protocol_only_emits_root_or_fresh(seed):
 
 
 def _state(g):
-    """Everything a slot may change in a graph, counters included."""
-    return (g.slot, g.horizon, set(g.su_nodes), set(g.pu_nodes),
-            {k: set(v) for k, v in g.out_edges.items()},
-            {k: set(v) for k, v in g.in_edges.items()},
+    """Everything a slot may change in a graph, counters included, the same
+    for the package's graph and the oracle's."""
+    return (g.slot, g.horizon, set(g.su_nodes), set(g.pu_nodes), stored_edges(g),
             set(g.decoded_su), set(g.decoded_pu), g.edge_count(),
             g.discarded_su, g.max_nodes, g.max_edges, g.max_decoded,
             g.cycle_trims, g.empty_cycle_trims)
 
 
-def _isolated_start():
+def _isolated_start(cls):
     """Slot 3 of a cycle that started in slot 2: 2_P and 0_S stay stored
     with no edge left, as their neighbours 1_S and 1_P were decoded."""
-    g = CdGraph()
+    g = cls()
     g.add_edge(pu(2), su(1))
     g.add_edge(su(0), pu(1))
-    for lab in (su(1), pu(1)):
-        g._remove_node(lab)
-    g.decoded_su.add(1)
-    g.decoded_pu.add(1)
     g.slot = 3
-    return g, 2
+    if cls is RefGraph:
+        ref_decode(g, {su(1), pu(1)})
+    else:
+        g.decode({su(1), pu(1)})
+    return g
 
 
 def test_run_slot_matches_the_composed_steps_slot_by_slot():
@@ -205,12 +209,12 @@ def test_run_slot_matches_the_composed_steps_slot_by_slot():
     for seed in range(40):
         rng = np.random.default_rng(400 + seed)
         if seed % 2:
-            start, n0 = _isolated_start()
+            fused, steps, n0 = _isolated_start(CdGraph), _isolated_start(RefGraph), 2
             left = int(rng.integers(1, 4))
         else:
-            start, n0, left = CdGraph(), 0, 0
-        fused, steps = copy.deepcopy(start), copy.deepcopy(start)
-        for n in range(start.slot, start.slot + 200):
+            fused, steps, n0, left = CdGraph(), RefGraph(), 0, 0
+        assert _state(fused) == _state(steps)
+        for n in range(fused.slot, fused.slot + 200):
             new_cycle = left == 0
             if new_cycle:
                 n0, left = n, int(rng.integers(1, 5))
@@ -218,7 +222,7 @@ def test_run_slot_matches_the_composed_steps_slot_by_slot():
             a_s = int(rng.random() < 0.7)
             y = int(rng.integers(1, 8))
             known = n0 in fused.decoded_pu
-            edge_free = not fused.out_edges
+            edge_free = not fused.edge_count()
             isolated_pu = edge_free and pu(n0) in fused.pu_nodes
             seen["idle SU"] += not a_s
             seen["known PU"] += known
@@ -236,20 +240,29 @@ def test_run_slot_matches_the_composed_steps_slot_by_slot():
         assert seen[kind] > 0, kind
 
 
-def _graph_with_history():
-    """A graph the composed steps grew slot by slot, at the first slot where
-    it stores edges and a node below its horizon."""
+def _graph_with_history(cls):
+    """A graph grown slot by slot, by `run_slot` for the package's graph and
+    by the composed steps for the oracle's, at the first slot where it
+    stores edges and a node below its horizon."""
+    step = run_slot if cls is CdGraph else composed_slot
     for seed in itertools.count():
         rng = np.random.default_rng(seed)
-        g, left = CdGraph(), 0
+        g, left = cls(), 0
         for n in range(200):
             new_cycle = left == 0
             if new_cycle:
                 n0, left = n, int(rng.integers(1, 5))
             left -= 1
-            composed_slot(g, n, new_cycle, n0, int(rng.random() < 0.7), int(rng.integers(1, 8)))
-            if g.out_edges and any(slot_of(x) < g.horizon for x in g.su_nodes | g.pu_nodes):
+            step(g, n, new_cycle, n0, int(rng.random() < 0.7), int(rng.integers(1, 8)))
+            if g.edge_count() and any(slot_of(x) < g.horizon for x in g.su_nodes | g.pu_nodes):
                 return g
+
+
+def _edged_fresh_root(cls):
+    g = cls()
+    g.add_edge(su(0), pu(0))  # 0_S has potential 1: the root is fresh
+    g.slot = 2
+    return g
 
 
 def _with_fresh_decoded(g):
@@ -274,14 +287,13 @@ def test_run_slot_raises_exactly_where_the_composed_steps_raise():
     # must raise together and, where neither raises, agree.  The one
     # difference: `run_slot` checks n also on a slot the SU stays silent,
     # where the composed steps name n nowhere.
-    edged = _graph_with_history()
-    edged_fresh_root = CdGraph()
-    edged_fresh_root.add_edge(su(0), pu(0))  # 0_S has potential 1: the root is fresh
-    edged_fresh_root.slot = 2
-    graphs = [CdGraph(), _isolated_start()[0], edged, edged_fresh_root,
-              _with_fresh_decoded(CdGraph(slot=4)), _with_fresh_decoded(copy.deepcopy(edged)),
-              _with_fresh_decoded(copy.deepcopy(edged_fresh_root))]
-    for g in graphs:
+    builds = [lambda cls: cls(), _isolated_start, _graph_with_history, _edged_fresh_root,
+              lambda cls: _with_fresh_decoded(cls(slot=4)),
+              lambda cls: _with_fresh_decoded(_graph_with_history(cls)),
+              lambda cls: _with_fresh_decoded(_edged_fresh_root(cls))]
+    for build in builds:
+        g, ref = build(CdGraph), build(RefGraph)
+        assert _state(g) == _state(ref)
         # every PU slot from just below the horizon on, the stored ones and -1
         pu_slots = {-1, *range(max(g.horizon - 2, 0), g.slot + 2),
                     *(slot_of(x) for x in g.pu_nodes)}
@@ -289,7 +301,7 @@ def test_run_slot_raises_exactly_where_the_composed_steps_raise():
                 (g.slot - 1, g.slot, g.slot + 1), (False, True), sorted(pu_slots),
                 (0, 1), (None, 0, 1, 2, 3, 4, 5, 6, 7, 8)):
             args = (n, new_cycle, pu_slot, a_s, y)
-            fused, steps = copy.deepcopy(g), copy.deepcopy(g)
+            fused, steps = copy.deepcopy(g), copy.deepcopy(ref)
             got = _outcome(run_slot, fused, args)
             if n != g.slot and not a_s:
                 assert got is ValueError, args
@@ -300,15 +312,15 @@ def test_run_slot_raises_exactly_where_the_composed_steps_raise():
 
 
 @pytest.mark.parametrize("check, build, args", [
-    ("n is the graph's slot", CdGraph, lambda g: (1, True, 0, 1, 2)),
-    ("an outcome in 1..7", CdGraph, lambda g: (0, True, 0, 1, 0)),
-    ("an outcome in 1..7", lambda: CdGraph(slot=2), lambda g: (2, False, 1, 0, 8)),
-    ("an outcome in 1..7", lambda: CdGraph(slot=2), lambda g: (2, False, 1, 1, None)),
-    ("the SU label is a node", lambda: _with_fresh_decoded(CdGraph(slot=4)),
+    ("n is the graph's slot", lambda cls: cls(), lambda g: (1, True, 0, 1, 2)),
+    ("an outcome in 1..7", lambda cls: cls(), lambda g: (0, True, 0, 1, 0)),
+    ("an outcome in 1..7", lambda cls: cls(slot=2), lambda g: (2, False, 1, 0, 8)),
+    ("an outcome in 1..7", lambda cls: cls(slot=2), lambda g: (2, False, 1, 1, None)),
+    ("the SU label is a node", lambda cls: _with_fresh_decoded(cls(slot=4)),
      lambda g: (4, False, 3, 1, 2)),
-    ("the PU label is not after the slot", lambda: CdGraph(slot=2),
+    ("the PU label is not after the slot", lambda cls: cls(slot=2),
      lambda g: (2, False, 3, 0, 3)),
-    ("the PU label is not after the slot", lambda: CdGraph(slot=2),
+    ("the PU label is not after the slot", lambda cls: cls(slot=2),
      lambda g: (2, False, 3, 1, 2)),
     # `run_slot` reads whether the PU packet is known from the graph, so it
     # can disagree with `is_decoded` only where that raises: below the horizon.
@@ -317,8 +329,7 @@ def test_run_slot_raises_exactly_where_the_composed_steps_raise():
                 1, 3)),
 ])
 def test_each_argument_check_raises_from_run_slot_as_from_the_composed_steps(check, build, args):
-    g = build()
-    args = args(g)
-    for step in (run_slot, composed_slot):
+    args = args(build(CdGraph))
+    for step, cls in ((run_slot, CdGraph), (composed_slot, RefGraph)):
         with pytest.raises(ValueError):
-            step(copy.deepcopy(g), *args)
+            step(build(cls), *args)

@@ -49,6 +49,13 @@ def write(tmp_path, text, name="exp.cfg"):
     return p
 
 
+def setting(text, key, value):
+    """`text` with its line for `key`, if any, dropped and `key = value`
+    appended as the last line: a key may be set only once."""
+    kept = [line for line in text.split("\n") if line.partition("=")[0].strip() != key]
+    return "\n".join(kept) + f"{key} = {value}\n"
+
+
 def test_load_config_roundtrip(tmp_path):
     cfg = load_config(write(tmp_path, GOOD))
     assert cfg.sweep_values == (0.2, 1.0)
@@ -77,7 +84,7 @@ def test_load_config_missing_required(tmp_path):
 
 
 def test_load_config_rejects_bad_scheme(tmp_path):
-    p = write(tmp_path, GOOD + "schemes = warp_drive\n")
+    p = write(tmp_path, setting(GOOD, "schemes", "warp_drive"))
     with pytest.raises(ConfigError):
         load_config(p)
 
@@ -135,7 +142,8 @@ def test_metadata_reports_walk_and_graph_counts(tmp_path):
         drops = {(float(row["sweep_value"]), row["scheme"]): float(row["value"])
                  for row in csv.DictReader(f) if row["metric"] == "drop_rate"}
     graph_keys = {"graph_max_nodes", "graph_max_edges", "cycle_trims",
-                  "cycle_trims_on_empty_graph", "graph_max_decoded", "trimmed_su"}
+                  "cycle_trims_on_empty_graph", "graph_max_decoded", "trimmed_su",
+                  "graph_slots"}
     for r in runs:
         # every state but the initial one is first reached through a step
         assert 1 <= r["states_visited"] <= r["steps_filled"] + 1
@@ -152,6 +160,9 @@ def test_metadata_reports_walk_and_graph_counts(tmp_path):
             assert 1 <= r["graph_max_decoded"] <= 3 + 1 + r["graph_max_nodes"]
             # the SU packets trimmed from the graph are among those dropped
             assert 0 < r["trimmed_su"] <= round(drops[r["sweep_value"], "chain_decoding"] * 3000)
+            # a cycle start that finds nothing stored is run as part of an
+            # empty stretch, apart from the slots that go to `run_slot`
+            assert 0 < r["graph_slots"] <= 3000 - r["cycle_trims_on_empty_graph"]
         else:
             assert set(r) == keys
 
@@ -269,6 +280,47 @@ def test_config_that_is_not_utf8_names_the_line(tmp_path, capsys):
     assert "exp.cfg:3: not UTF-8 text" in capsys.readouterr().err
 
 
+# The separators `str.splitlines` breaks at besides "\n" and "\r\n".
+_NOT_LINE_ENDS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("sep", _NOT_LINE_ENDS, ids=[f"U+{ord(c):04X}" for c in _NOT_LINE_ENDS])
+def test_a_config_line_ends_only_at_a_newline(tmp_path, sep):
+    # In a comment the separator is comment text: the file loads, and the
+    # key on the next line is named on its own line, 3.
+    comment = f"mean_gamma_s = 5\nmean_gamma_p = 10  # SNR{sep}ratio\n"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_bytes(comment.encode())
+    assert load_config(cfg).mean_gamma_p == 10.0
+    cfg.write_bytes((comment + "bogus = 1\n").encode())
+    with pytest.raises(ConfigError, match=r"exp\.cfg:3: unknown key 'bogus'"):
+        load_config(cfg)
+    # In a value it is part of the value, a bad value on its true line.
+    cfg.write_bytes(f"mean_gamma_s = 5\nmean_gamma_p = 1{sep}0\n".encode())
+    with pytest.raises(ConfigError, match=r"exp\.cfg:2: bad value for mean_gamma_p"):
+        load_config(cfg)
+
+
+def test_a_config_line_may_end_in_crlf(tmp_path):
+    cfg = write(tmp_path, "")
+    cfg.write_bytes(GOOD.replace("\n", "\r\n").encode())
+    assert load_config(cfg) == load_config(write(tmp_path, GOOD, name="lf.cfg"))
+    cfg.write_bytes(b"mean_gamma_s = 5\r\nmean_gamma_p = 10\r\nbogus = 1\r\n")
+    with pytest.raises(ConfigError, match=r"exp\.cfg:3: unknown key 'bogus'"):
+        load_config(cfg)
+
+
+def test_a_key_set_twice_names_both_lines(tmp_path, capsys):
+    # The second value used to win silently.
+    text = "mean_gamma_s = 5\nmean_gamma_p = 10\nmean_gamma_p = 20\n"
+    with pytest.raises(ConfigError) as err:
+        load_config(write(tmp_path, text))
+    assert err.value.key == "mean_gamma_p"
+    assert main([str(write(tmp_path, text)), "-o", str(tmp_path / "out")]) == 2
+    assert "exp.cfg:3: mean_gamma_p is set twice, first on line 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_output_dir_that_is_a_file_is_an_error(tmp_path, capsys):
     cfg, taken = write(tmp_path, GOOD), write(tmp_path, "", name="taken")
     assert main([str(cfg), "-o", str(taken)]) == 2
@@ -288,7 +340,7 @@ def test_output_dir_under_a_file_is_an_error(tmp_path, capsys):
 def test_repeated_sweep_points_or_schemes_are_rejected(tmp_path, capsys, key, value):
     # Each would write rows sharing a (scheme, sweep_value, metric) key;
     # 1 and 1.0 are one sweep point.
-    text = GOOD + f"{key} = {value}\n"
+    text = setting(GOOD, key, value)
     assert main([str(write(tmp_path, text)), "-o", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert f"exp.cfg:{len(text.splitlines())}: {key} must be free of repeats" in err
@@ -375,8 +427,8 @@ def test_peak_memory_does_not_grow_with_the_horizon(tmp_path):
     ],
 )
 def test_main_rejects_out_of_range_values(tmp_path, capsys, key, value):
-    text = (GOOD.replace("sweep_values = 0.2, 1", "sweep_values = 1").replace("d_max = 3\n", "")
-            + f"{key} = {value}\n")
+    text = setting(GOOD.replace("sweep_values = 0.2, 1", "sweep_values = 1")
+                   .replace("d_max = 3\n", ""), key, value)
     cfg = write(tmp_path, text)
     assert main([str(cfg), "-o", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err

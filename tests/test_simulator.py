@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 
@@ -5,6 +6,8 @@ import numpy as np
 import pytest
 
 from cogarq import simulator
+from cogarq.cd_graph import CdGraph
+from cogarq.cd_protocol import run_slot
 from cogarq.channel import AvgSnrConfig, RatePair
 from cogarq.mdp import (
     AccessPolicy,
@@ -40,6 +43,7 @@ from _oracles import (
     reference_run,
     region_probabilities,
     split,
+    stored_edges,
 )
 
 RATES = RatePair(1.9140575925881422, 2.5182556953531106)
@@ -398,6 +402,130 @@ def test_run_matches_the_reference_across_slices_and_groups(monkeypatch, scheme,
     monkeypatch.setattr(simulator, "_GROUP", 300)
     system = SystemConfig(snr, RATES, PuConfig(4))
     _matches_reference(scheme, AccessPolicy(_AnyState()), system, 41, 5_000, batches=7)
+
+
+def _stretches(chunks):
+    """The maximal runs of slots that find the graph empty and leave it
+    so, as (first, last) slot pairs: the slots of the empty-graph stretches."""
+    nodes = _column(chunks, "g_nodes")
+    empty = (nodes == 0) & (np.concatenate(([0], nodes[:-1])) == 0)
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], empty.astype(int), [0]))))
+    return list(zip(edges[::2].tolist(), (edges[1::2] - 1).tolist()))
+
+
+@pytest.mark.parametrize("r_max", [1, 2, 3, 4, 5])
+def test_stretches_match_the_reference_at_the_analytic_shape(monkeypatch, r_max):
+    # analytic_sweep's run shape: 2,000 slots in 100 batches of 20.  With
+    # slices of 250 slots and groups of 60, the empty-graph stretches cross
+    # group, slice, batch and cycle edges, in traced and untraced runs alike.
+    monkeypatch.setattr(simulator, "_SLICE", 250)
+    monkeypatch.setattr(simulator, "_GROUP", 60)
+    system = SystemConfig(AvgSnrConfig(5.0, 5.0, 10.0, 2.0), RATES, PuConfig(r_max))
+    policy = _constant_policy(system, SchemeKind.CHAIN_DECODING)
+    chunks = _matches_reference(SchemeKind.CHAIN_DECODING, policy, system, 43, 2_000)
+    m = run(SchemeKind.CHAIN_DECODING, policy, system, 43, 2_000)
+    spans = _stretches(chunks)
+    # every other slot stores a node before or after it, and runs `run_slot`
+    assert 0 < m.graph_slots == 2_000 - sum(b - a + 1 for a, b in spans) < 2_000
+    crossed = lambda cuts: any(a < cut <= b for a, b in spans for cut in cuts)
+    slice_edges = range(250, 2_000, 250)
+    group_edges = [lo + k for lo in range(0, 2_000, 250) for k in range(60, 250, 60)]
+    cycle_starts = np.flatnonzero(_column(chunks, "t") == 0).tolist()
+    assert crossed(slice_edges) and crossed(group_edges) and crossed(range(20, 2_000, 20))
+    assert crossed(cycle_starts)
+
+
+def _graph_state(g):
+    return (g.slot, g.horizon, sorted(g.decoded_su), sorted(g.decoded_pu), sorted(g.index),
+            stored_edges(g), g.max_nodes, g.max_edges, g.max_decoded, g.cycle_trims,
+            g.empty_cycle_trims, g.discarded_su)
+
+
+def _pass_and_slots(g, first, t, a_s, y):
+    """`_graph_pass` over slots from `first` on with tracked try counts `t`,
+    SU decisions `a_s` and outcomes `y`, and `run_slot` slot by slot on a
+    copy of `g`: each side's credits and trace columns, or the message it
+    raised, and the graph it leaves."""
+    cols = np.zeros((len(simulator._ENTRY), len(y)), dtype=np.int32)
+    cols[simulator._SID] = np.arange(len(y))  # one compact state per slot, aged t
+    cols[simulator._A_S] = a_s
+    fast, slow = copy.deepcopy(g), g
+    try:
+        credits, graph_cols, _, _ = simulator._graph_pass(
+            fast, first, np.array(t), cols, np.array(y, dtype=np.int8), True)
+        got = credits.tolist(), graph_cols.tolist()
+    except ValueError as err:
+        got = str(err)
+    rows = []
+    try:
+        for n, t_n, a_n, y_n in zip(itertools.count(first), t, a_s, y):
+            r_s, l_s, v = run_slot(slow, n, t_n == 0, n - t_n, a_n, y_n)
+            rows.append((r_s, -1 if l_s is None else l_s >> 1, v, len(slow.index),
+                         slow.edge_count()))
+        want = [r[0] for r in rows], [list(c) for c in zip(*rows)][1:]
+    except ValueError as err:
+        want = str(err)
+    return (got, _graph_state(fast)), (want, _graph_state(slow))
+
+
+def _history(seed):
+    """A graph `run_slot` grew over 40 slots of random cycles, at the start of
+    a cycle's second slot, with its cycle's try count."""
+    rng = np.random.default_rng(seed)
+    g, left = CdGraph(), 0
+    for n in range(40):
+        if left == 0:
+            n0, left = n, int(rng.integers(2, 5))
+        left -= 1
+        run_slot(g, n, n == n0, n0, int(rng.random() < 0.7), int(rng.integers(1, 8)))
+        if n >= 30 and n == n0:
+            return g, 1
+    return g, 40 - n0
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_graph_pass_equals_run_slot_slot_by_slot_on_any_columns(seed):
+    # Cycles of one to five slots, mostly well formed, with now and then a
+    # try count that is not its cycle's (too small, too large or negative)
+    # and an outcome outside 1..7, from an empty graph or one with history.
+    rng = np.random.default_rng(900 + seed)
+    g, t0 = _history(seed) if seed % 2 else (CdGraph(), 0)
+    t, left, tn = [], 0, t0
+    for _ in range(80):
+        if left == 0:
+            left, tn = int(rng.integers(1, 6)), 0
+        left -= 1
+        t.append(tn if rng.random() < 0.97 else int(rng.integers(-1, 6)))
+        tn += 1
+    a_s = (rng.random(80) < 0.6).astype(int).tolist()
+    y = [int(v) if rng.random() < 0.99 else int(rng.choice([0, 8, -3])) for v in
+         rng.integers(1, 8, 80)]
+    got, want = _pass_and_slots(g, g.slot, t, a_s, y)
+    assert got == want
+
+
+@pytest.mark.parametrize("check, g, first, t, a_s, y", [
+    ("n is the graph's slot", CdGraph(slot=5), 4, [0, 1, 2], [0, 0, 0], [4, 4, 4]),
+    ("an outcome in 1..7, before the stretch's first cycle start",
+     CdGraph(), 0, [0, 1, 2, 3, 0, 1], [1, 0, 0, 0, 0, 0], [4, 4, 0, 4, 4, 4]),
+    ("an outcome in 1..7, in whole cycles", CdGraph(), 0, [0, 1, 0, 1, 2, 0, 1],
+     [0, 0, 1, 0, 1, 0, 0], [2, 6, 3, 4, 2, 8, 3]),
+    # only a graph whose decoded slots run ahead of it can be handed one
+    ("the SU label is a node", None, 3, [1, 2, 3], [0, 1, 1], [4, 4, 4]),
+    ("the PU label is not after the slot", CdGraph(), 0, [0, 1, 0, -1, 0],
+     [1, 1, 0, 0, 1], [2, 4, 2, 4, 4]),
+    ("a PU label below the horizon that is not stored", CdGraph(), 0,
+     [0, 1, 2, 0, 3, 0], [0, 0, 0, 0, 0, 0], [4, 4, 4, 4, 4, 4]),
+])
+def test_each_argument_check_raises_from_the_stretch_path_where_run_slot_raises(
+        check, g, first, t, a_s, y):
+    if g is None:  # a cycle that started in slot 2, with slot 5 marked decoded
+        g = CdGraph(slot=3)
+        g.horizon = 2
+        g.decoded_su.add(5)
+    got, want = _pass_and_slots(g, first, t, a_s, y)
+    assert isinstance(want[0], str), check  # run_slot raised
+    assert got == want, check
 
 
 def test_remembered_decoded_slots_stay_bounded():
